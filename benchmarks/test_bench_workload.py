@@ -9,10 +9,10 @@ from conftest import show
 
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
-from repro.metrics.report import Table
 from repro.net.topologies import build_lan
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
+from repro.telemetry.text import Table
 from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.driver import WorkloadDriver
 from repro.workloads.popularity import ZipfCatalogSampler

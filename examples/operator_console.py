@@ -14,8 +14,7 @@ Run with::
 """
 
 from repro import Deployment, Movie, MovieCatalog, Simulator, build_lan
-from repro.metrics.ascii_chart import render_chart
-from repro.metrics.report import Table
+from repro.telemetry.text import Table, render_chart
 from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.driver import WorkloadDriver
 from repro.workloads.popularity import ZipfCatalogSampler

@@ -23,9 +23,9 @@ from typing import List, Sequence
 
 from repro.client.player import ClientConfig
 from repro.experiments.scenarios import LAN_SCENARIO, run_scenario
-from repro.metrics.report import Table
 from repro.server.rate_controller import EmergencyConfig
 from repro.server.server import ServerConfig
+from repro.telemetry.text import Table
 
 
 @dataclass

@@ -17,10 +17,10 @@ from typing import List
 
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
-from repro.metrics.report import Table
 from repro.net.topologies import build_lan
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
+from repro.telemetry.text import Table
 
 
 @dataclass

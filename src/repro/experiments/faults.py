@@ -18,10 +18,10 @@ from repro.faulting.invariants import InvariantChecker
 from repro.faulting.plan import FaultPlan
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
-from repro.metrics.report import Table
 from repro.net.topologies import build_lan
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
+from repro.telemetry.text import Table
 
 
 @dataclass

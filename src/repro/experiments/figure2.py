@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.client.flow_control import FlowControlConfig, FlowControlPolicy
-from repro.metrics.report import Table
 from repro.service.protocol import FlowControlMsg, FlowKind
+from repro.telemetry.text import Table
 
 
 @dataclass(frozen=True)

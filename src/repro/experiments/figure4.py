@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.experiments.scenarios import LAN_SCENARIO, ScenarioResult, run_scenario
-from repro.metrics.report import Table
 from repro.telemetry.series import TimeSeries
+from repro.telemetry.text import Table, render_timeseries
 
 #: Window (seconds) after a scenario event in which its effects land.
 EVENT_WINDOW_S = 12.0
@@ -191,7 +191,6 @@ def run_figure4(seed: int = None, telemetry_path: str = None) -> Figure4:
 def run(spec) -> "ExperimentResult":
     """Unified entry point (see :mod:`repro.experiments.api`)."""
     from repro.experiments.api import ExperimentResult, attach_observability
-    from repro.metrics.ascii_chart import render_timeseries
 
     figure = run_figure4(seed=spec.seed, telemetry_path=spec.telemetry_path)
     result = ExperimentResult(spec=spec, data=figure)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.experiments.scenarios import WAN_SCENARIO, ScenarioResult, run_scenario
-from repro.metrics.report import Table
 from repro.telemetry.series import TimeSeries
+from repro.telemetry.text import Table, render_timeseries
 
 EVENT_WINDOW_S = 12.0
 
@@ -136,7 +136,6 @@ def run_figure5(seed: int = None, telemetry_path: str = None) -> Figure5:
 def run(spec) -> "ExperimentResult":
     """Unified entry point (see :mod:`repro.experiments.api`)."""
     from repro.experiments.api import ExperimentResult, attach_observability
-    from repro.metrics.ascii_chart import render_timeseries
 
     figure = run_figure5(seed=spec.seed, telemetry_path=spec.telemetry_path)
     result = ExperimentResult(spec=spec, data=figure)

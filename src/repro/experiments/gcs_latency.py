@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.gcs import GcsDomain, GroupListener
-from repro.metrics.report import Table
 from repro.net.topologies import build_lan
 from repro.sim.core import Simulator
+from repro.telemetry.text import Table
 
 
 @dataclass

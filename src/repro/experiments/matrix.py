@@ -24,7 +24,7 @@ sub-matrix with the QoE/SLO observers and an
 :class:`~repro.faulting.invariants.InvariantChecker` attached, renders
 a per-cell verdict table, runs the reject-vs-degrade admission faceoff
 and can dump everything as a benchmark JSON for the CI gate
-(:mod:`repro.experiments.matrix_gate`).
+(``repro-vod gate matrix``, :mod:`repro.experiments.gate`).
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from repro.experiments.scenarios import (
 )
 from repro.faulting.invariants import InvariantChecker
 from repro.faulting.plan import FaultPlan
-from repro.metrics.report import Table
 from repro.net.link import LinkFault
 from repro.server.admission import AdmissionSpec
 from repro.telemetry.slo import quantile
+from repro.telemetry.text import Table
 
 #: Known values per axis, in default-first order.
 TOPOLOGIES = ("lan", "wan", "hierarchy")

@@ -20,12 +20,12 @@ from typing import List
 from repro.experiments.scenarios import LAN_SCENARIO, run_scenario
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
-from repro.metrics.report import Table
 from repro.net.topologies import build_lan
 from repro.server.rate_controller import EmergencyConfig
 from repro.service.deployment import Deployment
 from repro.service.protocol import EmergencyLevel
 from repro.sim.core import Simulator
+from repro.telemetry.text import Table
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ never lands a title's whole replica set in one failure domain.
 
 CI regression-checks the emitted benchmark JSON against
 ``benchmarks/BENCH_placement_baseline.json`` via
-:mod:`repro.experiments.placement_gate`.
+``repro-vod gate placement`` (:mod:`repro.experiments.gate`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.api import ExperimentResult, ExperimentSpec
 from repro.faulting.invariants import InvariantChecker
-from repro.metrics.report import Table
 from repro.net.topologies import build_lan
 from repro.placement import (
     PlacementContext,
@@ -58,6 +57,7 @@ from repro.placement import (
 from repro.placement.plan import build_zipf_catalog
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
+from repro.telemetry.text import Table
 from repro.workloads.popularity import ZipfCatalogSampler
 
 #: Default strategy line-up (every entry of ``repro.placement.STRATEGIES``).

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from repro.client.player import VoDClient
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
-from repro.metrics.report import Table
 from repro.net.topologies import build_wan
 from repro.server.server import ServerConfig
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
+from repro.telemetry.text import Table
 
 
 @dataclass

@@ -33,6 +33,9 @@ flyweight/sharded scale run, or a recorded export::
     repro-vod postmortem --scenario lan
     repro-vod postmortem --scale 20000 --shards 4
     repro-vod postmortem --from-export run.jsonl.gz --since 30 --until 60
+
+``repro-vod gate <name> [measured.json] [baseline.json]`` judges a run
+against its committed baseline (:mod:`repro.experiments.gate`).
 """
 
 from __future__ import annotations
@@ -79,57 +82,26 @@ def _telemetry_path_for(name: str, args: argparse.Namespace) -> Optional[str]:
     return path
 
 
+#: Flags forwarded under their own name as experiment params when given.
+PARAM_FLAGS = (
+    "json", "clients", "trials", "plans", "sizes", "flyweight_sizes",
+    "sharded_sizes", "shards", "workers", "wall_budget", "duration", "window",
+    "benchmark_json", "strategies", "titles", "flash", "preset", "scenario",
+    "export", "since", "until", "max_rows",
+)
+
+
 def _spec_from_args(name: str, args: argparse.Namespace) -> ExperimentSpec:
-    params = {}
-    if args.json is not None:
-        params["json"] = args.json
-    if args.clients is not None:
-        params["clients"] = args.clients
-    if args.trials is not None:
-        params["trials"] = args.trials
-    if args.plans is not None:
-        params["plans"] = args.plans
-    if getattr(args, "sizes", None) is not None:
-        params["sizes"] = args.sizes
-    if getattr(args, "flyweight_sizes", None) is not None:
-        params["flyweight_sizes"] = args.flyweight_sizes
-    if getattr(args, "sharded_sizes", None) is not None:
-        params["sharded_sizes"] = args.sharded_sizes
-    if getattr(args, "shards", None) is not None:
-        params["shards"] = args.shards
-    if getattr(args, "workers", None) is not None:
-        params["workers"] = args.workers
+    params = {
+        flag: getattr(args, flag)
+        for flag in PARAM_FLAGS
+        if getattr(args, flag, None) is not None
+    }
     if getattr(args, "shard_inline", False):
         params["shard_inline"] = True
-    if getattr(args, "wall_budget", None) is not None:
-        params["wall_budget"] = args.wall_budget
-    if getattr(args, "duration", None) is not None:
-        params["duration"] = args.duration
-    if getattr(args, "window", None) is not None:
-        params["window"] = args.window
-    if getattr(args, "benchmark_json", None) is not None:
-        params["benchmark_json"] = args.benchmark_json
-    if getattr(args, "strategies", None) is not None:
-        params["strategies"] = args.strategies
-    if getattr(args, "titles", None) is not None:
-        params["titles"] = args.titles
-    if getattr(args, "flash", None) is not None:
-        params["flash"] = args.flash
-    if getattr(args, "preset", None) is not None:
-        params["preset"] = args.preset
-    if getattr(args, "scenario", None) is not None:
-        params["scenario"] = args.scenario
     if getattr(args, "scale_n", None) is not None:
         params["source"] = "scale"
         params["n"] = args.scale_n
-    if getattr(args, "export", None) is not None:
-        params["export"] = args.export
-    if getattr(args, "since", None) is not None:
-        params["since"] = args.since
-    if getattr(args, "until", None) is not None:
-        params["until"] = args.until
-    if getattr(args, "max_rows", None) is not None:
-        params["max_rows"] = args.max_rows
     return ExperimentSpec(
         name=name,
         seed=args.seed,
@@ -304,20 +276,6 @@ def _run_profile(args: argparse.Namespace) -> int:
     print(stream.getvalue().rstrip())
     print(f"[pstats dump written to {out}]")
     return 0
-
-
-def _run_qoe_check(args: argparse.Namespace) -> int:
-    from repro.experiments.qoe_gate import run_gate
-
-    report, ok = run_gate(
-        out_path=args.out,
-        baseline_path=args.baseline,
-        update_baseline=args.update_baseline,
-        tolerance=args.tolerance,
-        plans=args.plans if args.plans is not None else 3,
-    )
-    print(report)
-    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,37 +524,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clear the terminal between frames")
 
     p = sub.add_parser(
-        "qoe-check", parents=[common],
-        help="QoE regression gate: measure failover latency, glitches "
-             "and observer overhead, compare against the baseline",
+        "gate",
+        help="judge a run against its committed baseline: scale, shard, "
+             "matrix, placement, qoe or postmortem (the last two measure "
+             "first when no measured.json is given)",
     )
-    p.add_argument("--out", type=str,
-                   default=os.path.join("artifacts", "BENCH_qoe.json"))
-    p.add_argument("--baseline", type=str,
-                   default=os.path.join("benchmarks",
-                                        "BENCH_qoe_baseline.json"))
-    p.add_argument("--tolerance", type=float, default=0.10,
-                   help="allowed relative regression (default 10%%)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline from this measurement")
+    p.add_argument("name", help="which gate's table to apply")
+    p.add_argument("measured", nargs="?",
+                   help="the run's benchmark JSON (qoe and postmortem "
+                        "measure and write it when omitted)")
+    p.add_argument("baseline", nargs="?",
+                   help="reference JSON (default: the gate's committed "
+                        "benchmarks/BENCH_*.json)")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # Subparsers may not define every attribute; default the common ones.
-    defaults = (
-        ("clients", None),
-        ("trials", None),
-        ("plans", None),
-        ("seed", None),
-        ("json", None),
-        ("telemetry", None),
-        ("no_telemetry", False),
-    )
-    for attribute, default in defaults:
-        if not hasattr(args, attribute):
-            setattr(args, attribute, default)
     name = args.experiment
     if name == "all":
         _run_all(args)
@@ -606,8 +550,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         _run_report(args)
     elif name == "watch":
         _run_watch(args)
-    elif name == "qoe-check":
-        return _run_qoe_check(args)
+    elif name == "gate":
+        from repro.experiments.gate import main as gate_main
+
+        return gate_main(
+            [a for a in (args.name, args.measured, args.baseline) if a]
+        )
     elif name == "profile":
         return _run_profile(args)
     else:

@@ -46,7 +46,6 @@ from repro.client.player import VoDClient
 from repro.experiments.api import ExperimentResult, ExperimentSpec
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
-from repro.metrics.report import Table
 from repro.net.link import LinkParams
 from repro.net.network import Network
 from repro.net.topologies import Topology
@@ -63,6 +62,7 @@ from repro.shard.plan import ShardPlan, ShardTask
 from repro.shard.runner import run_shards
 from repro.sim.core import Simulator
 from repro.sim.gcgate import paused_gc
+from repro.telemetry.text import Table
 
 #: Server uplink: a head-end trunk.  Loss-free and fat enough that a
 #: third of the 5 000-viewer load stays far below saturation.

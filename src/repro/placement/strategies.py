@@ -2,8 +2,7 @@
 
 The menu the experiments compare:
 
-* :class:`StaticPlacement` — an explicit hand-authored map (what the
-  deprecated ``Deployment.add_server(movies=...)`` delegates to).
+* :class:`StaticPlacement` — an explicit hand-authored map.
 * :class:`StaticKWay` — the seed's round-robin k-way spread, now as a
   strategy.  Ignores popularity and failure domains, which is exactly
   why it loses the correlated-crash comparison.
@@ -99,7 +98,7 @@ class StaticPlacement(PlacementStrategy):
     def from_server_movies(
         cls, server_movies: Mapping[str, Iterable[str]]
     ) -> "StaticPlacement":
-        """Build from the ``add_server(movies=...)`` point of view."""
+        """Build from the per-server ``{server: [titles]}`` point of view."""
         assignments: Dict[str, List[str]] = {}
         for server, titles in server_movies.items():
             for title in titles:

@@ -168,12 +168,11 @@ class ScenarioController:
         time: float,
         host_index: int,
         name: Optional[str] = None,
-        movies: Optional[Iterable[str]] = None,
     ) -> None:
         """Bring a new server up on the fly at ``time``."""
 
         def fire() -> None:
-            server = self.deployment.add_server(host_index, name, movies)
+            server = self.deployment.add_server(host_index, name)
             self._log("server-up", server.name)
 
         self.sim.call_at(time, fire)

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.client.player import ClientConfig, VoDClient
 from repro.errors import ServiceError
@@ -13,7 +12,6 @@ from repro.media.catalog import MovieCatalog
 from repro.net.address import VIDEO_PORT
 from repro.net.topologies import Topology
 from repro.placement.plan import PlacementPlan
-from repro.placement.strategies import StaticPlacement
 from repro.server.server import ServerConfig, VoDServer
 from repro.service.controller import ScenarioController
 
@@ -149,14 +147,11 @@ class Deployment:
         self,
         host_index: int,
         name: Optional[str] = None,
-        movies: Optional[Iterable[str]] = None,
     ) -> VoDServer:
         """Bring a server up on the fly on ``topology.hosts[host_index]``.
 
-        The server's stored titles come from, in order: the deprecated
-        ``movies=`` list (routed through an explicit
-        :class:`~repro.placement.StaticPlacement`), the deployment's
-        placement plan, or — for servers the plan does not know — the
+        The server's stored titles come from the deployment's placement
+        plan or — for servers the plan does not know — the
         ``replicate_all`` default.
         """
         if name is None:
@@ -164,28 +159,17 @@ class Deployment:
         self._server_counter += 1
         if name in self.servers:
             raise ServiceError(f"server name {name!r} already in use")
-        if movies is not None:
-            warnings.warn(
-                "add_server(movies=...) is deprecated; build the replica "
-                "map with a placement strategy (repro.placement) and "
-                "Deployment.from_placement instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            static = StaticPlacement.from_server_movies({name: movies})
-            static.as_plan().apply(self.catalog)
-        else:
-            assigned = (
-                self.placement.movies_for(name)
-                if self.placement is not None
-                else None
-            )
-            if assigned is not None:
-                for title, prefix_s in assigned:
-                    self.catalog.place_replica(title, name, prefix_s=prefix_s)
-            elif self.replicate_all:
-                for title in self.catalog.titles():
-                    self.catalog.place_replica(title, name)
+        assigned = (
+            self.placement.movies_for(name)
+            if self.placement is not None
+            else None
+        )
+        if assigned is not None:
+            for title, prefix_s in assigned:
+                self.catalog.place_replica(title, name, prefix_s=prefix_s)
+        elif self.replicate_all:
+            for title in self.catalog.titles():
+                self.catalog.place_replica(title, name)
         node_id = self.topology.host(host_index)
         node = self.network.node(node_id)
         if not node.alive:

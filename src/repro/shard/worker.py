@@ -24,7 +24,7 @@ numbers — and the golden test would catch any future divergence.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.shard.merge import MergeError
@@ -36,23 +36,6 @@ VIEWERS_PER_SHARD = 12
 BATCH_WINDOW_S = 1.0
 CONNECT_WINDOW_S = 1.0
 MOVIE_DURATION_S = 60.0
-
-
-class SessionTrace:
-    """Server-side session observer in the conformance-trace format.
-
-    Per client, the ordered ``(server, offset, takeover)`` session-start
-    sequence; absolute timestamps deliberately excluded (the PR 5
-    convention — daemon-set differences legitimately shift GCS event
-    times by sub-millisecond amounts between builds)."""
-
-    def __init__(self) -> None:
-        self.starts: Dict[str, List[Tuple[str, int, bool]]] = {}
-
-    def on_session_start(self, server, record, takeover: bool) -> None:
-        self.starts.setdefault(record.client.name, []).append(
-            (server.name, int(record.offset), bool(takeover))
-        )
 
 
 def build_disjoint_rig(
@@ -69,11 +52,11 @@ def build_disjoint_rig(
     (all groups, one kernel); an integer builds that shard's group
     alone.  Returns ``(sim, deployment, pools, trace)`` where ``pools``
     maps movie title to its flyweight pool and ``trace`` is an attached
-    :class:`SessionTrace`.
+    :class:`~repro.experiments.scale.ConformanceTrace`.
     """
     from repro.client.flyweight import FlyweightConfig
     from repro.client.player import ClientConfig
-    from repro.experiments.scale import build_edge_lan
+    from repro.experiments.scale import ConformanceTrace, build_edge_lan
     from repro.media.catalog import MovieCatalog
     from repro.media.movie import Movie
     from repro.placement import PlacementContext, ServerProfile
@@ -115,7 +98,7 @@ def build_disjoint_rig(
         ),
         client_config=ClientConfig(session_mux=True),
     )
-    trace = SessionTrace()
+    trace = ConformanceTrace()
     deployment.add_server_observer(trace)
 
     pools: Dict[str, object] = {}

@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.telemetry.text import Table
+
 
 @dataclass
 class CausalChain:
@@ -255,8 +257,6 @@ def failover_breakdowns(graph: TraceGraph) -> List[FailoverBreakdown]:
 
 def render_breakdowns(breakdowns: List[FailoverBreakdown]) -> str:
     """A text table of failover decompositions (``repro-vod report``)."""
-    from repro.metrics.report import Table  # lazy: keeps import order simple
-
     table = Table(
         "Failover critical path (detect + agree + redistribute = take-over)",
         ["cause", "client", "at (s)", "detect (s)", "agree (s)",

@@ -19,6 +19,7 @@ from repro.telemetry.causal import FailoverBreakdown, render_breakdowns
 from repro.telemetry.flight import (
     FlightRecorderConfig, Incident, incidents_from_records,
 )
+from repro.telemetry.text import Table
 
 
 def incidents_from_export(
@@ -44,8 +45,6 @@ def _describe(event: Dict) -> str:
 
 def render_incident(incident: Incident, max_rows: int = 40) -> str:
     """One incident's postmortem: triggers, chains, breakdowns, QoE."""
-    from repro.metrics.report import Table  # lazy: keeps import order simple
-
     blocks: List[str] = []
     header = (
         f"{incident.id}: {incident.trigger_kind} at "

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.telemetry.text import Table
+
 
 def _client_name(value: object) -> str:
     """Normalize the two client spellings to the short name.
@@ -312,8 +314,6 @@ def scorecards_from_timeline(timeline) -> Dict[str, QoEScorecard]:
 
 def render_scorecards(cards: Dict[str, QoEScorecard]) -> str:
     """A text table of QoE scorecards, worst score first."""
-    from repro.metrics.report import Table  # lazy: keeps import order simple
-
     table = Table(
         "Per-client QoE scorecards",
         ["client", "score", "startup (s)", "stalls", "stall (s)",

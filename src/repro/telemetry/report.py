@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.telemetry.text import Table
+
 #: Kinds that tell the story; everything else is counted, not listed.
 TIMELINE_KINDS = (
     "fault.",
@@ -159,8 +161,6 @@ def render_report(timeline: RunTimeline, max_rows: int = 80) -> str:
     QoE scorecards, SLO verdicts, failover breakdowns, buffer levels,
     summary.  Degrades gracefully: an empty or meta-only export renders
     a one-line note instead of empty tables."""
-    from repro.metrics.report import Table  # lazy: keeps import order simple
-
     blocks: List[str] = []
 
     meta = dict(timeline.meta)

@@ -1,7 +1,6 @@
 """Counters, time series and sampling probes.
 
-Moved here from ``repro.metrics.collector`` (which remains as a shim):
-the probe is the telemetry subsystem's bridge between continuous state
+The probe is the telemetry subsystem's bridge between continuous state
 (buffer occupancy, cumulative counters) and the event bus — every
 sample it takes is also emitted as a ``metric.sample`` event when the
 bus is active, which is how JSONL exports carry the Figure 4/5 curves

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.telemetry.text import Table
+
 
 @dataclass
 class WindowSnapshot:
@@ -405,8 +407,6 @@ class SloMonitor:
 
 def render_slo(summary: Dict[str, Dict]) -> str:
     """A text table of SLO rule outcomes (``repro-vod report``)."""
-    from repro.metrics.report import Table  # lazy: keeps import order simple
-
     table = Table(
         "SLO rules",
         ["rule", "objective", "state", "last value", "breaches",

@@ -1,9 +1,11 @@
-"""Terminal line charts for the experiment runner.
+"""Plain-text rendering for experiment output: tables, series, charts.
 
-The paper's figures are simple time-series plots; rendering them as
-text keeps the reproduction dependency-free while making
-``repro-vod figure4`` output look like the evaluation section instead
-of a number dump.
+The benchmark harness prints the regenerated rows/series of each paper
+figure with these helpers, so ``pytest benchmarks/ -s`` reads like the
+paper's evaluation section; the paper's figures are simple time-series
+plots, and rendering them as text keeps the reproduction
+dependency-free while making ``repro-vod figure4`` output look like the
+evaluation section instead of a number dump.
 """
 
 from __future__ import annotations
@@ -13,6 +15,65 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.telemetry.series import TimeSeries
 
 Point = Tuple[float, float]
+
+
+class Table:
+    """A minimal fixed-width text table."""
+
+    def __init__(self, title: str, columns: Sequence[str]) -> None:
+        self.title = title
+        self.columns = list(columns)
+        self.rows: List[List[str]] = []
+
+    def add_row(self, *cells: object) -> None:
+        if len(cells) != len(self.columns):
+            raise ValueError(
+                f"expected {len(self.columns)} cells, got {len(cells)}"
+            )
+        self.rows.append([_format_cell(cell) for cell in cells])
+
+    def render(self) -> str:
+        widths = [len(col) for col in self.columns]
+        for row in self.rows:
+            for i, cell in enumerate(row):
+                widths[i] = max(widths[i], len(cell))
+        lines = [self.title, "-" * len(self.title)]
+        header = "  ".join(col.ljust(widths[i]) for i, col in enumerate(self.columns))
+        lines.append(header)
+        lines.append("  ".join("-" * width for width in widths))
+        for row in self.rows:
+            lines.append(
+                "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
+            )
+        return "\n".join(lines)
+
+    def __str__(self) -> str:
+        return self.render()
+
+
+def _format_cell(cell: object) -> str:
+    if isinstance(cell, float):
+        return f"{cell:.3f}".rstrip("0").rstrip(".")
+    return str(cell)
+
+
+def format_series_summary(
+    series: TimeSeries,
+    sample_every: float = 20.0,
+    end: Optional[float] = None,
+) -> str:
+    """Render a time series as sparse ``t=... v=...`` sample lines."""
+    if len(series) == 0:
+        return f"{series.name}: (empty)"
+    last_time = series.times[-1] if end is None else end
+    lines = [f"{series.name}:"]
+    t = 0.0
+    while t <= last_time + 1e-9:
+        value = series.value_at(t)
+        if value is not None:
+            lines.append(f"  t={t:7.1f}s  {value:10.1f}")
+        t += sample_every
+    return "\n".join(lines)
 
 
 def render_chart(

@@ -123,7 +123,7 @@ def test_partial_replication_end_to_end():
     catalog.place_round_robin(["s0", "s1", "s2"], k=2)
     deployment = Deployment(topology, catalog, replicate_all=False)
     for index, name in enumerate(("s0", "s1", "s2")):
-        deployment.add_server(index, name, movies=catalog.movies_of(name))
+        deployment.add_server(index, name)
     client = deployment.attach_client(3)
     client.request_movie("m0")  # replicated on s0 and s1
     sim.run_until(15.0)

@@ -5,6 +5,7 @@ import pytest
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
 from repro.net.topologies import build_lan
+from repro.placement import StaticPlacement
 from repro.service.deployment import Deployment
 from repro.service.protocol import ConnectRequest, movie_group
 from repro.sim.core import Simulator
@@ -94,9 +95,10 @@ class TestMovies:
             Movie.synthetic("a", duration_s=30),
             Movie.synthetic("b", duration_s=30),
         ])
-        deployment = Deployment(topology, catalog, replicate_all=False)
-        deployment.add_server(0, "s0", movies=["a"])
-        deployment.add_server(1, "s1", movies=["b"])
+        plan = StaticPlacement.from_server_movies(
+            {"s0": ["a"], "s1": ["b"]}
+        ).as_plan()
+        deployment = Deployment.from_placement(topology, plan, catalog)
         sim.run_until(2.0)
         client = deployment.attach_client(2)
         client.request_movie("b")

@@ -110,11 +110,3 @@ class TestFromPlacement:
             Deployment.from_placement(
                 topology, plan, catalog, server_hosts={"server0": 0}
             )
-
-
-class TestDeprecatedMoviesKwarg:
-    def test_movies_kwarg_warns_and_routes_through_placement(self):
-        sim, deployment = make_deployment(n_servers=1, replicate_all=False)
-        with pytest.warns(DeprecationWarning):
-            deployment.add_server(1, name="extra", movies=["feature"])
-        assert "extra" in deployment.catalog.full_replicas("feature")

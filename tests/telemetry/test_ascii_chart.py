@@ -1,7 +1,7 @@
 """Tests for the terminal chart renderer."""
 
-from repro.metrics.ascii_chart import render_chart, render_timeseries
 from repro.telemetry.series import TimeSeries
+from repro.telemetry.text import render_chart, render_timeseries
 
 
 def ramp(n=100):

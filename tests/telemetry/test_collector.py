@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.telemetry.series import Counter, Probe, TimeSeries
 from repro.sim.core import Simulator
+from repro.telemetry.series import Counter, Probe, TimeSeries
 
 
 class TestCounter:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.telemetry.series import TimeSeries
-from repro.metrics.report import Table, format_series_summary
+from repro.telemetry.text import Table, format_series_summary
 
 
 def test_table_renders_header_and_rows():

@@ -36,7 +36,7 @@ def test_version_string():
     "module_name",
     [
         "repro.sim", "repro.net", "repro.gcs", "repro.media",
-        "repro.client", "repro.server", "repro.service", "repro.metrics",
+        "repro.client", "repro.server", "repro.service",
         "repro.baselines", "repro.experiments", "repro.workloads",
     ],
 )
