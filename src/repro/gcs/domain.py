@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.net.address import GCS_PORT, Endpoint
 from repro.net.network import Network
 from repro.sim.core import Simulator
 
@@ -35,6 +36,7 @@ class GcsDomain:
         self.network = network
         self.fd_timeout = fd_timeout
         self._endpoints: Dict[int, "GcsEndpoint"] = {}
+        self._addresses: Dict[int, Endpoint] = {}
         self._view_observers: List[ViewObserver] = []
 
     # ------------------------------------------------------------------
@@ -79,6 +81,14 @@ class GcsDomain:
 
     def endpoint(self, node_id: int) -> "GcsEndpoint":
         return self._endpoints[node_id]
+
+    def daemon_address(self, node_id: int) -> Endpoint:
+        """Control-plane address of the daemon on ``node_id``: one shared
+        object per daemon, so sending to it allocates nothing."""
+        address = self._addresses.get(node_id)
+        if address is None:
+            address = self._addresses[node_id] = Endpoint(node_id, GCS_PORT)
+        return address
 
     def __len__(self) -> int:
         return len(self._endpoints)

@@ -40,7 +40,7 @@ from repro.gcs.messages import (
     ViewCommit,
 )
 from repro.gcs.view import ProcessId, View
-from repro.net.address import GCS_PORT, Endpoint
+from repro.net.address import GCS_PORT
 from repro.net.node import Node
 from repro.net.packet import Datagram
 from repro.net.udp import UdpSocket
@@ -275,7 +275,7 @@ class GcsEndpoint:
         size = message.wire_bytes()
         self.control_bytes_sent += size
         self.control_packets_sent += 1
-        self.socket.sendto(Endpoint(daemon, GCS_PORT), message, size)
+        self.socket.sendto(self.domain.daemon_address(daemon), message, size)
 
     def broadcast_domain(self, message: Any) -> None:
         if self.closed:

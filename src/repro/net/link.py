@@ -186,8 +186,11 @@ class _Direction:
         serialization."""
         if not self.up:
             return
-        self.stats.sent_packets += 1
-        self.stats.sent_bytes += datagram.wire_bytes()
+        stats = self.stats
+        params = self.params
+        wire = datagram.wire_bytes()
+        stats.sent_packets += 1
+        stats.sent_bytes += wire
 
         # Injected faults draw from a dedicated stream so that a healthy
         # run's randomness is untouched by merely enabling the subsystem.
@@ -197,22 +200,23 @@ class _Direction:
         if fault is not None:
             fault_rng = self.sim.rng(f"fault.{self.rng_name}")
             if fault.drop_prob > 0 and fault_rng.random() < fault.drop_prob:
-                self.stats.fault_dropped += 1
+                stats.fault_dropped += 1
                 self._note_drop("fault")
                 return
             fault_extra_s = fault.extra_delay_s
             if fault.jitter_s > 0:
                 fault_extra_s += fault_rng.uniform(0.0, fault.jitter_s)
             if fault_extra_s > 0:
-                self.stats.fault_delayed += 1
+                stats.fault_delayed += 1
             if (
                 fault.duplicate_prob > 0
                 and fault_rng.random() < fault.duplicate_prob
             ):
                 fault_duplicate = True
 
-        serialization = datagram.wire_bytes() * 8.0 / self.params.bandwidth_bps
-        now = self.sim.now
+        serialization = wire * 8.0 / params.bandwidth_bps
+        sim = self.sim
+        now = sim.now
         queue_ahead_s = max(0.0, self._tx_free_at - now)
         # Tail-drop if the backlog already holds queue_packets' worth of
         # serialization time (approximating a packet-count queue using the
@@ -221,67 +225,47 @@ class _Direction:
         if (
             not guaranteed
             and serialization > 0
-            and queue_ahead_s > self.params.queue_packets * serialization
+            and queue_ahead_s > params.queue_packets * serialization
         ):
-            self.stats.dropped_queue += 1
+            stats.dropped_queue += 1
             self._note_drop("queue")
             return
         start_tx = max(now, self._tx_free_at)
-        self._tx_free_at = start_tx + serialization
+        self._tx_free_at = tx_free = start_tx + serialization
 
         if guaranteed:
-            self.stats.guaranteed_packets += 1
-            arrival = self._tx_free_at + self.params.delay_s + fault_extra_s
-            self._schedule_delivery(
-                arrival, datagram, deliver, fault, fault_duplicate
-            )
-            return
-
-        if self._params_clean:
+            stats.guaranteed_packets += 1
+            arrival = tx_free + params.delay_s + fault_extra_s
+        elif self._params_clean:
             # Zero-overhead fast path: with loss, jitter and reorder all
             # zero, none of the draws below can change anything — skip
             # the RNG lookup entirely.  (Merely fetching a stream never
             # advances it, so slow- and fast-path runs stay identical.)
-            arrival = self._tx_free_at + self.params.delay_s + fault_extra_s
-            self._schedule_delivery(
-                arrival, datagram, deliver, fault, fault_duplicate
+            arrival = tx_free + params.delay_s + fault_extra_s
+        else:
+            rng = sim.rng(self.rng_name)
+            if params.loss_prob > 0 and rng.random() < params.loss_prob:
+                stats.dropped_loss += 1
+                self._note_drop("loss")
+                return
+            extra_jitter = 0.0
+            if params.jitter_s > 0:
+                extra_jitter = rng.uniform(0.0, params.jitter_s)
+            detour = 0.0
+            if params.reorder_prob > 0 and rng.random() < params.reorder_prob:
+                detour = rng.uniform(0.0, params.reorder_delay_s)
+                stats.detoured += 1
+            arrival = (
+                tx_free
+                + params.delay_s
+                + extra_jitter
+                + detour
+                + fault_extra_s
             )
-            return
-
-        rng = self.sim.rng(self.rng_name)
-        if self.params.loss_prob > 0 and rng.random() < self.params.loss_prob:
-            self.stats.dropped_loss += 1
-            self._note_drop("loss")
-            return
-
-        extra_jitter = 0.0
-        if self.params.jitter_s > 0:
-            extra_jitter = rng.uniform(0.0, self.params.jitter_s)
-        detour = 0.0
-        if self.params.reorder_prob > 0 and rng.random() < self.params.reorder_prob:
-            detour = rng.uniform(0.0, self.params.reorder_delay_s)
-            self.stats.detoured += 1
-        arrival = (
-            self._tx_free_at
-            + self.params.delay_s
-            + extra_jitter
-            + detour
-            + fault_extra_s
-        )
-        self._schedule_delivery(arrival, datagram, deliver, fault, fault_duplicate)
-
-    def _schedule_delivery(
-        self,
-        arrival: float,
-        datagram: Datagram,
-        deliver: DeliverFn,
-        fault: Optional[LinkFault],
-        duplicate: bool,
-    ) -> None:
-        self.sim.call_at(arrival, self._deliver, datagram, deliver)
-        if duplicate and fault is not None:
-            self.stats.fault_duplicated += 1
-            self.sim.call_at(
+        sim.call_at(arrival, self._deliver, datagram, deliver)
+        if fault_duplicate:
+            stats.fault_duplicated += 1
+            sim.call_at(
                 arrival + fault.duplicate_delay_s, self._deliver, datagram, deliver
             )
 

@@ -4,20 +4,25 @@ The network is an undirected graph of :class:`~repro.net.node.Node`
 objects connected by :class:`~repro.net.link.Link` objects.  Datagrams
 are forwarded hop by hop along shortest paths (BFS on live links), so a
 multi-hop WAN path accumulates per-hop delay, jitter, queueing and loss
-naturally.  Partitions are injected by taking links down; routes are
-recomputed lazily.
+naturally.  Partitions are injected by taking links down; forwarding
+tables are recompiled lazily, one source at a time.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import NetworkError
-from repro.net.link import Link, LinkFault, LinkParams
+from repro.net.link import DeliverFn, Link, LinkFault, LinkParams, _Direction
 from repro.net.node import Node
 from repro.net.packet import Datagram
 from repro.sim.core import Simulator
+
+#: One compiled forwarding entry: the link direction to transmit on, the
+#: node at its far end, and the callable that receives the datagram there.
+Hop = Tuple[_Direction, int, DeliverFn]
 
 
 class Network:
@@ -28,7 +33,9 @@ class Network:
         self.nodes: List[Node] = []
         self._links: Dict[Tuple[int, int], Link] = {}
         self._adjacency: Dict[int, List[int]] = {}
-        self._routes: Optional[Dict[int, Dict[int, int]]] = None
+        # source -> destination -> Hop, compiled from a BFS the first time
+        # a node forwards after a change; unreachable pairs are absent.
+        self._tables: Dict[int, Dict[int, Hop]] = {}
         # Bumped on every change that can affect in-flight traffic:
         # topology, link up/down, injected faults, node crash/restart.
         # Precomputed burst transfers (net/burst.py) revalidate their
@@ -38,8 +45,8 @@ class Network:
         self.qos = None
 
     def note_change(self) -> None:
-        """Invalidate cached routes and precomputed fast-path state."""
-        self._routes = None
+        """Invalidate forwarding tables and precomputed fast-path state."""
+        self._tables = {}
         self.state_version += 1
 
     # ------------------------------------------------------------------
@@ -151,7 +158,7 @@ class Network:
         return sorted(key for key, link in self._links.items() if link.faulted)
 
     def reachable(self, src: int, dst: int) -> bool:
-        return self._next_hop(src, dst) is not None or src == dst
+        return self._hop(src, dst) is not None or src == dst
 
     # ------------------------------------------------------------------
     # Datagram forwarding
@@ -161,37 +168,36 @@ class Network:
         src_node = self.node(datagram.src.node)
         if not src_node.alive:
             return
-        self._forward(datagram, at_node=datagram.src.node)
+        self._forward(src_node, datagram)
 
-    def _forward(self, datagram: Datagram, at_node: int) -> None:
-        if at_node == datagram.dst.node:
-            self.node(at_node).deliver(datagram)
+    def _forward(self, node: Node, datagram: Datagram) -> None:
+        """Hand ``datagram`` to ``node`` if addressed there, else carry it
+        one hop on.  Also the arrival callable of every :data:`Hop`."""
+        at_node = node.node_id
+        dst_node = datagram.dst.node
+        if at_node == dst_node:
+            node.deliver(datagram)
             return
+        if not node.alive:
+            return  # routers that crashed blackhole traffic
         if datagram.hops_remaining <= 0:
             return
-        next_hop = self._next_hop(at_node, datagram.dst.node)
-        if next_hop is None:
+        hop = self._hop(at_node, dst_node)
+        if hop is None:
             return  # unreachable: datagrams vanish, like real UDP
         datagram.hops_remaining -= 1
-        link = self.link(at_node, next_hop)
+        direction, next_node, arrive = hop
+        qos = self.qos
         guaranteed = (
-            self.qos is not None
+            qos is not None
             and datagram.flow_id is not None
-            and self.qos.admit_packet(
-                at_node, next_hop, datagram.flow_id, datagram.wire_bytes()
+            and qos.admit_packet(
+                at_node, next_node, datagram.flow_id, datagram.wire_bytes()
             )
         )
-        link.direction(at_node).transmit(
-            datagram,
-            lambda dgram, hop=next_hop: self._on_hop(dgram, hop),
-            guaranteed=guaranteed,
-        )
-
-    def _on_hop(self, datagram: Datagram, node_id: int) -> None:
-        node = self.node(node_id)
-        if not node.alive and node_id != datagram.dst.node:
-            return  # routers that crashed blackhole traffic
-        self._forward(datagram, at_node=node_id)
+        # Looked up on the direction at every send: fault injectors
+        # replace ``transmit`` per instance.
+        direction.transmit(datagram, arrive, guaranteed=guaranteed)
 
     # ------------------------------------------------------------------
     # Fast-path support (see repro.net.burst)
@@ -208,11 +214,11 @@ class Network:
         hops = []
         at = src
         while at != dst:
-            next_hop = self._next_hop(at, dst)
-            if next_hop is None or len(hops) >= 64:
+            hop = self._hop(at, dst)
+            if hop is None or len(hops) >= 64:
                 return None
-            hops.append((self.link(at, next_hop).direction(at), next_hop))
-            at = next_hop
+            hops.append(hop[:2])
+            at = hop[1]
         return hops
 
     def path_clear(self, hops, dst: int) -> bool:
@@ -234,25 +240,26 @@ class Network:
     # ------------------------------------------------------------------
     # Routing (BFS shortest path over live links)
     # ------------------------------------------------------------------
-    def _next_hop(self, src: int, dst: int) -> Optional[int]:
-        routes = self._routing_tables()
-        return routes.get(src, {}).get(dst)
+    def _hop(self, src: int, dst: int) -> Optional[Hop]:
+        """The forwarding entry at ``src`` toward ``dst``; None when
+        unreachable (or ``src == dst``)."""
+        table = self._tables.get(src)
+        if table is None:
+            table = self._tables[src] = self._compile_from(src)
+        return table.get(dst)
 
-    def _routing_tables(self) -> Dict[int, Dict[int, int]]:
-        if self._routes is None:
-            self._routes = {
-                node.node_id: self._bfs_from(node.node_id) for node in self.nodes
-            }
-        return self._routes
-
-    def _bfs_from(self, src: int) -> Dict[int, int]:
-        """First hop from ``src`` toward every reachable destination."""
-        first_hop: Dict[int, int] = {}
+    def _compile_from(self, src: int) -> Dict[int, Hop]:
+        """First :data:`Hop` from ``src`` toward every reachable node."""
+        first_hop: Dict[int, Hop] = {}
         visited = {src}
         frontier = deque()
-        for neighbor in self._adjacency[src]:
+        for neighbor in self._adjacency.get(src, ()):
             if self._link_up(src, neighbor):
-                first_hop[neighbor] = neighbor
+                first_hop[neighbor] = (
+                    self.link(src, neighbor).direction(src),
+                    neighbor,
+                    partial(self._forward, self.nodes[neighbor]),
+                )
                 visited.add(neighbor)
                 frontier.append(neighbor)
         while frontier:

@@ -8,18 +8,12 @@ not depend on actually encoding anything.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.net.address import Endpoint
+from repro.net.address import DATACLASS_SLOTS, Endpoint
 
 _packet_ids = itertools.count(1)
-
-#: ``@dataclass(slots=True)`` needs Python 3.10; on older interpreters
-#: the hot wire types simply keep their __dict__ (correctness is
-#: unaffected, only allocation cost).
-DATACLASS_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 #: Fixed per-datagram header overhead we charge on the wire, roughly an
 #: IP + UDP header (20 + 8 bytes) — matches the paper's UDP/IP transport.

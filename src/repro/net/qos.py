@@ -183,17 +183,11 @@ class QosManager:
     # ------------------------------------------------------------------
     def _path(self, src: int, dst: int) -> Optional[List[Tuple[int, int]]]:
         """Directed hops of the current routing path src -> dst."""
-        hops: List[Tuple[int, int]] = []
-        at = src
-        for _ in range(64):
-            if at == dst:
-                return hops
-            nxt = self.network._next_hop(at, dst)
-            if nxt is None:
-                return None
-            hops.append((at, nxt))
-            at = nxt
-        return None
+        path = self.network.resolve_path(src, dst)
+        if path is None:
+            return None
+        nodes = [src] + [to_node for _direction, to_node in path]
+        return list(zip(nodes, nodes[1:]))
 
     def _link_capacity(self, hop: Tuple[int, int]) -> float:
         link = self.network.link(*hop)

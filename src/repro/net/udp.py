@@ -29,6 +29,9 @@ class UdpSocket:
     ) -> None:
         self.node = node
         self.port = node.bind(self, port)
+        #: This socket's address: one object for its lifetime, so the
+        #: per-packet ``src`` costs no allocation.
+        self.endpoint = Endpoint(node.node_id, self.port)
         self.on_receive = on_receive
         self.closed = False
         self.sent_packets = 0
@@ -36,16 +39,12 @@ class UdpSocket:
         self.received_packets = 0
         self.received_bytes = 0
 
-    @property
-    def endpoint(self) -> Endpoint:
-        return Endpoint(self.node.node_id, self.port)
-
     def sendto(
         self,
         dst: Endpoint,
         payload: Any,
         size_bytes: int,
-        flow_id: int = None,
+        flow_id: Optional[int] = None,
     ) -> Datagram:
         """Fire-and-forget send.  Returns the in-flight datagram.
 

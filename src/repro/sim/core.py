@@ -22,7 +22,9 @@ class EventHandle:
     """A cancellable reference to a scheduled event.
 
     Cancellation is lazy: the queue entry stays in the heap but is skipped
-    when popped.  This keeps cancellation O(1).
+    when popped.  This keeps cancellation O(1).  Handles are never
+    compared: the heap orders ``(time, seq, handle)`` entries and ``seq``
+    is unique.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_tel", "_sim")
@@ -68,17 +70,6 @@ class EventHandle:
     def active(self) -> bool:
         return not self.cancelled
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Tuple-free ordering: this comparison runs millions of times
-        # per large run inside heapq, and building two tuples per call
-        # measurably dominates heap maintenance (~28% of push/pop cost
-        # at N=200k handles).  Times are never NaN (call_at guards), so
-        # the chained compare is a strict weak order identical to
-        # (time, seq) tuple comparison.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "active"
         return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
@@ -105,7 +96,9 @@ class Simulator:
     def __init__(self, seed: int = 0, trace: bool = False) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: List[EventHandle] = []
+        # Heap of (time, seq, handle): heapq orders the tuples in C, and
+        # the unique seq means the handle itself is never compared.
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._running = False
         self._stopped = False
         # Count of live (non-cancelled, not-yet-fired) queued events,
@@ -146,13 +139,14 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, now is t={self._now:.6f}"
             )
-        handle = EventHandle(time, self._seq, callback, args)
+        seq = self._seq
+        handle = EventHandle(time, seq, callback, args)
         handle._sim = self
         if self.telemetry.active:
             handle._tel = self.telemetry
-        self._seq += 1
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._queue, handle)
+        heapq.heappush(self._queue, (time, seq, handle))
         return handle
 
     def call_after(
@@ -183,15 +177,16 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, now is t={self._now:.6f}"
             )
+        seq = self._seq
         handle.time = time
-        handle.seq = self._seq
+        handle.seq = seq
         handle.cancelled = False
         handle._sim = self
         if self.telemetry.active:
             handle._tel = self.telemetry
-        self._seq += 1
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._queue, handle)
+        heapq.heappush(self._queue, (time, seq, handle))
         return handle
 
     # ------------------------------------------------------------------
@@ -236,21 +231,45 @@ class Simulator:
         Chunked drivers therefore loop ``while sim.now < time`` and need
         no compensation.
         """
+        if math.isnan(time):
+            raise SimulationError("cannot run until time NaN")
         if time < self._now:
             raise SimulationError(
                 f"cannot run backwards to t={time:.6f} from t={self._now:.6f}"
             )
+        # One fused peek -> pop -> dispatch loop (what step() does via
+        # _pop_next, without three method calls per event).
+        queue = self._queue
+        heappop = heapq.heappop
+        tracer = self.tracer
+        tel = self.telemetry
+        limit = math.inf if max_events is None else max_events
         count = 0
         exhausted = False
         self._stopped = False
         while not self._stopped:
-            if max_events is not None and count >= max_events:
+            if count >= limit:
                 exhausted = True
                 break
-            nxt = self._peek_next()
-            if nxt is None or nxt.time > time:
+            if not queue:
                 break
-            self.step()
+            when, _, handle = queue[0]
+            if handle.cancelled:
+                heappop(queue)
+                continue
+            if when > time:
+                break
+            heappop(queue)
+            self._live -= 1
+            # Out of the queue now: a late cancel() must not decrement
+            # the live counter a second time.
+            handle._sim = None
+            self._now = when
+            if tracer.enabled:
+                tracer.record(when, handle.callback, handle.args)
+            if tel.active:
+                tel.emit("sim.fire", name=_callback_name(handle.callback))
+            handle.callback(*handle.args)
             count += 1
         if not self._stopped and not exhausted:
             self._now = max(self._now, time)
@@ -273,7 +292,7 @@ class Simulator:
         Kept for the agreement test in ``tests/sim``: the incremental
         counter must always match a full scan of the heap.
         """
-        return sum(1 for handle in self._queue if not handle.cancelled)
+        return sum(1 for _, _, handle in self._queue if not handle.cancelled)
 
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""
@@ -285,7 +304,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def _pop_next(self) -> Optional[EventHandle]:
         while self._queue:
-            handle = heapq.heappop(self._queue)
+            handle = heapq.heappop(self._queue)[2]
             if not handle.cancelled:
                 self._live -= 1
                 # The handle is out of the queue now; a late cancel()
@@ -296,7 +315,7 @@ class Simulator:
 
     def _peek_next(self) -> Optional[EventHandle]:
         while self._queue:
-            handle = self._queue[0]
+            handle = self._queue[0][2]
             if handle.cancelled:
                 heapq.heappop(self._queue)
                 continue

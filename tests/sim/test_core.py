@@ -64,6 +64,25 @@ def test_nan_time_raises():
         Simulator().call_at(float("nan"), lambda: None)
 
 
+def test_run_until_nan_raises_instead_of_draining_the_queue():
+    # ``event.time > nan`` is always false: unguarded, the loop would
+    # never see an event as "past the horizon" and never return while a
+    # periodic timer keeps re-arming.
+    sim = Simulator()
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+        sim.call_after(1.0, tick)
+
+    sim.call_after(1.0, tick)
+    with pytest.raises(SimulationError):
+        sim.run_until(float("nan"))
+    assert fired == []
+    assert sim.now == 0.0
+    assert sim.pending_count() == 1
+
+
 def test_cancel_prevents_firing():
     sim = Simulator()
     seen = []

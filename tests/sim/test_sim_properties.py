@@ -1,5 +1,7 @@
 """Property-based tests for the simulation kernel."""
 
+import bisect
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -193,10 +195,185 @@ def test_pending_count_agrees_with_scan_under_churn(ops):
             sim.run(max_events=3)
         elif op == "reschedule" and handles:
             handle = handles[i % len(handles)]
-            # Only recycle handles that are out of the queue: fired
-            # (popped before their callback ran) or cancelled-and-popped.
-            if handle.cancelled and handle not in sim._queue:
+            # Only recycle handles that are out of the queue.  Every
+            # entry still queued sorts at or after the last event fired,
+            # so a cancelled handle dated before ``now`` has been popped
+            # — whatever the heap happens to store.
+            if handle.cancelled and handle.time < sim.now:
                 sim.reschedule(handle, sim.now + value)
         assert sim.pending_count() == sim._pending_count_scan()
     sim.run()
     assert sim.pending_count() == sim._pending_count_scan() == 0
+
+
+# ----------------------------------------------------------------------
+# The kernel against a reference model
+# ----------------------------------------------------------------------
+
+class _ReferenceEntry:
+    def __init__(self, owner, callback, args):
+        self.owner, self.callback, self.args = owner, callback, args
+        self.key = None  # (time, seq) while queued
+
+    def cancel(self):
+        if self.key is not None:
+            self.owner.entries.remove(self.key + (self,))
+        self.key = None
+
+
+class _ReferenceScheduler:
+    """What the kernel must do, as plainly as it can be written: a list
+    kept sorted by ``(time, seq)``, eager cancellation, no heap."""
+
+    def __init__(self):
+        self.now, self.seq, self.entries, self.stopped = 0.0, 0, [], False
+
+    def call_at(self, time, callback, *args):
+        return self.reschedule(_ReferenceEntry(self, callback, args), time)
+
+    def reschedule(self, entry, time):
+        entry.key = (time, self.seq)
+        self.seq += 1
+        bisect.insort(self.entries, entry.key + (entry,))  # seq is unique
+        return entry
+
+    def pending_count(self):
+        return len(self.entries)
+
+    def stop(self):
+        self.stopped = True
+
+    def step(self):
+        if not self.entries:
+            return False
+        self.now, _, entry = self.entries.pop(0)
+        entry.key = None
+        entry.callback(*entry.args)
+        return True
+
+    def run(self, max_events=None, until=float("inf")):
+        count, self.stopped = 0, False
+        while (
+            not self.stopped
+            and (max_events is None or count < max_events)
+            and self.entries and self.entries[0][0] <= until
+        ):
+            self.step()
+            count += 1
+        return count
+
+    def run_until(self, time, max_events=None):
+        count = self.run(max_events, until=time)
+        exhausted = max_events is not None and count >= max_events
+        if not self.stopped and not exhausted:
+            self.now = max(self.now, time)
+        return count
+
+
+class _Program:
+    """Drives one kernel through a random program and logs what it saw."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.handles = []   # by event id
+        self.idle = set()   # ids that fired and may be rescheduled
+        self.log = []
+
+    def schedule(self, delay, kind):
+        event = len(self.handles)
+        self.handles.append(None)
+        self.handles[event] = self.kernel.call_at(
+            self.kernel.now + delay, self.fire, event, kind
+        )
+
+    def fire(self, event, kind):
+        self.log.append(("fire", event, self.kernel.now))
+        self.idle.add(event)
+        if kind == "stop":
+            self.kernel.stop()
+        elif kind == "spawn":
+            self.schedule(0.0, "plain")  # same instant: fires this slice
+
+    def apply(self, op):
+        kernel, name = self.kernel, op[0]
+        if name == "schedule":
+            self.schedule(op[1], op[2])
+        elif name == "cancel" and self.handles:
+            event = op[1] % len(self.handles)
+            self.handles[event].cancel()
+            self.handles[event].cancel()  # idempotent, also after firing
+            self.idle.discard(event)  # a cancelled handle forgets its callback
+        elif name == "reschedule" and self.idle:
+            event = sorted(self.idle)[op[1] % len(self.idle)]
+            self.idle.discard(event)
+            kernel.reschedule(self.handles[event], kernel.now + op[2])
+        elif name == "run_until":
+            self.log.append(("ran", kernel.run_until(kernel.now + op[1], op[2])))
+        elif name == "run":
+            self.log.append(("ran", kernel.run(op[1])))
+        elif name == "step":
+            self.log.append(("stepped", kernel.step()))
+        self.log.append(("state", kernel.now, kernel.pending_count()))
+
+
+# Few distinct delays, so (time, seq) ties are the common case.
+_delays = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 4.0])
+_budgets = st.one_of(st.none(), st.integers(min_value=0, max_value=5))
+_ops = st.one_of(
+    st.tuples(st.just("schedule"), _delays,
+              st.sampled_from(["plain", "plain", "spawn", "stop"])),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
+    st.tuples(st.just("reschedule"), st.integers(min_value=0, max_value=1000),
+              _delays),
+    st.tuples(st.just("run_until"), _delays, _budgets),
+    st.tuples(st.just("run"), _budgets),
+    st.tuples(st.just("step")),
+)
+
+
+@given(ops=st.lists(_ops, min_size=1, max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_kernel_agrees_with_reference_scheduler(ops):
+    """Same program, same firing order, same ``now`` / returned count /
+    ``pending_count()`` after every call — for schedule, cancel, double
+    and late cancel, reschedule-after-fire, budgeted ``run_until`` and
+    ``run``, ``step``, ``stop()`` from a callback and same-instant
+    scheduling from a callback."""
+    real, model = _Program(Simulator()), _Program(_ReferenceScheduler())
+    for op in ops:
+        real.apply(op)
+        model.apply(op)
+        assert real.log == model.log
+        assert real.kernel.pending_count() == real.kernel._pending_count_scan()
+
+
+@given(
+    events=st.lists(
+        st.tuples(_delays, st.sampled_from(["plain", "spawn"])),
+        min_size=1, max_size=40,
+    ),
+    slices=st.lists(
+        st.tuples(_delays, st.integers(min_value=1, max_value=4)), max_size=12
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_any_slicing_of_run_until_concatenates_to_the_unsliced_run(events, slices):
+    """Cutting ``run_until(T)`` at arbitrary times and event budgets (the
+    benchmark's slice loop) fires the same events at the same instants,
+    returns counts that add up, and ends on the same clock."""
+    horizon = 5.0
+    whole, sliced = _Program(Simulator()), _Program(Simulator())
+    for delay, kind in events:
+        whole.schedule(delay, kind)
+        sliced.schedule(delay, kind)
+    total = whole.kernel.run_until(horizon)
+    count = 0
+    for until, budget in sorted(slices) + [(horizon, 3)]:
+        fired = budget
+        while fired == budget:  # a full budget may have left events <= until
+            fired = sliced.kernel.run_until(until, budget)
+            count += fired
+    assert sliced.log == whole.log
+    assert count == total
+    assert sliced.kernel.now == whole.kernel.now == horizon
+    assert sliced.kernel.pending_count() == whole.kernel.pending_count()
