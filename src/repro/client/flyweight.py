@@ -50,17 +50,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: promoted row can bind its fabricated port as a real socket.
 ROW_PORT_BASE = 30000
 
+#: Frames a steady-state row notionally buffers (seeded into the
+#: software buffer at promotion, truncated to its capacity).
+BUFFER_TARGET_FRAMES = 300
+
 
 @dataclass(frozen=True)
 class FlyweightConfig:
-    """Pool tunables (mirroring the full client's connect behaviour)."""
+    """Pool tunables.  Connect behaviour (the retry cadence) is the full
+    client's: it comes from the pool's ``client_config``."""
 
-    fps: int = 30
-    connect_retry_s: float = 1.0  # = ClientConfig.connect_retry_s
-    # Frames a steady-state row notionally buffers (seeded into the
-    # software buffer at promotion).  Keep it at or below the client's
-    # software-buffer capacity or promotion truncates it.
-    buffer_target_frames: int = 300
     # Edge daemons used as connect concentrators.  Open-group sends
     # broadcast to every daemon in the domain, so this bounds the
     # domain size (and the per-connect fan-out) independently of N.
@@ -151,8 +150,9 @@ class FlyweightPool:
         if candidate in self._sender_endpoints:
             return candidate
         if len(self._sender_endpoints) < self.config.senders_max:
+            # An edge that also hosts full clients already runs a daemon.
             self._sender_endpoints[candidate] = (
-                self.deployment.domain.create_endpoint(candidate)
+                self.deployment.domain.ensure_endpoint(candidate)
             )
             return candidate
         nodes = sorted(self._sender_endpoints)
@@ -187,7 +187,7 @@ class FlyweightPool:
         )
         self.connects_sent += 1
         self.sim.call_after(
-            self.config.connect_retry_s, self._send_connect, index
+            self.client_config.connect_retry_s, self._send_connect, index
         )
 
     # ------------------------------------------------------------------
@@ -221,9 +221,8 @@ class FlyweightPool:
         index = self._index[client]
         self.started[index] = True
         self.serving[index] = server
-        target = self.config.buffer_target_frames
-        if self.buffer_frames[index] < target:
-            self.buffer_frames[index] = target
+        if self.buffer_frames[index] < BUFFER_TARGET_FRAMES:
+            self.buffer_frames[index] = BUFFER_TARGET_FRAMES
 
     def note_finished(self, client: ProcessId, offset: int) -> None:
         index = self._index[client]
@@ -238,12 +237,11 @@ class FlyweightPool:
         return len(self.names)
 
     def _cohorts(self):
-        for server in self.deployment.servers.values():
-            if not server.running:
-                continue
-            cohort = server._cohorts.get(self.movie_title)
-            if cohort is not None:
-                yield cohort
+        """The live servers' cohorts serving this pool's rows."""
+        for server in self.deployment.live_servers():
+            replica = server.movies.get(self.movie_title)
+            if replica is not None and replica.cohort is not None:
+                yield replica.cohort
 
     def positions(self) -> Dict[str, int]:
         """Current playhead per viewer (live rows read their serving
@@ -300,7 +298,7 @@ class FlyweightPool:
         node_id = process.node
         endpoint = self._sender_endpoints.get(node_id)
         if endpoint is None or endpoint.closed:
-            endpoint = self.deployment.domain.create_endpoint(node_id)
+            endpoint = self.deployment.domain.ensure_endpoint(node_id)
             self._sender_endpoints[node_id] = endpoint
         client = VoDClient(
             self.deployment.domain,
@@ -313,7 +311,7 @@ class FlyweightPool:
         # Mark promoted before the server swaps the row for a session,
         # so owns() already answers False for the in-flight record.
         self._promoted[index] = client
-        record = server.promote_flyweight(process)
+        record = server.movies[self.movie_title].promote_row(process)
         movie = self.deployment.catalog.movie(self.movie_title)
         buffered = []
         depth = min(
@@ -348,11 +346,11 @@ class FlyweightPool:
                 f"viewer {client.name!r} has no live server to return to"
             )
         self.buffer_frames[index] = min(
-            client.combined_occupancy, self.config.buffer_target_frames
+            client.combined_occupancy, BUFFER_TARGET_FRAMES
         )
         self.epochs[index] = client.epoch
         del self._promoted[index]
-        record = server.demote_to_flyweight(process)
+        record = server.movies[self.movie_title].demote_session(process)
         self.epochs[index] = record.epoch
         self.last_offsets[index] = record.offset
         client.stop()
@@ -363,9 +361,9 @@ class FlyweightPool:
         for server in self.deployment.live_servers():
             if process in server.sessions:
                 return server
-            cohort = server._cohorts.get(self.movie_title)
-            if cohort is not None and process in cohort.rows:
-                return server
+        for cohort in self._cohorts():
+            if process in cohort.rows:
+                return cohort.server
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

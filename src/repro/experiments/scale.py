@@ -241,9 +241,11 @@ def conformance_trace(
     for server in deployment.live_servers():
         for client, session in server.sessions.items():
             final[client.name] = int(session.position)
-        for cohort in server._cohorts.values():
-            for client in cohort.rows:
-                final[client.name] = int(cohort.position_of(client))
+        for replica in server.movies.values():
+            cohort = replica.cohort
+            if cohort is not None:
+                for client in cohort.rows:
+                    final[client.name] = int(cohort.position_of(client))
     return {
         "starts": {name: trace.starts[name] for name in sorted(trace.starts)},
         "final": {name: final[name] for name in sorted(final)},
@@ -351,16 +353,11 @@ def build_scale_rig(
         pool.connect_all(connect_window_s)
         return sim, deployment, pool, observer
 
-    edge_endpoints: Dict[int, object] = {}
     clients: List[VoDClient] = []
     for index in range(n_clients):
-        edge_index = index % n_edges
-        host_index = n_servers + edge_index
-        node_id = topology.host(host_index)
-        endpoint = edge_endpoints.get(node_id)
-        if endpoint is None:
-            endpoint = deployment.domain.create_endpoint(node_id)
-            edge_endpoints[node_id] = endpoint
+        host_index = n_servers + index % n_edges
+        # One shared GCS daemon per edge node.
+        endpoint = deployment.domain.ensure_endpoint(topology.host(host_index))
         client = deployment.attach_client(
             host_index, endpoint=endpoint, video_port=None
         )

@@ -182,11 +182,11 @@ class InvariantChecker:
             track = self._track(client.name)
             if track.awaiting_adoption_since is None:
                 track.awaiting_adoption_since = self.sim.now
-                # movie_states survives crash()/shutdown() into the
-                # notification, so the downed server's own record is the
-                # authoritative last-streamed position for this client.
-                state = server.movie_states.get(client.movie_title)
-                record = state.record_of(process) if state else None
+                # A server's replicas survive crash()/shutdown() into
+                # the notification, so the downed server's own record is
+                # the authoritative last-streamed position for this client.
+                replica = server.movies.get(client.movie_title)
+                record = replica.state.record_of(process) if replica else None
                 track.down_offset = record.offset if record else None
 
     def on_session_start(self, server: Any, record: Any, takeover: bool) -> None:
@@ -267,7 +267,7 @@ class InvariantChecker:
     def _replica_reachable(self, client: Any) -> bool:
         title = client.movie_title
         for server in self.deployment.live_servers():
-            if title in server.movie_states and self.network.reachable(
+            if title in server.movies and self.network.reachable(
                 client.node_id, server.node_id
             ):
                 return True
@@ -372,8 +372,8 @@ class InvariantChecker:
 
     def _refresh_max_offset(self, client: Any, track: _ClientTrack) -> None:
         for server in self.deployment.live_servers():
-            state = server.movie_states.get(client.movie_title)
-            record = state.record_of(client.process) if state else None
+            replica = server.movies.get(client.movie_title)
+            record = replica.state.record_of(client.process) if replica else None
             if record is not None and record.offset > track.max_offset:
                 track.max_offset = record.offset
 

@@ -72,6 +72,14 @@ class GcsDomain:
         self._endpoints[node_id] = endpoint
         return endpoint
 
+    def ensure_endpoint(self, node_id: int) -> "GcsEndpoint":
+        """The live daemon on ``node_id`` — every process on a node
+        shares it — started first if none runs there."""
+        endpoint = self._endpoints.get(node_id)
+        if endpoint is None or endpoint.closed:
+            endpoint = self.create_endpoint(node_id)
+        return endpoint
+
     def remove_endpoint(self, node_id: int) -> None:
         self._endpoints.pop(node_id, None)
 

@@ -77,7 +77,7 @@ class Rebalancer:
             raise ServiceError(f"migration source {source!r} is not running")
         if not dst.running:
             raise ServiceError(f"migration target {target!r} is not running")
-        if title not in src.movie_states:
+        if title not in src.movies:
             raise ServiceError(f"{source!r} holds no replica of {title!r}")
 
         key = f"{title}:{source}->{target}"
@@ -109,7 +109,7 @@ class Rebalancer:
         src = self.deployment.server(source)
         dst = self.deployment.server(target)
         tel = self.sim.telemetry
-        if not dst.running or title not in dst.movie_states:
+        if not dst.running or title not in dst.movies:
             # The target died (or dropped the copy) mid-migration: keep
             # the source replica and call the move off.
             self.aborted.append((title, source, target))
@@ -122,7 +122,7 @@ class Rebalancer:
                     fields["cause"] = cause
                 tel.emit("placement.migration.abort", **fields)
             return
-        if src.running and title in src.movie_states:
+        if src.running and title in src.movies:
             src.drop_movie(title)
         else:
             # The source crashed first: its viewers already failed over

@@ -6,9 +6,16 @@ emergency quota of Section 4.1), shares per-client state in the movie
 groups every half second, and — on membership changes — deterministically
 re-distributes clients so that crashed or detached servers are replaced
 transparently and new servers pick up load.
+
+``server`` holds the process (lifecycle, video plane, sessions),
+``replica`` its membership in one movie group, ``state`` the placement
+rules and ledgers, ``streamer`` the per-client and cohort sessions,
+``admission`` the connect policy and queue, ``prefix`` what a
+prefix-only copy changes.
 """
 
 from repro.server.rate_controller import EmergencyConfig, RateController
+from repro.server.replica import MovieReplica
 from repro.server.server import ServerConfig, VoDServer
 from repro.server.state import MovieState, rebalance
 from repro.server.streamer import ClientSession
@@ -16,6 +23,7 @@ from repro.server.streamer import ClientSession
 __all__ = [
     "ClientSession",
     "EmergencyConfig",
+    "MovieReplica",
     "MovieState",
     "RateController",
     "ServerConfig",

@@ -1,4 +1,4 @@
-"""Policy-based admission control at the server pool.
+"""Admission at the server pool: who gets in (policy) and when (queue).
 
 Kanrar's policy-based traffic handling papers (see PAPERS.md) add the
 piece the base reproduction lacks: under overload the pool should not
@@ -23,22 +23,33 @@ Determinism
 The deterministic replica admission rule (every replica sees the open
 group connect and computes the same least-loaded owner) stays exactly
 as it is; the policy is consulted *only by the chosen owner*, after the
-``chosen == self.process`` check in ``VoDServer._on_connect``.  Bucket
-state therefore lives on one policy object shared by the whole pool
-(threaded through :class:`~repro.service.deployment.Deployment`) and
-never diverges between replicas.  Buckets refill lazily from the
+owner check in ``MovieReplica.connect``.  Bucket state therefore lives
+on one policy object shared by the whole pool (threaded through
+:class:`~repro.service.deployment.Deployment`) and never diverges
+between replicas.  Buckets refill lazily from the
 simulation clock — no timers, no RNG draws.
 
 Scenario specs carry the frozen, declarative :class:`AdmissionSpec`;
 ``build()`` makes the fresh stateful policy for one run.
+
+Queue
+-----
+Independently of any policy, each movie-group replica holds connects
+back while its view is settling (:class:`AdmissionQueue`) — that is
+about *when* the deterministic rule may run, not about who it admits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.errors import ServiceError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.gcs.view import ProcessId
+    from repro.server.replica import MovieReplica
+    from repro.service.protocol import ConnectRequest
 
 #: Traffic classes a connect can land in.
 RESUME = "resume"
@@ -250,3 +261,95 @@ class AdmissionSpec:
                 self.rate_per_s, self.burst, degraded_fps=self.degraded_fps
             )
         raise ServiceError(f"unknown admission mode {self.mode!r}")
+
+
+class AdmissionQueue:
+    """Defers connect admissions while a movie group's view settles.
+
+    A connect that lands while the group's first view is still forming
+    (or while a later view is inside its settle window with joiners)
+    used to be admitted immediately — and the join-regime full recompute
+    that runs on *every* record arrival during the settle window then
+    round-robins the grown record set differently each time, bouncing
+    already-admitted clients between replicas (~90 000 session
+    ping-pongs at a 1 000-client connect flood).  Queuing the flood
+    until the view settles keeps the record set frozen while the
+    recompute is live, so the rebalance is computed once over stable
+    inputs.  Requests are deduplicated per client (the latest retry
+    wins) and drained in *sorted client order*: network jitter gives
+    every replica a different arrival order, and the least-loaded
+    placement rule is order-sensitive, so draining by arrival order
+    would make replicas disagree about who serves whom.  Sorted order
+    makes every replica run the identical admission sequence.
+    """
+
+    def __init__(self, replica: MovieReplica) -> None:
+        self._replica = replica
+        self._sim = replica.sim
+        self._pending: Dict[ProcessId, ConnectRequest] = {}
+        self._drain_handle: Optional[Any] = None
+        self.deferred_total = 0
+
+    def defer(self, request: ConnectRequest) -> bool:
+        """Queue ``request`` if the movie group is still settling.
+
+        Returns True when the request was absorbed (the caller must not
+        admit it now); False when admission can proceed immediately.
+        """
+        replica = self._replica
+        # No view committed yet means the group is still forming.
+        if replica.view is not None and not replica.settling:
+            return False
+        # A retry replaces the original but keeps its queue position.
+        self._pending[request.client] = request
+        self.deferred_total += 1
+        self._arm_drain()
+        return True
+
+    def _arm_drain(self) -> None:
+        if self._drain_handle is not None:
+            return
+        settle_until = self._replica.settle_until
+        if settle_until <= self._sim.now:
+            # No settle window yet (still waiting for the first view):
+            # poll at the server's sync cadence until one exists.
+            settle_until = (
+                self._sim.now + self._replica.server.config.sync_interval_s
+            )
+        self._drain_handle = self._sim.call_at(settle_until, self._drain)
+
+    def _drain(self) -> None:
+        self._drain_handle = None
+        replica = self._replica
+        if not replica.server.running:
+            self._pending.clear()
+            return
+        if replica.view is None or replica.settling:
+            self._arm_drain()  # a newer view re-opened the window
+            return
+        queue, self._pending = self._pending, {}
+        if not queue:
+            return
+        tel = self._sim.telemetry
+        if tel.active:
+            tel.emit(
+                "server.admission.drain",
+                server=replica.server.name,
+                movie=replica.title,
+                queued=len(queue),
+            )
+        # Admit in sorted client order (identical at every replica)
+        # without the per-admission sync storm; one state share at the
+        # end propagates the whole batch.
+        for client in sorted(queue):
+            replica.connect(queue[client], sync=False)
+        replica.sync()
+
+    def pending(self) -> int:
+        return len(self._pending)
+
+    def close(self) -> None:
+        if self._drain_handle is not None:
+            self._drain_handle.cancel()
+            self._drain_handle = None
+        self._pending.clear()

@@ -12,14 +12,18 @@ Responsibilities (paper Sections 3 and 5):
   controlled rate, and react to flow-control and VCR commands;
 * take over clients of crashed/detached replicas from their last shared
   offset and rate, and shed clients to newly started replicas.
+
+Everything per movie group — the second and fourth bullets — lives in
+one :class:`~repro.server.replica.MovieReplica` per title; this module
+is the process around them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ServiceError, SessionError
+from repro.errors import ServiceError
 from repro.gcs.domain import GcsDomain
 from repro.gcs.endpoint import GcsEndpoint, GroupListener
 from repro.gcs.view import ProcessId, View
@@ -27,22 +31,17 @@ from repro.media.catalog import MovieCatalog
 from repro.net.address import VIDEO_PORT, Endpoint
 from repro.net.udp import UdpSocket
 from repro.server.rate_controller import EmergencyConfig
-from repro.server.state import MovieState, join_regime_order, rebalance
-from repro.server.streamer import ClientSession, CohortSession
-from repro.service.controller import AdmissionQueue
+from repro.server.replica import MovieReplica
+from repro.server.streamer import ClientSession
 from repro.service.protocol import (
     SERVER_GROUP,
     ClientRecord,
-    CohortSync,
     ConnectRequest,
     FlowControlMsg,
     ListMoviesReply,
     ListMoviesRequest,
-    QualityNotice,
-    StateSync,
     VcrCommand,
     VcrOp,
-    movie_group,
 )
 from repro.sim.process import Timer
 
@@ -55,8 +54,6 @@ class ServerConfig:
     """Server tunables, defaulted to the paper's prototype values."""
 
     default_rate_fps: int = 30
-    min_rate_fps: int = 1
-    max_rate_fps: int = 60
     sync_interval_s: float = 0.5  # "servers synchronize every 1/2 second"
     emergency: EmergencyConfig = field(default_factory=EmergencyConfig)
     # When true and the network has a QoS manager installed, each
@@ -70,7 +67,6 @@ class ServerConfig:
     # loss-free and deterministic (see repro.net.burst).  Zero keeps the
     # classic one-event-per-frame transmission loop.
     batch_window_s: float = 0.0
-    qos_vbr_fraction: float = 0.4
     # Session-group multiplexing: when true the server joins no
     # per-client session group.  Flow control and VCR commands arrive
     # point-to-point (routed by sender), migrations are announced by
@@ -79,9 +75,18 @@ class ServerConfig:
     # traffic.  Must match the clients' ``ClientConfig.session_mux``.
     session_mux: bool = False
 
+    @property
+    def freshness_ttl_s(self) -> float:
+        """How long a shared record or cohort share vouches for what it
+        lists: a served client is re-shared every sync period, so three
+        periods without a refresh mean nobody is serving it."""
+        return 3.0 * self.sync_interval_s
+
 
 class VoDServer:
-    """One VoD server instance."""
+    """One VoD server instance: lifecycle, the video plane, the session
+    registry with its flow/VCR control, and one :class:`MovieReplica`
+    per movie group it is a member of."""
 
     def __init__(
         self,
@@ -114,42 +119,23 @@ class VoDServer:
         )
         self.sessions: Dict[ProcessId, ClientSession] = {}
         self._session_handles: Dict[ProcessId, Any] = {}
-        self.movie_states: Dict[str, MovieState] = {}
-        self._movie_handles: Dict[str, Any] = {}
-        self._movie_views: Dict[str, View] = {}
-        # Deterministic client->server assignment, recomputed per view
-        # (and while the view is young, so joiners that receive state
-        # transfer converge) then extended incrementally for clients
-        # that connect mid-view.
-        self._assignments: Dict[str, Dict[ProcessId, ProcessId]] = {}
-        self._assignment_view: Dict[str, Any] = {}
-        self._assignment_settle_until: Dict[str, float] = {}
-        # The previous periodic sync per movie: re-multicast as state
-        # transfer when a new replica joins.  Deliberately one sync
-        # period stale — the paper's conservative handoff re-transmits
-        # the last ~0.5 s of frames rather than risk a gap.
-        self._last_sync: Dict[str, StateSync] = {}
+        # This server's movie-group memberships by title, in join order
+        # (the order the sync tick walks them).  Everything the server
+        # knows per title lives on the replica; this is the only
+        # attribute keyed by title.
+        self.movies: Dict[str, MovieReplica] = {}
+        # Flyweight viewer pools attached to this server (see
+        # repro.client.flyweight), whether or not it holds their movie
+        # yet: a replica created later picks its pool up from here.
+        self.pools: List["FlyweightPool"] = []
         self.video_bytes_sent = 0
         self.video_frames_sent = 0
         self.state_sync_bytes_sent = 0
-        self._sync_counter: Dict[str, int] = {}
         # Read-only lifecycle observers (see repro.faulting): objects
         # optionally implementing on_server_crash(server, clients),
         # on_server_shutdown(server, clients), on_session_start(server,
         # record, takeover) and on_session_end(server, client, departed).
         self.observers: List[Any] = []
-        # Connects that land while a movie group's view is settling are
-        # queued, not admitted: admitting mid-settle grows the record
-        # set under the join-regime full recompute, which then bounces
-        # already-admitted clients between replicas on every arrival.
-        self.admission = AdmissionQueue(self)
-        # Flyweight viewer pools by movie title (see
-        # repro.client.flyweight) and the cohort sessions serving their
-        # rows.  A cohort is the flyweight counterpart of the per-client
-        # session set: one object per movie, playheads as arithmetic.
-        self._flyweights: Dict[str, "FlyweightPool"] = {}
-        self._cohorts: Dict[str, CohortSession] = {}
-        self._last_cohort_sync: Dict[str, CohortSync] = {}
 
         self._server_group_handle = self.endpoint.join(
             SERVER_GROUP,
@@ -162,7 +148,7 @@ class VoDServer:
         if self.config.session_mux:
             self.endpoint.register_p2p_handler(name, self._on_p2p)
         for title in catalog.movies_of(name):
-            self._join_movie_group(title)
+            self.movies[title] = MovieReplica(self, title)
 
         self._sync_timer = Timer(
             self.sim,
@@ -184,58 +170,27 @@ class VoDServer:
         viewers near the start of the title and hands them off to a
         full replica before the playhead leaves the prefix."""
         self.catalog.place_replica(title, self.name, prefix_s=prefix_s)
-        self._join_movie_group(title)
+        if title not in self.movies:
+            self.movies[title] = MovieReplica(self, title)
 
     def drop_movie(self, title: str) -> None:
         """Stop serving a replica of ``title`` (the source side of a
         live migration, see :class:`repro.placement.Rebalancer`).
 
         A graceful, crash-shaped departure scoped to one movie group:
-        current viewers get "takeover" spans (reason="migration"), a
-        final state share freshens their offsets, sessions end
-        non-departed, and the group leave makes the surviving replicas
-        adopt the orphans through the ordinary failure-regime
-        redistribution — the same machinery a crash exercises, minus
-        the detection latency."""
-        handle = self._movie_handles.get(title)
-        if handle is None:
+        current viewers — sessions and rows — get "takeover" spans
+        (reason="migration"), the replica hands them over and leaves
+        its group (:meth:`MovieReplica.release`), and the surviving
+        replicas adopt them through the same machinery a crash
+        exercises, minus the detection latency."""
+        replica = self.movies.get(title)
+        if replica is None:
             return
-        clients = [
-            client
-            for client, session in self.sessions.items()
-            if session.movie.title == title
-        ]
-        tel = self.sim.telemetry
-        if tel.active and clients:
-            cause = tel.cause
-            if cause is None:
-                cause = tel.new_cause(f"migration.{self.name}.{title}")
-            for client in clients:
-                tel.attribute(f"client:{client}", cause)
-                tel.span(
-                    "takeover", key=str(client),
-                    reason="migration", from_server=self.name, cause=cause,
-                )
-        # Freshen every viewer's offset in the shared state *before*
-        # leaving — the paper's conservative handoff — then stop the
-        # sessions without tombstoning the clients.
-        if handle.is_member:
-            self._sync_movie(title)
-        for client in clients:
-            self._end_session(client, departed=False)
-        cohort = self._cohorts.pop(title, None)
-        if cohort is not None:
-            cohort.stop()
-        self._movie_handles.pop(title, None)
-        handle.leave()
-        self.movie_states.pop(title, None)
-        self._movie_views.pop(title, None)
-        self._assignments.pop(title, None)
-        self._assignment_view.pop(title, None)
-        self._assignment_settle_until.pop(title, None)
-        self._last_sync.pop(title, None)
-        self._last_cohort_sync.pop(title, None)
-        self._sync_counter.pop(title, None)
+        self._open_departure_spans(
+            "migration", replica.served_clients(), title=title
+        )
+        replica.release()
+        del self.movies[title]
         self.catalog.remove_replica(title, self.name)
 
     def attach_flyweight(self, pool: "FlyweightPool") -> None:
@@ -244,18 +199,17 @@ class VoDServer:
         Every replica of the pool's movie must attach the same pool
         (Deployment.attach_flyweight does, present and future servers
         alike) — the deterministic placement rules assume all replicas
-        can resolve row indices to viewers."""
-        self._flyweights[pool.movie_title] = pool
-
-    def _cohort(self, title: str) -> CohortSession:
-        cohort = self._cohorts.get(title)
-        if cohort is None:
-            pool = self._flyweights.get(title)
-            if pool is None:
-                raise ServiceError(f"no flyweight pool attached for {title!r}")
-            cohort = CohortSession(self, self.catalog.movie(title), pool)
-            self._cohorts[title] = cohort
-        return cohort
+        can resolve row indices to viewers.  One pool per movie: a
+        second one would silently take the first one's connects."""
+        title = pool.movie_title
+        if any(attached.movie_title == title for attached in self.pools):
+            raise ServiceError(
+                f"{self.name} already has a flyweight pool for {title!r}"
+            )
+        self.pools.append(pool)
+        replica = self.movies.get(title)
+        if replica is not None:
+            replica.pool = pool
 
     def shutdown(self) -> None:
         """Graceful detach: leave all groups so peers react immediately."""
@@ -263,28 +217,16 @@ class VoDServer:
             return
         self.running = False
         served = self.served_clients()
-        tel = self.sim.telemetry
-        if tel.active:
-            cause = self._departure_cause(tel, "shutdown", served)
-            tel.emit(
-                "server.shutdown", server=self.name, served=len(served),
-                cause=cause,
-            )
-            for client in served:
-                tel.span(
-                    "takeover", key=str(client),
-                    reason="shutdown", from_server=self.name, cause=cause,
-                )
+        self._open_departure_spans("shutdown", served)
         for client in list(self.sessions):
-            self._end_session(client, departed=False)
-        for cohort in self._cohorts.values():
-            cohort.stop()
+            self.end_session(client, departed=False)
+        for replica in self.movies.values():
+            replica.stop()
         self._sync_timer.cancel()
-        self.admission.close()
         self.endpoint.shutdown()
         if not self.video_socket.closed:
             self.video_socket.close()
-        self._notify("on_server_shutdown", self, served)
+        self.notify("on_server_shutdown", self, served)
 
     def crash(self) -> None:
         """Fail-stop together with the hosting node."""
@@ -292,50 +234,59 @@ class VoDServer:
             return
         self.running = False
         served = self.served_clients()
-        tel = self.sim.telemetry
-        if tel.active:
-            cause = self._departure_cause(tel, "crash", served)
-            tel.emit(
-                "server.crash", server=self.name, served=len(served),
-                cause=cause,
-            )
-            for client in served:
-                tel.span(
-                    "takeover", key=str(client),
-                    reason="crash", from_server=self.name, cause=cause,
-                )
+        self._open_departure_spans("crash", served)
         for session in self.sessions.values():
             session.stop()
         self.sessions.clear()
-        for cohort in self._cohorts.values():
-            cohort.stop()
+        for replica in self.movies.values():
+            replica.stop()
         self._sync_timer.cancel()
-        self.admission.close()
         self.domain.network.node(self.node_id).crash()
         self.endpoint.crash()
-        self._notify("on_server_crash", self, served)
+        self.notify("on_server_crash", self, served)
 
-    def _departure_cause(self, tel: Any, label: str, served: Any) -> str:
-        """The causal id for this server's departure (crash/shutdown).
+    def _open_departure_spans(
+        self,
+        reason: str,
+        clients: Sequence[ProcessId],
+        title: Optional[str] = None,
+    ) -> None:
+        """Open one "takeover" span per client this server stops serving
+        (crash, shutdown, or — for the one ``title`` dropped — migration).
 
-        Inherits the ambient cause when the departure happens inside a
-        fault-injector episode; a spontaneous departure mints its own.
-        The id is then attributed to the dead node (the failure detector
-        looks it up at suspicion time) and to every served client (the
-        client looks it up when the replacement stream reaches it) —
-        that is how the cause survives the asynchronous gap between the
-        crash and its observable consequences.  Only reachable from
-        inside an ``if tel.active:`` guard.
+        The causal id inherits the ambient cause when the departure
+        happens inside a fault-injector episode; a spontaneous departure
+        mints its own.  It is then attributed to every served client
+        (the client looks it up when the replacement stream reaches it)
+        and, when the whole server goes, to the dead node (the failure
+        detector looks it up at suspicion time) — that is how the cause
+        survives the asynchronous gap between the departure and its
+        observable consequences.
         """
+        tel = self.sim.telemetry
+        whole_server = title is None
+        if not tel.active or not (whole_server or clients):
+            return
         cause = tel.cause
         if cause is None:
-            cause = tel.new_cause(f"{label}.{self.name}")
-        tel.attribute(f"node:{self.node_id}", cause)
-        for client in served:
+            scope = self.name if whole_server else f"{self.name}.{title}"
+            cause = tel.new_cause(f"{reason}.{scope}")
+        if whole_server:
+            tel.attribute(f"node:{self.node_id}", cause)
+        for client in clients:
             tel.attribute(f"client:{client}", cause)
-        return cause
+        if whole_server:
+            tel.emit(
+                f"server.{reason}", server=self.name, served=len(clients),
+                cause=cause,
+            )
+        for client in clients:
+            tel.span(
+                "takeover", key=str(client),
+                reason=reason, from_server=self.name, cause=cause,
+            )
 
-    def _notify(self, event: str, *args: Any) -> None:
+    def notify(self, event: str, *args: Any) -> None:
         for observer in self.observers:
             callback = getattr(observer, event, None)
             if callback is not None:
@@ -344,22 +295,25 @@ class VoDServer:
     @property
     def n_clients(self) -> int:
         return len(self.sessions) + sum(
-            len(cohort) for cohort in self._cohorts.values()
+            len(replica.cohort)
+            for replica in self.movies.values()
+            if replica.cohort is not None
         )
 
     def served_clients(self) -> Tuple[ProcessId, ...]:
         """Every client this server currently serves — full per-client
         sessions and flyweight cohort rows alike."""
-        clients = list(self.sessions)
-        for cohort in self._cohorts.values():
-            clients.extend(cohort.rows)
-        return tuple(clients)
+        return tuple(
+            client
+            for replica in self.movies.values()
+            for client in replica.served_clients()
+        )
 
     # ==================================================================
     # Video plane
     # ==================================================================
     def send_video(
-        self, endpoint: Endpoint, payload: Any, flow_id: int = None
+        self, endpoint: Endpoint, payload: Any, flow_id: Optional[int] = None
     ) -> None:
         if not self.running or self.video_socket.closed:
             return
@@ -386,7 +340,7 @@ class VoDServer:
         )
 
     # ==================================================================
-    # Connect path (open-group requests to the server group)
+    # Open-group requests to the server group, dispatched by title
     # ==================================================================
     def _on_server_group_view(self, view: View) -> None:
         """Server-group membership is informational (connect fan-in and
@@ -396,7 +350,9 @@ class VoDServer:
         if not self.running:
             return
         if isinstance(payload, ConnectRequest):
-            self._on_connect(payload)
+            replica = self.movies.get(payload.movie)
+            if replica is not None:  # else: we do not hold this movie
+                replica.connect(payload)
         elif isinstance(payload, ListMoviesRequest):
             self._on_list_movies(payload)
 
@@ -410,626 +366,16 @@ class VoDServer:
             request.client, reply, reply.wire_bytes(), sender_name=self.name
         )
 
-    def _on_connect(self, request: ConnectRequest, sync: bool = True) -> None:
-        title = request.movie
-        state = self.movie_states.get(title)
-        if state is None:
-            return  # we do not hold this movie
-        if self.admission.defer(title, request):
-            return  # the movie group's view is still settling
-        view = self._movie_views.get(title)
-        if view is None:
-            return
-        pool = self._flyweights.get(title)
-        if pool is not None and pool.owns(request.client):
-            self._cohort_connect(title, request, sync)
-            return
-        session = self.sessions.get(request.client)
-        if session is not None and session.movie.title == title:
-            # Already serving this client: the retry raced a stale
-            # record.  Refresh it instead of double-starting (which
-            # would leak the live session and re-join its group).
-            state.put_record(session.record(), self.sim.now)
-            return
-        existing = state.record_of(request.client)
-        fresh = (
-            existing is not None
-            and self.sim.now - existing.updated_at
-            <= 3.0 * self.config.sync_interval_s
-        )
-        if fresh and existing.server in view.member_set:
-            return  # already being served; duplicate connect retry
-        if not fresh:
-            # A (re)connect with no fresh record means any cached
-            # placement never materialised (e.g. replicas momentarily
-            # disagreed and each thought the other would serve).  Keep
-            # honouring it and the retry loops forever; recompute from
-            # converged state instead.
-            self._assignments.get(title, {}).pop(request.client, None)
-        chosen = self._assign_new_client(
-            title, request.client, offset=max(1, request.resume_offset)
-        )
-        if chosen != self.process:
-            return
-        quality_fps = request.quality_fps
-        if self.admission_policy is not None:
-            decision = self._admission_check(title, request)
-            if not decision.admitted:
-                # The client's 1 s connect retry is the busy-signal
-                # queue; the cached assignment stays (every replica
-                # still holds it, and all of them pop it together on
-                # the retry's no-fresh-record recompute).
-                return
-            if decision.action == "degrade":
-                quality_fps = decision.quality_fps
-        record = ClientRecord(
-            client=request.client,
-            movie=title,
-            session=request.session,
-            video_endpoint=request.video_endpoint,
-            offset=max(1, request.resume_offset),
-            rate_fps=self.config.default_rate_fps,
-            quality_fps=quality_fps,
-            paused=False,
-            epoch=request.resume_epoch,
-            server=self.process,
-            updated_at=self.sim.now,
-        )
-        state.put_record(record, self.sim.now)
-        self._start_session(record)
-        if quality_fps != request.quality_fps:
-            # Policy degrade: tell the client its granted quality so the
-            # pump expects the thinned stream (and reconnects carry it).
-            notice = QualityNotice(
-                movie=title, quality_fps=quality_fps,
-                epoch=request.resume_epoch,
-            )
-            self.endpoint.send_p2p(
-                request.client, notice, notice.wire_bytes(),
-                sender_name=self.name,
-            )
-        if sync:
-            self._sync_movie(title)  # propagate the new client promptly
-
-    def _admission_check(self, title: str, request: ConnectRequest):
-        """Consult the pool admission policy — owner side only.
-
-        Only the deterministically chosen owner calls this, so the
-        shared policy's bucket state advances identically no matter
-        which replicas saw the connect.  Emits ``server.admission.*``
-        telemetry for the QoE scorecards and the SLO monitor.
-        """
-        decision = self.admission_policy.decide(self.sim.now, request)
-        tel = self.sim.telemetry
-        if tel.active:
-            fields = dict(
-                server=self.name,
-                client=str(request.client),
-                movie=title,
-                tclass=decision.tclass,
-            )
-            if decision.quality_fps is not None:
-                fields["quality_fps"] = decision.quality_fps
-                fields["base_fps"] = self.config.default_rate_fps
-            tel.emit(f"server.admission.{decision.action}", **fields)
-            tel.count(f"server.admission.{decision.action}")
-        return decision
-
-    def _assign_new_client(
-        self, title: str, client: ProcessId, offset: int = 1
-    ) -> ProcessId:
-        """Deterministic admission: extend the cached assignment with a
-        new client at the least-loaded replica (ties to the lowest id).
-
-        Every replica that sees the connect request runs the same rule
-        over (converging) assignment state, so they agree on who serves
-        the newcomer without an explicit agreement round.  ``offset``
-        (the client's playhead) filters out prefix-only replicas whose
-        stored prefix the session would outrun — a function of the
-        shared catalog, so the filter is replica-deterministic too.
-        """
-        view = self._movie_views[title]
-        assignment = self._assignments.setdefault(title, {})
-        existing = assignment.get(client)
-        if existing is not None and existing in view.member_set:
-            return existing
-        members = self._eligible_members(title, view.members, offset)
-        if (
-            self.sim.now < self._assignment_settle_until.get(title, 0.0)
-            and view.joined
-        ):
-            # The view is still settling after a join: place the
-            # newcomer where the settle-window full recompute (join
-            # regime, round-robin newcomers-first) will put it, or the
-            # client bounces between the two answers.
-            known = sorted(
-                set(self.movie_states[title].records)
-                | set(assignment)
-                | {client}
-            )
-            order = join_regime_order(members, view.joined)
-            chosen = order[known.index(client) % len(order)]
-        else:
-            load = {member: 0 for member in view.members}
-            for server in assignment.values():
-                if server in load:
-                    load[server] += 1
-            chosen = min(members, key=lambda member: (load[member], member))
-        assignment[client] = chosen
-        return chosen
-
-    def _handoff_margin_frames(self, title: str) -> int:
-        """How far before the prefix boundary a handoff must trigger:
-        two sync periods of playback, so the successor adopts the
-        session before the prefix runs dry."""
-        movie = self.catalog.movie(title)
-        return max(1, int(2.0 * self.config.sync_interval_s * movie.fps))
-
-    def _eligible_members(
-        self, title: str, members: Sequence[ProcessId], offset: int
-    ) -> List[ProcessId]:
-        """Members whose stored copy can carry a session at ``offset``
-        past the handoff margin.  Falls back to all members when nothing
-        qualifies — a degraded stream beats an orphaned client."""
-        if not self.catalog.prefixed_replicas(title):
-            return list(members)
-        margin = self._handoff_margin_frames(title)
-        eligible = []
-        for member in members:
-            limit = self.catalog.prefix_frames(title, member.name)
-            if limit is None or offset < limit - margin:
-                eligible.append(member)
-        return eligible or list(members)
-
-    def _can_serve_rule(self, title: str):
-        """The ``can_serve`` predicate for :func:`rebalance`, or None
-        when no replica of ``title`` is prefix-limited (the common case
-        — keeps the recompute allocation-free)."""
-        if not self.catalog.prefixed_replicas(title):
-            return None
-        margin = self._handoff_margin_frames(title)
-
-        def can_serve(record: ClientRecord, server: ProcessId) -> bool:
-            limit = self.catalog.prefix_frames(title, server.name)
-            return limit is None or record.offset < limit - margin
-
-        return can_serve
-
-    def _cohort_connect(
-        self, title: str, request: ConnectRequest, sync: bool
-    ) -> None:
-        """Admit a flyweight viewer: one columnar row, no session.
-
-        Mirrors the full connect path's deterministic admission over
-        the cohort's own assignment map — every replica that sees the
-        open-group request records the same owner, the owner adds the
-        row."""
-        cohort = self._cohort(title)
-        client = request.client
-        chosen = self._assign_cohort_client(title, client, cohort)
-        if chosen != self.process or client in cohort.rows:
-            return  # not ours, or a duplicate connect retry
-        if self.admission_policy is not None:
-            decision = self._admission_check(title, request)
-            if not decision.admitted:
-                return  # the row's connect retry is the queue
-            # Degrades admit as-is: flyweight rows share the cohort's
-            # closed-form playhead, so there is no per-row quality to
-            # grant (the decision still emitted its telemetry).
-        cohort.add_row(
-            client,
-            max(1, request.resume_offset),
-            request.resume_epoch,
-            takeover=False,
-        )
-        # No prompt state share (unlike the full path): every replica
-        # saw the same open-group connect and ran the same admission
-        # rule, so there is nothing to propagate — and syncing per row
-        # would make a connect flood O(N^2) in shared bytes.  The
-        # periodic CohortSync covers takeover freshness.
-
-    def _assign_cohort_client(
-        self, title: str, client: ProcessId, cohort: CohortSession
-    ) -> ProcessId:
-        """:meth:`_assign_new_client`, keyed on the cohort's assignment
-        map (flyweight rows have no per-client records to consult).
-
-        Flyweight rows live for the whole movie, so prefix-only
-        replicas never take them: their closed-form playheads would
-        silently play past the stored prefix."""
-        view = self._movie_views[title]
-        members = [
-            member
-            for member in view.members
-            if self.catalog.prefix_of(title, member.name) is None
-        ] or list(view.members)
-        assignment = cohort.assignment
-        existing = assignment.get(client)
-        if existing is not None and existing in view.member_set:
-            if cohort.lists_row(
-                existing,
-                cohort.pool.row_of(client),
-                3.0 * self.config.sync_interval_s,
-            ):
-                return existing
-            # A connect retry against a placement that never
-            # materialised: post-settle connects arrive in different
-            # orders at different replicas, so the least-loaded rule
-            # can disagree and leave a row nobody serves.  Mirror of
-            # the full path's stale-assignment repair — drop the
-            # cached entry and re-admit from converged load state.
-            assignment.pop(client, None)
-        if (
-            self.sim.now < self._assignment_settle_until.get(title, 0.0)
-            and view.joined
-        ):
-            known = sorted(set(assignment) | {client})
-            order = join_regime_order(members, view.joined)
-            chosen = order[known.index(client) % len(order)]
-        else:
-            # The OwnerMap's incremental counts make this O(members):
-            # admitting a 100k flood must not scan the assignment.
-            chosen = min(
-                members,
-                key=lambda member: (assignment.load_of(member), member),
-            )
-        assignment[client] = chosen
-        return chosen
-
-    # ==================================================================
-    # Flyweight promotion / demotion
-    # ==================================================================
-    def promote_flyweight(self, client: ProcessId) -> ClientRecord:
-        """Convert a cohort row into a real per-client session in place.
-
-        The session resumes at the row's arithmetic playhead with the
-        row's epoch; the record enters the shared state so peers adopt
-        the placement (its ``server`` field is honoured while fresh).
-        Returns the record the session was started from."""
-        for title, cohort in self._cohorts.items():
-            if client in cohort.rows:
-                break
-        else:
-            raise SessionError(f"{client} has no flyweight row on {self.name}")
-        record = cohort.remove_row(client)
-        cohort.assignment.pop(client, None)
-        self.movie_states[title].put_record(record, self.sim.now)
-        self._assignments.setdefault(title, {})[client] = self.process
-        self._start_session(record)
-        self._sync_movie(title)
-        return record
-
-    def demote_to_flyweight(self, client: ProcessId) -> ClientRecord:
-        """Fold a full session back into a flyweight cohort row.
-
-        The session ends as departed (the tombstone clears the record
-        everywhere); the row resumes at the session's final offset."""
-        session = self.sessions.get(client)
-        if session is None:
-            raise SessionError(f"{client} has no session on {self.name}")
-        title = session.movie.title
-        record = session.record()
-        self._end_session(client, departed=True)
-        self._assignments.get(title, {}).pop(client, None)
-        cohort = self._cohort(title)
-        cohort.add_row(client, record.offset, record.epoch, takeover=False)
-        self._sync_movie(title)
-        return record
-
-    # ==================================================================
-    # Movie groups: state sharing and re-distribution
-    # ==================================================================
-    def _join_movie_group(self, title: str) -> None:
-        if title in self._movie_handles:
-            return
-        self.movie_states[title] = MovieState(title)
-        listener = GroupListener(
-            on_view=lambda view, t=title: self._on_movie_view(t, view),
-            on_message=lambda sender, payload, t=title: self._on_movie_message(
-                t, sender, payload
-            ),
-        )
-        self._movie_handles[title] = self.endpoint.join(
-            movie_group(title), self.name, listener
-        )
-
-    def _on_movie_view(self, title: str, view: View) -> None:
-        if not self.running:
-            return
-        self._movie_views[title] = view
-        joiners = set(view.joined)
-        if joiners and self.process not in joiners:
-            # State transfer to the newcomers: re-send the last periodic
-            # snapshot so they can compute the same assignment and
-            # resume clients from the last *shared* offset.
-            last_sync = self._last_sync.get(title)
-            handle = self._movie_handles.get(title)
-            if last_sync is not None and handle is not None and handle.is_member:
-                handle.multicast(last_sync, last_sync.wire_bytes())
-                self.state_sync_bytes_sent += last_sync.wire_bytes()
-            # Cohort state transfer rides the same mechanism: the last
-            # batched share lists every row (pre-redistribution), so a
-            # joiner can learn the cohort assignment and take its share.
-            last_cohort = self._last_cohort_sync.get(title)
-            if last_cohort is not None and handle is not None and handle.is_member:
-                handle.multicast(last_cohort, last_cohort.wire_bytes())
-                self.state_sync_bytes_sent += last_cohort.wire_bytes()
-        self._reevaluate(title)
-        cohort = self._cohorts.get(title)
-        if cohort is not None:
-            cohort.on_view(view)
-
-    def _on_movie_message(
-        self, title: str, sender: ProcessId, payload: Any
-    ) -> None:
-        if not self.running or sender == self.process:
-            return
-        if isinstance(payload, StateSync):
-            state = self.movie_states[title]
-            state.merge_sync(payload, self.sim.now)
-            self._apply_directed_handoffs(title, payload)
-            self._reevaluate(title)
-        elif isinstance(payload, CohortSync):
-            if title in self._flyweights:
-                self._cohort(title).on_peer_sync(payload)
-
     def _sync_tick(self) -> None:
         if not self.running:
             return
-        for title in list(self._movie_handles):
-            self._check_prefix_handoffs(title)
-            self._sync_movie(title)
-            # Periodic self-check: peers' syncs trigger re-evaluation,
-            # but a lone replica must still run the orphan repair.
-            self._reevaluate(title)
-
-    def _sync_movie(self, title: str) -> None:
-        state = self.movie_states[title]
-        own = []
-        for client, session in self.sessions.items():
-            if session.movie.title != title:
-                continue
-            record = session.record()
-            state.put_record(record, self.sim.now)
-            own.append(record)
-        # Periodically echo foreign records too (not only our own
-        # sessions): a record whose server lost it mid-churn must still
-        # reach new replicas, or the client would be orphaned forever.
-        # Peers merge by updated_at, so echoes never mask fresher
-        # state.  Echoing only every few periods keeps the paper's
-        # <1/1000 synchronization-bandwidth budget.
-        self._sync_counter[title] = self._sync_counter.get(title, 0) + 1
-        if self._sync_counter[title] % 4 == 0:
-            records = tuple(state.records.values())
-        else:
-            records = tuple(own)
-        sync = StateSync(
-            server=self.process,
-            movie=title,
-            records=records,
-            departed=state.recently_departed(),
-        )
-        handle = self._movie_handles.get(title)
-        if handle is not None and handle.is_member:
-            handle.multicast(sync, sync.wire_bytes())
-            self.state_sync_bytes_sent += sync.wire_bytes()
-            self._last_sync[title] = sync
-            cohort = self._cohorts.get(title)
-            if cohort is not None:
-                share = cohort.sync_payload()
-                handle.multicast(share, share.wire_bytes())
-                self.state_sync_bytes_sent += share.wire_bytes()
-                self._last_cohort_sync[title] = share
-
-    def _check_prefix_handoffs(self, title: str) -> None:
-        """Hand sessions approaching our stored prefix boundary to a
-        full replica, mid-stream and glitch-free.
-
-        For each such session we rewrite its record's ``server`` field
-        to the chosen successor (the least-loaded eligible replica),
-        multicast the rewritten records immediately, and end the local
-        session.  Receivers treat a fresh record whose ``server`` is
-        not its sender as a *directed handoff*
-        (:meth:`_apply_directed_handoffs`): the named successor adopts
-        without waiting for the record to go stale.  The margin (two
-        sync periods of playback) is the headroom that keeps the viewer
-        streaming through the switch."""
-        limit = self.catalog.prefix_frames(title, self.name)
-        if limit is None:
-            return
-        view = self._movie_views.get(title)
-        if view is None:
-            return
-        margin = self._handoff_margin_frames(title)
-        state = self.movie_states[title]
-        assignment = self._assignments.setdefault(title, {})
-        handed_off: List[ClientRecord] = []
-        for client in [
-            c for c, s in self.sessions.items() if s.movie.title == title
-        ]:
-            session = self.sessions[client]
-            if session.position < limit - margin:
-                continue
-            eligible = []
-            for member in view.members:
-                if member == self.process:
-                    continue
-                peer_limit = self.catalog.prefix_frames(title, member.name)
-                if peer_limit is None or session.position < peer_limit - margin:
-                    eligible.append(member)
-            if not eligible:
-                # No live replica can carry the session further than we
-                # can: keep streaming past the stored prefix rather
-                # than strand the viewer (see docs/PLACEMENT.md).
-                continue
-            load = {member: 0 for member in view.members}
-            for server in assignment.values():
-                if server in load:
-                    load[server] += 1
-            successor = min(
-                eligible, key=lambda member: (load[member], member)
-            )
-            record = replace(
-                session.record(), server=successor, updated_at=self.sim.now
-            )
-            tel = self.sim.telemetry
-            if tel.active:
-                cause = tel.cause_for(f"client:{client}")
-                if cause is None:
-                    cause = tel.new_cause(f"prefix.{self.name}")
-                tel.attribute(f"client:{client}", cause)
-                tel.span(
-                    "placement.handoff", key=str(client),
-                    from_server=self.name, to_server=successor.name,
-                    movie=title, offset=record.offset, cause=cause,
-                )
-                tel.emit(
-                    "placement.prefix.handoff", server=self.name,
-                    to_server=successor.name, client=str(client),
-                    movie=title, offset=record.offset, cause=cause,
-                )
-            self._end_session(client, departed=False)
-            state.put_record(record, self.sim.now)
-            assignment[client] = successor
-            handed_off.append(record)
-        if handed_off:
-            sync = StateSync(
-                server=self.process,
-                movie=title,
-                records=tuple(handed_off),
-                departed=state.recently_departed(),
-            )
-            handle = self._movie_handles.get(title)
-            if handle is not None and handle.is_member:
-                handle.multicast(sync, sync.wire_bytes())
-                self.state_sync_bytes_sent += sync.wire_bytes()
-
-    def _apply_directed_handoffs(self, title: str, sync: StateSync) -> None:
-        """Honour handoffs addressed to other servers by their sender.
-
-        A fresh record multicast by one server but naming *another* in
-        its ``server`` field is an explicit transfer (a prefix boundary
-        handoff): the sender is disclaiming the client and nominating a
-        successor.  Updating the cached assignment here — but only
-        where it still points at the disclaiming sender — makes every
-        replica converge on the successor in the same sync round,
-        instead of waiting for the record to go stale and the orphan
-        repair to fire.  Third-party echoes are unaffected: an echoed
-        record names the server actually serving, which is what the
-        assignment already says."""
-        assignment = self._assignments.get(title)
-        if not assignment:
-            return
-        view = self._movie_views.get(title)
-        if view is None:
-            return
-        fresh_age = 3.0 * self.config.sync_interval_s
-        for record in sync.records:
-            if record.server == sync.server:
-                continue
-            if record.server not in view.member_set:
-                continue
-            if self.sim.now - record.updated_at > fresh_age:
-                continue
-            if assignment.get(record.client) == sync.server:
-                assignment[record.client] = record.server
-
-    def _reevaluate(self, title: str) -> None:
-        """Refresh the deterministic assignment; adjust sessions to match.
-
-        The assignment is recomputed from scratch at each new view
-        (with the commit-supplied joined set choosing between orphan
-        takeover and even re-distribution) and cached for the view's
-        lifetime; clients that appear mid-view extend it incrementally.
-        """
-        view = self._movie_views.get(title)
-        if view is None:
-            return
-        state = self.movie_states[title]
-        for client, session in self.sessions.items():
-            if session.movie.title == title:
-                state.put_record(session.record(), self.sim.now)
-
-        new_view = self._assignment_view.get(title) != view.view_id
-        settling = self.sim.now < self._assignment_settle_until.get(title, 0.0)
-        if new_view or settling:
-            # Full deterministic recompute.  During the settle window a
-            # joiner that receives the state transfer re-derives exactly
-            # the assignment the existing members computed.
-            assignment = rebalance(
-                list(state.records.values()),
-                list(view.members),
-                view.joined,
-                can_serve=self._can_serve_rule(title),
-            )
-            self._assignments[title] = assignment
-            if new_view:
-                self._assignment_view[title] = view.view_id
-                self._assignment_settle_until[title] = (
-                    self.sim.now + 2.0 * self.config.sync_interval_s
-                )
-        else:
-            assignment = self._assignments[title]
-            for client in [c for c in assignment if c not in state.records]:
-                del assignment[client]
-            fresh_age = 3.0 * self.config.sync_interval_s
-            for client in sorted(set(state.records) - set(assignment)):
-                record = state.records[client]
-                if (
-                    record.server in view.member_set
-                    and self.sim.now - record.updated_at <= fresh_age
-                ):
-                    # A record we never saw the connect for, refreshed
-                    # by a live server: it IS being served (e.g. a
-                    # flyweight row promoted in place).  Honour that
-                    # placement instead of recomputing least-loaded —
-                    # disagreeing here would bounce the session.
-                    assignment[client] = record.server
-                else:
-                    self._assign_new_client(title, client, offset=record.offset)
-
-        # Orphan repair: a served client's record is refreshed every
-        # sync period by its server; a record that has gone stale means
-        # nobody is serving the client (e.g. both old and new owner
-        # dropped it during back-to-back membership churn).  Re-admit
-        # stale clients through the deterministic least-loaded rule.
-        orphan_age = 3.0 * self.config.sync_interval_s
-        for client, record in state.records.items():
-            if client in self.sessions:
-                continue
-            if self.sim.now - record.updated_at <= orphan_age:
-                continue
-            assignment.pop(client, None)
-            self._assign_new_client(title, client, offset=record.offset)
-
-        for client, server in assignment.items():
-            if server == self.process and client not in self.sessions:
-                record = state.record_of(client)
-                if record is not None:
-                    self._take_over(record)
-            elif server != self.process and client in self.sessions:
-                if self.sessions[client].movie.title == title:
-                    tel = self.sim.telemetry
-                    if tel.active and tel.open_span(
-                        "rebalance", key=str(client)
-                    ) is None:
-                        # Ambient first: a rebalance is caused by the
-                        # view change in flight, not by whatever last
-                        # happened to this client.
-                        cause = tel.cause or tel.cause_for(f"client:{client}")
-                        if cause is None:
-                            cause = tel.new_cause(f"rebalance.{self.name}")
-                        tel.attribute(f"client:{client}", cause)
-                        tel.span(
-                            "rebalance", key=str(client),
-                            from_server=self.name, cause=cause,
-                        )
-                    self._end_session(client, departed=False)
+        for replica in list(self.movies.values()):
+            replica.tick()
 
     # ==================================================================
     # Sessions
     # ==================================================================
-    def _start_session(self, record: ClientRecord, takeover: bool = False) -> None:
+    def start_session(self, record: ClientRecord, takeover: bool = False) -> None:
         movie = self.catalog.movie(record.movie)
         session = ClientSession(
             server=self,
@@ -1056,6 +402,16 @@ class VoDServer:
             self._session_handles[record.client] = self.endpoint.join(
                 record.session, self.name, listener
             )
+        self.announce_start(record, takeover)
+
+    def announce_start(
+        self, record: ClientRecord, takeover: bool, flyweight: bool = False
+    ) -> None:
+        """Tell the bus and the observers that ``record.client`` is
+        served here from now on — as a full session or (``flyweight``) a
+        cohort row: a takeover row closes the handoff span its previous
+        owner's departure opened, feeding the same take-over latency
+        histogram a full-object takeover would."""
         tel = self.sim.telemetry
         if tel.active:
             # Prefer the cause recorded on the handoff span this start is
@@ -1084,6 +440,8 @@ class VoDServer:
                 rate_fps=record.rate_fps,
                 takeover=takeover,
             )
+            if flyweight:
+                start_fields["flyweight"] = True
             if cause is not None:
                 tel.attribute(f"client:{record.client}", cause)
                 start_fields["cause"] = cause
@@ -1095,21 +453,16 @@ class VoDServer:
                 duration = span.end(to_server=self.name)
                 if duration is not None:
                     tel.metrics.histogram(f"{kind}.latency_s").observe(duration)
-        self._notify("on_session_start", self, record, takeover)
+        self.notify("on_session_start", self, record, takeover)
 
-    def _take_over(self, record: ClientRecord) -> None:
-        """Resume a client "from the offset and transmission rate that
-        were last heard from the previous server"."""
-        self._start_session(record, takeover=True)
-
-    def _end_session(self, client: ProcessId, departed: bool) -> None:
+    def end_session(self, client: ProcessId, departed: bool) -> None:
         session = self.sessions.pop(client, None)
         if session is not None:
             session.stop()
             if departed:
-                state = self.movie_states.get(session.movie.title)
-                if state is not None:
-                    state.mark_departed(client, self.sim.now)
+                replica = self.movies.get(session.movie.title)
+                if replica is not None:
+                    replica.state.mark_departed(client, self.sim.now)
             tel = self.sim.telemetry
             if tel.active:
                 end_fields = dict(
@@ -1119,7 +472,7 @@ class VoDServer:
                 if cause is not None:
                     end_fields["cause"] = cause
                 tel.emit("server.session.end", **end_fields)
-            self._notify("on_session_end", self, client, departed)
+            self.notify("on_session_end", self, client, departed)
         handle = self._session_handles.pop(client, None)
         if handle is not None:
             handle.leave()
@@ -1149,7 +502,7 @@ class VoDServer:
                     client.node, self.endpoint.fd.timeout
                 )
                 if departed:
-                    self._end_session(client, departed=True)
+                    self.end_session(client, departed=True)
             return
         session.saw_client_in_view = True
         other_servers = sorted(
@@ -1160,7 +513,7 @@ class VoDServer:
         if other_servers and min([self.process] + other_servers) != self.process:
             # Two replicas transiently serve the same client (connect
             # race); the smallest process id keeps it.
-            self._end_session(client, departed=False)
+            self.end_session(client, departed=False)
 
     def _on_session_message(
         self, client: ProcessId, sender: ProcessId, payload: Any
@@ -1200,5 +553,5 @@ class VoDServer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<VoDServer {self.name} node={self.node_id} "
-            f"clients={len(self.sessions)} movies={sorted(self.movie_states)}>"
+            f"clients={self.n_clients} movies={sorted(self.movies)}>"
         )

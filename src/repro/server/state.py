@@ -10,8 +10,19 @@ therefore reaches the same assignment without any extra agreement round.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.gcs.view import ProcessId
 from repro.service.protocol import ClientRecord, StateSync
@@ -90,13 +101,15 @@ class OwnerMap:
     recomputing the load by scanning the whole map makes admitting N
     clients O(N^2), which is exactly what the flyweight path exists to
     avoid.  This map keeps the counts incrementally, so an admission is
-    O(live servers) regardless of population."""
+    O(live servers) regardless of population.  Both of a replica's
+    ledgers are one: the record ledger (full sessions) and the cohort's
+    row ledger."""
 
     __slots__ = ("_map", "load")
 
-    def __init__(self) -> None:
-        self._map: Dict[ProcessId, ProcessId] = {}
-        self.load: Dict[ProcessId, int] = {}
+    def __init__(self, owners: Mapping[ProcessId, ProcessId] = ()) -> None:
+        self._map: Dict[ProcessId, ProcessId] = dict(owners)
+        self.load: Dict[ProcessId, int] = dict(Counter(self._map.values()))
 
     def __setitem__(self, client: ProcessId, server: ProcessId) -> None:
         previous = self._map.get(client)
@@ -118,6 +131,9 @@ class OwnerMap:
 
     def get(self, client: ProcessId, default: object = None):
         return self._map.get(client, default)
+
+    def items(self):
+        return self._map.items()
 
     def __getitem__(self, client: ProcessId) -> ProcessId:
         return self._map[client]
@@ -141,6 +157,9 @@ class OwnerMap:
         return f"OwnerMap({self._map!r})"
 
 
+# ----------------------------------------------------------------------
+# The placement rules.  Each exists once; both ledgers go through them.
+# ----------------------------------------------------------------------
 def join_regime_order(
     members: Sequence[ProcessId], joined: Sequence[ProcessId]
 ) -> List[ProcessId]:
@@ -150,13 +169,50 @@ def join_regime_order(
     return newcomers + [server for server in live if server not in newcomers]
 
 
+def least_loaded(
+    members: Sequence[ProcessId], load_of: Callable[[ProcessId], int]
+) -> ProcessId:
+    """The member carrying the fewest clients, ties to the lowest id."""
+    return min(members, key=lambda member: (load_of(member), member))
+
+
+def choose_owner(
+    client: ProcessId,
+    ledger: OwnerMap,
+    members: Sequence[ProcessId],
+    settling_joiners: Sequence[ProcessId] = (),
+    also_known: Iterable[ProcessId] = (),
+) -> ProcessId:
+    """Deterministic admission: which of ``members`` serves a newcomer.
+
+    Every replica that sees the connect request runs the same rule over
+    (converging) ledger state, so they agree on who serves the newcomer
+    without an explicit agreement round.  Normally that is the
+    least-loaded eligible member.  While the view is still settling
+    after a join (``settling_joiners`` non-empty) the newcomer goes
+    where the settle-window full recompute (:func:`rebalance`'s join
+    regime, round-robin newcomers-first over every client the replica
+    knows: the ledger plus ``also_known``) will put it, or the client
+    bounces between the two answers.
+    """
+    if settling_joiners:
+        known = sorted({client}.union(ledger, also_known))
+        order = join_regime_order(members, settling_joiners)
+        return order[known.index(client) % len(order)]
+    return least_loaded(members, ledger.load_of)
+
+
 def rebalance(
-    records: Sequence[ClientRecord],
+    ledger: Union[Iterable[ClientRecord], Mapping[ProcessId, ProcessId], OwnerMap],
     servers: Sequence[ProcessId],
     joined: Sequence[ProcessId] = (),
-    can_serve: Optional[Callable[[ClientRecord, ProcessId], bool]] = None,
+    can_serve: Optional[Callable[[ProcessId, ProcessId], bool]] = None,
 ) -> Dict[ProcessId, ProcessId]:
     """Deterministic client re-distribution at a membership change.
+
+    ``ledger`` is what the replica knows about who serves whom, in
+    either of its shapes: the merged :class:`ClientRecord` set (full
+    sessions) or a client -> server map (the cohort's row ledger).
 
     Two regimes, matching the paper's Section 5.2:
 
@@ -169,51 +225,60 @@ def rebalance(
       clients of the crashed server"): clients of surviving servers stay
       put; orphans go to the least-loaded survivors.
 
-    ``can_serve(record, server)`` restricts which servers may carry a
+    ``can_serve(client, server)`` restricts which servers may carry a
     given client — e.g. a prefix-only replica cannot serve a playhead
     beyond its stored prefix (see ``repro.placement``).  It must be a
     pure function of state every replica shares (the catalog and the
-    record), or replicas would disagree.  When no eligible server
-    exists the restriction is waived for that record: a degraded
-    stream beats an orphaned client.
+    client's shared record), or replicas would disagree.  When no
+    eligible server exists the restriction is waived for that client: a
+    degraded stream beats an orphaned client.
 
     All replicas call this with the same view (and the commit-supplied
-    ``joined`` set) and converging record sets, so they agree without an
-    extra protocol round.  Returns a client -> server mapping.
+    ``joined`` set) and converging ledgers, so they agree without an
+    extra protocol round.  Returns a client -> server mapping in the
+    order the moves must be applied: sorted by client (survivors'
+    clients, which do not move, ahead of orphans).
     """
     live = sorted(set(servers))
     if not live:
         return {}
-    ordered = sorted(records, key=lambda record: record.client)
+    if not hasattr(ledger, "items"):
+        ledger = {record.client: record.server for record in ledger}
+    clients = sorted(ledger)
 
-    def eligible(record: ClientRecord, pool: List[ProcessId]) -> List[ProcessId]:
+    def eligible(client: ProcessId, pool: List[ProcessId]) -> List[ProcessId]:
         if can_serve is None:
             return pool
-        allowed = [server for server in pool if can_serve(record, server)]
+        allowed = [server for server in pool if can_serve(client, server)]
         return allowed or pool
 
     if set(joined) & set(live):
         order = join_regime_order(live, joined)
+        if can_serve is None:
+            # The common case (and every cohort row): no per-client
+            # closure call on a 20k-row ledger.
+            return {
+                client: order[position % len(order)]
+                for position, client in enumerate(clients)
+            }
         assignment = {}
-        for position, record in enumerate(ordered):
-            pool = eligible(record, order)
-            assignment[record.client] = pool[position % len(pool)]
+        for position, client in enumerate(clients):
+            pool = eligible(client, order)
+            assignment[client] = pool[position % len(pool)]
         return assignment
 
     assignment: Dict[ProcessId, ProcessId] = {}
-    load = {server: 0 for server in live}
-    orphans: List[ClientRecord] = []
-    for record in ordered:
-        if record.server in load and (
-            can_serve is None or can_serve(record, record.server)
-        ):
-            assignment[record.client] = record.server
-            load[record.server] += 1
+    load = dict.fromkeys(live, 0)
+    orphans: List[ProcessId] = []
+    for client in clients:
+        owner = ledger[client]
+        if owner in load and (can_serve is None or can_serve(client, owner)):
+            assignment[client] = owner
+            load[owner] += 1
         else:
-            orphans.append(record)
-    for record in orphans:
-        pool = eligible(record, live)
-        target = min(pool, key=lambda server: (load[server], server))
-        assignment[record.client] = target
+            orphans.append(client)
+    for client in orphans:
+        target = least_loaded(eligible(client, live), load.__getitem__)
+        assignment[client] = target
         load[target] += 1
     return assignment

@@ -34,7 +34,7 @@ from repro.gcs.view import ProcessId, View
 from repro.media.movie import Movie
 from repro.net.address import Endpoint
 from repro.server.rate_controller import RateController
-from repro.server.state import OwnerMap, join_regime_order
+from repro.server.state import OwnerMap, rebalance
 from repro.service.protocol import (
     ClientRecord,
     CohortSync,
@@ -51,6 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: End-of-stream notices are repeated over raw UDP for loss tolerance.
 EOS_REPEATS = 3
 EOS_SPACING_S = 0.1
+
+#: The emergency VBR channel reserved beside a session's CBR channel,
+#: "varying to at most 40% of the constant bit rate" (paper Section 4.1).
+QOS_VBR_FRACTION = 0.4
 
 
 def batch_ticks(start: float, rate: float, count: int) -> List[float]:
@@ -115,8 +119,6 @@ class ClientSession:
         self.saw_client_in_view = False
         self.rate = RateController(
             base_rate=rate_fps if rate_fps is not None else server.config.default_rate_fps,
-            min_rate=server.config.min_rate_fps,
-            max_rate=server.config.max_rate_fps,
             emergency=server.config.emergency,
             nominal_rate=server.config.default_rate_fps,
         )
@@ -132,15 +134,13 @@ class ClientSession:
             self._schedule_next()
 
     def _reserve_qos(self) -> None:
-        """Reserve CBR for the stream + VBR for emergencies (paper
-        Section 4.1: "an additional variable bit rate (VBR) channel for
-        emergency periods, varying to at most 40% of the constant bit
-        rate (CBR) channel")."""
+        """Reserve CBR for the stream + "an additional variable bit rate
+        (VBR) channel for emergency periods" (paper Section 4.1)."""
         qos = self.server.domain.network.qos
         if qos is None:
             return
         cbr = self.movie.bitrate_bps() * 1.1  # stream + header slack
-        vbr = cbr * self.server.config.qos_vbr_fraction
+        vbr = cbr * QOS_VBR_FRACTION
         self.reservation = qos.reserve(
             self.server.node_id, self.video_endpoint.node, cbr, vbr
         )
@@ -524,12 +524,14 @@ class CohortSession:
     sliver of a tick boundary.  The conformance suite pins a golden
     trace against full-object runs to catch exactly that.
 
-    Membership bookkeeping mirrors the full path's deterministic rules
-    one-for-one (``_assign_new_client`` for admission,
-    :func:`repro.server.state.rebalance` for view changes), keyed on the
-    cohort's own ``assignment`` map instead of the per-client record
-    set, so flyweight and full-object runs place every viewer on the
-    same replica in the same order.
+    The cohort owns the *row ledger* — ``assignment`` plus the peers'
+    last shares — and how it learns (share deltas, where the record
+    ledger merges per-client records by timestamp).  The placement
+    rules it is fed through are the record ledger's, not copies of
+    them: :func:`repro.server.state.rebalance` at view changes and the
+    owning :class:`~repro.server.replica.MovieReplica`'s admission, so
+    flyweight and full-object runs place every viewer on the same
+    replica in the same order.
     """
 
     def __init__(self, server: "VoDServer", movie: Movie,
@@ -545,9 +547,7 @@ class CohortSession:
         # floor((T - anchor) / delta), clamped to one past the movie.
         self.rows: Dict[ProcessId, Tuple[int, float, int]] = {}
         # The cohort's deterministic client -> server map (all replicas
-        # run the identical admission/rebalance rules over it).  An
-        # OwnerMap keeps per-server load counts incrementally — the
-        # least-loaded admission rule must stay O(servers), not O(rows).
+        # run the identical admission/rebalance rules over it).
         self.assignment = OwnerMap()
         # Pool indices of our own rows, for O(1) overlap checks against
         # incoming peer shares (connect-race duplicate resolution).
@@ -555,10 +555,8 @@ class CohortSession:
         # Last CohortSync heard from each peer replica: the takeover
         # resume offsets ("from the offset ... last heard").
         self.peer_shared: Dict[ProcessId, CohortSync] = {}
-        self.frames_finished = 0
         self._finish_heap: List[Tuple[float, ProcessId]] = []
         window = server.config.batch_window_s or server.config.sync_interval_s
-        self.window_start = self.sim.now
         self._window_timer = Timer(self.sim, window, self._window_tick)
         self._stopped = False
 
@@ -584,7 +582,6 @@ class CohortSession:
         scan of the cohort."""
         if self._stopped:
             return
-        self.window_start = self.sim.now
         while self._finish_heap and self._finish_heap[0][0] <= self.sim.now:
             _, client = heappop(self._finish_heap)
             row = self.rows.get(client)
@@ -606,54 +603,22 @@ class CohortSession:
         if base <= len(self.movie):
             finish_at = self.sim.now + (len(self.movie) + 1 - base) * self.delta
             heappush(self._finish_heap, (finish_at, client))
-        record = self.record_of(client)
-        tel = self.sim.telemetry
-        if tel.active:
-            # Mirror _start_session's span bookkeeping so the QoE/SLO
-            # scorecards stay flyweight-aware: a takeover row closes
-            # the handoff span the previous owner's crash/shutdown
-            # opened, feeding the same take-over latency histogram a
-            # full-object takeover would.
-            kind = "takeover"
-            span = tel.open_span(kind, key=str(client))
-            if span is None:
-                kind = "rebalance"
-                span = tel.open_span(kind, key=str(client))
-            cause = span.attrs.get("cause") if span is not None else None
-            if cause is None:
-                cause = tel.cause_for(f"client:{client}")
-            start_fields = dict(
-                server=self.server.name,
-                client=str(client),
-                movie=self.movie.title,
-                offset=base,
-                rate_fps=self.rate_fps,
-                takeover=takeover,
-                flyweight=True,
-            )
-            if cause is not None:
-                tel.attribute(f"client:{client}", cause)
-                start_fields["cause"] = cause
-            tel.emit("server.session.start", **start_fields)
-            if takeover and span is not None:
-                duration = span.end(to_server=self.server.name)
-                if duration is not None:
-                    tel.metrics.histogram(
-                        f"{kind}.latency_s"
-                    ).observe(duration)
         self.pool.note_started(client, self.server.process)
-        self.server._notify("on_session_start", self.server, record, takeover)
+        self.server.announce_start(
+            self.record_of(client), takeover, flyweight=True
+        )
 
-    def remove_row(self, client: ProcessId) -> Optional[ClientRecord]:
-        """Drop a row (shed, finish, or promotion), returning its final
-        snapshot.  The assignment entry is left to the caller: a shed
-        row keeps its (new) owner, a finished/promoted one is erased."""
-        if client not in self.rows:
-            return None
-        record = self.record_of(client)
-        del self.rows[client]
-        self._row_indices.discard(self.pool.row_of(client))
-        return record
+    def remove_row(self, client: ProcessId) -> None:
+        """Drop a row (shed, finish, or promotion).  The assignment
+        entry is left to the caller: a shed row keeps its (new) owner, a
+        finished/promoted one is erased."""
+        if self.rows.pop(client, None) is not None:
+            self._row_indices.discard(self.pool.row_of(client))
+
+    def shed(self, client: ProcessId) -> None:
+        """Stop serving a row another replica serves from now on."""
+        self.remove_row(client)
+        self.server.notify("on_session_end", self.server, client, False)
 
     def record_of(self, client: ProcessId) -> ClientRecord:
         """A full :class:`ClientRecord` view of one row (promotion and
@@ -696,11 +661,13 @@ class CohortSession:
             at=now,
         )
 
-    def on_peer_sync(self, payload: CohortSync) -> None:
+    def on_peer_sync(self, payload: CohortSync) -> bool:
+        """Learn from a peer's share; True when it listed different rows
+        than its last one (the ledger may have changed)."""
         previous = self.peer_shared.get(payload.server)
         self.peer_shared[payload.server] = payload
         if previous is not None and previous.rows == payload.rows:
-            return  # steady state: same rows, nothing to learn
+            return False  # steady state: same rows, nothing to learn
         # Learn the *delta* of the peer's share (state transfer for
         # replicas that missed the original connects), and drop rows
         # the peer no longer lists (finished, or handed elsewhere —
@@ -716,15 +683,14 @@ class CohortSession:
         # different orders at different replicas, so two replicas can
         # each conclude the least-loaded rule chose *them*.  Resolve
         # like the full path's session-group rule — the smallest
-        # process id keeps the client, the other sheds its row.
+        # process id keeps the client, the other sheds its row.  (The
+        # evidence differs, so the check does: a row has no session
+        # group to meet its duplicate in, only overlapping shares.)
         for index in payload_rows & self._row_indices:
             if payload.server < me:
                 client = client_of(index)
-                self.remove_row(client)
+                self.shed(client)
                 self.assignment[client] = payload.server
-                self.server._notify(
-                    "on_session_end", self.server, client, False
-                )
             # else: we outrank the peer; it sheds on our next share.
         for index in payload_rows - previous_rows:
             client = client_of(index)
@@ -742,101 +708,68 @@ class CohortSession:
                 owner = self._listed_owner(index)
                 if owner is not None:
                     self.assignment[client] = owner
-        # A joiner that learned rows mid-settle re-runs the join-regime
-        # redistribution, exactly like the full path's settle-window
-        # recompute over freshly transferred records (idempotent: rows
-        # already in their round-robin place do not move again).
-        title = self.movie.title
-        view = self.server._movie_views.get(title)
-        settle = self.server._assignment_settle_until.get(title, 0.0)
-        if (
-            view is not None
-            and self.sim.now < settle
-            and set(view.joined) & view.member_set
-        ):
-            self.on_view(view)
+        return True
 
-    def _listed_owner(self, index: int) -> Optional[ProcessId]:
-        """The smallest replica whose fresh share lists the row."""
-        candidates = []
-        if index in self._row_indices:
-            candidates.append(self.server.process)
-        ttl = 3.0 * self.server.config.sync_interval_s
-        for server, sync in self.peer_shared.items():
-            if self.sim.now - sync.at > ttl:
-                continue
-            lo = bisect_right(sync.rows, index) - 1
-            if 0 <= lo < len(sync.rows) and sync.rows[lo] == index:
-                candidates.append(server)
-        return min(candidates) if candidates else None
+    @staticmethod
+    def _slot(sync: CohortSync, index: int) -> Optional[int]:
+        """Where ``sync`` lists pool row ``index`` (shares are sorted by
+        row), or None."""
+        slot = bisect_right(sync.rows, index) - 1
+        return slot if slot >= 0 and sync.rows[slot] == index else None
 
-    def lists_row(self, server: ProcessId, index: int,
-                  max_age_s: float) -> bool:
-        """Whether ``server``'s share, no older than ``max_age_s``,
-        claims the row (the liveness probe behind stale-assignment
-        repair on connect retries)."""
+    def lists_row(self, server: ProcessId, index: int) -> bool:
+        """Whether ``server``'s share, while still fresh, claims the row
+        (the liveness probe behind stale-assignment repair: a row has no
+        per-client record whose age could be checked instead)."""
         if server == self.server.process:
             return index in self._row_indices
         sync = self.peer_shared.get(server)
-        if sync is None or self.sim.now - sync.at > max_age_s:
-            return False
-        lo = bisect_right(sync.rows, index) - 1
-        return 0 <= lo < len(sync.rows) and sync.rows[lo] == index
+        return (
+            sync is not None
+            and self.sim.now - sync.at <= self.server.config.freshness_ttl_s
+            and self._slot(sync, index) is not None
+        )
+
+    def _listed_owner(self, index: int) -> Optional[ProcessId]:
+        """The smallest replica whose fresh share lists the row."""
+        candidates = [
+            server
+            for server in (self.server.process, *self.peer_shared)
+            if self.lists_row(server, index)
+        ]
+        return min(candidates) if candidates else None
 
     def _shared_offset(self, client: ProcessId, previous: ProcessId) -> int:
         """The row's offset as last heard from its previous server."""
         sync = self.peer_shared.get(previous)
         if sync is not None:
-            index = self.pool.row_of(client)
-            lo = bisect_right(sync.rows, index) - 1
-            if 0 <= lo < len(sync.rows) and sync.rows[lo] == index:
-                return sync.offsets[lo]
+            slot = self._slot(sync, self.pool.row_of(client))
+            if slot is not None:
+                return sync.offsets[slot]
         return self.pool.last_offset(client)
 
     # ------------------------------------------------------------------
     # Membership changes
     # ------------------------------------------------------------------
     def on_view(self, view: View) -> None:
-        """Mirror :func:`repro.server.state.rebalance` over the cohort.
+        """Re-distribute the rows for ``view`` by the one rule,
+        :func:`repro.server.state.rebalance`, fed the row ledger.
 
-        Join regime: every row is re-distributed round-robin over the
-        live servers, newcomers first.  Failure regime: survivors keep
-        their rows; orphans go to the least-loaded survivors in sorted
-        client order.  All replicas run this on the same view and the
-        same assignment map, so they agree without a protocol round."""
+        All replicas run it on the same view and (converging) ledger,
+        so they agree without a protocol round.  The moves are applied
+        in the rule's sorted client order: shed what left, adopt what
+        arrived at the offset last heard from its previous server."""
         if self._stopped or not self.assignment:
             return
         me = self.server.process
-        if set(view.joined) & view.member_set:
-            order = join_regime_order(view.members, view.joined)
-            moves = {
-                client: order[position % len(order)]
-                for position, client in enumerate(sorted(self.assignment))
-            }
-        else:
-            moves = {}
-            load: Dict[ProcessId, int] = {m: 0 for m in view.members}
-            orphans = []
-            for client in sorted(self.assignment):
-                owner = self.assignment[client]
-                if owner in view.member_set:
-                    load[owner] += 1
-                else:
-                    orphans.append((client, owner))
-            for client, _ in orphans:
-                target = min(view.members, key=lambda m: (load[m], m))
-                load[target] += 1
-                moves[client] = target
+        moves = rebalance(self.assignment, view.members, view.joined)
         for client, target in moves.items():
             previous = self.assignment[client]
             if target == previous:
                 continue
             self.assignment[client] = target
             if previous == me:
-                self.remove_row(client)
-                self.server._notify(
-                    "on_session_end", self.server, client, False
-                )
+                self.shed(client)
             if target == me:
                 offset = self._shared_offset(client, previous)
                 epoch = self.pool.epoch_of(client)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.client.player import ClientConfig, VoDClient
@@ -14,30 +13,6 @@ from repro.net.topologies import Topology
 from repro.placement.plan import PlacementPlan
 from repro.server.server import ServerConfig, VoDServer
 from repro.service.controller import ScenarioController
-
-
-@dataclass
-class ClientSpec:
-    """One admission surface for both viewer flavours.
-
-    ``mode="full"`` attaches a real :class:`VoDClient` on
-    ``topology.hosts[host]``; ``mode="flyweight"`` creates (or extends)
-    the columnar viewer pool for ``movie`` — see
-    :meth:`Deployment.attach`.  The legacy ``attach_client`` /
-    ``attach_flyweight`` methods are thin wrappers building one of
-    these.
-    """
-
-    mode: str = "full"
-    # full mode
-    host: Optional[int] = None
-    name: Optional[str] = None
-    config: Optional[Any] = None  # ClientConfig (full) / FlyweightConfig
-    endpoint: Optional[Any] = None
-    video_port: Optional[int] = VIDEO_PORT
-    # flyweight mode
-    movie: Optional[str] = None
-    client_config: Optional[ClientConfig] = None
 
 
 class Deployment:
@@ -200,59 +175,8 @@ class Deployment:
         return [server for server in self.servers.values() if server.running]
 
     # ------------------------------------------------------------------
-    # Clients — one admission surface
+    # Viewers
     # ------------------------------------------------------------------
-    def attach(self, spec: ClientSpec) -> Any:
-        """Admit viewers through one placement-aware entry point.
-
-        ``spec.mode="full"`` attaches a :class:`VoDClient` on
-        ``topology.hosts[spec.host]`` and returns it.  Large
-        deployments can pack many clients onto one host by sharing a
-        GCS ``endpoint`` and passing ``video_port=None`` so each client
-        binds an ephemeral video port (the edge-concentrator rig of the
-        scale experiment does both).
-
-        ``spec.mode="flyweight"`` creates a columnar viewer pool for
-        ``spec.movie``, attaches it to every server — present and
-        future — and returns the pool (see
-        :mod:`repro.client.flyweight`)."""
-        if spec.mode == "full":
-            if spec.host is None:
-                raise ServiceError("ClientSpec(mode='full') needs a host")
-            name = spec.name
-            if name is None:
-                name = f"client{self._client_counter}"
-            self._client_counter += 1
-            if name in self.clients:
-                raise ServiceError(f"client name {name!r} already in use")
-            node_id = self.topology.host(spec.host)
-            client = VoDClient(
-                self.domain, node_id, name, spec.config or self.client_config,
-                endpoint=spec.endpoint, video_port=spec.video_port,
-            )
-            self.clients[name] = client
-            return client
-        if spec.mode == "flyweight":
-            if spec.movie is None:
-                raise ServiceError("ClientSpec(mode='flyweight') needs a movie")
-            from repro.client.flyweight import FlyweightPool
-
-            client_config = spec.client_config
-            if client_config is None and self.client_config.session_mux:
-                client_config = self.client_config
-            pool = FlyweightPool(
-                self, spec.movie, config=spec.config,
-                client_config=client_config,
-            )
-            self.flyweight_pools.append(pool)
-            for server in self.servers.values():
-                server.attach_flyweight(pool)
-            return pool
-        raise ServiceError(
-            f"unknown ClientSpec mode {spec.mode!r} "
-            "(expected 'full' or 'flyweight')"
-        )
-
     def attach_client(
         self,
         host_index: int,
@@ -261,13 +185,24 @@ class Deployment:
         endpoint: Optional[Any] = None,
         video_port: Optional[int] = VIDEO_PORT,
     ) -> VoDClient:
-        """Compatibility wrapper over :meth:`attach` (mode="full")."""
-        return self.attach(
-            ClientSpec(
-                mode="full", host=host_index, name=name, config=config,
-                endpoint=endpoint, video_port=video_port,
-            )
+        """Attach a :class:`VoDClient` on ``topology.hosts[host_index]``.
+
+        Large deployments can pack many clients onto one host by sharing
+        a GCS ``endpoint`` and passing ``video_port=None`` so each client
+        binds an ephemeral video port (the edge-concentrator rig of the
+        scale experiment does both)."""
+        if name is None:
+            name = f"client{self._client_counter}"
+        self._client_counter += 1
+        if name in self.clients:
+            raise ServiceError(f"client name {name!r} already in use")
+        client = VoDClient(
+            self.domain, self.topology.host(host_index), name,
+            config or self.client_config,
+            endpoint=endpoint, video_port=video_port,
         )
+        self.clients[name] = client
+        return client
 
     def client(self, name: str) -> VoDClient:
         client = self.clients.get(name)
@@ -275,27 +210,32 @@ class Deployment:
             raise ServiceError(f"no client named {name!r}")
         return client
 
-    # ------------------------------------------------------------------
-    # Flyweight viewers
-    # ------------------------------------------------------------------
     def attach_flyweight(
         self,
         movie: str,
         config: Optional[Any] = None,
         client_config: Optional[ClientConfig] = None,
     ):
-        """Compatibility wrapper over :meth:`attach` (mode="flyweight").
+        """Create a columnar viewer pool for ``movie``, attach it to
+        every server — present and future — and return it.
 
-        Steady-state viewers then live as columnar rows served by the
-        servers' cohort sessions (see :mod:`repro.client.flyweight`);
-        use :meth:`FlyweightPool.promote` to inflate one into a full
-        :class:`VoDClient` for interaction."""
-        return self.attach(
-            ClientSpec(
-                mode="flyweight", movie=movie, config=config,
-                client_config=client_config,
-            )
+        Steady-state viewers then live as rows served by the servers'
+        cohort sessions (see :mod:`repro.client.flyweight`); use
+        :meth:`FlyweightPool.promote` to inflate one into a full
+        :class:`VoDClient` for interaction.  One pool per movie."""
+        from repro.client.flyweight import FlyweightPool
+
+        if any(pool.movie_title == movie for pool in self.flyweight_pools):
+            raise ServiceError(f"{movie!r} already has a flyweight pool")
+        if client_config is None and self.client_config.session_mux:
+            client_config = self.client_config
+        pool = FlyweightPool(
+            self, movie, config=config, client_config=client_config
         )
+        self.flyweight_pools.append(pool)
+        for server in self.servers.values():
+            server.attach_flyweight(pool)
+        return pool
 
     # ------------------------------------------------------------------
     # Convenience

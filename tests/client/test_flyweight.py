@@ -94,13 +94,13 @@ def test_crash_fails_rows_over_with_conservative_resume():
     survivor = next(
         s for s in deployment.live_servers() if s is not victim
     )
-    victim_rows = set(victim._cohorts["feature"].rows)
+    victim_rows = set(victim.movies["feature"].cohort.rows)
     assert victim_rows
     victim.crash()
     sim.run_until(8.0)
     counts = pool.serving_counts()
     assert counts == {survivor.name: 8}
-    cohort = survivor._cohorts["feature"]
+    cohort = survivor.movies["feature"].cohort
     for client in victim_rows:
         name = client.name
         # Takeover resumed from the last *shared* offset: at or behind
@@ -110,6 +110,46 @@ def test_crash_fails_rows_over_with_conservative_resume():
         assert resumed_base <= before[name] + 1
         assert before[name] - resumed_base <= 30  # <= one 0.5s share + slack
         assert pool.positions()[name] > before[name]
+
+
+def test_full_clients_and_rows_share_an_edge_through_a_crash():
+    """An edge node that hosts full clients already runs a GCS daemon;
+    the pool must reuse it (it used to die with a bare ValueError), and
+    the mixed population must ride a crash like either kind alone."""
+    sim = Simulator(seed=77)
+    topology = build_edge_lan(sim, 3, 1)
+    catalog = MovieCatalog([Movie.synthetic("feature", duration_s=60.0)])
+    deployment = Deployment(
+        topology, catalog, server_nodes=[0, 1, 2],
+        server_config=ServerConfig(session_mux=True, batch_window_s=1.0),
+        client_config=ClientConfig(session_mux=True, prebuffer_frames=330),
+    )
+    edge = deployment.domain.ensure_endpoint(topology.host(3))
+    fulls = [
+        deployment.attach_client(3, endpoint=edge, video_port=None)
+        for _ in range(6)
+    ]
+    for client in fulls:
+        sim.call_at(0.0, client.request_movie, "feature")
+    pool = deployment.attach_flyweight("feature")
+    for _ in range(12):
+        pool.add_viewer(3, name=f"row{len(pool)}")
+    pool.connect_all(0.0)
+    sim.run_until(4.0)
+    victim = max(deployment.live_servers(), key=lambda s: s.n_clients)
+    orphans = set(victim.served_clients())
+    assert orphans
+    received = [client.stats.received for client in fulls]
+    victim.crash()
+    sim.run_until(8.0)
+    served = [c for s in deployment.live_servers() for c in s.served_clients()]
+    assert len(served) == len(set(served)) == 18
+    assert orphans <= set(served)
+    assert all(pool.started)
+    assert all(
+        client.stats.received > before
+        for client, before in zip(fulls, received)
+    )
 
 
 def test_promote_to_full_client_continues_playback():

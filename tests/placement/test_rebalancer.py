@@ -45,7 +45,7 @@ class TestMigrate:
         assert checker.violations == []
         catalog = deployment.catalog
         assert catalog.full_replicas("feature") == {"server1", "server2"}
-        assert "feature" not in deployment.server("server0").movie_states
+        assert "feature" not in deployment.server("server0").movies
         assert client.displayed_total > 20 * 30
 
     def test_migration_emits_placement_spans(self):
@@ -88,7 +88,7 @@ class TestMigrate:
         assert rebalancer.aborted == [("feature", "server0", "server2")]
         assert rebalancer.completed == []
         assert checker.violations == []
-        assert "feature" in deployment.server("server0").movie_states
+        assert "feature" in deployment.server("server0").movies
 
     def test_rejects_bad_endpoints(self):
         sim, deployment, _ = make_world()

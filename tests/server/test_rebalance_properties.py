@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.gcs.view import ProcessId
 from repro.net.address import Endpoint
-from repro.server.state import rebalance
+from repro.server.state import OwnerMap, join_regime_order, rebalance
 from repro.service.protocol import ClientRecord
 
 SERVERS = [ProcessId(i, f"server{i}") for i in range(1, 6)]
@@ -40,6 +40,83 @@ def situations(draw):
         for i in range(n_clients)
     ]
     return records, live, joined
+
+
+def as_owner_ledger(records):
+    """The cohort's input shape: a client -> server OwnerMap."""
+    return OwnerMap({rec.client: rec.server for rec in records})
+
+
+@given(situation=situations())
+@settings(max_examples=200, deadline=None)
+def test_owner_ledger_shape_gives_the_same_answer(situation):
+    """One rule, two ledgers: fed the row ledger (a client -> server
+    map) instead of the record set, the result — and the order the
+    moves are applied in — is identical."""
+    records, live, joined = situation
+    from_records = rebalance(records, live, joined)
+    from_ledger = rebalance(as_owner_ledger(records), live, joined)
+    assert list(from_ledger.items()) == list(from_records.items())
+    assert rebalance(dict(from_ledger), live, joined=()) == from_ledger
+
+
+def cohort_moves_reference(assignment, members, joined):
+    """The row redistribution as the cohort used to spell it out itself
+    (kept here as the reference the shared rule is compared against):
+    the ordered ``(client, new owner)`` moves."""
+    member_set = set(members)
+    if set(joined) & member_set:
+        order = join_regime_order(members, joined)
+        moves = {
+            client: order[position % len(order)]
+            for position, client in enumerate(sorted(assignment))
+        }
+    else:
+        moves = {}
+        load = {m: 0 for m in members}
+        orphans = []
+        for client in sorted(assignment):
+            owner = assignment[client]
+            if owner in member_set:
+                load[owner] += 1
+            else:
+                orphans.append(client)
+        for client in orphans:
+            target = min(members, key=lambda m: (load[m], m))
+            load[target] += 1
+            moves[client] = target
+    return [(c, t) for c, t in moves.items() if assignment[c] != t]
+
+
+@given(situation=situations())
+@settings(max_examples=500, deadline=None)
+def test_owner_ledger_moves_match_the_cohort_reference(situation):
+    records, live, joined = situation
+    if not live:
+        return
+    ledger = as_owner_ledger(records)
+    moves = [
+        (client, target)
+        for client, target in rebalance(ledger, live, joined).items()
+        if ledger[client] != target
+    ]
+    assert moves == cohort_moves_reference(ledger, tuple(live), tuple(joined))
+
+
+@given(situation=situations(), cutoff=st.integers(min_value=0, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_can_serve_restricts_both_regimes_or_is_waived(situation, cutoff):
+    records, live, joined = situation
+    barred = CLIENTS[:cutoff]  # clients the first live server cannot carry
+
+    def can_serve(client, server):
+        return not (server == live[0] and client in barred)
+
+    assignment = rebalance(records, live, joined, can_serve=can_serve)
+    assert set(assignment) == {r.client for r in records}
+    for client, server in assignment.items():
+        # Waived only when nothing else is live.
+        assert can_serve(client, server) or len(live) == 1
 
 
 @given(situation=situations())

@@ -34,7 +34,7 @@ class TestConnectPath:
             video_endpoint=server.video_socket.endpoint,
             session="s.ghost",
         )
-        server._on_connect(request)
+        server._on_open_request(request.client, request)
         assert server.n_clients == 0
 
     def test_duplicate_connect_is_idempotent(self):
@@ -105,6 +105,86 @@ class TestMovies:
         sim.run_until(6.0)
         assert deployment.server("s1").n_clients == 1
         assert deployment.server("s0").n_clients == 0
+
+
+def flyweight_rig():
+    """30 flyweight viewers, all connecting at t=0, over 3 servers."""
+    from repro.experiments.scale import build_scale_rig
+
+    sim, deployment, pool, _ = build_scale_rig(
+        30, 1.0, mode="flyweight", connect_window_s=0.0
+    )
+    return sim, deployment, pool
+
+
+class TestDropMovie:
+    """drop_movie releases everything the server held for the title —
+    for flyweight rows and queued connects as much as for sessions."""
+
+    def test_drop_while_connects_are_queued(self):
+        sim, deployment, pool = flyweight_rig()
+        sim.run_until(1.2)
+        server = deployment.server("server0")
+        replica = server.movies["feature"]
+        assert replica.admission.pending() == 30  # the view is settling
+        fired, _ = sim.telemetry.collect(prefixes=("sim.fire",))
+        server.drop_movie("feature")
+        assert "feature" not in server.movies
+        assert replica.admission.pending() == 0
+        sim.run_until(10.0)
+        # The held requests used to stay queued with the drain timer
+        # re-arming every sync period for the rest of the run.  Each of
+        # the two remaining replicas drains once; nothing else fires.
+        drains = [e for e in fired if e.fields["name"].endswith("._drain")]
+        assert len(drains) == 2
+        assert all(pool.started)
+        assert pool.serving_counts() == {"server1": 15, "server2": 15}
+
+    def test_rows_get_the_span_and_the_notification(self):
+        sim, deployment, pool = flyweight_rig()
+        ends = []
+
+        class EndLog:
+            def on_session_end(self, server, client, departed):
+                ends.append((server.name, client, departed))
+
+        deployment.add_server_observer(EndLog())
+        sim.run_until(4.0)
+        server = deployment.server("server0")
+        victims = server.served_clients()
+        assert len(victims) == 10
+        before = pool.positions()
+        spans, _ = sim.telemetry.collect(prefixes=("span.",))
+        server.drop_movie("feature")
+        assert ends == [("server0", client, False) for client in victims]
+        opened = [e for e in spans if e.kind == "span.begin"]
+        assert [e.fields["key"] for e in opened] == [str(c) for c in victims]
+        assert {e.fields["reason"] for e in opened} == {"migration"}
+        sim.run_until(4.1)
+        # Peers adopt from the final share: the exact playhead, and the
+        # adoption closes every span.
+        assert len([e for e in spans if e.kind == "span.end"]) == 10
+        assert sum(pool.serving_counts().values()) == 30
+        for client in victims:
+            assert 0 <= pool.positions()[client.name] - before[client.name] <= 3
+
+    def test_title_serves_again_from_a_clean_replica(self):
+        sim, deployment, pool = flyweight_rig()
+        sim.run_until(4.0)
+        server = deployment.server("server0")
+        dropped = server.movies["feature"]
+        server.drop_movie("feature")
+        sim.run_until(6.0)
+        server.add_movie("feature")
+        fresh = server.movies["feature"]
+        assert fresh is not dropped
+        assert fresh.pool is pool and fresh.cohort is None
+        assert len(fresh.state) == 0 and not fresh.assignment
+        sim.run_until(9.0)
+        # The join regime hands the returning replica its even share.
+        assert pool.serving_counts() == {
+            "server0": 10, "server1": 10, "server2": 10,
+        }
 
 
 class TestLifecycle:

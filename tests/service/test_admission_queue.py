@@ -43,7 +43,10 @@ def test_connect_flood_goes_through_the_admission_queue():
     # The queue must actually engage (the flood lands before the movie
     # group's first view exists), or this file tests nothing.
     _, deployment, clients, _ = run_flood(n_clients=32, duration_s=6.0)
-    deferred = [s.admission.deferred_total for s in deployment.live_servers()]
+    deferred = [
+        s.movies["feature"].admission.deferred_total
+        for s in deployment.live_servers()
+    ]
     assert all(count > 0 for count in deferred)
 
 
@@ -53,7 +56,7 @@ def test_replicas_agree_on_the_whole_assignment():
     # (each side thinks the other one is serving).
     _, deployment, clients, _ = run_flood(n_clients=48, duration_s=8.0)
     assignments = [
-        dict(server._assignments.get("feature", {}))
+        dict(server.movies["feature"].assignment.items())
         for server in deployment.live_servers()
     ]
     for other in assignments[1:]:
@@ -66,11 +69,10 @@ def test_replicas_agree_on_the_whole_assignment():
 
 def test_retry_while_settling_is_deduplicated():
     sim, deployment, clients, starts = run_flood(n_clients=16, duration_s=0.0)
-    server = deployment.live_servers()[0]
-    before = server.admission.pending("feature")
+    admission = deployment.live_servers()[0].movies["feature"].admission
+    before = admission.pending()
     if before:
         # Replay every queued request: the queue must not grow.
-        queue = dict(server.admission._pending["feature"])
-        for request in queue.values():
-            assert server.admission.defer("feature", request)
-        assert server.admission.pending("feature") == before
+        for request in list(admission._pending.values()):
+            assert admission.defer(request)
+        assert admission.pending() == before

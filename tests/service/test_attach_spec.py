@@ -1,4 +1,4 @@
-"""The unified admission surface: ClientSpec, attach, from_placement."""
+"""Attaching viewers (attach_client, attach_flyweight) and from_placement."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.media.movie import Movie
 from repro.net.topologies import build_lan
 from repro.placement import PlacementContext, ServerProfile, StaticKWay
 from repro.placement.plan import build_zipf_catalog
-from repro.service.deployment import ClientSpec, Deployment
+from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
 
 
@@ -27,45 +27,37 @@ def make_deployment(n_servers=2, n_hosts=6, replicate_all=True):
 class TestAttach:
     def test_full_mode_returns_a_client(self):
         sim, deployment = make_deployment()
-        client = deployment.attach(ClientSpec(mode="full", host=2))
+        client = deployment.attach_client(2, name="alice")
         assert isinstance(client, VoDClient)
-        assert client.name in deployment.clients
+        assert deployment.client("alice") is client
         client.request_movie("feature")
         sim.run_until(8.0)
         assert client.displayed_total > 150
-
-    def test_full_mode_requires_a_host(self):
-        _, deployment = make_deployment()
-        with pytest.raises(ServiceError):
-            deployment.attach(ClientSpec(mode="full"))
 
     def test_flyweight_mode_returns_a_pool(self):
         from repro.client.flyweight import FlyweightPool
 
         sim, deployment = make_deployment()
-        pool = deployment.attach(ClientSpec(mode="flyweight", movie="feature"))
+        pool = deployment.attach_flyweight("feature")
         assert isinstance(pool, FlyweightPool)
         assert pool in deployment.flyweight_pools
 
-    def test_flyweight_mode_requires_a_movie(self):
+    def test_second_pool_for_a_movie_is_rejected(self):
+        """A second pool used to overwrite the first on every server:
+        the first pool's rows then never started (their connects were
+        answered with real sessions streaming at unbound endpoints)."""
         _, deployment = make_deployment()
+        deployment.attach_flyweight("feature")
         with pytest.raises(ServiceError):
-            deployment.attach(ClientSpec(mode="flyweight"))
-
-    def test_unknown_mode_rejected(self):
-        _, deployment = make_deployment()
-        with pytest.raises(ServiceError):
-            deployment.attach(ClientSpec(mode="holographic"))
-
-    def test_wrappers_delegate_to_attach(self):
+            deployment.attach_flyweight("feature")
+        assert len(deployment.flyweight_pools) == 1
+        # Direct server-level attach is guarded too.
         from repro.client.flyweight import FlyweightPool
 
-        _, deployment = make_deployment()
-        client = deployment.attach_client(2, name="alice")
-        assert isinstance(client, VoDClient)
-        assert deployment.client("alice") is client
-        pool = deployment.attach_flyweight("feature")
-        assert isinstance(pool, FlyweightPool)
+        with pytest.raises(ServiceError):
+            deployment.server("server0").attach_flyweight(
+                FlyweightPool(deployment, "feature")
+            )
 
 
 class TestFromPlacement:
