@@ -228,7 +228,7 @@ class BurstTransfer:
         socket.sent_packets += 1
         socket.sent_bytes += record.size_bytes
         tel = self.sim.telemetry
-        tel_active = tel.active
+        tel_firehose = tel.active and tel.firehose
         for direction, tx_free_after in record.crossed:
             stats = direction.stats
             stats.sent_packets += 1
@@ -236,7 +236,7 @@ class BurstTransfer:
             stats.delivered_packets += 1
             if direction._tx_free_at < tx_free_after:
                 direction._tx_free_at = tx_free_after
-            if tel_active:
+            if tel_firehose:
                 tel.emit("net.deliver", link=direction.rng_name, bytes=wire)
         if record.kind == _DROP:
             # The dropping hop counts the packet as sent, not delivered,

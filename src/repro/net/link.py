@@ -280,7 +280,7 @@ class _Direction:
             return
         self.stats.delivered_packets += 1
         tel = self.sim.telemetry
-        if tel.active:
+        if tel.active and tel.firehose:
             tel.emit(
                 "net.deliver", link=self.rng_name, bytes=datagram.wire_bytes()
             )

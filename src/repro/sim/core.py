@@ -41,9 +41,10 @@ class EventHandle:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        # Set by Simulator.call_at only while telemetry is active, so a
-        # cancel can report what was cancelled without the handle paying
-        # for a bus reference in the common (inactive) case.
+        # Set by Simulator.call_at only while someone listens to the
+        # telemetry firehose, so a cancel can report what was cancelled
+        # without the handle paying for a bus reference in the common
+        # case.
         self._tel: Any = None
         # Owning simulator, so cancel() can keep the live-event counter
         # exact without a scan (None for handles built outside one).
@@ -53,8 +54,9 @@ class EventHandle:
         """Prevent the event from firing.  Idempotent."""
         if self.cancelled:
             return
-        if self._tel is not None and self._tel.active:
-            self._tel.emit(
+        tel = self._tel
+        if tel is not None and tel.active and tel.firehose:
+            tel.emit(
                 "sim.cancel", at=self.time, name=_callback_name(self.callback)
             )
         if self._sim is not None:
@@ -142,7 +144,7 @@ class Simulator:
         seq = self._seq
         handle = EventHandle(time, seq, callback, args)
         handle._sim = self
-        if self.telemetry.active:
+        if self.telemetry.active and self.telemetry.firehose:
             handle._tel = self.telemetry
         self._seq = seq + 1
         self._live += 1
@@ -182,7 +184,7 @@ class Simulator:
         handle.seq = seq
         handle.cancelled = False
         handle._sim = self
-        if self.telemetry.active:
+        if self.telemetry.active and self.telemetry.firehose:
             handle._tel = self.telemetry
         self._seq = seq + 1
         self._live += 1
@@ -201,7 +203,7 @@ class Simulator:
         if self.tracer.enabled:
             self.tracer.record(self._now, handle.callback, handle.args)
         tel = self.telemetry
-        if tel.active:
+        if tel.active and tel.firehose:
             tel.emit("sim.fire", name=_callback_name(handle.callback))
         handle.callback(*handle.args)
         return True
@@ -267,7 +269,7 @@ class Simulator:
             self._now = when
             if tracer.enabled:
                 tracer.record(when, handle.callback, handle.args)
-            if tel.active:
+            if tel.active and tel.firehose:
                 tel.emit("sim.fire", name=_callback_name(handle.callback))
             handle.callback(*handle.args)
             count += 1

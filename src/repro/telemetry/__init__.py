@@ -35,6 +35,7 @@ off).  See ``docs/TELEMETRY.md`` for the event taxonomy.
 """
 
 from repro.telemetry.bus import (
+    FIREHOSE_PREFIXES,
     Subscription,
     Telemetry,
     TelemetryEvent,
@@ -50,7 +51,6 @@ from repro.telemetry.causal import (
 )
 from repro.telemetry.export import (
     DEFAULT_PREFIXES,
-    FIREHOSE_PREFIXES,
     SCHEMA_VERSION,
     JsonlExporter,
     read_jsonl,

@@ -12,10 +12,15 @@ events through it.  Design constraints, in priority order:
 2. **Emission never perturbs the simulation.**  ``emit`` draws no
    random numbers and schedules no events, so a run with full telemetry
    is event-for-event identical to a run without (same seed).
-3. **Subscribers are push-based.**  A subscriber is a callable invoked
-   synchronously with each :class:`TelemetryEvent`; kind-prefix filters
-   keep high-frequency kernel/network events out of subscribers that do
-   not want them.
+3. **Subscribers are push-based; producers build only what someone
+   reads.**  A subscriber is a callable invoked synchronously with each
+   :class:`TelemetryEvent` its kind-prefix filter matches.  The bus
+   resolves the filters once per kind into a route table, so an event
+   nobody wants is dropped before anything is constructed, and the
+   producers of the two high-frequency kernel/network kinds
+   (:data:`FIREHOSE_PREFIXES`) additionally guard on ``firehose`` so
+   they do not even format their fields unless a subscriber could
+   match them.
 
 This module must not import the rest of :mod:`repro` (the sim kernel
 imports it — anything else would be an import cycle).
@@ -29,6 +34,21 @@ from repro.telemetry.metrics import MetricRegistry
 from repro.telemetry.spans import Span
 
 SubscriberFn = Callable[["TelemetryEvent"], None]
+
+#: The per-event / per-packet kinds (``sim.fire``, ``sim.cancel``,
+#: ``net.deliver``); their producers guard on :attr:`Telemetry.firehose`.
+FIREHOSE_PREFIXES = ("sim.", "net.deliver")
+
+
+def _may_match_firehose(prefixes: Optional[Tuple[str, ...]]) -> bool:
+    """Could a subscription with these prefixes receive a firehose kind?"""
+    if prefixes is None:
+        return True
+    return any(
+        prefix.startswith(firehose) or firehose.startswith(prefix)
+        for prefix in prefixes
+        for firehose in FIREHOSE_PREFIXES
+    )
 
 
 class TelemetryEvent:
@@ -90,16 +110,26 @@ class Telemetry:
 
     ``active`` is True exactly while at least one subscriber is
     attached; everything else (metric updates, span bookkeeping, field
-    construction) belongs inside the guard.
+    construction) belongs inside the guard.  Producers of the
+    :data:`FIREHOSE_PREFIXES` kinds ask one more question behind it::
+
+        if tel.active and tel.firehose:
+            tel.emit("sim.fire", name=_callback_name(handle.callback))
     """
 
     def __init__(self, clock: Callable[[], float] = None) -> None:
         #: The one-predicate-check fast path.  Plain attribute, not a
         #: property: reading it must not involve a function call.
         self.active = False
+        #: True only while some subscription could match a firehose
+        #: kind (no prefix filter, or a prefix overlapping
+        #: :data:`FIREHOSE_PREFIXES`).  Derived state like ``active``,
+        #: kept in sync by subscribe/close; read it behind ``active``.
+        self.firehose = False
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.metrics = MetricRegistry()
-        #: Events emitted over this bus's lifetime (diagnostics).
+        #: Events delivered to at least one subscriber over this bus's
+        #: lifetime (an emit with an empty route counts nothing).
         self.emitted = 0
         #: The ambient cause id: while a causal episode executes
         #: synchronously (a fault handler, a view installation), the
@@ -114,6 +144,10 @@ class Telemetry:
         #: detector's later suspicion looks the cause back up.
         self._cause_of: Dict[str, str] = {}
         self._subscribers: List[Subscription] = []
+        #: Exact kind -> callbacks of the subscriptions wanting it, in
+        #: subscription order.  Filled on a kind's first emit, dropped
+        #: whenever the subscriber list changes.
+        self._routes: Dict[str, Tuple[SubscriberFn, ...]] = {}
         self._open_spans: Dict[Tuple[str, str], Span] = {}
 
     # ------------------------------------------------------------------
@@ -133,7 +167,7 @@ class Telemetry:
         cleaned = None if prefixes is None else tuple(prefixes)
         subscription = Subscription(self, callback, cleaned)
         self._subscribers.append(subscription)
-        self.active = True
+        self._subscribers_changed()
         return subscription
 
     def collect(
@@ -149,7 +183,15 @@ class Telemetry:
             self._subscribers.remove(subscription)
         except ValueError:
             pass
+        self._subscribers_changed()
+
+    def _subscribers_changed(self) -> None:
+        self._routes.clear()
         self.active = bool(self._subscribers)
+        self.firehose = any(
+            _may_match_firehose(subscription.prefixes)
+            for subscription in self._subscribers
+        )
 
     # ------------------------------------------------------------------
     # Emission
@@ -160,12 +202,24 @@ class Telemetry:
         Call only inside an ``if telemetry.active:`` guard — emitting on
         an inactive bus is wasted work (the event goes nowhere) though
         it is harmless and still deterministic.
+
+        The route is a snapshot: a subscription closed from inside a
+        callback still receives the event in flight, and one attached
+        from inside a callback first sees the next event.
         """
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._routes[kind] = tuple(
+                subscription.callback
+                for subscription in self._subscribers
+                if subscription.wants(kind)
+            )
+        if not route:
+            return
         event = TelemetryEvent(self.clock(), kind, fields)
         self.emitted += 1
-        for subscription in self._subscribers:
-            if subscription.wants(kind):
-                subscription.callback(event)
+        for callback in route:
+            callback(event)
 
     def count(self, name: str, amount: int = 1) -> None:
         """Shorthand: bump the registry counter ``name``."""

@@ -29,14 +29,16 @@ import gzip
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.telemetry.bus import Telemetry, TelemetryEvent
+from repro.telemetry.bus import (
+    FIREHOSE_PREFIXES,  # noqa: F401 - re-exported; the bus owns the definition
+    Telemetry,
+    TelemetryEvent,
+)
 
 SCHEMA_VERSION = 1
 
-#: Kinds excluded from default (non-``full``) exports.
-FIREHOSE_PREFIXES = ("sim.", "net.deliver")
-
-#: The default export keeps every application-level kind.
+#: The default export keeps every application-level kind and neither
+#: firehose kind (:data:`~repro.telemetry.bus.FIREHOSE_PREFIXES`).
 DEFAULT_PREFIXES = (
     "client.", "server.", "gcs.", "net.drop", "fault.", "span.", "metric.",
     "slo.", "invariant.",

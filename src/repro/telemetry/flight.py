@@ -244,6 +244,8 @@ class FlightRecorder:
         self.captured_total = 0
         # Internal state.
         self._rings: Dict[str, Deque[Tuple[int, Dict]]] = {}
+        #: Keep-1-in-N per kind, resolved with the kind's ring.
+        self._rates: Dict[str, int] = {}
         self._seq = 0
         self._last_t = 0.0
         self._capture: Optional[_Capture] = None
@@ -305,13 +307,16 @@ class FlightRecorder:
         # Ring retention is independent of capture state: the sampling
         # counters advance on every event, so what the rings hold is a
         # pure function of the stream, capture windows or not.
-        rate = config.sample_rate_for(kind)
+        ring = self._rings.get(kind)
+        if ring is None:
+            # A kind's first event is never sampled out, so its ring and
+            # rate (the config is frozen) are resolved here, once.
+            ring = self._rings[kind] = deque(maxlen=config.budget_for(kind))
+            self._rates[kind] = config.sample_rate_for(kind)
+        rate = self._rates[kind]
         if rate > 1 and (self.seen[kind] - 1) % rate:
             self.sampled_out[kind] = self.sampled_out.get(kind, 0) + 1
             return
-        ring = self._rings.get(kind)
-        if ring is None:
-            ring = self._rings[kind] = deque(maxlen=config.budget_for(kind))
         if ring.maxlen is not None and len(ring) == ring.maxlen:
             self.evicted[kind] = self.evicted.get(kind, 0) + 1
         if record is None:

@@ -1,8 +1,11 @@
 """Unit tests for the telemetry bus, metric registry, spans and tracer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.telemetry import Span, Telemetry, Tracer
+from repro.telemetry import FIREHOSE_PREFIXES, Span, Telemetry, Tracer
+from repro.telemetry.bus import TelemetryEvent
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
     HistogramMetric,
@@ -39,8 +42,6 @@ def test_emit_delivers_to_matching_subscribers():
 
 
 def test_as_dict_reserves_t_and_kind():
-    from repro.telemetry.bus import TelemetryEvent
-
     event = TelemetryEvent(3.0, "server.rate", {"kind": "shadowed", "t": -1.0})
     record = event.as_dict()
     assert record["kind"] == "server.rate"
@@ -54,6 +55,71 @@ def test_closed_subscriber_stops_receiving():
     sub.close()
     tel.emit("fault.fired", note="partition")
     assert len(events) == 1
+
+
+def test_close_during_dispatch_keeps_the_in_flight_event_whole():
+    tel = Telemetry()
+    got_a, got_b, got_c = [], [], []
+
+    def a(event):
+        got_a.append(event.kind)
+        sub_a.close()  # closes itself ...
+        sub_c.close()  # ... and a subscriber that has not been served yet
+
+    sub_a = tel.subscribe(a)
+    tel.subscribe(lambda event: got_b.append(event.kind))
+    sub_c = tel.subscribe(lambda event: got_c.append(event.kind))
+    tel.emit("x.y")
+    # Everyone subscribed when the emit began receives it, once.
+    assert got_a == got_b == got_c == ["x.y"]
+    tel.emit("x.z")
+    assert got_a == got_c == ["x.y"]
+    assert got_b == ["x.y", "x.z"]
+
+
+def test_subscription_attached_during_dispatch_first_sees_the_next_event():
+    tel = Telemetry()
+    late = []
+
+    def attach_once(event):
+        if not late_subs:
+            late_subs.append(tel.subscribe(lambda e: late.append(e.kind)))
+
+    late_subs = []
+    tel.subscribe(attach_once)
+    tel.emit("x.y")
+    assert late == []
+    tel.emit("x.z")
+    assert late == ["x.z"]
+
+
+def test_firehose_tracks_what_subscribers_could_match():
+    tel = Telemetry()
+    assert tel.firehose is False
+    _, app = tel.collect(prefixes=("client.", "net.drop", "slo."))
+    assert (tel.active, tel.firehose) == (True, False)
+    _, everything = tel.collect()  # no filter: wants the firehose too
+    assert tel.firehose is True
+    everything.close()
+    assert tel.firehose is False
+    # A prefix shorter or longer than a firehose prefix overlaps it.
+    for prefixes in (("net.",), ("sim.fire",), ("s",), ("net.deliver",)):
+        _, sub = tel.collect(prefixes=prefixes)
+        assert tel.firehose is True, prefixes
+        sub.close()
+        assert tel.firehose is False, prefixes
+    app.close()
+    assert (tel.active, tel.firehose) == (False, False)
+
+
+def test_unrouted_emit_builds_and_counts_nothing():
+    def clock():
+        raise AssertionError("an event nobody is routed to was stamped")
+
+    tel = Telemetry(clock=clock)
+    tel.collect(prefixes=("client.",))
+    tel.emit("net.drop", link="l0", reason="loss")  # nobody wants it
+    assert tel.emitted == 0
 
 
 def test_count_shorthand_bumps_registry_counter():
@@ -228,3 +294,142 @@ def test_disabled_tracer_records_nothing():
     tracer.record(1.0, print, ())
     assert tracer.records == []
     assert tracer.dropped == 0
+
+
+# ----------------------------------------------------------------------
+# The route table against a from-scratch prefix scan
+# ----------------------------------------------------------------------
+class _ScanSubscription:
+    def __init__(self, bus, callback, prefixes):
+        self.bus = bus
+        self.callback = callback
+        self.prefixes = prefixes
+
+    def wants(self, kind):
+        return self.prefixes is None or kind.startswith(self.prefixes)
+
+    def close(self):
+        if self in self.bus.subscriptions:
+            self.bus.subscriptions.remove(self)
+
+
+class _ScanBus:
+    """The reference bus: no table, no derived state.
+
+    Every emit offers the kind to every subscription by prefix (what
+    ``Telemetry.emit`` did before it kept routes); ``active`` and
+    ``firehose`` are recomputed from the subscriber list on every read.
+    """
+
+    def __init__(self):
+        self.subscriptions = []
+        self.emitted = 0
+
+    def subscribe(self, callback, prefixes=None):
+        cleaned = None if prefixes is None else tuple(prefixes)
+        subscription = _ScanSubscription(self, callback, cleaned)
+        self.subscriptions.append(subscription)
+        return subscription
+
+    def emit(self, kind, **fields):
+        wanted = [s for s in self.subscriptions if s.wants(kind)]
+        if wanted:
+            self.emitted += 1
+            event = TelemetryEvent(0.0, kind, fields)
+            for subscription in wanted:
+                subscription.callback(event)
+
+    @property
+    def active(self):
+        return bool(self.subscriptions)
+
+    @property
+    def firehose(self):
+        # Could anyone receive a firehose kind?  When a prefix and a
+        # firehose prefix overlap, the longer of the two is such a kind.
+        candidates = FIREHOSE_PREFIXES + tuple(
+            prefix for s in self.subscriptions for prefix in s.prefixes or ()
+        )
+        return any(
+            s.wants(kind)
+            for s in self.subscriptions
+            for kind in candidates
+            if kind.startswith(FIREHOSE_PREFIXES)
+        )
+
+
+_KINDS = (
+    "sim.fire", "sim.cancel", "net.deliver", "net.drop", "client.flow",
+    "slo.breach", "span.end",
+)
+_PREFIX_SETS = (
+    None, (), ("",), ("s",), ("sim.",), ("sim.fire",), ("net.",), ("net.d",),
+    ("net.deliver", "net.drop"), ("net.drop",), ("client.", "slo."),
+    ("client.", "client.flow", "span."),
+)
+_kinds = st.sampled_from(_KINDS)
+_prefix_sets = st.sampled_from(_PREFIX_SETS)
+_slots = st.integers(min_value=0, max_value=7)
+#: What a callback does on a delivery (one entry consumed per delivery,
+#: so re-entrant emits cannot recurse forever).
+_reactions = st.one_of(
+    st.none(),
+    st.just(("close_self",)),
+    st.tuples(st.just("close"), _slots),
+    st.tuples(st.just("subscribe"), _prefix_sets),
+    st.tuples(st.just("emit"), _kinds),
+)
+_ops = st.one_of(
+    st.tuples(st.just("subscribe"), _prefix_sets, st.lists(_reactions, max_size=4)),
+    st.tuples(st.just("close"), _slots),
+    st.tuples(st.just("emit"), _kinds),
+    st.tuples(st.just("emit"), _kinds),  # twice: half of all ops emit
+)
+
+
+def _drive(bus, ops):
+    """Run ``ops`` against ``bus``; return everything observable."""
+    subscriptions = []
+    deliveries = []  # (subscriber, kind, emit number) in delivery order
+    states = []  # (active, firehose, emitted) after each op
+    emits = [0]
+
+    def emit(kind):
+        emits[0] += 1
+        bus.emit(kind, n=emits[0])
+
+    def close(slot):
+        if subscriptions:
+            subscriptions[slot % len(subscriptions)].close()
+
+    def subscribe(prefixes, plan=()):
+        index = len(subscriptions)
+        plan = list(plan)
+
+        def callback(event):
+            deliveries.append((index, event.kind, event.fields["n"]))
+            reaction = plan.pop(0) if plan else None
+            if reaction is None:
+                return
+            if reaction[0] == "close_self":
+                subscriptions[index].close()
+            else:
+                actions[reaction[0]](*reaction[1:])
+
+        subscriptions.append(bus.subscribe(callback, prefixes=prefixes))
+
+    actions = {"subscribe": subscribe, "close": close, "emit": emit}
+    for op in ops:
+        actions[op[0]](*op[1:])
+        states.append((bus.active, bus.firehose, bus.emitted))
+    return deliveries, states
+
+
+@given(ops=st.lists(_ops, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_routes_agree_with_a_from_scratch_prefix_scan(ops):
+    tel = Telemetry()
+    deliveries, states = _drive(tel, ops)
+    assert (deliveries, states) == _drive(_ScanBus(), ops)
+    # ``emitted`` counts events, not deliveries and not discarded emits.
+    assert tel.emitted == len({n for _, _, n in deliveries})

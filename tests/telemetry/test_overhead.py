@@ -1,6 +1,6 @@
-"""Disabled telemetry must cost one predicate check — and nothing else.
+"""Telemetry nobody reads must cost a predicate check — and nothing else.
 
-Two guards:
+Three guards:
 
 * a *behavioural* one — with no subscribers, nothing is emitted,
   no metric is registered, no span is opened: the only telemetry code a
@@ -9,20 +9,26 @@ Two guards:
 * a *wall-clock* one — the small capacity scenario runs within 5% of a
   floor run whose telemetry object is a bare ``active = False`` stub
   (the cheapest conceivable implementation of the guard).  Best-of-N
-  interleaved timings keep scheduler noise out of the comparison.
+  interleaved timings keep scheduler noise out of the comparison;
+* a *budget* one for the bus that **is** active — with the QoE, SLO and
+  flight-recorder observers attached (none of which reads a firehose
+  kind), no ``sim.*`` / ``net.deliver`` event is built, and the bus
+  counts only events it delivered.
 """
 
+import dataclasses
 import time
 
 import pytest
 
 from repro.experiments.capacity import run_capacity_point
+from repro.experiments.scenarios import WAN_SCENARIO, prepare_scenario
 from repro.sim import core as sim_core
-from repro.telemetry import Telemetry
+from repro.telemetry import FIREHOSE_PREFIXES, Telemetry
 
 
 def _boom(*args, **kwargs):
-    raise AssertionError("telemetry work ran while the bus was disabled")
+    raise AssertionError("telemetry work ran that no subscriber could receive")
 
 
 def test_disabled_run_touches_nothing_but_the_guard(monkeypatch):
@@ -106,3 +112,66 @@ def test_disabled_overhead_under_five_percent():
         f"disabled telemetry costs {overhead:.1%} over the bare-guard "
         f"floor (paired ratios: {[f'{r:.3f}' for r in sorted(ratios)]})"
     )
+
+
+def test_observed_run_builds_no_firehose(monkeypatch):
+    spec = dataclasses.replace(
+        WAN_SCENARIO,
+        run_duration_s=16.0,
+        schedule=((4.0, "server-up"), (8.0, "crash-serving")),
+    )
+    # Tap every subscription, to count the events somebody received.
+    delivered = []
+    subscribe = Telemetry.subscribe
+
+    def tapped_subscribe(self, callback, prefixes=None):
+        def tap(event):
+            delivered.append(event)
+            callback(event)
+
+        return subscribe(self, tap, prefixes=prefixes)
+
+    monkeypatch.setattr(Telemetry, "subscribe", tapped_subscribe)
+
+    emit = Telemetry.emit
+
+    def no_firehose_emit(self, kind, **fields):
+        # A call's arguments are built before the call: a producer that
+        # never gets here formatted no ``net.deliver`` field either.
+        if kind.startswith(FIREHOSE_PREFIXES):
+            _boom()
+        emit(self, kind, **fields)
+
+    def nobody_reads_the_firehose(patch):
+        patch.setattr(sim_core, "_callback_name", _boom)
+        patch.setattr(Telemetry, "emit", no_firehose_emit)
+
+    live = prepare_scenario(spec, observe=True, flight=True)
+    sim, tel = live.sim, live.sim.telemetry
+    assert (tel.active, tel.firehose) == (True, False)
+    with monkeypatch.context() as patch:
+        nobody_reads_the_firehose(patch)
+        live.step(6.0)
+    routed = {event.kind for event in delivered}
+
+    # An unfiltered subscriber invalidates the routes: the firehose
+    # flows from the very next event, beside the kinds already routed ...
+    events, everything = tel.collect()
+    assert tel.firehose is True
+    assert sim.step()
+    assert events[0].kind == "sim.fire"
+    live.step(7.0)
+    kinds = {event.kind for event in events}
+    assert {"sim.fire", "net.deliver"} <= kinds and routed & kinds
+    # ... and closing it stops all of it again.
+    everything.close()
+    assert tel.firehose is False
+    seen = len(events)
+    with monkeypatch.context() as patch:
+        nobody_reads_the_firehose(patch)
+        live.step(spec.run_duration_s)
+        result = live.finish()
+    assert len(events) == seen
+
+    assert result.crash_times and result.incidents  # the observers had work
+    assert tel.emitted == len({id(event) for event in delivered})
