@@ -1,9 +1,14 @@
 """Refactor oracle for the server's placement protocol.
 
-``tests/data/server_oracle.json`` pins, per rig, a sha256 over who served
-whom and when: every session start (server, offset, takeover), the final
-playheads, the failover latencies, the ``on_session_end`` sequence and
-the number of simulated events.  Each rig crashes its most-loaded server
+``tests/data/server_oracle.json`` pins, per rig, two things apart:
+``behaviour`` — a sha256 over who served whom and when: every session
+start (server, offset, takeover), the final playheads, the failover
+latencies and the ``on_session_end`` sequence — and ``events``, the
+number of simulated events.  A change that only removes work (fewer
+packets, same service) moves ``events`` and nothing else; ``served``
+(viewers with at least one session start) and ``failover`` (sha256 of
+the latency list alone) say which part of ``behaviour`` held when it
+does move.  Each rig crashes its most-loaded server
 at 3 s (failure regime) and starts a new server on the same host at
 5.5 s (join regime) — the committed goldens never reach the cohort's
 join regime.  Two rows also pin the ordered ``server.*`` / ``span.*`` /
@@ -107,14 +112,17 @@ def run_row(row) -> dict:
             for server in deployment.live_servers()
             for client, session in server.sessions.items()
         }
+    failover = [repr(x) for x in observer.latencies]
     out = {
-        "digest": _sha({
+        "behaviour": _sha({
             "starts": trace.starts,
             "final": final,
-            "failover": [repr(x) for x in observer.latencies],
+            "failover": failover,
             "ends": ends.ends,
-            "events": events,
         }),
+        "events": events,
+        "served": len(trace.starts),
+        "failover": _sha(failover),
     }
     if bus is not None:
         out["bus"] = _sha([
