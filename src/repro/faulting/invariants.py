@@ -19,6 +19,14 @@ assertions over a running deployment:
 4. **Underrun => glitch** — whenever playback runs completely dry the
    decoder must have an open stall (the glitch is *recorded*, never
    silently swallowed), and the stall bookkeeping stays consistent.
+5. **Bounded flush** — a view change ends.  No group member stays
+   ``FLUSHING`` longer than the protocol's own escape hatches allow
+   (``FLUSH_STALL_ADOPT`` + ``COMMIT_TIMEOUT`` + one ``FLUSH_TIMEOUT``)
+   while its daemon suspects nobody in the installed view.  A flush that
+   outlives them is waiting for a vector nobody will send; every
+   ``multicast()`` in the group is parked behind it, so for a session
+   group the viewer's flow control and VCR commands stop reaching its
+   server although rules 1 – 4 all hold.
 
 The checker is a read-only observer: it samples client/server state on
 a fixed cadence, subscribes to server lifecycle events and GCS view
@@ -32,7 +40,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.gcs.membership import (
+    COMMIT_TIMEOUT,
+    FLUSH_STALL_ADOPT,
+    FLUSH_TIMEOUT,
+    MemberState,
+)
 from repro.sim.process import Timer
+
+#: Rule 5: the longest a flush may last with no suspicion to explain it.
+FLUSH_BOUND_S = FLUSH_STALL_ADOPT + COMMIT_TIMEOUT + FLUSH_TIMEOUT
 
 
 @dataclass(frozen=True)
@@ -118,6 +135,9 @@ class InvariantChecker:
         self.samples = 0
         self.view_log: List[Tuple[float, int, str, int]] = []
         self._tracks: Dict[str, _ClientTrack] = {}
+        # Rule 5: (daemon, group) -> (first sample seen flushing, views
+        # installed by then, already reported).
+        self._flushing: Dict[Tuple[int, str], Tuple[float, int, bool]] = {}
         self._timer: Optional[Timer] = None
         self._installed = False
 
@@ -277,6 +297,7 @@ class InvariantChecker:
         self.samples += 1
         for client in list(self.deployment.clients.values()):
             self._sample_client(client)
+        self._check_bounded_flush()
 
     def _sample_client(self, client: Any) -> None:
         track = self._track(client.name)
@@ -409,6 +430,50 @@ class InvariantChecker:
                 "playback ran dry across a full sample window but no "
                 "stall is recorded",
             )
+
+    def _check_bounded_flush(self) -> None:
+        """Rule 5: no unexplained flush outlives ``FLUSH_BOUND_S``.
+
+        The clock is the checker's own (first sample that saw the member
+        flushing) and restarts whenever the member installs a view or its
+        daemon suspects someone in the installed view — a crash or a
+        partition explains a long flush, and the failure detector ends it.
+        """
+        now = self.sim.now
+        domain = self.deployment.domain
+        flushing: Dict[Tuple[int, str], Tuple[float, int, bool]] = {}
+        for daemon in domain.daemon_nodes():
+            endpoint = domain.endpoint(daemon)
+            suspected = endpoint.suspected_daemons()
+            for member in endpoint.group_members():
+                if member.state != MemberState.FLUSHING or any(
+                    process.node in suspected for process in member.view.members
+                ):
+                    continue
+                key = (daemon, member.group)
+                since, installed, reported = self._flushing.get(
+                    key, (now, member.installed_views, False)
+                )
+                if installed != member.installed_views:
+                    since, installed, reported = now, member.installed_views, False
+                if not reported and now - since > FLUSH_BOUND_S:
+                    reported = True
+                    proposal = member.proposal
+                    silent = sorted(
+                        str(process)
+                        for process in proposal.members
+                        if process not in proposal.vectors
+                    )
+                    self._violation(
+                        "unbounded-flush",
+                        None,
+                        f"daemon {daemon} has been flushing {member.group!r} "
+                        f"for {now - since:.2f}s (bound {FLUSH_BOUND_S:.1f}s) "
+                        f"with nobody in its view suspected; proposal "
+                        f"{proposal.view_id} has no flush vector from {silent}",
+                    )
+                flushing[key] = (since, installed, reported)
+        self._flushing = flushing
 
     # ------------------------------------------------------------------
     # End-of-run check

@@ -244,6 +244,11 @@ class GcsEndpoint:
         member = self._members.get(group)
         return member.view if member is not None else None
 
+    def group_members(self) -> List[GroupMember]:
+        """This daemon's member of every group it has joined (a
+        read-only tap for observers such as the invariant checker)."""
+        return list(self._members.values())
+
     def shutdown(self) -> None:
         """Graceful daemon shutdown: leave all groups, stop timers."""
         if self.closed:

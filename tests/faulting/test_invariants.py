@@ -1,11 +1,25 @@
 """InvariantChecker: silent on healthy and recovering runs, loud on
 synthetic contract breaches."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
+import pytest
+
+from repro.experiments.scenarios import (
+    WAN_SCENARIO,
+    WorkloadSpec,
+    prepare_scenario,
+)
 from repro.faulting.injector import FaultInjector
-from repro.faulting.invariants import InvariantChecker, _ClientTrack
+from repro.faulting.invariants import (
+    FLUSH_BOUND_S,
+    InvariantChecker,
+    _ClientTrack,
+)
 from repro.faulting.plan import FaultPlan
+from repro.gcs.endpoint import GroupListener
+from repro.gcs.membership import MemberState
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
 from repro.net.topologies import build_lan
@@ -103,3 +117,59 @@ def test_report_lists_violations():
     assert not checker.ok
     assert "demo-rule" in checker.report()
     assert "something broke" in str(checker.violations[0])
+
+
+# ----------------------------------------------------------------------
+# Rule 5: bounded flush
+# ----------------------------------------------------------------------
+def test_bounded_flush_fires_when_a_live_member_never_answers():
+    """A member whose daemon heartbeats but which never sends its flush
+    vector keeps the proposer re-proposing for ever: rules 1 - 4 hold
+    (the stream itself is UDP), rule 5 names the group."""
+    sim, deployment, client, checker = make_checked_service()
+    sim.run_until(5.0)
+    group = client.session_name
+    mute = deployment.domain.endpoint(client.node_id)._members[group]
+    mute.on_propose = lambda propose: None
+    spare = deployment.domain.ensure_endpoint(deployment.topology.hosts[3])
+    spare.join(group, "extra", GroupListener())
+    sim.run_until(5.0 + FLUSH_BOUND_S + 1.5)
+    assert {v.rule for v in checker.violations} == {"unbounded-flush"}
+    assert all(group in v.detail for v in checker.violations)
+    assert str(client.process) in checker.violations[0].detail
+    # Reported once per stuck member, not once per sample.
+    reported = len(checker.violations)
+    sim.run_until(5.0 + 3 * FLUSH_BOUND_S)
+    assert len(checker.violations) == reported
+
+
+def wan_flash_crowd(seed, run_s):
+    """The paper's WAN rig with a flash crowd riding along — the input on
+    which a server brought up mid-run joins two session groups and is
+    shed from them 0.2 ms later, before their flush has finished."""
+    spec = replace(
+        WAN_SCENARIO,
+        workload=WorkloadSpec("flash-crowd", n_viewers=8, at_s=2.0, spread_s=4.0),
+        n_client_hosts=9,
+        run_duration_s=run_s,
+        schedule=((12.5, "server-up"),),
+    )
+    live = prepare_scenario(spec, seed=seed)
+    checker = InvariantChecker(live.result.deployment).install()
+    live.step(run_s)
+    return live, checker
+
+
+@pytest.mark.xfail(strict=True, reason="the wedge rule 5 was written to see")
+@pytest.mark.parametrize("seed", [3, 77])
+def test_a_joiner_that_leaves_mid_flush_does_not_wedge_the_group(seed):
+    live, checker = wan_flash_crowd(seed, run_s=20.0)
+    assert checker.final_check() == [], checker.report()
+    domain = live.result.deployment.domain
+    stuck = [
+        (daemon, member.group)
+        for daemon in domain.daemon_nodes()
+        for member in domain.endpoint(daemon).group_members()
+        if member.state != MemberState.NORMAL
+    ]
+    assert stuck == []
