@@ -139,6 +139,23 @@ class GcsEndpoint:
         # Control-plane traffic accounting (for the overhead experiment).
         self.control_bytes_sent = 0
         self.control_packets_sent = 0
+        # Receive path: exact message type -> handler(message, from_daemon).
+        self._handlers: Dict[type, Callable[[Any, int], None]] = {
+            Heartbeat: self._on_heartbeat,
+            Multicast: self._on_multicast,
+            Retransmission: self._on_retransmission,
+            JoinRequest: self._on_join_request,
+            LeaveRequest: self._on_leave_request,
+            Propose: self._on_propose,
+            FlushVector: self._on_flush_vector,
+            FlushOk: self._on_flush_ok,
+            ViewCommit: self._on_view_commit,
+            Nack: self._on_nack,
+            Presence: self._on_presence,
+            OpenGroupSend: self._deliver_open_send,
+            PointToPoint: self._on_p2p,
+            PointToPointAck: self._on_p2p_ack,
+        }
 
         self._hb_timer = Timer(
             self.sim, HEARTBEAT_INTERVAL, self._heartbeat_tick,
@@ -216,7 +233,7 @@ class GcsEndpoint:
         )
         self.broadcast_domain(message)
         # Local members receive it too.
-        self._deliver_open_send(message)
+        self._deliver_open_send(message, self.daemon_id)
         return self._open_next_id
 
     def register_open_group_handler(
@@ -432,48 +449,73 @@ class GcsEndpoint:
             return
         self._last_heard[from_daemon] = self.sim.now
         self.fd.heard_from(from_daemon)
-        if isinstance(message, Heartbeat):
-            self._on_heartbeat(message)
-        elif isinstance(message, Multicast):
-            self._with_member(message.group, lambda m: m.on_multicast(message))
-        elif isinstance(message, Retransmission):
-            self._with_member(
-                message.original.group,
-                lambda m: m.on_multicast(message.original),
-            )
-        elif isinstance(message, JoinRequest):
-            self._tombstones.get(message.group, set()).discard(message.process)
-            self._with_member(message.group, lambda m: m.on_join_request(message))
-        elif isinstance(message, LeaveRequest):
-            self.note_left_process(message.group, message.process)
-            self._with_member(message.group, lambda m: m.on_leave_request(message))
-        elif isinstance(message, Propose):
-            self._with_member(message.group, lambda m: m.on_propose(message))
-        elif isinstance(message, FlushVector):
-            self._with_member(message.group, lambda m: m.on_flush_vector(message))
-        elif isinstance(message, FlushOk):
-            self._with_member(message.group, lambda m: m.on_flush_ok(message))
-        elif isinstance(message, ViewCommit):
-            self._with_member(message.group, lambda m: m.on_view_commit(message))
-        elif isinstance(message, Nack):
-            self._with_member(
-                message.group, lambda m: m.on_nack(message, from_daemon)
-            )
-        elif isinstance(message, Presence):
-            self._on_presence(message, from_daemon)
-        elif isinstance(message, OpenGroupSend):
-            self._deliver_open_send(message)
-        elif isinstance(message, PointToPoint):
-            self._on_p2p(message)
-        elif isinstance(message, PointToPointAck):
-            self._p2p_pending.pop(message.seq, None)
+        handler = self._handlers.get(type(message))
+        if handler is not None:
+            handler(message, from_daemon)
 
-    def _with_member(self, group: str, action: Callable[[GroupMember], None]) -> None:
+    def _live_member(self, group: str) -> Optional[GroupMember]:
         member = self._members.get(group)
         if member is not None and member.state != MemberState.LEFT:
-            action(member)
+            return member
+        return None
 
-    def _on_heartbeat(self, heartbeat: Heartbeat) -> None:
+    def _on_multicast(self, message: Multicast, _from_daemon: int) -> None:
+        member = self._live_member(message.group)
+        if member is not None:
+            member.on_multicast(message)
+
+    def _on_retransmission(self, message: Retransmission, from_daemon: int) -> None:
+        self._on_multicast(message.original, from_daemon)
+
+    def _on_join_request(self, message: JoinRequest, _from_daemon: int) -> None:
+        self._tombstones.get(message.group, set()).discard(message.process)
+        member = self._live_member(message.group)
+        if member is not None:
+            member.on_join_request(message)
+
+    def _on_leave_request(self, message: LeaveRequest, _from_daemon: int) -> None:
+        self.note_left_process(message.group, message.process)
+        member = self._live_member(message.group)
+        if member is not None:
+            member.on_leave_request(message)
+
+    def _on_propose(self, message: Propose, from_daemon: int) -> None:
+        member = self._live_member(message.group)
+        if member is not None:
+            member.on_propose(message)
+        # A proposal naming a process of this daemon that is not in the
+        # group (it left again, or its JoinRequest was overtaken by its
+        # LeaveRequest) waits for a flush vector nobody will send, and
+        # this daemon's heartbeats keep the process "live" at the
+        # proposer.  Only we know it is gone: say so.
+        local = member.local if member is not None else None
+        for process in message.members:
+            if process.node == self.daemon_id and process != local:
+                self.send_to_daemon(
+                    from_daemon, LeaveRequest(message.group, process)
+                )
+
+    def _on_flush_vector(self, message: FlushVector, _from_daemon: int) -> None:
+        member = self._live_member(message.group)
+        if member is not None:
+            member.on_flush_vector(message)
+
+    def _on_flush_ok(self, message: FlushOk, _from_daemon: int) -> None:
+        member = self._live_member(message.group)
+        if member is not None:
+            member.on_flush_ok(message)
+
+    def _on_view_commit(self, message: ViewCommit, _from_daemon: int) -> None:
+        member = self._live_member(message.group)
+        if member is not None:
+            member.on_view_commit(message)
+
+    def _on_nack(self, message: Nack, from_daemon: int) -> None:
+        member = self._live_member(message.group)
+        if member is not None:
+            member.on_nack(message, from_daemon)
+
+    def _on_heartbeat(self, heartbeat: Heartbeat, _from_daemon: int) -> None:
         self._hb_heard[heartbeat.sender_daemon] = self.sim.now
         for group, vector in heartbeat.ack_vectors.items():
             member = self._members.get(group)
@@ -524,7 +566,7 @@ class GcsEndpoint:
             self.send_to_daemon(from_daemon, reply)
         member.on_presence(presence.view_id, members)
 
-    def _deliver_open_send(self, message: OpenGroupSend) -> None:
+    def _deliver_open_send(self, message: OpenGroupSend, _from_daemon: int) -> None:
         key = (message.sender, message.request_id)
         if key in self._open_seen:
             return
@@ -541,7 +583,7 @@ class GcsEndpoint:
     # ==================================================================
     # Reliable point-to-point
     # ==================================================================
-    def _on_p2p(self, message: PointToPoint) -> None:
+    def _on_p2p(self, message: PointToPoint, _from_daemon: int) -> None:
         ack = PointToPointAck(message.target, message.sender, message.seq)
         self.send_to_daemon(message.sender.node, ack)
         key = (message.sender, message.seq)
@@ -553,6 +595,9 @@ class GcsEndpoint:
         handler = self._p2p_handlers.get(message.target.name)
         if handler is not None:
             handler(message.sender, message.payload)
+
+    def _on_p2p_ack(self, message: PointToPointAck, _from_daemon: int) -> None:
+        self._p2p_pending.pop(message.seq, None)
 
     def _p2p_transmit(self, seq: int) -> None:
         entry = self._p2p_pending.get(seq)

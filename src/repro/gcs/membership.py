@@ -182,11 +182,18 @@ class GroupMember:
     def on_leave_request(self, request: LeaveRequest) -> None:
         if self.state == MemberState.LEFT or request.process == self.local:
             return
-        if self.view is None or request.process not in self.view:
-            self.pending_joins.discard(request.process)
+        self.pending_joins.discard(request.process)
+        in_view = self.view is not None and request.process in self.view
+        # A joiner can leave again while the proposal admitting it is
+        # still flushing.  Its daemon stays alive, so no suspicion will
+        # ever remove it and the flush vector the proposal waits for is
+        # never sent: it has to come out of the proposal here.
+        in_flight = (
+            self.proposal is not None and request.process in self.proposal.members
+        )
+        if not (in_view or in_flight):
             return
         self.pending_leaves.add(request.process)
-        self.pending_joins.discard(request.process)
         self._maybe_propose()
 
     def on_propose(self, propose: Propose) -> None:

@@ -160,7 +160,6 @@ def wan_flash_crowd(seed, run_s):
     return live, checker
 
 
-@pytest.mark.xfail(strict=True, reason="the wedge rule 5 was written to see")
 @pytest.mark.parametrize("seed", [3, 77])
 def test_a_joiner_that_leaves_mid_flush_does_not_wedge_the_group(seed):
     live, checker = wan_flash_crowd(seed, run_s=20.0)

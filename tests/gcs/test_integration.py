@@ -9,6 +9,8 @@ handling, open-group sends and reliable point-to-point.
 import pytest
 
 from repro.gcs import GcsDomain, GroupListener
+from repro.gcs.membership import MemberState
+from repro.gcs.messages import JoinRequest, LeaveRequest
 from repro.net.link import LinkParams
 from repro.net.topologies import build_lan, build_wan
 from repro.sim.core import Simulator
@@ -226,6 +228,68 @@ class TestLeave:
         members[0].handle.leave()
         with pytest.raises(NotMemberError):
             members[0].handle.multicast("zombie", 16)
+
+
+class TestLeaveDuringJoinFlush:
+    """A process that joins and leaves again before the flush admitting
+    it has finished must not stay in the proposal: its daemon is alive,
+    so no failure detector will ever remove it, and it will never send
+    the flush vector the proposer waits for."""
+
+    def assert_settled(self, sim, members, until):
+        sim.run_until(until)
+        for m in members:
+            assert m.handle._member.state == MemberState.NORMAL
+            assert m.handle._member.proposal is None
+            assert m.current_members() == {x.process for x in members}
+        members[1].handle.multicast("after", 16)
+        sim.run_until(until + 0.5)
+        assert "after" in members[0].payloads()
+
+    def test_leave_follows_join(self):
+        sim, topo, domain, members = make_cluster(2, hosts=3)
+        sim.run_until(2.0)
+        fickle = Member(domain, topo.host(2))
+        sim.call_at(2.0002, fickle.handle.leave)
+        self.assert_settled(sim, members, 5.0)
+
+    def test_leave_follows_join_under_loss(self):
+        sim = Simulator(seed=3)
+        lossy = LinkParams(delay_s=0.0005, loss_prob=0.10, bandwidth_bps=1e8)
+        topo = build_lan(sim, n_hosts=4, link=lossy)
+        domain = GcsDomain(sim, topo.network)
+        members = [Member(domain, topo.host(i)) for i in range(2)]
+        sim.run_until(3.0)
+        fickle = Member(domain, topo.host(2))
+        sim.call_at(3.0002, fickle.handle.leave)
+        self.assert_settled(sim, members, 8.0)
+
+    def test_leave_overtakes_join(self):
+        """On a jittery path the LeaveRequest can reach the proposer
+        first; the JoinRequest that follows names a process that is
+        already gone."""
+        sim, topo, domain, members = make_cluster(2, hosts=3)
+        sim.run_until(2.0)
+        gone = domain.create_endpoint(topo.host(2))
+        ghost = gone.process_id("p-gone")
+        for m in members:
+            m.endpoint._dispatch(LeaveRequest("g", ghost), gone.daemon_id)
+            m.endpoint._dispatch(JoinRequest("g", ghost), gone.daemon_id)
+        self.assert_settled(sim, members, 5.0)
+
+    def test_rejoin_after_the_early_leave_is_admitted(self):
+        sim, topo, domain, members = make_cluster(2, hosts=3)
+        sim.run_until(2.0)
+        fickle = Member(domain, topo.host(2))
+        sim.call_at(2.0002, fickle.handle.leave)
+        sim.run_until(4.0)
+        again = fickle.endpoint.join(
+            "g", fickle.name, GroupListener(on_view=fickle.views.append)
+        )
+        sim.run_until(6.0)
+        assert len(again.view.members) == 3
+        for m in members:
+            assert len(m.current_members()) == 3
 
 
 class TestPartition:
