@@ -17,9 +17,10 @@ full client uses), so servers admit flyweight and full-object viewers
 through the identical deferred-admission path and arrive at the
 identical placement.  To keep the GCS domain small at 100k viewers the
 pool concentrates those sends through a bounded number of edge daemons
-(``senders_max``) instead of one daemon per edge node — an open-group
-send is broadcast to every daemon in the domain, so daemon count, not
-viewer count, is what the connect path scales with.
+(``senders_max``) instead of one daemon per edge node — every daemon
+hears the servers' join, leave and presence broadcasts, so daemon count,
+not viewer count, is what the control plane scales with.  (A connect
+itself costs one datagram per daemon hosting a server, whoever sends it.)
 
 Interaction is the escape hatch: :meth:`FlyweightPool.promote` turns a
 row into a full :class:`VoDClient` (real socket on the row's node and
@@ -60,9 +61,10 @@ class FlyweightConfig:
     """Pool tunables.  Connect behaviour (the retry cadence) is the full
     client's: it comes from the pool's ``client_config``."""
 
-    # Edge daemons used as connect concentrators.  Open-group sends
-    # broadcast to every daemon in the domain, so this bounds the
-    # domain size (and the per-connect fan-out) independently of N.
+    # Edge daemons used as connect concentrators.  Membership discovery
+    # (JoinRequest / LeaveRequest / Presence) is broadcast to every
+    # daemon in the domain, so this bounds the domain size
+    # independently of N.
     senders_max: int = 4
 
 

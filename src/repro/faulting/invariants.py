@@ -444,11 +444,11 @@ class InvariantChecker:
         flushing: Dict[Tuple[int, str], Tuple[float, int, bool]] = {}
         for daemon in domain.daemon_nodes():
             endpoint = domain.endpoint(daemon)
-            suspected = endpoint.suspected_daemons()
             for member in endpoint.group_members():
-                if member.state != MemberState.FLUSHING or any(
-                    process.node in suspected for process in member.view.members
-                ):
+                if member.state != MemberState.FLUSHING:
+                    continue
+                suspected = endpoint.suspected_daemons()
+                if any(p.node in suspected for p in member.view.members):
                     continue
                 key = (daemon, member.group)
                 since, installed, reported = self._flushing.get(

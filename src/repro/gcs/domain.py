@@ -5,11 +5,17 @@ the :class:`GcsDomain` plays that role — every endpoint created through
 it can broadcast control messages to all others.  Daemons added later
 (a server brought up on the fly) become visible to everyone, which
 models updating the configuration out of band.
+
+The domain is also the *group directory*: which daemons currently have a
+member of a group.  It stands for the transport's group address (an IP
+multicast group the member daemons subscribed to): an open-group send is
+addressed to the group and reaches the daemons listed there, not every
+daemon of the deployment.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.net.address import GCS_PORT, Endpoint
 from repro.net.network import Network
@@ -37,6 +43,9 @@ class GcsDomain:
         self.fd_timeout = fd_timeout
         self._endpoints: Dict[int, "GcsEndpoint"] = {}
         self._addresses: Dict[int, Endpoint] = {}
+        # Compiled group directory: derived from the endpoints' joined
+        # groups on first lookup, dropped by note_group_change().
+        self._group_daemons: Dict[str, Tuple[int, ...]] = {}
         self._view_observers: List[ViewObserver] = []
 
     # ------------------------------------------------------------------
@@ -81,7 +90,32 @@ class GcsDomain:
         return endpoint
 
     def remove_endpoint(self, node_id: int) -> None:
-        self._endpoints.pop(node_id, None)
+        if self._endpoints.pop(node_id, None) is not None:
+            self._group_daemons.clear()
+
+    # ------------------------------------------------------------------
+    # Group directory
+    # ------------------------------------------------------------------
+    def group_daemons(self, group: str) -> Tuple[int, ...]:
+        """Daemons that have joined ``group``, in node-id order.
+
+        Exact by construction: a daemon acts on an open-group send only
+        if it has joined the group, and every join, leave and daemon stop
+        passes through :meth:`note_group_change` / :meth:`remove_endpoint`.
+        Compiled once per change, never per send.
+        """
+        daemons = self._group_daemons.get(group)
+        if daemons is None:
+            daemons = self._group_daemons[group] = tuple(
+                node
+                for node in sorted(self._endpoints)
+                if self._endpoints[node].has_joined(group)
+            )
+        return daemons
+
+    def note_group_change(self, group: str) -> None:
+        """A daemon joined or left ``group``: recompile on next lookup."""
+        self._group_daemons.pop(group, None)
 
     def daemon_nodes(self) -> List[int]:
         """Node ids of all registered daemons (the 'configuration file')."""

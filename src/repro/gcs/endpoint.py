@@ -201,6 +201,7 @@ class GcsEndpoint:
             self, group, process, listener.on_view, listener.on_message
         )
         self._members[group] = member
+        self.domain.note_group_change(group)
         return GroupHandle(self, member)
 
     def leave_group(self, group: str) -> None:
@@ -209,6 +210,12 @@ class GcsEndpoint:
             return
         member.leave()
         del self._members[group]
+        self.domain.note_group_change(group)
+
+    def has_joined(self, group: str) -> bool:
+        """True from :meth:`join` until :meth:`leave_group` — the
+        domain's group directory lists exactly these daemons."""
+        return group in self._members
 
     def send_to_group(
         self,
@@ -219,8 +226,11 @@ class GcsEndpoint:
     ) -> int:
         """Open-group send: best-effort datagram to all group members.
 
-        Returns a request id; duplicates of the same request are
-        suppressed at receivers, so callers may re-send for reliability.
+        Addressed to the group: one copy per daemon the domain's group
+        directory lists (plus local delivery), not one per daemon of the
+        deployment.  Returns a request id; duplicates of the same request
+        are suppressed at receivers, so callers may re-send for
+        reliability.
         """
         self._ensure_open()
         self._open_next_id += 1
@@ -231,7 +241,9 @@ class GcsEndpoint:
             payload_bytes,
             self._open_next_id,
         )
-        self.broadcast_domain(message)
+        for daemon in self.domain.group_daemons(group):
+            if daemon != self.daemon_id:
+                self.send_to_daemon(daemon, message)
         # Local members receive it too.
         self._deliver_open_send(message, self.daemon_id)
         return self._open_next_id
@@ -312,9 +324,12 @@ class GcsEndpoint:
     def heard_within(self, daemon: int, window_s: float) -> bool:
         """True if anything arrived from ``daemon`` in the last window.
 
-        Heartbeats broadcast domain-wide every 0.1 s, so any alive and
-        reachable daemon registers well inside the failure-detector
-        timeout regardless of group membership."""
+        Daemons heartbeat their co-members (and whoever heartbeats them)
+        every 0.15 s, so an alive and reachable daemon that shares a
+        group with this one registers well inside the failure-detector
+        timeout.  A daemon that shares none is heard only when it sends
+        this one something — and an open-group send reaches only the
+        daemons that joined the group."""
         if daemon == self.daemon_id:
             return True
         last = self._last_heard.get(daemon)
@@ -518,8 +533,8 @@ class GcsEndpoint:
     def _on_heartbeat(self, heartbeat: Heartbeat, _from_daemon: int) -> None:
         self._hb_heard[heartbeat.sender_daemon] = self.sim.now
         for group, vector in heartbeat.ack_vectors.items():
-            member = self._members.get(group)
-            if member is None or member.state == MemberState.LEFT:
+            member = self._live_member(group)
+            if member is None:
                 continue
             peers = [
                 p for p in (member.view.members if member.view else ())
@@ -529,8 +544,8 @@ class GcsEndpoint:
                 member.on_peer_vector(peer, vector)
 
     def _on_presence(self, presence: Presence, from_daemon: int) -> None:
-        member = self._members.get(presence.group)
-        if member is None or member.state == MemberState.LEFT:
+        member = self._live_member(presence.group)
+        if member is None:
             return
         # A daemon advertising one of its *own* processes as a current
         # member overrides any graceful-leave tombstone we hold for it:

@@ -21,6 +21,19 @@ public surface (``build_scale_rig``, ``make_crash_most_loaded``,
 ``Deployment.add_server``, ``FlyweightPool.positions``,
 ``VoDServer.sessions``) so it runs on either side of such a change.
 
+Re-recorded once since, when open-group sends became group-addressed and
+a joiner leaving mid-flush stopped wedging its group (the split above
+was recorded on the unchanged source first, so the diff of the JSON says
+what moved): the 13 default-window flyweight rows moved in ``events``
+only; the ten ``full-n60-w2.0`` rows in one viewer's final playhead
+(``vod.session.client46`` used to stay wedged from the 5.5 s restart on,
+so its flow control never reached the server); the ten
+``flyweight-n600-w0.0`` rows in ``behaviour`` — 600 connects x 6 copies at
+one instant used to overflow the concentrator uplink queues (3 100
+tail drops, 256 viewers admitted one retry later in a second batch), and
+x 3 copies fit, so all 600 are admitted in one sorted batch.  ``served``
+and ``failover`` are unchanged in all 43 rows.
+
 Regenerating (only after deliberately changing placement behaviour):
 
     PYTHONPATH=src python tests/experiments/test_server_oracle.py
