@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import NetworkError
-from repro.net.packet import Datagram
+from repro.net.packet import HEADER_BYTES, Datagram
 from repro.sim.core import Simulator
 
 DeliverFn = Callable[[Datagram], None]
@@ -160,6 +160,9 @@ class _Direction:
             and params.jitter_s == 0.0
             and params.reorder_prob == 0.0
         )
+        # ``random`` of this direction's named stream, bound by the first
+        # transmit that draws; None on a clean direction for ever.
+        self._random: Optional[Callable[[], float]] = None
 
     def set_fault(self, fault: Optional[LinkFault]) -> None:
         if fault is not None:
@@ -188,7 +191,7 @@ class _Direction:
             return
         stats = self.stats
         params = self.params
-        wire = datagram.wire_bytes()
+        wire = datagram.size_bytes + HEADER_BYTES
         stats.sent_packets += 1
         stats.sent_bytes += wire
 
@@ -216,44 +219,58 @@ class _Direction:
 
         serialization = wire * 8.0 / params.bandwidth_bps
         sim = self.sim
-        now = sim.now
-        queue_ahead_s = max(0.0, self._tx_free_at - now)
-        # Tail-drop if the backlog already holds queue_packets' worth of
-        # serialization time (approximating a packet-count queue using the
-        # mean packet currently queued is unreliable; we bound by time:
-        # queue_packets * this packet's serialization time).
-        if (
-            not guaranteed
-            and serialization > 0
-            and queue_ahead_s > params.queue_packets * serialization
-        ):
-            stats.dropped_queue += 1
-            self._note_drop("queue")
-            return
-        start_tx = max(now, self._tx_free_at)
-        self._tx_free_at = tx_free = start_tx + serialization
+        # The clock is read once per hop of every datagram: the
+        # attribute, not the ``now`` property (a frame per read).
+        now = sim._now
+        tx_free = self._tx_free_at
+        if tx_free > now:
+            # Tail-drop if the backlog already holds queue_packets' worth
+            # of serialization time (approximating a packet-count queue
+            # using the mean packet currently queued is unreliable; we
+            # bound by time: queue_packets * this packet's serialization
+            # time).
+            if (
+                not guaranteed
+                and serialization > 0
+                and tx_free - now > params.queue_packets * serialization
+            ):
+                stats.dropped_queue += 1
+                self._note_drop("queue")
+                return
+            tx_free += serialization
+        else:
+            tx_free = now + serialization
+        self._tx_free_at = tx_free
 
         if guaranteed:
             stats.guaranteed_packets += 1
             arrival = tx_free + params.delay_s + fault_extra_s
         elif self._params_clean:
             # Zero-overhead fast path: with loss, jitter and reorder all
-            # zero, none of the draws below can change anything — skip
-            # the RNG lookup entirely.  (Merely fetching a stream never
-            # advances it, so slow- and fast-path runs stay identical.)
+            # zero, none of the draws below can change anything — the
+            # stream is never even created.
             arrival = tx_free + params.delay_s + fault_extra_s
         else:
-            rng = sim.rng(self.rng_name)
-            if params.loss_prob > 0 and rng.random() < params.loss_prob:
+            # Bound on the first stochastic transmit and kept: streams
+            # are independent of creation order and fetching one never
+            # advances it (sim/rng.py), so when it is fetched cannot
+            # matter.
+            random = self._random
+            if random is None:
+                random = self._random = sim.rng(self.rng_name).random
+            if params.loss_prob > 0 and random() < params.loss_prob:
                 stats.dropped_loss += 1
                 self._note_drop("loss")
                 return
+            # ``x * random()`` is bit for bit what ``uniform(0.0, x)``
+            # returns for x >= 0 (``0.0 + (x - 0.0) * random()``), minus
+            # a Python frame (pinned by tests/net/test_link_transit.py).
             extra_jitter = 0.0
             if params.jitter_s > 0:
-                extra_jitter = rng.uniform(0.0, params.jitter_s)
+                extra_jitter = params.jitter_s * random()
             detour = 0.0
-            if params.reorder_prob > 0 and rng.random() < params.reorder_prob:
-                detour = rng.uniform(0.0, params.reorder_delay_s)
+            if params.reorder_prob > 0 and random() < params.reorder_prob:
+                detour = params.reorder_delay_s * random()
                 stats.detoured += 1
             arrival = (
                 tx_free
