@@ -182,22 +182,30 @@ class Network:
             return  # routers that crashed blackhole traffic
         if datagram.hops_remaining <= 0:
             return
-        hop = self._hop(at_node, dst_node)
+        # The compiled table is read here, not through ``_hop``: one
+        # frame per hop of every datagram.  ``_hop`` compiles it the
+        # first time this node forwards after a change.
+        table = self._tables.get(at_node)
+        hop = (
+            self._hop(at_node, dst_node) if table is None
+            else table.get(dst_node)
+        )
         if hop is None:
             return  # unreachable: datagrams vanish, like real UDP
         datagram.hops_remaining -= 1
         direction, next_node, arrive = hop
-        qos = self.qos
-        guaranteed = (
-            qos is not None
-            and datagram.flow_id is not None
-            and qos.admit_packet(
-                at_node, next_node, datagram.flow_id, datagram.wire_bytes()
+        # ``transmit`` is looked up on the direction at every send:
+        # fault injectors replace it per instance.
+        if self.qos is None or datagram.flow_id is None:
+            direction.transmit(datagram, arrive)
+        else:
+            direction.transmit(
+                datagram,
+                arrive,
+                guaranteed=self.qos.admit_packet(
+                    at_node, next_node, datagram.flow_id, datagram.wire_bytes()
+                ),
             )
-        )
-        # Looked up on the direction at every send: fault injectors
-        # replace ``transmit`` per instance.
-        direction.transmit(datagram, arrive, guaranteed=guaranteed)
 
     # ------------------------------------------------------------------
     # Fast-path support (see repro.net.burst)
