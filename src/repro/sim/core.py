@@ -135,12 +135,8 @@ class Simulator:
         at the present instant is allowed and fires after already-queued
         events for that instant.
         """
-        if math.isnan(time):
-            raise SimulationError("cannot schedule an event at time NaN")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.6f}, now is t={self._now:.6f}"
-            )
+        if not time >= self._now:  # the past, or NaN: one test when fine
+            raise self._unschedulable(time)
         seq = self._seq
         handle = EventHandle(time, seq, callback, args)
         handle._sim = self
@@ -173,12 +169,8 @@ class Simulator:
         cancelled *and then* popped.  The callback and args are kept;
         callers may mutate ``handle.args`` between firings.
         """
-        if math.isnan(time):
-            raise SimulationError("cannot schedule an event at time NaN")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.6f}, now is t={self._now:.6f}"
-            )
+        if not time >= self._now:  # the past, or NaN: one test when fine
+            raise self._unschedulable(time)
         seq = self._seq
         handle.time = time
         handle.seq = seq
@@ -239,8 +231,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot run backwards to t={time:.6f} from t={self._now:.6f}"
             )
-        # One fused peek -> pop -> dispatch loop (what step() does via
-        # _pop_next, without three method calls per event).
+        # One fused pop -> dispatch loop (what step() does via
+        # _pop_next, without three method calls per event).  Each entry
+        # is popped exactly once; the one entry found beyond ``time``
+        # goes back as the tuple it was, which is not a scheduling site:
+        # its (time, seq) key, and so its place in the order, is kept.
         queue = self._queue
         heappop = heapq.heappop
         tracer = self.tracer
@@ -255,13 +250,14 @@ class Simulator:
                 break
             if not queue:
                 break
-            when, _, handle = queue[0]
+            entry = heappop(queue)
+            handle = entry[2]
             if handle.cancelled:
-                heappop(queue)
                 continue
+            when = entry[0]
             if when > time:
+                heapq.heappush(queue, entry)
                 break
-            heappop(queue)
             self._live -= 1
             # Out of the queue now: a late cancel() must not decrement
             # the live counter a second time.
@@ -304,6 +300,13 @@ class Simulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _unschedulable(self, time: float) -> SimulationError:
+        if math.isnan(time):
+            return SimulationError("cannot schedule an event at time NaN")
+        return SimulationError(
+            f"cannot schedule at t={time:.6f}, now is t={self._now:.6f}"
+        )
+
     def _pop_next(self) -> Optional[EventHandle]:
         while self._queue:
             handle = heapq.heappop(self._queue)[2]

@@ -146,8 +146,9 @@ class Timer:
         # (or raises) leaves consistent state.  The handle that just
         # fired is recycled (it is out of the queue by now), so a
         # long-lived timer allocates one EventHandle total.
-        self._handle = self.sim.reschedule(
-            self._handle, self.sim.now + self._jittered(self.interval)
-        )
+        interval = self.interval
+        if self.jitter != 0.0:
+            interval = self._jittered(interval)
+        self._handle = self.sim.reschedule(self._handle, self.sim.now + interval)
         self.fired_count += 1
         self.callback(*self.args)
