@@ -34,7 +34,7 @@ class Datagram:
     dst: Endpoint
     payload: Any
     size_bytes: int
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     hops_remaining: int = 64
     # QoS: id of an admitted reservation (see repro.net.qos); packets of
     # a reserved flow that conform to their token bucket ride loss- and

@@ -60,7 +60,8 @@ class UdpSocket:
         )
         self.sent_packets += 1
         self.sent_bytes += size_bytes
-        self.node.network.send(datagram)
+        node = self.node
+        node.network.send(datagram, node)
         return datagram
 
     def sendto_burst(
