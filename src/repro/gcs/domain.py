@@ -43,6 +43,9 @@ class GcsDomain:
         self.fd_timeout = fd_timeout
         self._endpoints: Dict[int, "GcsEndpoint"] = {}
         self._addresses: Dict[int, Endpoint] = {}
+        # Daemons started so far per node: a boot counter, out-of-band
+        # knowledge of the same kind as the daemon list itself.
+        self._incarnations: Dict[int, int] = {}
         # Compiled group directory: derived from the endpoints' joined
         # groups on first lookup, dropped by note_group_change().
         self._group_daemons: Dict[str, Tuple[int, ...]] = {}
@@ -73,10 +76,13 @@ class GcsDomain:
 
         if node_id in self._endpoints and not self._endpoints[node_id].closed:
             raise ValueError(f"node {node_id} already runs a GCS daemon")
+        incarnation = self._incarnations.get(node_id, 0)
+        self._incarnations[node_id] = incarnation + 1
         endpoint = GcsEndpoint(
             self,
             self.network.node(node_id),
             fd_timeout=self.fd_timeout or DEFAULT_TIMEOUT,
+            incarnation=incarnation,
         )
         self._endpoints[node_id] = endpoint
         return endpoint
@@ -89,8 +95,11 @@ class GcsDomain:
             endpoint = self.create_endpoint(node_id)
         return endpoint
 
-    def remove_endpoint(self, node_id: int) -> None:
-        if self._endpoints.pop(node_id, None) is not None:
+    def remove_endpoint(self, endpoint: "GcsEndpoint") -> None:
+        """Unregister a stopped daemon — only if it is the one registered
+        on its node (a successor may have started there since)."""
+        if self._endpoints.get(endpoint.daemon_id) is endpoint:
+            del self._endpoints[endpoint.daemon_id]
             self._group_daemons.clear()
 
     # ------------------------------------------------------------------

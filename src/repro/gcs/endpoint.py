@@ -103,7 +103,13 @@ class GroupHandle:
 class GcsEndpoint:
     """A GCS daemon bound to one node."""
 
-    def __init__(self, domain: GcsDomain, node: Node, fd_timeout: float = DEFAULT_TIMEOUT) -> None:
+    def __init__(
+        self,
+        domain: GcsDomain,
+        node: Node,
+        fd_timeout: float = DEFAULT_TIMEOUT,
+        incarnation: int = 0,
+    ) -> None:
         self.domain = domain
         self.node = node
         self.sim = domain.sim
@@ -126,7 +132,12 @@ class GcsEndpoint:
         self._p2p_pending: Dict[int, Dict[str, Any]] = {}
         self._p2p_seen: Dict[Tuple[ProcessId, int], bool] = {}
         self._open_seen: Set[Tuple[ProcessId, int]] = set()
-        self._open_next_id = 0
+        # Open-group request ids: the node's boot counter (from the
+        # domain) in the high half, a sequence number in the low half, so
+        # a restarted daemon never re-uses an id its predecessor sent and
+        # receivers' duplicate suppression cannot mistake one for the
+        # other.  The first daemon on a node counts 1, 2, 3, ...
+        self._open_next_id = incarnation << 32
         # Graceful-leave tombstones per group.
         self._tombstones: Dict[str, Set[ProcessId]] = {}
         # Last time anything arrived from each daemon — unlike the FD's
@@ -291,13 +302,15 @@ class GcsEndpoint:
         self._stop()
 
     def _stop(self) -> None:
+        if self.closed:
+            return
         self.closed = True
         self._hb_timer.cancel()
         self._tick_timer.cancel()
         self._presence_timer.cancel()
         if not self.socket.closed:
             self.socket.close()
-        self.domain.remove_endpoint(self.daemon_id)
+        self.domain.remove_endpoint(self)
 
     # ==================================================================
     # Services used by GroupMember (duck-typed context)
@@ -382,7 +395,7 @@ class GcsEndpoint:
             ack_vectors[group] = vector
             member.store.update_peer_vector(member.local, vector)
             if member.view is not None:
-                member.store.evict_stable(list(member.view.members))
+                member.store.evict_stable(member.view.members)
         heartbeat = Heartbeat(self.daemon_id, ack_vectors)
         for daemon in self._heartbeat_targets():
             self.send_to_daemon(daemon, heartbeat)

@@ -323,7 +323,7 @@ class GroupMember:
                     self.store.note_remote_progress(
                         sender, seq, self.endpoint.now
                     )
-            self.store.evict_stable(list(self.view.members))
+            self.store.evict_stable(self.view.members)
 
     # ==================================================================
     # Internals: joining

@@ -15,7 +15,7 @@ easy to unit- and property-test in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.gcs.messages import Multicast
 from repro.gcs.view import ProcessId
@@ -190,8 +190,12 @@ class GroupStore:
     def forget_peer(self, peer: ProcessId) -> None:
         self._peer_delivered.pop(peer, None)
 
-    def evict_stable(self, members: List[ProcessId]) -> int:
+    def evict_stable(self, members: Iterable[ProcessId]) -> int:
         """Drop retained messages delivered by every current member."""
+        # Runs per group per heartbeat tick and per received peer vector;
+        # in steady state nothing is retained and there is nothing to do.
+        if not any(flow.retained for flow in self._flows.values()):
+            return 0
         vectors = [
             self._peer_delivered.get(member) for member in members
         ]

@@ -163,13 +163,9 @@ class Network:
     # ------------------------------------------------------------------
     # Datagram forwarding
     # ------------------------------------------------------------------
-    def send(self, datagram: Datagram, src_node: Optional[Node] = None) -> None:
-        """Inject a datagram at its source node and route it.
-
-        A socket passes the node it is bound to; without ``src_node`` the
-        node is looked up (and range-checked) from ``datagram.src``."""
-        if src_node is None:
-            src_node = self.node(datagram.src.node)
+    def send(self, datagram: Datagram) -> None:
+        """Inject a datagram at its source node and route it."""
+        src_node = self.node(datagram.src.node)
         if not src_node.alive:
             return
         self._forward(src_node, datagram)

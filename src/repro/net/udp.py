@@ -60,8 +60,7 @@ class UdpSocket:
         )
         self.sent_packets += 1
         self.sent_bytes += size_bytes
-        node = self.node
-        node.network.send(datagram, node)
+        self.node.network.send(datagram)
         return datagram
 
     def sendto_burst(

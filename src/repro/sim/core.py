@@ -96,6 +96,8 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0, trace: bool = False) -> None:
+        # Read through ``now`` everywhere but the per-hop link transit
+        # (net/link.py), where the property's frame is paid per packet.
         self._now = 0.0
         self._seq = 0
         # Heap of (time, seq, handle): heapq orders the tuples in C, and
@@ -231,11 +233,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot run backwards to t={time:.6f} from t={self._now:.6f}"
             )
-        # One fused pop -> dispatch loop (what step() does via
-        # _pop_next, without three method calls per event).  Each entry
-        # is popped exactly once; the one entry found beyond ``time``
-        # goes back as the tuple it was, which is not a scheduling site:
-        # its (time, seq) key, and so its place in the order, is kept.
+        # One fused peek -> pop -> dispatch loop (what step() does via
+        # _pop_next, without three method calls per event).
         queue = self._queue
         heappop = heapq.heappop
         tracer = self.tracer
@@ -250,14 +249,13 @@ class Simulator:
                 break
             if not queue:
                 break
-            entry = heappop(queue)
-            handle = entry[2]
+            when, _, handle = queue[0]
             if handle.cancelled:
+                heappop(queue)
                 continue
-            when = entry[0]
             if when > time:
-                heapq.heappush(queue, entry)
                 break
+            heappop(queue)
             self._live -= 1
             # Out of the queue now: a late cancel() must not decrement
             # the live counter a second time.

@@ -163,3 +163,58 @@ def test_heard_within_tracks_any_traffic(rig):
     assert not endpoints[0].heard_within(endpoints[2].daemon_id, 0.5)
     # A daemon always counts as having heard itself.
     assert endpoints[0].heard_within(endpoints[0].daemon_id, 0.5)
+
+
+def test_crashing_a_stopped_daemon_again_leaves_its_successor_registered(rig):
+    """``crash()`` on a daemon object that already stopped must not take
+    the daemon since restarted on that node out of the domain (it used
+    to: ``remove_endpoint`` went by node id)."""
+    sim, topo, domain, endpoints = rig
+    node = topo.host(0)
+    old = endpoints[0]
+    topo.network.node(node).crash()
+    old.crash()
+    topo.network.node(node).restart()
+    fresh = domain.ensure_endpoint(node)
+    got = []
+    fresh.join("g", "a", GroupListener())
+    fresh.register_open_group_handler("g", lambda s, p: got.append(p))
+    sim.run_until(1.0)
+
+    old.crash()
+    old.shutdown()
+    assert domain.endpoint(node) is fresh
+    assert node in domain.daemon_nodes()
+    assert domain.group_daemons("g") == (node,)
+    endpoints[1].send_to_group("g", "still here")
+    sim.run_until(2.0)
+    assert got == ["still here"]
+
+
+def test_a_restarted_daemons_requests_are_not_taken_for_its_predecessors(rig):
+    """Receivers suppress duplicate open-group requests by (sender,
+    request id); a restarted daemon must not re-use its predecessor's
+    ids, or its first k requests vanish as duplicates."""
+    sim, topo, domain, endpoints = rig
+    node = topo.host(0)
+    got = []
+    endpoints[1].join("g", "server", GroupListener())
+    endpoints[1].register_open_group_handler("g", lambda s, p: got.append(p))
+    sim.run_until(1.0)
+    first_ids = [
+        endpoints[0].send_to_group("g", f"first-{i}", sender_name="client")
+        for i in range(3)
+    ]
+    sim.run_until(2.0)
+
+    topo.network.node(node).crash()
+    endpoints[0].crash()
+    topo.network.node(node).restart()
+    fresh = domain.ensure_endpoint(node)
+    second_id = fresh.send_to_group("g", "second-0", sender_name="client")
+    sim.run_until(3.0)
+    assert got == ["first-0", "first-1", "first-2", "second-0"]
+    assert second_id not in first_ids
+    # The incarnation rides inside the request id, which stays within the
+    # 8 bytes OpenGroupSend.wire_bytes() charges for it.
+    assert 0 < second_id < 2 ** 64

@@ -52,7 +52,6 @@ class World:
         self.network = self.topo.network
         self.domain = GcsDomain(self.sim, self.network)
         self.nodes = [self.topo.host(i) for i in range(HOSTS)]
-        self.incarnation = [0] * HOSTS
         #: per host: (time, group, sender, payload) in handler order
         self.deliveries = [[] for _ in range(HOSTS)]
         #: payload -> (sent at, host, receiver node -> skipped copies ahead)
@@ -84,7 +83,6 @@ class World:
         elif kind == "restart" and endpoint is None:
             self.network.node(self.nodes[host]).restart()
             self.domain.ensure_endpoint(self.nodes[host])
-            self.incarnation[host] += 1
         elif kind == "partition":
             # ``arg`` is a bitmask of hosts cut off from the switch.
             cut = [self.nodes[i] for i in range(HOSTS) if arg >> i & 1]
@@ -109,13 +107,10 @@ class World:
             host,
             {r: sum(d < r and d not in listed for d in others) for r in others},
         )
-        # A restarted daemon numbers its requests from 1 again, and a
-        # receiver suppresses (sender, request id) pairs it has seen — so
-        # under the reference a daemon that was *not* a member when the
-        # first incarnation sent would drop the second incarnation's
-        # request of the same number after joining.  Naming the sender per
-        # incarnation keeps that old false duplicate out of the comparison.
-        name = f"s{host}.{self.incarnation[host]}"
+        # One sender name per host across restarts: request ids carry
+        # the daemon's incarnation, so a restarted daemon's requests are
+        # never taken for its predecessor's.
+        name = f"s{host}"
         if self.reference:
             domain_wide_send(endpoint, group, payload, sender_name=name)
         else:

@@ -377,3 +377,36 @@ def test_any_slicing_of_run_until_concatenates_to_the_unsliced_run(events, slice
     assert count == total
     assert sliced.kernel.now == whole.kernel.now == horizon
     assert sliced.kernel.pending_count() == whole.kernel.pending_count()
+
+
+def test_a_budget_that_ends_on_the_entry_beyond_the_horizon():
+    """The case the random programs above rarely reach: the budget runs
+    out exactly where the next entry lies beyond the horizon.  That entry
+    must stay queued however often a slice looks at it, keep its place
+    among same-instant entries and survive a cancel while it waits."""
+    program = [
+        ("schedule", 1.0, "plain"),   # event 0
+        ("schedule", 1.5, "plain"),   # event 1
+        ("schedule", 4.0, "plain"),   # event 2: beyond every horizon below
+        ("schedule", 4.0, "plain"),   # event 3: same instant, scheduled later
+        ("run_until", 2.0, 2),        # budget spent on 0 and 1: early exit at 1.5
+        ("run_until", 0.5, 2),        # looks at event 2, leaves it: now 2.0
+        ("run_until", 0.5, 0),        # no budget: nothing looked at, early exit
+        ("run_until", 0.5, 1),        # looked at once more: now 2.5
+        ("schedule", 1.5, "plain"),   # event 4 at 4.0, after both
+        ("run_until", 1.5, 1),        # budget ends on event 2; 3 and 4 wait
+        ("cancel", 3),
+        ("run_until", 0.0, 1),        # skips the cancelled entry, fires 4
+        ("run", None),
+    ]
+    real, model = _Program(Simulator()), _Program(_ReferenceScheduler())
+    for op in program:
+        real.apply(op)
+        model.apply(op)
+        assert real.log == model.log
+        assert real.kernel.pending_count() == real.kernel._pending_count_scan()
+    fired = [entry[1:] for entry in real.log if entry[0] == "fire"]
+    assert fired == [(0, 1.0), (1, 1.5), (2, 4.0), (4, 4.0)]
+    assert [entry[1] for entry in real.log if entry[0] == "ran"] == [
+        2, 0, 0, 0, 1, 1, 0,
+    ]
