@@ -22,7 +22,9 @@ verdict by the rule every performance PR has applied by hand
 ``regression``  the change's median is worse than the parent's by more
                 than the metric's bound in ``BENCHMARK.json``;
 ``unresolved``  neither, and the parent's own quartiles are further
-                apart than the bound allows — the runs cannot tell;
+                apart than the bound allows — the runs cannot tell
+                (unless every run of the change reads better than every
+                run of the parent);
 ``unchanged``   neither, and they can.
 
 ``--pr N`` appends one line for (N, W) to ``BENCH_trajectory.jsonl`` at
@@ -156,7 +158,10 @@ def trajectory_row(
         "seeds": list(seeds),
         "source": "scripts/bench_pairs.py",
         "metrics": {
-            name: {"parent": v["parent"][1], "change": v["change"][1]}
+            name: {
+                "parent": float(f"{v['parent'][1]:.6g}"),
+                "change": float(f"{v['change'][1]:.6g}"),
+            }
             for name, v in verdicts.items()
         },
     }

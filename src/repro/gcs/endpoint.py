@@ -127,16 +127,17 @@ class GcsEndpoint:
         self._members: Dict[str, GroupMember] = {}
         self._p2p_handlers: Dict[str, P2pCallback] = {}
         self._open_handlers: Dict[str, OpenSendCallback] = {}
+        # Every id this daemon mints — p2p sequence numbers and open-group
+        # request ids, 8 bytes each on the wire — carries the node's boot
+        # counter (from the domain) in its high half and counts in its low
+        # half, so a restarted daemon never re-uses an id its predecessor
+        # sent and a receiver's duplicate suppression cannot mistake one
+        # for the other.  The first daemon on a node counts 1, 2, 3, ...
         # Reliable p2p state.
-        self._p2p_next_seq = 0
+        self._p2p_next_seq = incarnation << 32
         self._p2p_pending: Dict[int, Dict[str, Any]] = {}
         self._p2p_seen: Dict[Tuple[ProcessId, int], bool] = {}
         self._open_seen: Set[Tuple[ProcessId, int]] = set()
-        # Open-group request ids: the node's boot counter (from the
-        # domain) in the high half, a sequence number in the low half, so
-        # a restarted daemon never re-uses an id its predecessor sent and
-        # receivers' duplicate suppression cannot mistake one for the
-        # other.  The first daemon on a node counts 1, 2, 3, ...
         self._open_next_id = incarnation << 32
         # Graceful-leave tombstones per group.
         self._tombstones: Dict[str, Set[ProcessId]] = {}

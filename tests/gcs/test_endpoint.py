@@ -192,19 +192,24 @@ def test_crashing_a_stopped_daemon_again_leaves_its_successor_registered(rig):
 
 
 def test_a_restarted_daemons_requests_are_not_taken_for_its_predecessors(rig):
-    """Receivers suppress duplicate open-group requests by (sender,
-    request id); a restarted daemon must not re-use its predecessor's
-    ids, or its first k requests vanish as duplicates."""
+    """Receivers suppress duplicates by (sender, id) — open-group
+    requests and reliable p2p alike.  A restarted daemon must not re-use
+    its predecessor's ids, or its first k messages vanish as duplicates
+    (the p2p ones acknowledged, so never retried)."""
     sim, topo, domain, endpoints = rig
     node = topo.host(0)
-    got = []
+    server = ProcessId(endpoints[1].daemon_id, "server")
+    got, direct = [], []
     endpoints[1].join("g", "server", GroupListener())
     endpoints[1].register_open_group_handler("g", lambda s, p: got.append(p))
+    endpoints[1].register_p2p_handler("server", lambda s, p: direct.append(p))
     sim.run_until(1.0)
-    first_ids = [
-        endpoints[0].send_to_group("g", f"first-{i}", sender_name="client")
-        for i in range(3)
-    ]
+    first_ids = []
+    for i in range(3):
+        first_ids.append(
+            endpoints[0].send_to_group("g", f"first-{i}", sender_name="client")
+        )
+        endpoints[0].send_p2p(server, f"first-{i}", sender_name="client")
     sim.run_until(2.0)
 
     topo.network.node(node).crash()
@@ -212,9 +217,10 @@ def test_a_restarted_daemons_requests_are_not_taken_for_its_predecessors(rig):
     topo.network.node(node).restart()
     fresh = domain.ensure_endpoint(node)
     second_id = fresh.send_to_group("g", "second-0", sender_name="client")
+    fresh.send_p2p(server, "second-0", sender_name="client")
     sim.run_until(3.0)
-    assert got == ["first-0", "first-1", "first-2", "second-0"]
+    assert got == direct == ["first-0", "first-1", "first-2", "second-0"]
     assert second_id not in first_ids
-    # The incarnation rides inside the request id, which stays within the
-    # 8 bytes OpenGroupSend.wire_bytes() charges for it.
+    # The incarnation rides inside the id, which stays within the 8 bytes
+    # OpenGroupSend / PointToPoint.wire_bytes() charge for it.
     assert 0 < second_id < 2 ** 64
