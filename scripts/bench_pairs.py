@@ -27,9 +27,16 @@ verdict by the rule every performance PR has applied by hand
                 run of the parent);
 ``unchanged``   neither, and they can.
 
+``--layers`` adds one ``--trace 1`` run per side (at the first seed,
+after the timed pairs) and prints each layer's ``self_share`` and
+``self_cal_s``, parent → change: where in the program the difference
+sits.  One traced repetition per side — read it as a split, not as a
+timing.
+
 ``--pr N`` appends one line for (N, W) to ``BENCH_trajectory.jsonl`` at
 the root of the checkout this script lives in: both git SHAs, the seeds
-and the parent → change median of every end-to-end metric.
+and the parent → change median of every end-to-end metric — and, with
+``--layers``, the traced split under ``"layers"``.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRAJECTORY = os.path.join(ROOT, "BENCH_trajectory.jsonl")
 #: A gain needs this share of all pairs run (choosing-metrics §8).
 WIN_SHARE = 0.9
+#: What ``--layers`` keeps of each layer's ``per_layer`` metrics.
+LAYER_FIELDS = ("self_share", "self_cal_s")
 
 
 def load_spec(checkout: str) -> Dict[str, Any]:
@@ -65,12 +74,14 @@ def git_sha(checkout: str) -> str:
 
 
 def run_once(
-    checkout: str, spec: Dict[str, Any], workload: str, seed: int
+    checkout: str, spec: Dict[str, Any], workload: str, seed: int,
+    trace: int = 0,
 ) -> Dict[str, Any]:
-    """One driver-mode run in ``checkout``; its JSON line, parsed."""
+    """One driver-mode run in ``checkout``; its JSON line, parsed: the
+    end-to-end metrics, or with ``trace=1`` the per-layer ones."""
     command = list(spec["command"]) + [
         "--workload", workload, "--seed", str(seed),
-        "--seconds", str(spec["run_seconds"]), "--trace", "0",
+        "--seconds", str(spec["run_seconds"]), "--trace", str(trace),
     ]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -142,6 +153,21 @@ def recorded() -> List[Tuple[int, str]]:
     return [(row["pr"], row["workload"]) for row in rows]
 
 
+def layer_split(
+    parent: Dict[str, float], change: Dict[str, float]
+) -> Dict[str, Dict[str, float]]:
+    """``<layer>.self_share`` / ``.self_cal_s`` of one traced run per
+    side, under the names ``BENCHMARK.json`` gives them."""
+    return {
+        name: {
+            "parent": float(f"{parent[name]:.4g}"),
+            "change": float(f"{change[name]:.4g}"),
+        }
+        for name in parent
+        if name.rsplit(".", 1)[-1] in LAYER_FIELDS
+    }
+
+
 def trajectory_row(
     pr: int,
     workload: str,
@@ -149,8 +175,9 @@ def trajectory_row(
     change_sha: str,
     seeds: Sequence[int],
     verdicts: Dict[str, Dict[str, Any]],
+    layers: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> Dict[str, Any]:
-    return {
+    row = {
         "pr": pr,
         "workload": workload,
         "parent_sha": parent_sha,
@@ -165,6 +192,9 @@ def trajectory_row(
             for name, v in verdicts.items()
         },
     }
+    if layers is not None:
+        row["layers"] = layers
+    return row
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -175,6 +205,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--metric", default="run_cal_s",
                         help="the claimed metric, printed pair by pair")
+    parser.add_argument("--layers", action="store_true",
+                        help="one --trace 1 run per side: the per-layer split")
     parser.add_argument("--pr", type=int, default=None,
                         help="append the medians to BENCH_trajectory.jsonl")
     args = parser.parse_args(argv)
@@ -232,10 +264,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{abs(claimed['change'][1] - claimed['parent'][1]):.4g} apart, "
         f"parent quartiles {claimed['parent'][2] - claimed['parent'][0]:.4g} apart"
     )
+    layers = None
+    if args.layers:
+        seed = args.seeds[0]
+        traced = {
+            side: run_once(sides[side], spec, args.workload, seed, trace=1)
+            for side in ("parent", "change")
+        }
+        layers = layer_split(traced["parent"], traced["change"])
+        print(f"traced at seed {seed}, one run per side; parent -> change")
+        for name, cell in layers.items():
+            print(f"  {name:<24} {cell['parent']:.4g} -> {cell['change']:.4g}")
     if args.pr is not None:
         row = trajectory_row(
             args.pr, args.workload, git_sha(args.parent), git_sha(args.change),
-            args.seeds, verdicts,
+            args.seeds, verdicts, layers,
         )
         with open(TRAJECTORY, "a") as handle:
             handle.write(json.dumps(row) + "\n")

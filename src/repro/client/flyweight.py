@@ -35,7 +35,7 @@ while they last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.client.player import ClientConfig, VoDClient
 from repro.errors import ServiceError, SessionError
@@ -103,6 +103,11 @@ class FlyweightPool:
         self.serving: List[Optional[ProcessId]] = []
         self._senders: List[int] = []  # row -> sender endpoint node
         self._index: Dict[ProcessId, int] = {}
+        #: client -> row index and back.  The containers' own lookups,
+        #: so a cohort sorting or probing its rows pays no Python frame
+        #: per row.
+        self.row_of: Callable[[ProcessId], int] = self._index.__getitem__
+        self.client_of: Callable[[int], ProcessId] = self.procs.__getitem__
         self._by_name: Dict[str, int] = {}
         self._promoted: Dict[int, VoDClient] = {}
         self._sender_endpoints: Dict[int, object] = {}  # node -> GcsEndpoint
@@ -198,12 +203,6 @@ class FlyweightPool:
     def owns(self, client: ProcessId) -> bool:
         index = self._index.get(client)
         return index is not None and index not in self._promoted
-
-    def row_of(self, client: ProcessId) -> int:
-        return self._index[client]
-
-    def client_of(self, index: int) -> ProcessId:
-        return self.procs[index]
 
     def record_fields(self, client: ProcessId):
         index = self._index[client]

@@ -14,6 +14,7 @@ also provides two extra messaging services used by the VoD layer:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import GroupError
@@ -50,6 +51,9 @@ HEARTBEAT_INTERVAL = 0.15
 PRESENCE_INTERVAL = 2.5
 P2P_RETRY_INTERVAL = 0.15
 P2P_MAX_RETRIES = 20
+#: Duplicate suppression remembers this many ids (reliable p2p: in all;
+#: open-group sends: per sending daemon), then forgets the older half.
+SEEN_CAP = 100_000
 
 ViewCallback = Callable[[View], None]
 MessageCallback = Callable[[ProcessId, Any], None]
@@ -137,7 +141,12 @@ class GcsEndpoint:
         self._p2p_next_seq = incarnation << 32
         self._p2p_pending: Dict[int, Dict[str, Any]] = {}
         self._p2p_seen: Dict[Tuple[ProcessId, int], bool] = {}
-        self._open_seen: Set[Tuple[ProcessId, int]] = set()
+        # Open-group duplicate suppression, per sending daemon (a
+        # sender's node is its daemon, and request ids are per daemon):
+        # the ids delivered above that daemon's low-water mark, at or
+        # below which every id counts as delivered.
+        self._open_seen: Dict[int, Set[int]] = {}
+        self._open_low: Dict[int, int] = {}
         self._open_next_id = incarnation << 32
         # Graceful-leave tombstones per group.
         self._tombstones: Dict[str, Set[ProcessId]] = {}
@@ -596,12 +605,21 @@ class GcsEndpoint:
         member.on_presence(presence.view_id, members)
 
     def _deliver_open_send(self, message: OpenGroupSend, _from_daemon: int) -> None:
-        key = (message.sender, message.request_id)
-        if key in self._open_seen:
+        daemon = message.sender.node
+        request_id = message.request_id
+        seen = self._open_seen.get(daemon)
+        if seen is None:
+            seen = self._open_seen[daemon] = set()
+        if request_id in seen or request_id <= self._open_low.get(daemon, 0):
             return
-        self._open_seen.add(key)
-        if len(self._open_seen) > 100_000:
-            self._open_seen.clear()
+        seen.add(request_id)
+        if len(seen) > SEEN_CAP:
+            # Ids only grow per daemon (restarts included), so the older
+            # half folds into the mark and a late duplicate of any of
+            # them is still suppressed.
+            older = sorted(seen)[: len(seen) // 2]
+            self._open_low[daemon] = older[-1]
+            seen.difference_update(older)
         member = self._members.get(message.group)
         if member is None or not member.is_member:
             return
@@ -619,8 +637,10 @@ class GcsEndpoint:
         if key in self._p2p_seen:
             return
         self._p2p_seen[key] = True
-        if len(self._p2p_seen) > 100_000:
-            self._p2p_seen.clear()
+        if len(self._p2p_seen) > SEEN_CAP:
+            # Oldest half, by arrival (dicts keep insertion order).
+            for old in list(islice(self._p2p_seen, SEEN_CAP // 2)):
+                del self._p2p_seen[old]
         handler = self._p2p_handlers.get(message.target.name)
         if handler is not None:
             handler(message.sender, message.payload)

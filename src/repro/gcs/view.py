@@ -2,39 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, FrozenSet, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, FrozenSet, NamedTuple, Tuple
 
-from repro.net.address import DATACLASS_SLOTS, NodeId
+from repro.net.address import NodeId
 
 
-@dataclass(frozen=True, order=True, **DATACLASS_SLOTS)
-class ProcessId:
+class ProcessId(NamedTuple):
     """A process registered with the GCS: (node, local name).
 
     Ordering is total (node id, then name), which the membership protocol
     uses to pick coordinators deterministically and which the VoD layer
     uses for deterministic client re-distribution.
 
-    Process ids key most GCS and session dicts, so the hash is computed
-    once: exactly the value the generated ``__hash__`` would return,
-    kept out of ``==``, ordering and ``repr``.
+    Process ids key most GCS and session dicts and are sorted at every
+    re-distribution, so the type is a tuple: hash, ``==`` and ordering
+    run in C, with the values (and so every set/dict iteration order) of
+    the bare ``(node, name)`` pair, which a process id also equals.
     """
 
     node: NodeId
     name: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.node, self.name)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # str hashes differ per interpreter: a spawned shard worker must
-        # recompute the cache, not unpickle ours.
-        return (ProcessId, (self.node, self.name))
 
     def __str__(self) -> str:
         return f"{self.name}@{self.node}"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 NodeId = int
 """Nodes are identified by small integers assigned by the Network."""
@@ -14,28 +14,17 @@ NodeId = int
 DATACLASS_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
-@dataclass(frozen=True, order=True, **DATACLASS_SLOTS)
-class Endpoint:
+class Endpoint(NamedTuple):
     """A (node, port) pair — the datagram-layer address of a socket.
 
     Endpoints key the per-packet dicts and sets of every layer, so the
-    hash is computed once: exactly the value the generated ``__hash__``
-    would return, kept out of ``==``, ordering and ``repr``.
+    type is a tuple: hash, ``==`` and ordering run in C, with the values
+    (and so every set/dict iteration order) of the bare ``(node, port)``
+    pair, which an endpoint also equals.
     """
 
     node: NodeId
     port: int
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.node, self.port)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # The cached hash never travels through pickle (see ProcessId).
-        return (Endpoint, (self.node, self.port))
 
     def __str__(self) -> str:
         return f"{self.node}:{self.port}"

@@ -289,12 +289,14 @@ class MovieReplica:
             # drop the cached entry and re-admit from converged load
             # state.
             ledger.pop(client)
-        catalog = self.server.catalog
-        members = [
-            member
-            for member in view.members
-            if catalog.prefix_of(self.title, member.name) is None
-        ] or view.members
+        members = view.members
+        # Read per connect, not cached: place_replica can add a prefix
+        # copy mid-run.
+        prefixed = self.server.catalog.prefixed_replicas(self.title)
+        if prefixed:
+            members = [
+                member for member in members if member.name not in prefixed
+            ] or members
         # Never inside a settle window: row admissions only come from
         # connects, and the queue holds those back while one is open.
         chosen = ledger[client] = choose_owner(client, ledger, members)
@@ -328,9 +330,9 @@ class MovieReplica:
         record = self.server.sessions[client].record()
         self.server.end_session(client, departed=True)
         self.assignment.pop(client, None)
-        self.ensure_cohort().add_row(
-            client, record.offset, record.epoch, takeover=False
-        )
+        cohort = self.ensure_cohort()
+        cohort.assignment[client] = self.process
+        cohort.add_row(client, record.offset, record.epoch, takeover=False)
         self.sync()
         return record
 

@@ -173,7 +173,19 @@ def least_loaded(
     members: Sequence[ProcessId], load_of: Callable[[ProcessId], int]
 ) -> ProcessId:
     """The member carrying the fewest clients, ties to the lowest id."""
-    return min(members, key=lambda member: (load_of(member), member))
+    best = None
+    best_load = 0
+    for member in members:
+        load = load_of(member)
+        if (
+            best is None
+            or load < best_load
+            or (load == best_load and member < best)
+        ):
+            best, best_load = member, load
+    if best is None:
+        raise ValueError("least_loaded() of no members")
+    return best
 
 
 def choose_owner(

@@ -596,10 +596,12 @@ class CohortSession:
     # ------------------------------------------------------------------
     def add_row(self, client: ProcessId, offset: int, epoch: int,
                 takeover: bool) -> None:
+        """Start serving ``client`` as a row.  The caller has entered
+        this server as its owner in ``assignment`` (admission and
+        re-distribution do, as the step that decided it)."""
         base = max(1, min(offset, len(self.movie) + 1))
         self.rows[client] = (base, self.sim.now, epoch)
         self._row_indices.add(self.pool.row_of(client))
-        self.assignment[client] = self.server.process
         if base <= len(self.movie):
             finish_at = self.sim.now + (len(self.movie) + 1 - base) * self.delta
             heappush(self._finish_heap, (finish_at, client))
@@ -647,16 +649,24 @@ class CohortSession:
         # last row left (finished, promoted, or shed) — suppressing it
         # would freeze their view of our share of the assignment.
         now = self.sim.now
-        indexed = sorted(
-            (self.pool.row_of(client), client) for client in self.rows
-        )
+        rows = self.rows
+        indices = sorted(map(self.pool.row_of, rows))
+        client_of = self.pool.client_of
+        # position_of for every row in one pass: the same float
+        # operations in the same order, without a call per row.
+        delta = self.delta
+        limit = len(self.movie) + 1
+        offsets = []
+        for index in indices:
+            base, anchor, _ = rows[client_of(index)]
+            ticks = int((now - anchor) / delta + 1e-9)
+            position = base + ticks if ticks > 0 else base
+            offsets.append(position if position < limit else limit)
         return CohortSync(
             server=self.server.process,
             movie=self.movie.title,
-            rows=tuple(index for index, _ in indexed),
-            offsets=tuple(
-                self.position_of(client, now) for _, client in indexed
-            ),
+            rows=tuple(indices),
+            offsets=tuple(offsets),
             rate_fps=self.rate_fps,
             at=now,
         )

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import GroupError
 from repro.gcs import GcsDomain, GroupListener
+from repro.gcs.endpoint import SEEN_CAP
+from repro.gcs.messages import OpenGroupSend, PointToPoint
 from repro.gcs.view import ProcessId
 from repro.net.topologies import build_lan
 from repro.sim.core import Simulator
@@ -224,3 +226,71 @@ def test_a_restarted_daemons_requests_are_not_taken_for_its_predecessors(rig):
     # The incarnation rides inside the id, which stays within the 8 bytes
     # OpenGroupSend / PointToPoint.wire_bytes() charge for it.
     assert 0 < second_id < 2 ** 64
+
+
+def _open_send(sender_daemon, request_id, payload, name="client"):
+    return OpenGroupSend("g", ProcessId(sender_daemon, name), payload, 64, request_id)
+
+
+def _receiver(rig):
+    _sim, _topo, _domain, endpoints = rig
+    got = []
+    receiver = endpoints[1]
+    receiver.join("g", "server", GroupListener())
+    receiver.register_open_group_handler("g", lambda s, p: got.append(p))
+    rig[0].run_until(1.0)
+    return receiver, got
+
+
+def test_open_sends_are_deduplicated_per_sending_daemon(rig):
+    """Request ids are per daemon: a repeat from the same daemon is a
+    duplicate whichever process name sent it, the same id minted by
+    another daemon (or by the same node's next incarnation) is not."""
+    receiver, got = _receiver(rig)
+    a, b = rig[3][0].daemon_id, rig[3][2].daemon_id
+    receiver._deliver_open_send(_open_send(a, 1, "a1"), a)
+    receiver._deliver_open_send(_open_send(a, 1, "a1 again"), a)
+    receiver._deliver_open_send(_open_send(a, 1, "a1 renamed", name="other"), a)
+    receiver._deliver_open_send(_open_send(b, 1, "b1"), b)
+    receiver._deliver_open_send(_open_send(a, (1 << 32) + 1, "a1 reborn"), a)
+    receiver._deliver_open_send(_open_send(a, 2, "a2"), a)
+    assert got == ["a1", "b1", "a1 reborn", "a2"]
+
+
+def test_a_duplicate_straddling_the_open_send_cap_is_still_suppressed(rig):
+    """At the cap the receiver used to forget *every* id, so a fault-plan
+    duplicate (``duplicate_delay_s``) of the send that crossed it was
+    delivered twice.  Now the older half folds into a low-water mark."""
+    receiver, got = _receiver(rig)
+    a, b = rig[3][0].daemon_id, rig[3][2].daemon_id
+    receiver._deliver_open_send(_open_send(b, 7, "b7"), b)
+    for request_id in range(1, SEEN_CAP + 2):
+        receiver._deliver_open_send(_open_send(a, request_id, request_id), a)
+    assert len(got) == SEEN_CAP + 2
+    for late in (SEEN_CAP + 1, SEEN_CAP, SEEN_CAP // 2 + 2, SEEN_CAP // 2, 1):
+        receiver._deliver_open_send(_open_send(a, late, "duplicate"), a)
+    receiver._deliver_open_send(_open_send(b, 7, "duplicate"), b)
+    assert len(got) == SEEN_CAP + 2
+    assert len(receiver._open_seen[a]) <= SEEN_CAP // 2 + 1
+    # New ids keep flowing, from this incarnation and the next.
+    receiver._deliver_open_send(_open_send(a, SEEN_CAP + 2, "next"), a)
+    receiver._deliver_open_send(_open_send(a, (1 << 32) + 1, "reborn"), a)
+    assert got[-2:] == ["next", "reborn"]
+
+
+def test_a_duplicate_straddling_the_p2p_cap_is_still_suppressed(rig):
+    """Reliable p2p: past the cap the oldest half (by arrival) goes, not
+    everything, so a retransmission of a recent message stays one."""
+    _sim, _topo, _domain, endpoints = rig
+    receiver, sender = endpoints[1], ProcessId(endpoints[0].daemon_id, "client")
+    target = ProcessId(receiver.daemon_id, "server")
+    got = []
+    receiver.register_p2p_handler("server", lambda s, p: got.append(p))
+    receiver.send_to_daemon = lambda daemon, message: None  # acks: not under test
+    for seq in range(1, SEEN_CAP + 2):
+        receiver._on_p2p(PointToPoint(sender, target, seq, seq, 64), sender.node)
+    assert len(got) == SEEN_CAP + 1
+    for late in (SEEN_CAP + 1, SEEN_CAP, SEEN_CAP // 2 + 2):
+        receiver._on_p2p(PointToPoint(sender, target, late, "duplicate", 64), sender.node)
+    assert len(got) == SEEN_CAP + 1
+    assert len(receiver._p2p_seen) <= SEEN_CAP // 2 + 1

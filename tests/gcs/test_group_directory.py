@@ -269,7 +269,7 @@ def test_a_non_member_daemon_no_longer_sees_the_send():
     sim.run_until(1.1)
     assert got == ["hello"]
     assert sender.control_packets_sent == 1
-    assert outsider._open_seen == set()
+    assert not outsider._open_seen
     assert sender.daemon_id not in outsider._last_heard
     assert not outsider.heard_within(sender.daemon_id, 1.0)
     assert sender.daemon_id in member._last_heard

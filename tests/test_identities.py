@@ -1,12 +1,11 @@
-"""The two hash-once identity types: ``ProcessId`` and ``Endpoint``.
+"""The two identity types: ``ProcessId`` and ``Endpoint``.
 
-Both cache their hash at construction.  The cache must be invisible —
-same hash value, equality, ordering, ``repr`` and ``replace`` as the
-plain frozen dataclass — and must not travel between interpreters.
+Both are named tuples: hash, equality and ordering are the bare pair's,
+computed in C (no Python frame per dict probe or comparison), and
+nothing but the two fields travels between interpreters.
 """
 
 import copy
-import dataclasses
 import json
 import os
 import pickle
@@ -29,27 +28,73 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("cls,fields,larger,shown,text,change", CASES)
-def test_cached_hash_is_invisible(cls, fields, larger, shown, text, change):
+@pytest.mark.parametrize(
+    "cls,fields,larger,shown,text,change", CASES, ids=["ProcessId", "Endpoint"]
+)
+def test_an_identity_is_its_pair(cls, fields, larger, shown, text, change):
     identity = cls(*fields)
-    # Exactly the generated __hash__, so set/dict iteration order of
-    # every run is what it was before the cache existed.
+    # The pair's own hash, so set/dict iteration order of every run is
+    # what it was when the types were dataclasses hashing their fields.
     assert hash(identity) == hash(fields)
+    assert identity == fields and tuple(identity) == fields
     assert identity == cls(*fields) and identity != cls(*larger)
     assert identity < cls(*larger) and not cls(*larger) < identity
     assert sorted([cls(*larger), identity]) == [identity, cls(*larger)]
     assert repr(identity) == shown and str(identity) == text
-    replaced = dataclasses.replace(identity, **change)
+    assert f"{identity}" == text
+    replaced = identity._replace(**change)
     assert replaced == cls(fields[0], *change.values())
     assert hash(replaced) == hash((fields[0], *change.values()))
-    assert copy.deepcopy(identity) == identity
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert type(replaced) is cls and type(copy.deepcopy(identity)) is cls
+    with pytest.raises(AttributeError):
         identity.node = 9
+    with pytest.raises(AttributeError):
+        identity.extra = 9  # no instance dict either
+    assert type(pickle.loads(pickle.dumps(identity))) is cls
+
+
+def _python_frames(work):
+    """Python-level calls made while ``work()`` runs (its own excluded)."""
+    frames = []
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return [name for name in frames if name != work.__name__]
+
+
+@pytest.mark.parametrize(
+    "cls,fields,larger", [case[:3] for case in CASES], ids=["ProcessId", "Endpoint"]
+)
+def test_probing_and_sorting_identities_runs_no_python(cls, fields, larger):
+    many = [cls(node, fields[1]) for node in range(50, 0, -1)]
+    table = dict.fromkeys(many, 0)
+    members = set(many)
+    small, large = cls(*fields), cls(*larger)  # construction is one frame
+    out = []
+
+    def work():
+        for identity in many:
+            table[identity] += 1
+            out.append(identity in members)
+        out.append(sorted(many))
+        out.append(min(many))
+        out.append(small < large)
+        out.append({small} & {small, large})
+
+    assert _python_frames(work) == []
+    assert out[50] == many[::-1] and out[51] == many[-1] and out[52] is True
 
 
 def test_identities_unpickled_under_another_hash_seed_find_themselves():
     """``str`` hashes differ per interpreter (spawned shard workers):
-    the cached hash must be recomputed on unpickle, not carried over."""
+    an identity carries only its fields through pickle, never a hash."""
     identities = [ProcessId(3, "server0"), Endpoint(3, 7000)]
     child = (
         "import json, pickle, sys\n"
@@ -58,6 +103,7 @@ def test_identities_unpickled_under_another_hash_seed_find_themselves():
         "built_here = {ProcessId(3, 'server0'): 'p', Endpoint(3, 7000): 'e'}\n"
         "got = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
         "print(json.dumps({'found': [built_here.get(i) for i in got],\n"
+        "    'types': [type(i).__name__ for i in got],\n"
         "    'hash_ok': hash(got[0]) == hash((3, 'server0')),\n"
         "    'str_hash': hash('server0')}))\n"
     )
@@ -72,6 +118,7 @@ def test_identities_unpickled_under_another_hash_seed_find_themselves():
     )
     report = json.loads(done.stdout)
     assert report["found"] == ["p", "e"] and report["hash_ok"]
+    assert report["types"] == ["ProcessId", "Endpoint"]
     # The child really hashed strings differently from this process.
     assert report["str_hash"] != hash("server0")
 
