@@ -233,12 +233,12 @@ def _open_send(sender_daemon, request_id, payload, name="client"):
 
 
 def _receiver(rig):
-    _sim, _topo, _domain, endpoints = rig
+    sim, _topo, _domain, endpoints = rig
     got = []
     receiver = endpoints[1]
     receiver.join("g", "server", GroupListener())
     receiver.register_open_group_handler("g", lambda s, p: got.append(p))
-    rig[0].run_until(1.0)
+    sim.run_until(1.0)
     return receiver, got
 
 

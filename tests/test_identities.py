@@ -61,11 +61,12 @@ def _python_frames(work):
         if event == "call":
             frames.append(frame.f_code.co_name)
 
+    previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
         work()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     return [name for name in frames if name != work.__name__]
 
 
