@@ -26,10 +26,8 @@ paper-figure reproductions.
 """
 
 from repro.client.player import ClientConfig, ClientStats, VoDClient
-from repro.gcs.causal import CausalGroup
 from repro.gcs.domain import GcsDomain
 from repro.gcs.endpoint import GcsEndpoint, GroupHandle, GroupListener
-from repro.gcs.total_order import TotalOrderGroup
 from repro.gcs.view import ProcessId, View
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
@@ -44,7 +42,6 @@ from repro.telemetry import Span, Telemetry, probe
 __version__ = "1.0.0"
 
 __all__ = [
-    "CausalGroup",
     "ClientConfig",
     "ClientStats",
     "Deployment",
@@ -62,7 +59,6 @@ __all__ = [
     "Span",
     "Telemetry",
     "Topology",
-    "TotalOrderGroup",
     "View",
     "VoDClient",
     "VoDServer",

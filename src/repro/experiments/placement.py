@@ -37,12 +37,12 @@ CI regression-checks the emitted benchmark JSON against
 from __future__ import annotations
 
 import json
-import os
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.api import ExperimentResult, ExperimentSpec
+from repro.experiments.api import ExperimentResult, ExperimentSpec, labelled_path
 from repro.faulting.invariants import InvariantChecker
 from repro.net.topologies import build_lan
 from repro.placement import (
@@ -326,27 +326,19 @@ def run_strategy(
             lambda c=client, t=hot_title: c.request_movie(t),
         )
 
-    error: Optional[BaseException] = None
-    try:
+    # The exporter as context manager writes the summary trailer
+    # (``crashed`` / ``error``) even if the run raises.
+    with exporter if exporter is not None else nullcontext():
         sim.run_until(duration_s)
-    except BaseException as exc:  # pragma: no cover - diagnostics path
-        error = exc
-        raise
-    finally:
         checker.stop()
         scorecards = qoe_collector.finish(sim.now)
         placement_sub.close()
         if exporter is not None:
-            summary = dict(
+            exporter.close(
                 strategy=strategy,
                 violations=len(checker.violations),
                 migrations_completed=len(rebalancer.completed),
             )
-            if error is not None:
-                summary.update(
-                    crashed=True, error=f"{type(error).__name__}: {error}"
-                )
-            exporter.close(**summary)
 
     scores = [card.score() for card in scorecards.values()]
     stall_events = sum(
@@ -390,8 +382,7 @@ def compare_strategies(
     for strategy in strategies:
         per_strategy_path = None
         if telemetry_path is not None:
-            root, ext = os.path.splitext(telemetry_path)
-            per_strategy_path = f"{root}-{strategy}{ext or '.jsonl'}"
+            per_strategy_path = labelled_path(telemetry_path, strategy, ".jsonl")
         comparison.outcomes.append(
             run_strategy(
                 strategy,

@@ -13,12 +13,18 @@ Regenerates any table or figure of the paper from the terminal::
     repro-vod ablations
     repro-vod all
 
-Every experiment dispatches through the unified
-:func:`repro.experiments.api.run` entry point; the CLI only translates
-flags into an :class:`~repro.experiments.api.ExperimentSpec`.
+An experiment is declared once, as its
+:data:`repro.experiments.api.REGISTRY` entry: :func:`build_parser`
+generates its subcommand (help line, flags) from that entry, the CLI
+only translates the parsed flags into an
+:class:`~repro.experiments.api.ExperimentSpec`, and
+:func:`repro.experiments.api.run` dispatches it.  The six tools (``all``,
+``profile``, ``trace``, ``report``, ``watch``, ``gate``) are the only
+hand-written parsers.
 
-Scenario experiments (figure4, figure5, chaos) also stream a telemetry
-JSONL artifact by default (``artifacts/<name>-telemetry.jsonl``;
+Experiments declared ``telemetry=True`` there (figure4, figure5, chaos,
+scale, placement, postmortem) also stream a telemetry JSONL artifact by
+default (``artifacts/<name>-telemetry.jsonl``;
 ``--no-telemetry`` turns it off, ``--telemetry PATH`` redirects it).
 Two extra subcommands work with those artifacts directly::
 
@@ -45,63 +51,34 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.experiments.api import REGISTRY, ExperimentSpec, run
+from repro.experiments.api import REGISTRY, ExperimentSpec, labelled_path, run
 
-#: Experiments that execute a scenario and therefore export telemetry
-#: artifacts by default.
-TELEMETRY_EXPERIMENTS = (
-    "figure4", "figure5", "chaos", "scale", "placement", "postmortem",
-)
-
-#: Order in which ``repro-vod all`` runs (excludes the slow chaos/
-#: capacity/gcs sweeps, mirroring the historical behaviour).
-ALL_SEQUENCE = (
-    "figure2",
-    "figure4",
-    "figure5",
-    "sync-overhead",
-    "emergency",
-    "takeover",
-    "qos",
-    "faults",
-    "ablations",
-)
-
-
-def _default_telemetry_path(name: str) -> str:
-    return os.path.join("artifacts", f"{name}-telemetry.jsonl")
+#: Parsed attributes that are not experiment params: the subcommand and
+#: the common flags :class:`ExperimentSpec` has fields of its own for.
+_NOT_PARAMS = ("experiment", "seed", "telemetry", "no_telemetry")
 
 
 def _telemetry_path_for(name: str, args: argparse.Namespace) -> Optional[str]:
-    if name not in TELEMETRY_EXPERIMENTS or args.no_telemetry:
+    if not REGISTRY[name].telemetry or args.no_telemetry:
         return None
-    path = args.telemetry or _default_telemetry_path(name)
+    path = args.telemetry or os.path.join("artifacts", f"{name}-telemetry.jsonl")
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     return path
 
 
-#: Flags forwarded under their own name as experiment params when given.
-PARAM_FLAGS = (
-    "json", "clients", "trials", "plans", "sizes", "flyweight_sizes",
-    "sharded_sizes", "shards", "workers", "wall_budget", "duration", "window",
-    "benchmark_json", "strategies", "titles", "flash", "preset", "scenario",
-    "export", "since", "until", "max_rows",
-)
-
-
 def _spec_from_args(name: str, args: argparse.Namespace) -> ExperimentSpec:
+    # A subcommand's namespace holds the common flags and its own
+    # (``Experiment.flags``), each forwarded under its dest when given.
     params = {
-        flag: getattr(args, flag)
-        for flag in PARAM_FLAGS
-        if getattr(args, flag, None) is not None
+        dest: value
+        for dest, value in vars(args).items()
+        if dest not in _NOT_PARAMS and value is not None and value is not False
     }
-    if getattr(args, "shard_inline", False):
-        params["shard_inline"] = True
-    if getattr(args, "scale_n", None) is not None:
+    if "scale_n" in params:  # postmortem --scale N
         params["source"] = "scale"
-        params["n"] = args.scale_n
+        params["n"] = params.pop("scale_n")
     return ExperimentSpec(
         name=name,
         seed=args.seed,
@@ -119,10 +96,16 @@ def _run_experiment(name: str, args: argparse.Namespace) -> None:
 
 
 def _run_all(args: argparse.Namespace) -> None:
-    for index, name in enumerate(ALL_SEQUENCE):
+    names = [name for name, entry in REGISTRY.items() if entry.in_all]
+    for index, name in enumerate(names):
         if index:
             print("\n" + "=" * 72 + "\n")
-        _run_experiment(name, args)
+        # One file per experiment from the one path given, or figure5
+        # would write over figure4's.
+        own = argparse.Namespace(**vars(args))
+        own.json = args.json and labelled_path(args.json, name)
+        own.telemetry = args.telemetry and labelled_path(args.telemetry, name)
+        _run_experiment(name, own)
 
 
 def _run_trace(args: argparse.Namespace) -> None:
@@ -305,118 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the default telemetry artifact",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    sub.add_parser("figure2", parents=[common],
-                   help="flow-control policy table")
-    sub.add_parser("figure4", parents=[common],
-                   help="LAN irregularity recovery (4 panels)")
-    sub.add_parser("figure5", parents=[common],
-                   help="WAN skipped frames (2 panels)")
-    p = sub.add_parser("sync-overhead", parents=[common], help="T-sync claim")
-    p.add_argument("--clients", type=int, default=4)
-    sub.add_parser("emergency", parents=[common], help="T-emergency claim")
-    p = sub.add_parser("takeover", parents=[common],
-                       help="T-buffer take-over time")
-    p.add_argument("--trials", type=int, default=5)
-    sub.add_parser("qos", parents=[common],
-                   help="E-qos: best-effort vs reserved WAN")
-    sub.add_parser("capacity", parents=[common],
-                   help="E-capacity: clients per server")
-    sub.add_parser("gcs", parents=[common],
-                   help="T-gcs: view agreement latency scaling")
-    sub.add_parser("faults", parents=[common], help="T-ft comparison matrix")
-    p = sub.add_parser("chaos", parents=[common],
-                       help="seeded random fault plans vs the invariant "
-                            "checker (--seed sets the base seed)")
-    p.add_argument("--plans", type=int, default=20)
-    sub.add_parser("ablations", parents=[common],
-                   help="A-1..A-5 parameter sweeps")
-    p = sub.add_parser(
-        "scale", parents=[common],
-        help="data-plane fast path: events/s, wall time and failover "
-             "latency at N=100/1k/5k viewers with a mid-run crash",
-    )
-    p.add_argument(
-        "--sizes", type=lambda s: tuple(int(x) for x in s.split(",")),
-        default=None, help="comma-separated client populations "
-                           "(default 100,1000,5000)",
-    )
-    p.add_argument(
-        "--flyweight-sizes", dest="flyweight_sizes",
-        type=lambda s: tuple(int(x) for x in s.split(",")),
-        default=None, help="extra populations run in flyweight mode "
-                           "(columnar viewers; e.g. 20000,100000)",
-    )
-    p.add_argument(
-        "--sharded-sizes", dest="sharded_sizes",
-        type=lambda s: tuple(int(x) for x in s.split(",")),
-        default=None, help="extra populations run shared-nothing across "
-                           "worker processes (e.g. 1000000)",
-    )
-    p.add_argument("--shards", type=int, default=None,
-                   help="shard count for --sharded-sizes points "
-                        "(default 4)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process-pool cap for sharded points "
-                        "(default: one per core)")
-    p.add_argument("--shard-inline", dest="shard_inline",
-                   action="store_true",
-                   help="run shards sequentially in-process "
-                        "(determinism checks; no parallelism)")
-    p.add_argument("--wall-budget", dest="wall_budget", type=float,
-                   default=None,
-                   help="abort a point once it exceeds this many wall "
-                        "seconds (the 100k barrier gate)")
-    p.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds per point (default 12)")
-    p.add_argument("--window", type=float, default=None,
-                   help="batch window in seconds (default 1.0)")
-    p.add_argument("--benchmark-json", type=str, default=None,
-                   dest="benchmark_json",
-                   help="write the sweep's measurements (events/s, wall "
-                        "time, failover latencies) to this JSON file")
-    p = sub.add_parser(
-        "placement", parents=[common],
-        help="content placement strategies under live migrations, a "
-             "correlated rack crash and a flash crowd",
-    )
-    p.add_argument(
-        "--strategies", type=str, default=None,
-        help="comma-separated strategy names "
-             "(default static,popularity,markov,prefix)",
-    )
-    p.add_argument("--titles", type=int, default=None,
-                   help="catalog size (default 24)")
-    p.add_argument("--clients", type=int, default=None,
-                   help="steady-state viewers (default 18)")
-    p.add_argument("--flash", type=int, default=None,
-                   help="flash-crowd viewers on the rank-1 title "
-                        "(default 6)")
-    p.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds per strategy (default 52)")
-    p.add_argument("--benchmark-json", type=str, default=None,
-                   dest="benchmark_json",
-                   help="write per-strategy measurements (availability, "
-                        "storage, QoE, violations) to this JSON file")
-    p = sub.add_parser(
-        "matrix", parents=[common],
-        help="scenario-matrix SLO sweep: topology x workload x faults "
-             "cells with per-cell QoE/SLO verdicts, plus the admission "
-             "reject-vs-degrade faceoff",
-    )
-    p.add_argument(
-        "--preset", choices=("full", "gate"), default=None,
-        help="cell selection: full (24 cells) or gate (the 12-cell CI "
-             "sub-matrix; default full)",
-    )
-    p.add_argument("--benchmark-json", type=str, default=None,
-                   dest="benchmark_json",
-                   help="write the per-cell verdicts and the faceoff to "
-                        "this JSON file (scenario-matrix CI gate input)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="run the cells across this many spawned worker "
-                        "processes (verdicts identical to the serial "
-                        "sweep; default serial)")
+    for name, entry in REGISTRY.items():
+        if entry.help is None:
+            continue  # a registry-only alias
+        p = sub.add_parser(name, parents=[common], help=entry.help)
+        for flag, kwargs in entry.flags:
+            p.add_argument(flag, **kwargs)
     sub.add_parser("all", parents=[common], help="everything")
 
     p = sub.add_parser(
@@ -475,40 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only consider events at/before this sim second")
 
     p = sub.add_parser(
-        "postmortem", parents=[common],
-        help="flight-recorder incident reports: what triggered, the "
-             "causal chain, the exact takeover decomposition and the "
-             "QoE impact",
-    )
-    p.add_argument("--scenario", choices=("lan", "wan"), default=None,
-                   help="run this reference scenario live with the "
-                        "recorder attached (default lan)")
-    p.add_argument("--duration", type=float, default=None,
-                   help="override the run duration (simulated seconds)")
-    p.add_argument("--scale", dest="scale_n", type=int, default=None,
-                   help="instead run the flyweight chaos rig at this "
-                        "population (mid-run crash of the most-loaded "
-                        "server)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="with --scale: run shared-nothing across this "
-                        "many shards and merge their incidents")
-    p.add_argument("--shard-inline", dest="shard_inline",
-                   action="store_true",
-                   help="with --shards: run the shards sequentially "
-                        "in-process")
-    p.add_argument("--from-export", dest="export", type=str, default=None,
-                   help="replay a recorded telemetry JSONL/.jsonl.gz "
-                        "artifact instead of running anything")
-    p.add_argument("--since", type=float, default=None,
-                   help="with --from-export: replay window start "
-                        "(sim seconds)")
-    p.add_argument("--until", type=float, default=None,
-                   help="with --from-export: replay window end "
-                        "(sim seconds)")
-    p.add_argument("--max-rows", dest="max_rows", type=int, default=None,
-                   help="table rows per incident section (default 40)")
-
-    p = sub.add_parser(
         "watch", parents=[common],
         help="run a scenario with the live dashboard: clients, buffer "
              "distribution, active spans and SLO state per time slice",
@@ -559,7 +402,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif name == "profile":
         return _run_profile(args)
     else:
-        assert name in REGISTRY, f"subcommand {name!r} missing from registry"
         _run_experiment(name, args)
     return 0
 

@@ -39,10 +39,12 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.client.player import VoDClient
+from repro.errors import ServiceError
 from repro.experiments.api import ExperimentResult, ExperimentSpec
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
@@ -306,7 +308,7 @@ def build_scale_rig(
     the pool in the clients slot; servers always run mux in this mode
     (a promoted row needs it)."""
     if mode not in ("full", "flyweight"):
-        raise ValueError(f"unknown scale-rig mode {mode!r}")
+        raise ServiceError(f"unknown scale-rig mode {mode!r}")
     flyweight = mode == "flyweight"
     sim = Simulator(seed=seed)
     n_edges = max(1, -(-n_clients // clients_per_edge))
@@ -441,59 +443,61 @@ def run_scale_point(
     # The sim heap is cycle-free (profiling found 859 collector passes
     # freeing zero objects over a 20k-viewer run), so automatic cyclic
     # GC only adds wall time — ~33% at N=20k.  Pause it for the
-    # measured section.
-    started = time.perf_counter()
-    with paused_gc():
-        if wall_budget_s is None:
-            events = sim.run_until(duration_s)
-        else:
-            events = 0
-            while sim.now < duration_s:
-                events += sim.run_until(min(sim.now + 1.0, duration_s))
-                if time.perf_counter() - started > wall_budget_s:
-                    break
-    wall = time.perf_counter() - started
-    if checker is not None:
-        checker.stop()
+    # measured section.  The exporter as context manager writes the
+    # summary trailer (``crashed`` / ``error``) even if the run raises.
+    with exporter if exporter is not None else nullcontext():
+        started = time.perf_counter()
+        with paused_gc():
+            if wall_budget_s is None:
+                events = sim.run_until(duration_s)
+            else:
+                events = 0
+                while sim.now < duration_s:
+                    events += sim.run_until(min(sim.now + 1.0, duration_s))
+                    if time.perf_counter() - started > wall_budget_s:
+                        break
+        wall = time.perf_counter() - started
+        if checker is not None:
+            checker.stop()
 
-    if flyweight:
-        frames = viewers.frames_served()
-    else:
-        frames = sum(client.stats.received for client in viewers)
-    point = ScalePoint(
-        n_clients=n_clients,
-        batch_window_s=batch_window_s,
-        duration_s=duration_s,
-        events=events,
-        wall_s=wall,
-        frames_delivered=frames,
-        failover_latencies=list(observer.latencies),
-        takeovers=len(observer.latencies),
-        flyweight=flyweight,
-        violations=len(checker.violations) if checker is not None else 0,
-    )
-    abandoned_spans = None
-    if recorder is not None:
-        # Abandoned takeover spans are incident triggers, so sweep open
-        # spans before closing the recorder; the exporter (if any) then
-        # finds none itself, so hand it the list explicitly.
-        abandoned_spans = sim.telemetry.abandon_open_spans(
-            reason="export-close"
-        )
-        point.incidents = [i.as_dict() for i in recorder.finish(sim.now)]
-        point.flight = recorder.metering()
-    if exporter is not None:
-        summary = dict(
+        if flyweight:
+            frames = viewers.frames_served()
+        else:
+            frames = sum(client.stats.received for client in viewers)
+        point = ScalePoint(
+            n_clients=n_clients,
+            batch_window_s=batch_window_s,
+            duration_s=duration_s,
+            events=events,
+            wall_s=wall,
             frames_delivered=frames,
-            takeovers=point.takeovers,
-            max_failover_s=point.max_failover_s,
+            failover_latencies=list(observer.latencies),
+            takeovers=len(observer.latencies),
+            flyweight=flyweight,
+            violations=len(checker.violations) if checker is not None else 0,
         )
-        if abandoned_spans is not None:
-            summary["open_spans"] = [
-                {"span": s.kind, "key": s.key, "start": s.start}
-                for s in abandoned_spans
-            ]
-        exporter.close(**summary)
+        abandoned_spans = None
+        if recorder is not None:
+            # Abandoned takeover spans are incident triggers, so sweep open
+            # spans before closing the recorder; the exporter (if any) then
+            # finds none itself, so hand it the list explicitly.
+            abandoned_spans = sim.telemetry.abandon_open_spans(
+                reason="export-close"
+            )
+            point.incidents = [i.as_dict() for i in recorder.finish(sim.now)]
+            point.flight = recorder.metering()
+        if exporter is not None:
+            summary = dict(
+                frames_delivered=frames,
+                takeovers=point.takeovers,
+                max_failover_s=point.max_failover_s,
+            )
+            if abandoned_spans is not None:
+                summary["open_spans"] = [
+                    {"span": s.kind, "key": s.key, "start": s.start}
+                    for s in abandoned_spans
+                ]
+            exporter.close(**summary)
     return point
 
 

@@ -325,7 +325,7 @@ def build_topology(spec: ScenarioSpec, sim: Simulator) -> Topology:
             n_core_hosts=spec.n_initial_servers + 2,
             n_edge_hosts=spec.n_client_hosts,
         )
-    raise ValueError(f"unknown network kind {spec.network!r}")
+    raise ServiceError(f"unknown network kind {spec.network!r}")
 
 
 def plan_for_spec(spec: ScenarioSpec) -> FaultPlan:
@@ -349,7 +349,7 @@ def plan_for_spec(spec: ScenarioSpec) -> FaultPlan:
             plan = plan.server_up(at, host=next_server_slot)
             next_server_slot += 1
         else:
-            raise ValueError(f"unknown scenario action {action!r}")
+            raise ServiceError(f"unknown scenario action {action!r}")
     return plan
 
 

@@ -331,26 +331,8 @@ class FaultPlan:
         return len(self.actions)
 
     # ------------------------------------------------------------------
-    # Canned and random plans
+    # Random plans
     # ------------------------------------------------------------------
-    @classmethod
-    def from_schedule(
-        cls,
-        schedule: Sequence[Tuple[float, str]],
-        name: str = "schedule",
-    ) -> "FaultPlan":
-        """Build a plan from the legacy ``(time, action)`` tuples used by
-        the experiment scenarios ("crash-serving" / "server-up")."""
-        plan = cls(name=name)
-        for at, action in schedule:
-            if action == "crash-serving":
-                plan = plan.crash_serving(at)
-            elif action == "server-up":
-                plan = plan.server_up(at)
-            else:
-                raise FaultError(f"unknown schedule action {action!r}")
-        return plan
-
     @classmethod
     def random(
         cls,

@@ -19,19 +19,15 @@ over unreliable datagrams; loss is masked by NACK-driven retransmission
 and positive-ack stability tracking.
 """
 
-from repro.gcs.causal import CausalGroup
 from repro.gcs.domain import GcsDomain
 from repro.gcs.endpoint import GcsEndpoint, GroupHandle, GroupListener
-from repro.gcs.total_order import TotalOrderGroup
 from repro.gcs.view import ProcessId, View
 
 __all__ = [
-    "CausalGroup",
     "GcsDomain",
     "GcsEndpoint",
     "GroupHandle",
     "GroupListener",
     "ProcessId",
-    "TotalOrderGroup",
     "View",
 ]

@@ -8,23 +8,13 @@ shared links and the server group — to partition a run across
 ``multiprocessing`` workers, one shard per core, spawn-safe by
 construction.
 
-Two modes:
-
-* **shared-nothing** (:func:`repro.shard.runner.run_shards`):
-  independent head-ends, one per worker, each with a deterministic
-  per-shard seed (``crc32(f"{seed}:{shard_id}")``, mirroring the
-  scenario-matrix cell convention) and merged telemetry — QoE
-  scorecards, SLO verdicts and metric snapshots fold together
-  order-independently (:mod:`repro.shard.merge`).  This is what lets
-  the scale rig publish million-viewer numbers.
-* **windowed** (:func:`repro.shard.sync.run_windowed`): conservative
-  time-windowed synchronization — every shard advances exactly one
-  lookahead window (= the minimum link latency of the shared boundary)
-  then barriers on a merged boundary digest before the next.  The
-  barrier makes the run bit-deterministic given seed + shard map
-  regardless of OS scheduling, and window boundaries provably do not
-  perturb any shard (chunked ``run_until`` is event-for-event identical
-  to a straight run).
+One mode, **shared-nothing** (:func:`repro.shard.runner.run_shards`):
+independent head-ends, one per worker, each with a deterministic
+per-shard seed (``crc32(f"{seed}:{shard_id}")``, mirroring the
+scenario-matrix cell convention) and merged telemetry — QoE scorecards,
+SLO verdicts and metric snapshots fold together order-independently
+(:mod:`repro.shard.merge`).  This is what lets the scale rig publish
+million-viewer numbers.
 
 The same worker pool powers the scenario matrix
 (:func:`repro.experiments.matrix.run_matrix` with ``workers=N``) so
@@ -40,7 +30,6 @@ from repro.shard.merge import (
 )
 from repro.shard.plan import ShardPlan, ShardTask, shard_seed
 from repro.shard.runner import ShardError, map_tasks, run_shards
-from repro.shard.sync import run_windowed
 
 __all__ = [
     "ScoreHistogram",
@@ -52,7 +41,6 @@ __all__ = [
     "merge_scorecards",
     "merge_slo_windows",
     "run_shards",
-    "run_windowed",
     "shard_seed",
     "slo_summary_from_windows",
 ]

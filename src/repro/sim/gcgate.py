@@ -17,8 +17,8 @@ run did leave cyclic is reclaimed before the process moves on.  Nesting
 is safe (the previous enabled-state is restored, not assumed), and a
 run that raises still restores the collector.
 
-Shard workers (:mod:`repro.shard.worker`) and the scale experiment's
-measurement points run inside this gate; long-lived interactive
+The scale experiment's measurement points (its shard workers run the
+same function) run inside this gate; long-lived interactive
 processes should not, which is why it is opt-in rather than wired into
 ``Simulator``.
 """

@@ -41,8 +41,7 @@ def test_run_figure2_renders_blocks():
 
 
 def test_default_params_are_merged_and_overridable():
-    module, defaults = REGISTRY["sync-overhead"]
-    assert defaults == {"measure": "sync"}
+    assert REGISTRY["sync-overhead"].defaults == {"measure": "sync"}
     result = run(ExperimentSpec(name="sync-overhead", params={"clients": 2}))
     # The dispatched spec carried both the registry default and the
     # caller's override.

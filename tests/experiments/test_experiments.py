@@ -9,12 +9,17 @@ import dataclasses
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.experiments.figure2 import generate_policy_rows, render_figure2
+from repro.experiments.scale import build_scale_rig
 from repro.experiments.scenarios import (
     LAN_SCENARIO,
     WAN_SCENARIO,
+    build_topology,
+    plan_for_spec,
     run_scenario,
 )
+from repro.sim.core import Simulator
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +91,29 @@ class TestScenarioHarness:
         spec = dataclasses.replace(
             LAN_SCENARIO, run_duration_s=5.0, schedule=((1.0, "explode"),)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ServiceError):
             run_scenario(spec)
+
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            (lambda: build_topology(
+                dataclasses.replace(LAN_SCENARIO, network="token-ring"),
+                Simulator(seed=1),
+            ), "unknown network kind 'token-ring'"),
+            (lambda: plan_for_spec(
+                dataclasses.replace(LAN_SCENARIO, schedule=((1.0, "explode"),))
+            ), "unknown scenario action 'explode'"),
+            (lambda: build_scale_rig(4, 1.0, mode="hologram"),
+             "unknown scale-rig mode 'hologram'"),
+        ],
+        ids=["network", "schedule-action", "rig-mode"],
+    )
+    def test_bad_spec_fails_with_a_typed_error(self, build, match):
+        """A bad spec is a :class:`ServiceError` (a ``ReproError``), not
+        a bare ``ValueError`` a caller cannot tell from a bug."""
+        with pytest.raises(ServiceError, match=match):
+            build()
 
     def test_wan_spec_runs(self):
         spec = dataclasses.replace(

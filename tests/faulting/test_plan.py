@@ -1,8 +1,11 @@
 """The FaultPlan DSL: construction, validation, seeded generation."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import FaultError
+from repro.errors import FaultError, ServiceError
+from repro.experiments.scenarios import LAN_SCENARIO, plan_for_spec
 from repro.faulting.plan import (
     CrashServing,
     FaultPlan,
@@ -85,17 +88,24 @@ class TestValidation:
 
 
 class TestFromSchedule:
-    def test_legacy_tuples_translate(self):
-        plan = FaultPlan.from_schedule(
-            ((38.0, "crash-serving"), (62.0, "server-up"))
+    """The legacy ``(time, action)`` tuples, through their one
+    translation: :func:`repro.experiments.scenarios.plan_for_spec`."""
+
+    @staticmethod
+    def plan(*schedule):
+        return plan_for_spec(
+            dataclasses.replace(LAN_SCENARIO, schedule=schedule)
         )
+
+    def test_legacy_tuples_translate(self):
+        plan = self.plan((38.0, "crash-serving"), (62.0, "server-up"))
         assert len(plan) == 2
         assert isinstance(plan.sorted_actions()[0], CrashServing)
         assert isinstance(plan.sorted_actions()[1], ServerUp)
 
     def test_unknown_action_rejected(self):
-        with pytest.raises(FaultError):
-            FaultPlan.from_schedule(((1.0, "explode"),))
+        with pytest.raises(ServiceError):
+            self.plan((1.0, "explode"))
 
 
 class TestRandomPlans:

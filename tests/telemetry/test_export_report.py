@@ -186,3 +186,64 @@ def test_cli_trace_then_report(tmp_path, capsys):
     report_output = capsys.readouterr().out
     assert "Event counts" in report_output
     assert "Timeline" in report_output
+
+
+def _crash_scenario(path):
+    run_scenario(
+        dataclasses.replace(TAKEOVER_SPEC, run_duration_s=8.0),
+        telemetry_path=path,
+    )
+
+
+def _crash_chaos_trial(path):
+    from repro.faulting.chaos import run_chaos_trial
+
+    run_chaos_trial(seed=1000, duration_s=60.0, telemetry_path=path)
+
+
+def _crash_scale_point(path):
+    from repro.experiments.scale import run_scale_point
+
+    run_scale_point(20, 1.0, duration_s=8.0, telemetry_path=path)
+
+
+def _crash_strategy(path):
+    from repro.experiments.placement import run_strategy
+
+    run_strategy(
+        "static", seed=11, n_titles=6, n_clients=3, n_flash=1,
+        duration_s=8.0, telemetry_path=path,
+    )
+
+
+@pytest.mark.parametrize(
+    "produce",
+    [_crash_scenario, _crash_chaos_trial, _crash_scale_point, _crash_strategy],
+    ids=["run_scenario", "run_chaos_trial", "run_scale_point", "run_strategy"],
+)
+def test_every_producer_leaves_a_trailer_when_the_run_raises(
+    produce, tmp_path, monkeypatch
+):
+    """A crashed experiment still leaves a readable artifact: whichever
+    producer opened the export, its last record is the summary, marked
+    ``crashed`` and naming the exception."""
+    from repro.sim.core import Simulator
+
+    real_run_until = Simulator.run_until
+
+    def run_until_then_raise(self, until, *args, **kwargs):
+        real_run_until(self, min(until, 3.0), *args, **kwargs)
+        raise RuntimeError("kernel fell over at t=3")
+
+    monkeypatch.setattr(Simulator, "run_until", run_until_then_raise)
+    path = str(tmp_path / "crashed.jsonl")
+    with pytest.raises(RuntimeError, match="fell over"):
+        produce(path)
+
+    records = read_jsonl(path)
+    assert records[0]["kind"] == "meta"
+    assert len(records) > 2  # the events before the crash were written
+    summary = records[-1]
+    assert summary["kind"] == "summary"
+    assert summary["crashed"] is True
+    assert summary["error"] == "RuntimeError: kernel fell over at t=3"
