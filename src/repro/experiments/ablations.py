@@ -56,6 +56,7 @@ def _row(parameter: str, value: str, result) -> AblationRow:
 
 def ablate_buffer_size(
     sw_capacities: Sequence[int] = (10, 20, 37, 74),
+    seed: int = LAN_SCENARIO.seed,
 ) -> List[AblationRow]:
     rows = []
     for capacity in sw_capacities:
@@ -64,7 +65,9 @@ def ablate_buffer_size(
             name=f"lan-sw{capacity}",
             client_config=ClientConfig(sw_capacity_frames=capacity),
         )
-        rows.append(_row("sw buffer (frames)", str(capacity), run_scenario(spec)))
+        rows.append(
+            _row("sw buffer (frames)", str(capacity), run_scenario(spec, seed=seed))
+        )
     return rows
 
 
@@ -75,6 +78,7 @@ def ablate_emergency(
         ("paper (q=12/6)", EmergencyConfig()),
         ("aggressive (q=24/12)", EmergencyConfig(base_severe=24, base_mild=12)),
     ),
+    seed: int = LAN_SCENARIO.seed,
 ) -> List[AblationRow]:
     rows = []
     for label, emergency in configs:
@@ -83,12 +87,13 @@ def ablate_emergency(
             name=f"lan-emerg-{label}",
             server_config=ServerConfig(emergency=emergency),
         )
-        rows.append(_row("emergency quota", label, run_scenario(spec)))
+        rows.append(_row("emergency quota", label, run_scenario(spec, seed=seed)))
     return rows
 
 
 def ablate_sync_interval(
     intervals: Sequence[float] = (0.25, 0.5, 1.0, 2.0),
+    seed: int = LAN_SCENARIO.seed,
 ) -> List[AblationRow]:
     rows = []
     for interval in intervals:
@@ -97,12 +102,15 @@ def ablate_sync_interval(
             name=f"lan-sync{interval}",
             server_config=ServerConfig(sync_interval_s=interval),
         )
-        rows.append(_row("sync interval (s)", str(interval), run_scenario(spec)))
+        rows.append(
+            _row("sync interval (s)", str(interval), run_scenario(spec, seed=seed))
+        )
     return rows
 
 
 def ablate_fd_timeout(
     timeouts: Sequence[float] = (0.25, 0.45, 1.0, 2.0),
+    seed: int = LAN_SCENARIO.seed,
 ) -> List[AblationRow]:
     # fd_timeout flows through the Deployment; re-run the scenario by
     # hand since ScenarioSpec does not carry it.
@@ -115,7 +123,7 @@ def ablate_fd_timeout(
 
     rows = []
     for timeout in timeouts:
-        sim = Simulator(seed=LAN_SCENARIO.seed)
+        sim = Simulator(seed=seed)
         topology = sc.build_topology(LAN_SCENARIO, sim)
         catalog = MovieCatalog([Movie.synthetic("feature", duration_s=240)])
         deployment = Deployment(
@@ -137,6 +145,7 @@ def ablate_fd_timeout(
 def ablate_double_emergency(
     sw_capacities: Sequence[int] = (37, 74),
     gap_s: float = 1.0,
+    seed: int = 31,
 ) -> List[AblationRow]:
     """A-5: back-to-back failures (Section 4.2's buffer-sizing caveat).
 
@@ -156,7 +165,7 @@ def ablate_double_emergency(
 
     rows = []
     for capacity in sw_capacities:
-        sim = Simulator(seed=31)
+        sim = Simulator(seed=seed)
         topology = build_lan(sim, n_hosts=4)
         catalog = MovieCatalog([Movie.synthetic("feature", duration_s=90)])
         deployment = Deployment(
@@ -220,11 +229,12 @@ def run(spec) -> "ExperimentResult":
          ablate_double_emergency),
     )
     only = spec.params.get("only")
+    kwargs = {} if spec.seed is None else {"seed": spec.seed}
     result = ExperimentResult(spec=spec, data={})
     for title, sweep in sweeps:
         if only is not None and only not in title:
             continue
-        rows = sweep()
+        rows = sweep(**kwargs)
         result.data[title] = rows
         result.blocks.append(ablation_table(rows, title).render())
     return result

@@ -29,8 +29,15 @@ class CapacityPoint:
     n_servers: int
     offered_mbps: float
     mean_skipped: float
+    max_skipped: int
     worst_stall_s: float
-    clean: bool  # every client free of visible degradation
+
+    @property
+    def clean(self) -> bool:
+        """No viewer saw a freeze (> 1 s).  Skips are not part of it: the
+        synchronised start-up transient alone costs the unluckiest viewer
+        up to ~25 frames at any load (EXPERIMENTS.md, E-capacity)."""
+        return self.worst_stall_s <= 1.0
 
 
 def run_capacity_point(
@@ -60,29 +67,29 @@ def run_capacity_point(
     offered = n_clients * movie.bitrate_bps() / 1e6
     skipped = [c.skipped_total for c in clients]
     stalls = [c.decoder.stats.stall_time_s for c in clients]
-    clean = max(stalls) <= 1.0 and max(skipped) <= 20
     return CapacityPoint(
         n_clients=n_clients,
         n_servers=n_servers,
         offered_mbps=offered,
         mean_skipped=sum(skipped) / len(skipped),
+        max_skipped=max(skipped),
         worst_stall_s=max(stalls),
-        clean=clean,
     )
 
 
 def run_capacity_sweep(
     populations: List[int] = (10, 30, 50, 70),
     duration_s: float = 30.0,
+    seed: int = 51,
 ) -> List[CapacityPoint]:
     """Single-server sweep plus a two-server point at the largest load."""
     points = [
-        run_capacity_point(n, n_servers=1, duration_s=duration_s)
+        run_capacity_point(n, n_servers=1, duration_s=duration_s, seed=seed)
         for n in populations
     ]
     points.append(
         run_capacity_point(
-            populations[-1], n_servers=2, duration_s=duration_s
+            populations[-1], n_servers=2, duration_s=duration_s, seed=seed
         )
     )
     return points
@@ -93,7 +100,7 @@ def capacity_table(points: List[CapacityPoint]) -> Table:
         "E-capacity — clients per server on a 100 Mbps uplink "
         "(1.4 Mbps streams)",
         ["clients", "servers", "offered (Mbps)", "mean skipped",
-         "worst stall (s)", "clean"],
+         "max skipped", "worst stall (s)", "clean"],
     )
     for point in points:
         table.add_row(
@@ -101,6 +108,7 @@ def capacity_table(points: List[CapacityPoint]) -> Table:
             point.n_servers,
             f"{point.offered_mbps:.0f}",
             f"{point.mean_skipped:.0f}",
+            point.max_skipped,
             f"{point.worst_stall_s:.1f}",
             "yes" if point.clean else "NO",
         )
@@ -112,7 +120,8 @@ def run(spec) -> "ExperimentResult":
     from repro.experiments.api import ExperimentResult
 
     populations = tuple(spec.params.get("populations", (10, 30, 50, 70)))
-    points = run_capacity_sweep(populations=populations)
+    kwargs = {} if spec.seed is None else {"seed": spec.seed}
+    points = run_capacity_sweep(populations=populations, **kwargs)
     return ExperimentResult(
         spec=spec, blocks=[capacity_table(points).render()], data=points
     )

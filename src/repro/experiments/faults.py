@@ -9,7 +9,7 @@ failures are not concurrent", and versus a plain single server.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.baselines.single_server import run_single_server_crash
 from repro.baselines.striped import run_striped_crash
@@ -109,15 +109,19 @@ def run_single_server_trial(duration_s: float = 90.0, seed: int = 41) -> FaultTr
     )
 
 
-def run_fault_matrix(duration_s: float = 90.0) -> List[FaultTrial]:
-    """The full comparison matrix of the Section 7 discussion."""
-    trials = [run_single_server_trial(duration_s=duration_s)]
+def run_fault_matrix(
+    duration_s: float = 90.0, seed: Optional[int] = None
+) -> List[FaultTrial]:
+    """The full comparison matrix of the Section 7 discussion; ``seed``
+    replaces each system's own default seed."""
+    common = {"duration_s": duration_s}
+    if seed is not None:
+        common["seed"] = seed
+    trials = [run_single_server_trial(**common)]
     for kills in (1, 2):
-        trials.append(run_striped_trial(n=3, kills=kills, duration_s=duration_s))
+        trials.append(run_striped_trial(n=3, kills=kills, **common))
     for kills in (1, 2):
-        trials.append(
-            run_group_service_trial(k=3, kills=kills, duration_s=duration_s)
-        )
+        trials.append(run_group_service_trial(k=3, kills=kills, **common))
     return trials
 
 
@@ -152,7 +156,7 @@ def run(spec) -> "ExperimentResult":
     from repro.experiments.api import ExperimentResult
 
     duration_s = float(spec.params.get("duration_s", 90.0))
-    trials = run_fault_matrix(duration_s=duration_s)
+    trials = run_fault_matrix(duration_s=duration_s, seed=spec.seed)
     return ExperimentResult(
         spec=spec, blocks=[fault_matrix_table(trials).render()], data=trials
     )

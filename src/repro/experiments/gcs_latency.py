@@ -82,8 +82,8 @@ def measure_group_size(n: int, seed: int = 81) -> GcsLatencyPoint:
     )
 
 
-def measure_scaling(sizes=(2, 4, 8, 16)) -> List[GcsLatencyPoint]:
-    return [measure_group_size(n) for n in sizes]
+def measure_scaling(sizes=(2, 4, 8, 16), seed: int = 81) -> List[GcsLatencyPoint]:
+    return [measure_group_size(n, seed=seed) for n in sizes]
 
 
 def gcs_latency_table(points: List[GcsLatencyPoint]) -> Table:
@@ -105,7 +105,8 @@ def run(spec) -> "ExperimentResult":
     from repro.experiments.api import ExperimentResult
 
     sizes = tuple(spec.params.get("sizes", (2, 4, 8, 16)))
-    points = measure_scaling(sizes=sizes)
+    kwargs = {} if spec.seed is None else {"seed": spec.seed}
+    points = measure_scaling(sizes=sizes, **kwargs)
     return ExperimentResult(
         spec=spec, blocks=[gcs_latency_table(points).render()], data=points
     )

@@ -225,8 +225,9 @@ def run(spec) -> "ExperimentResult":
     if measure not in ("sync", "emergency", "takeover", "all"):
         raise ReproError(f"unknown overheads measure {measure!r}")
     if measure in ("sync", "all"):
+        kwargs = {} if spec.seed is None else {"seed": spec.seed}
         sync = measure_sync_overhead(
-            n_clients=int(spec.params.get("clients", 4))
+            n_clients=int(spec.params.get("clients", 4)), **kwargs
         )
         data["sync"] = sync
         result.blocks.append(sync.table().render())

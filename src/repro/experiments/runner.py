@@ -369,12 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "gate",
         help="judge a run against its committed baseline: scale, shard, "
-             "matrix, placement, qoe or postmortem (the last two measure "
-             "first when no measured.json is given)",
+             "matrix, placement, qoe, postmortem or paper (the last three "
+             "measure first when no measured.json is given)",
     )
     p.add_argument("name", help="which gate's table to apply")
     p.add_argument("measured", nargs="?",
-                   help="the run's benchmark JSON (qoe and postmortem "
+                   help="the run's benchmark JSON (qoe, postmortem and paper "
                         "measure and write it when omitted)")
     p.add_argument("baseline", nargs="?",
                    help="reference JSON (default: the gate's committed "

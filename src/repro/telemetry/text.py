@@ -1,11 +1,11 @@
 """Plain-text rendering for experiment output: tables, series, charts.
 
-The benchmark harness prints the regenerated rows/series of each paper
-figure with these helpers, so ``pytest benchmarks/ -s`` reads like the
-paper's evaluation section; the paper's figures are simple time-series
-plots, and rendering them as text keeps the reproduction
-dependency-free while making ``repro-vod figure4`` output look like the
-evaluation section instead of a number dump.
+Every experiment prints the regenerated rows/series of its paper figure
+with these helpers, so ``repro-vod all`` reads like the paper's
+evaluation section; the paper's figures are simple time-series plots,
+and rendering them as text keeps the reproduction dependency-free while
+making ``repro-vod figure4`` output look like the evaluation section
+instead of a number dump.
 """
 
 from __future__ import annotations

@@ -2,6 +2,13 @@
 
 import pytest
 
+from repro.experiments import ExperimentSpec, run
+from repro.experiments.ablations import (
+    ablate_buffer_size,
+    ablate_emergency,
+    ablate_fd_timeout,
+    ablate_sync_interval,
+)
 from repro.experiments.capacity import capacity_table, run_capacity_point
 from repro.experiments.faults import (
     FaultTrial,
@@ -16,6 +23,43 @@ from repro.experiments.gcs_latency import (
 )
 from repro.experiments.overheads import measure_sync_overhead
 from repro.experiments.qos import qos_comparison_table, run_wan_trial
+from repro.server.rate_controller import EmergencyConfig
+from repro.sim.core import Simulator
+
+
+def experiment(name, **params):
+    return lambda seed: run(ExperimentSpec(name, seed=seed, params=params))
+
+
+@pytest.mark.parametrize("run_seeded", [
+    pytest.param(experiment("capacity", populations=(2,)), id="capacity"),
+    pytest.param(experiment("faults", duration_s=20.0), id="faults"),
+    pytest.param(experiment("gcs", sizes=(2,)), id="gcs"),
+    pytest.param(experiment("sync-overhead", clients=1), id="sync-overhead"),
+    # ``ablations.run`` hands every sweep the same keyword; the other
+    # four sweeps are driven directly, one value each.
+    pytest.param(experiment("ablations", only="A-5"), id="ablations-A-5"),
+    pytest.param(lambda seed: ablate_buffer_size((37,), seed=seed), id="A-1"),
+    pytest.param(
+        lambda seed: ablate_emergency((("paper", EmergencyConfig()),), seed=seed),
+        id="A-2",
+    ),
+    pytest.param(lambda seed: ablate_sync_interval((0.5,), seed=seed), id="A-3"),
+    pytest.param(lambda seed: ablate_fd_timeout((0.45,), seed=seed), id="A-4"),
+])
+def test_the_seed_reaches_every_simulator(monkeypatch, run_seeded):
+    """``repro-vod capacity --seed 3`` ran seed 51: ``run(spec)`` never
+    read ``spec.seed``."""
+    seeds = []
+    init = Simulator.__init__
+
+    def recording_init(self, seed=0, **kwargs):
+        seeds.append(seed)
+        init(self, seed=seed, **kwargs)
+
+    monkeypatch.setattr(Simulator, "__init__", recording_init)
+    run_seeded(4242)
+    assert seeds and set(seeds) == {4242}
 
 
 class TestOverheads:

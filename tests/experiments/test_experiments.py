@@ -1,7 +1,7 @@
 """Smoke and shape tests for the experiment harness.
 
-Heavyweight full-length runs live in benchmarks/; here short variants
-verify the harness machinery (scenario scheduling, series extraction,
+The full-length runs are judged by ``repro-vod gate paper``; here short
+variants verify the harness machinery (scenario scheduling, series extraction,
 table rendering, CLI) and the key shape facts on reduced durations.
 """
 

@@ -6,7 +6,10 @@ measurement synthesised from its committed baseline: (a) it passes,
 inside it, (c) relations are strict, (d) missing values and unreadable
 files are ``FAIL`` lines rather than tracebacks, (e) ``main`` exits
 0/1/2.  The postmortem gate has no baseline, so its measurement is a
-small hand-built one plus a real run at test scale.
+small hand-built one plus a real run at test scale; the paper gate's
+baseline holds claims, not a measurement, so its measurement is a
+recorded ``artifacts/BENCH_paper.json`` plus one real run of the whole
+gate.
 """
 
 import copy
@@ -24,6 +27,7 @@ from repro.experiments.gate import (
     check,
     judge,
     main,
+    measure_paper,
     measure_postmortem,
 )
 
@@ -62,6 +66,8 @@ def passing(name):
     if name == "postmortem":
         return copy.deepcopy(POSTMORTEM), {}
     baseline = json.loads((ROOT / GATES[name].baseline).read_text())
+    if name == "paper":
+        return json.loads((ROOT / "tests/data/BENCH_paper.json").read_text()), baseline
     if name == "scale":
         return {"points": [dict(baseline, mode="flyweight")]}, baseline
     if name == "shard":
@@ -103,6 +109,8 @@ def _perturbed(row, x, want, path, measured, baseline):
         base = _lookup(want, path)[0][1]
         return base * (1 + 2 * tol[ref]), base * (1 + tol[ref] / 2), False
     if kind == "exact":
+        if isinstance(x, list):
+            return x[::-1], x, False
         return (x + 1 if isinstance(x, (int, float)) else x + "?"), x, False
     if kind == "at_least_baseline":
         return x - 1, x + 1, False
@@ -312,3 +320,10 @@ def test_postmortem_gate_measures_then_passes_at_test_scale(
     written = json.loads((tmp_path / "artifacts/BENCH_postmortem.json").read_text())
     assert written["shards"] == 2 and len(written["metering"]) == 3
     assert judge("postmortem", written) == []
+
+
+def test_the_paper_gate_measures_then_passes():
+    """Every claim of EXPERIMENTS.md, measured on this tree: the whole
+    gate, as CI's ``paper-claims`` job runs it."""
+    baseline = json.loads((ROOT / GATES["paper"].baseline).read_text())
+    assert judge("paper", measure_paper(), baseline) == []
