@@ -78,11 +78,12 @@ def check_handoffs(replica: "MovieReplica") -> None:
     For each such session we rewrite its record's ``server`` field
     to the chosen successor (the least-loaded eligible replica),
     multicast the rewritten records immediately, and end the local
-    session.  Receivers treat a fresh record whose ``server`` is
-    not its sender as a *directed handoff*
-    (:func:`apply_directed_handoffs`): the named successor adopts
-    without waiting for the record to go stale.  The margin is the
-    headroom that keeps the viewer streaming through the switch."""
+    session.  Receivers need no handoff step: like any fresh record,
+    the rewritten one names its owner in every replica's ledger
+    (:meth:`~repro.server.replica.MovieReplica.reevaluate`), so the
+    successor adopts without waiting for the record to go stale.  The
+    margin is the headroom that keeps the viewer streaming through the
+    switch."""
     server = replica.server
     sim = replica.sim
     view = replica.view
@@ -133,33 +134,3 @@ def check_handoffs(replica: "MovieReplica") -> None:
             records=tuple(handed_off),
             departed=replica.state.recently_departed(),
         ))
-
-
-def apply_directed_handoffs(replica: "MovieReplica", sync: StateSync) -> None:
-    """Honour handoffs addressed to other servers by their sender.
-
-    A fresh record multicast by one server but naming *another* in
-    its ``server`` field is an explicit transfer (a prefix boundary
-    handoff): the sender is disclaiming the client and nominating a
-    successor.  Updating the cached assignment here — but only
-    where it still points at the disclaiming sender — makes every
-    replica converge on the successor in the same sync round,
-    instead of waiting for the record to go stale and the orphan
-    repair to fire.  Third-party echoes are unaffected: an echoed
-    record names the server actually serving, which is what the
-    assignment already says."""
-    assignment = replica.assignment
-    view = replica.view
-    if not assignment or view is None:
-        return
-    now = replica.sim.now
-    fresh_age = replica.server.config.freshness_ttl_s
-    for record in sync.records:
-        if record.server == sync.server:
-            continue
-        if record.server not in view.member_set:
-            continue
-        if now - record.updated_at > fresh_age:
-            continue
-        if assignment.get(record.client) == sync.server:
-            assignment[record.client] = record.server
