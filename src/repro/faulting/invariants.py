@@ -105,8 +105,10 @@ class InvariantChecker:
         the 3-sync-period orphan repair and the session handshake.
     double_serve_grace_s:
         How long two replicas may transiently serve the same client
-        (connect races resolve via the session-group view) before
-        rule 1 fires.
+        before rule 1 fires.  Two servers that admitted one client
+        resolve it when they meet in the client's session-group view
+        (the smallest server keeps it); while those views stay split
+        nothing resolves it (DESIGN §8.5).
     """
 
     def __init__(

@@ -21,8 +21,9 @@ bucket cannot starve ``interactive`` viewers, and vice versa.
 Determinism
 -----------
 The deterministic replica admission rule (every replica sees the open
-group connect and computes the same least-loaded owner) stays exactly
-as it is; the policy is consulted *only by the chosen owner*, after the
+group connect and computes a least-loaded owner from its ledger, which
+the fresh records the group shares keep in agreement) stays exactly as
+it is; the policy is consulted *only by the chosen owner*, after the
 owner check in ``MovieReplica.connect``.  Bucket state therefore lives
 on one policy object shared by the whole pool (threaded through
 :class:`~repro.service.deployment.Deployment`) and never diverges
@@ -278,9 +279,12 @@ class AdmissionQueue:
     inputs.  Requests are deduplicated per client (the latest retry
     wins) and drained in *sorted client order*: network jitter gives
     every replica a different arrival order, and the least-loaded
-    placement rule is order-sensitive, so draining by arrival order
-    would make replicas disagree about who serves whom.  Sorted order
-    makes every replica run the identical admission sequence.
+    placement rule is order-sensitive.  Sorted order makes placement
+    reproducible, not agreed: the replicas drain a fraction of a
+    millisecond apart, and a state share that lands between two drains
+    changes one replica's load counts and not the other's.  What makes
+    the ledgers agree afterwards is that a fresh record names its owner
+    (:meth:`~repro.server.replica.MovieReplica.reevaluate`).
     """
 
     def __init__(self, replica: MovieReplica) -> None:

@@ -511,8 +511,8 @@ class VoDServer:
             if member != client and member != self.process
         )
         if other_servers and min([self.process] + other_servers) != self.process:
-            # Two replicas transiently serve the same client (connect
-            # race); the smallest process id keeps it.
+            # Two replicas admitted the same client from ledgers that
+            # disagreed; the smallest process id keeps it.
             self.end_session(client, departed=False)
 
     def _on_session_message(

@@ -550,7 +550,7 @@ class CohortSession:
         # run the identical admission/rebalance rules over it).
         self.assignment = OwnerMap()
         # Pool indices of our own rows, for O(1) overlap checks against
-        # incoming peer shares (connect-race duplicate resolution).
+        # incoming peer shares (duplicate-row resolution).
         self._row_indices: set = set()
         # Last CohortSync heard from each peer replica: the takeover
         # resume offsets ("from the offset ... last heard").
@@ -689,13 +689,15 @@ class CohortSession:
         me = self.server.process
         previous_rows = set() if previous is None else set(previous.rows)
         payload_rows = set(payload.rows)
-        # Connect-race duplicates: post-settle connects arrive in
-        # different orders at different replicas, so two replicas can
-        # each conclude the least-loaded rule chose *them*.  Resolve
-        # like the full path's session-group rule — the smallest
-        # process id keeps the client, the other sheds its row.  (The
-        # evidence differs, so the check does: a row has no session
-        # group to meet its duplicate in, only overlapping shares.)
+        # Duplicate rows: two replicas whose row ledgers count
+        # different loads (a share landed between one replica's
+        # admissions and not the other's; post-settle connects arrive
+        # in different orders) can each conclude the least-loaded rule
+        # chose *them*.  Resolve like the full path's session-group
+        # rule — the smallest process id keeps the client, the other
+        # sheds its row.  (The evidence differs, so the check does: a
+        # row has no session group to meet its duplicate in, only
+        # overlapping shares.)
         for index in payload_rows & self._row_indices:
             if payload.server < me:
                 client = client_of(index)
