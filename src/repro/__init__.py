@@ -25,45 +25,25 @@ docs/TELEMETRY.md for the event taxonomy, and EXPERIMENTS.md for the
 paper-figure reproductions.
 """
 
-from repro.client.player import ClientConfig, ClientStats, VoDClient
-from repro.gcs.domain import GcsDomain
-from repro.gcs.endpoint import GcsEndpoint, GroupHandle, GroupListener
-from repro.gcs.view import ProcessId, View
-from repro.media.catalog import MovieCatalog
-from repro.media.movie import Movie
-from repro.net.qos import QosManager
-from repro.net.topologies import Topology, build_lan, build_wan
-from repro.server.server import ServerConfig, VoDServer
-from repro.service.controller import ScenarioController
-from repro.service.deployment import Deployment
-from repro.sim.core import Simulator
-from repro.telemetry import Span, Telemetry, probe
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ClientConfig",
-    "ClientStats",
-    "Deployment",
-    "GcsDomain",
-    "GcsEndpoint",
-    "GroupHandle",
-    "GroupListener",
-    "Movie",
-    "MovieCatalog",
-    "ProcessId",
-    "QosManager",
-    "ScenarioController",
-    "ServerConfig",
-    "Simulator",
-    "Span",
-    "Telemetry",
-    "Topology",
-    "View",
-    "VoDClient",
-    "VoDServer",
-    "__version__",
-    "build_lan",
-    "build_wan",
-    "probe",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.client.player": ("ClientConfig", "ClientStats", "VoDClient"),
+    "repro.gcs.domain": ("GcsDomain",),
+    "repro.gcs.endpoint": ("GcsEndpoint", "GroupHandle", "GroupListener"),
+    "repro.gcs.view": ("ProcessId", "View"),
+    "repro.media.catalog": ("MovieCatalog",),
+    "repro.media.movie": ("Movie",),
+    "repro.net.qos": ("QosManager",),
+    "repro.net.topologies": ("Topology", "build_lan", "build_wan"),
+    "repro.server.server": ("ServerConfig", "VoDServer"),
+    "repro.service.controller": ("ScenarioController",),
+    "repro.service.deployment": ("Deployment",),
+    "repro.sim.core": ("Simulator",),
+    "repro.telemetry.bus": ("Telemetry",),
+    "repro.telemetry.series": ("probe",),
+    "repro.telemetry.spans": ("Span",),
+})
+__all__.append("__version__")

@@ -10,13 +10,10 @@
   the paper's group-communication service tolerates k-1 of k replicas.
 """
 
-from repro.baselines.mini_client import MiniClient
-from repro.baselines.single_server import run_single_server_crash
-from repro.baselines.striped import StripedCluster, run_striped_crash
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MiniClient",
-    "StripedCluster",
-    "run_single_server_crash",
-    "run_striped_crash",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".mini_client": ("MiniClient",),
+    ".single_server": ("run_single_server_crash",),
+    ".striped": ("StripedCluster", "run_striped_crash"),
+})

@@ -6,16 +6,10 @@ of Figure 2 with two-tier emergency requests, full VCR control, and the
 statistics the evaluation section plots.
 """
 
-from repro.client.buffers import InsertOutcome, SoftwareBuffer
-from repro.client.flow_control import FlowControlConfig, FlowControlPolicy
-from repro.client.player import ClientConfig, ClientStats, VoDClient
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClientConfig",
-    "ClientStats",
-    "FlowControlConfig",
-    "FlowControlPolicy",
-    "InsertOutcome",
-    "SoftwareBuffer",
-    "VoDClient",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".buffers": ("InsertOutcome", "SoftwareBuffer"),
+    ".flow_control": ("FlowControlConfig", "FlowControlPolicy"),
+    ".player": ("ClientConfig", "ClientStats", "VoDClient"),
+})

@@ -7,28 +7,15 @@ sweeps over the design parameters Section 4.2 calls "subject to fine
 tuning".
 """
 
-from repro.experiments.api import (
-    ExperimentResult,
-    ExperimentSpec,
-    experiment_names,
-    run,
-)
-from repro.experiments.scenarios import (
-    LAN_SCENARIO,
-    WAN_SCENARIO,
-    ScenarioResult,
-    ScenarioSpec,
-    run_scenario,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "ExperimentSpec",
-    "LAN_SCENARIO",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "WAN_SCENARIO",
-    "experiment_names",
-    "run",
-    "run_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": ("ExperimentResult", "ExperimentSpec", "experiment_names", "run"),
+    ".scenarios": (
+        "LAN_SCENARIO",
+        "WAN_SCENARIO",
+        "ScenarioResult",
+        "ScenarioSpec",
+        "run_scenario",
+    ),
+})

@@ -17,55 +17,33 @@ first-class subsystem:
   expected violations.
 """
 
-from repro.faulting.chaos import (
-    ChaosResult,
-    chaos_table,
-    run_chaos_sweep,
-    run_chaos_trial,
-    total_violations,
-)
-from repro.faulting.injector import FaultInjector
-from repro.faulting.invariants import InvariantChecker, Violation
-from repro.faulting.plan import (
-    ClearImpairments,
-    CrashServer,
-    CrashServing,
-    FalseSuspicion,
-    FaultAction,
-    FaultPlan,
-    HealAll,
-    HealHost,
-    ImpairHost,
-    ImpairLink,
-    IsolateHost,
-    Partition,
-    RestartServer,
-    ServerUp,
-    StopServer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosResult",
-    "ClearImpairments",
-    "CrashServer",
-    "CrashServing",
-    "FalseSuspicion",
-    "FaultAction",
-    "FaultInjector",
-    "FaultPlan",
-    "HealAll",
-    "HealHost",
-    "ImpairHost",
-    "ImpairLink",
-    "InvariantChecker",
-    "IsolateHost",
-    "Partition",
-    "RestartServer",
-    "ServerUp",
-    "StopServer",
-    "Violation",
-    "chaos_table",
-    "run_chaos_sweep",
-    "run_chaos_trial",
-    "total_violations",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".chaos": (
+        "ChaosResult",
+        "chaos_table",
+        "run_chaos_sweep",
+        "run_chaos_trial",
+        "total_violations",
+    ),
+    ".injector": ("FaultInjector",),
+    ".invariants": ("InvariantChecker", "Violation"),
+    ".plan": (
+        "ClearImpairments",
+        "CrashServer",
+        "CrashServing",
+        "FalseSuspicion",
+        "FaultAction",
+        "FaultPlan",
+        "HealAll",
+        "HealHost",
+        "ImpairHost",
+        "ImpairLink",
+        "IsolateHost",
+        "Partition",
+        "RestartServer",
+        "ServerUp",
+        "StopServer",
+    ),
+})

@@ -19,15 +19,10 @@ over unreliable datagrams; loss is masked by NACK-driven retransmission
 and positive-ack stability tracking.
 """
 
-from repro.gcs.domain import GcsDomain
-from repro.gcs.endpoint import GcsEndpoint, GroupHandle, GroupListener
-from repro.gcs.view import ProcessId, View
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GcsDomain",
-    "GcsEndpoint",
-    "GroupHandle",
-    "GroupListener",
-    "ProcessId",
-    "View",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".domain": ("GcsDomain",),
+    ".endpoint": ("GcsEndpoint", "GroupHandle", "GroupListener"),
+    ".view": ("ProcessId", "View"),
+})

@@ -157,6 +157,9 @@ class GcsEndpoint:
         # Last time a *heartbeat* arrived from each daemon, for the
         # reciprocity half of _heartbeat_targets.
         self._hb_heard: Dict[int, float] = {}
+        # The co-member half of _heartbeat_targets: daemons in first-seen
+        # order, rebuilt after a join, a leave, a proposal or an install.
+        self._comembers: Optional[Tuple[int, ...]] = None
         # Control-plane traffic accounting (for the overhead experiment).
         self.control_bytes_sent = 0
         self.control_packets_sent = 0
@@ -222,6 +225,7 @@ class GcsEndpoint:
             self, group, process, listener.on_view, listener.on_message
         )
         self._members[group] = member
+        self._comembers = None
         self.domain.note_group_change(group)
         return GroupHandle(self, member)
 
@@ -231,6 +235,7 @@ class GcsEndpoint:
             return
         member.leave()
         del self._members[group]
+        self._comembers = None
         self.domain.note_group_change(group)
 
     def has_joined(self, group: str) -> bool:
@@ -362,8 +367,13 @@ class GcsEndpoint:
     def daemon_of(process: ProcessId) -> int:
         return process.node
 
+    def note_proposal(self) -> None:
+        """Hook: a local member started flushing towards a new view."""
+        self._comembers = None
+
     def note_installed_view(self, group: str, view: View) -> None:
         """Hook: refresh FD watch targets after a view installation."""
+        self._comembers = None
         tel = self.sim.telemetry
         if tel.active:
             fields = {}
@@ -421,12 +431,18 @@ class GcsEndpoint:
         view still lists one of its processes — and its silence reads as
         daemon death, so the merge flush wrongly drops a live member.
         """
-        targets: Set[int] = set()
-        for member in self._members.values():
-            if member.view is not None:
-                targets.update(p.node for p in member.view.members)
-            if member.proposal is not None:
-                targets.update(p.node for p in member.proposal.members)
+        comembers = self._comembers
+        if comembers is None:
+            comembers = self._comembers = tuple(dict.fromkeys(
+                p.node
+                for member in self._members.values()
+                for source in (member.view, member.proposal)
+                if source is not None
+                for p in source.members
+            ))
+        # Filled in the same order as the groups' views list them, so the
+        # set iterates (and heartbeats go out) exactly as if built from them.
+        targets = set(comembers)
         now = self.sim.now
         targets.update(
             daemon

@@ -469,6 +469,7 @@ class GroupMember:
             flush_since=flush_since,
             prior=tuple(sorted(prior)),
         )
+        self.endpoint.note_proposal()
         if self.state == MemberState.NORMAL:
             self.state = MemberState.FLUSHING
         self._broadcast_vector()

@@ -9,17 +9,11 @@ stream, a replicated movie catalog, and a hardware-decoder model with a
 byte-capacity input buffer (the Optibase card's 240 KB).
 """
 
-from repro.media.catalog import MovieCatalog
-from repro.media.decoder import DecoderStats, HardwareDecoder
-from repro.media.frames import Frame, FrameType, GopPattern
-from repro.media.movie import Movie
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DecoderStats",
-    "Frame",
-    "FrameType",
-    "GopPattern",
-    "HardwareDecoder",
-    "Movie",
-    "MovieCatalog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".catalog": ("MovieCatalog",),
+    ".decoder": ("DecoderStats", "HardwareDecoder"),
+    ".frames": ("Frame", "FrameType", "GopPattern"),
+    ".movie": ("Movie",),
+})

@@ -8,25 +8,14 @@ sockets, so loss, reordering and duplication arise from the simulated
 transport exactly as they would on a real IP network.
 """
 
-from repro.net.address import Endpoint, NodeId
-from repro.net.link import Link, LinkFault, LinkStats, LinkParams
-from repro.net.network import Network
-from repro.net.node import Node
-from repro.net.packet import Datagram
-from repro.net.topologies import build_lan, build_wan
-from repro.net.udp import UdpSocket
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Datagram",
-    "Endpoint",
-    "Link",
-    "LinkFault",
-    "LinkParams",
-    "LinkStats",
-    "Network",
-    "Node",
-    "NodeId",
-    "UdpSocket",
-    "build_lan",
-    "build_wan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".address": ("Endpoint", "NodeId"),
+    ".link": ("Link", "LinkFault", "LinkParams", "LinkStats"),
+    ".network": ("Network",),
+    ".node": ("Node",),
+    ".packet": ("Datagram",),
+    ".topologies": ("build_lan", "build_wan"),
+    ".udp": ("UdpSocket",),
+})

@@ -7,42 +7,27 @@ docs/PLACEMENT.md for the strategy menu, the rebalancer's migration
 semantics, and the ``placement.*`` telemetry vocabulary.
 """
 
-from repro.placement.plan import (
-    PlacementContext,
-    PlacementPlan,
-    ServerProfile,
-    build_zipf_catalog,
-    plan_availability,
-    surviving_availability,
-    title_availability,
-)
-from repro.placement.rebalancer import Rebalancer
-from repro.placement.strategies import (
-    STRATEGIES,
-    MarkovAvailability,
-    PlacementStrategy,
-    PopularityProportional,
-    PrefixPlacement,
-    StaticKWay,
-    StaticPlacement,
-    make_strategy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MarkovAvailability",
-    "PlacementContext",
-    "PlacementPlan",
-    "PlacementStrategy",
-    "PopularityProportional",
-    "PrefixPlacement",
-    "Rebalancer",
-    "STRATEGIES",
-    "ServerProfile",
-    "StaticKWay",
-    "StaticPlacement",
-    "build_zipf_catalog",
-    "make_strategy",
-    "plan_availability",
-    "surviving_availability",
-    "title_availability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".plan": (
+        "PlacementContext",
+        "PlacementPlan",
+        "ServerProfile",
+        "build_zipf_catalog",
+        "plan_availability",
+        "surviving_availability",
+        "title_availability",
+    ),
+    ".rebalancer": ("Rebalancer",),
+    ".strategies": (
+        "STRATEGIES",
+        "MarkovAvailability",
+        "PlacementStrategy",
+        "PopularityProportional",
+        "PrefixPlacement",
+        "StaticKWay",
+        "StaticPlacement",
+        "make_strategy",
+    ),
+})

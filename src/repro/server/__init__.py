@@ -14,19 +14,12 @@ rules and ledgers, ``streamer`` the per-client and cohort sessions,
 prefix-only copy changes.
 """
 
-from repro.server.rate_controller import EmergencyConfig, RateController
-from repro.server.replica import MovieReplica
-from repro.server.server import ServerConfig, VoDServer
-from repro.server.state import MovieState, rebalance
-from repro.server.streamer import ClientSession
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClientSession",
-    "EmergencyConfig",
-    "MovieReplica",
-    "MovieState",
-    "RateController",
-    "ServerConfig",
-    "VoDServer",
-    "rebalance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".rate_controller": ("EmergencyConfig", "RateController"),
+    ".replica": ("MovieReplica",),
+    ".server": ("ServerConfig", "VoDServer"),
+    ".state": ("MovieState", "rebalance"),
+    ".streamer": ("ClientSession",),
+})

@@ -7,54 +7,23 @@ uses: server crashes, graceful detaches, bringing servers up on the fly,
 and network partitions.
 """
 
-from repro.service.protocol import (
-    SERVER_GROUP,
-    ClientRecord,
-    ConnectRequest,
-    EmergencyLevel,
-    FlowControlMsg,
-    FlowKind,
-    FramePacket,
-    StateSync,
-    VcrCommand,
-    VcrOp,
-    movie_group,
-    session_group,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClientRecord",
-    "ConnectRequest",
-    "Deployment",
-    "EmergencyLevel",
-    "FlowControlMsg",
-    "FlowKind",
-    "FramePacket",
-    "SERVER_GROUP",
-    "ScenarioController",
-    "ScenarioEvent",
-    "StateSync",
-    "VcrCommand",
-    "VcrOp",
-    "movie_group",
-    "session_group",
-]
-
-_LAZY_EXPORTS = {
-    "Deployment": ("repro.service.deployment", "Deployment"),
-    "ScenarioController": ("repro.service.controller", "ScenarioController"),
-    "ScenarioEvent": ("repro.service.controller", "ScenarioEvent"),
-}
-
-
-def __getattr__(name):
-    # Deployment imports the client and server packages, which in turn
-    # import repro.service.protocol; resolving it lazily (PEP 562)
-    # breaks that import cycle.
-    target = _LAZY_EXPORTS.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(target[0])
-    return getattr(module, target[1])
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".controller": ("ScenarioController", "ScenarioEvent"),
+    ".deployment": ("Deployment",),
+    ".protocol": (
+        "SERVER_GROUP",
+        "ClientRecord",
+        "ConnectRequest",
+        "EmergencyLevel",
+        "FlowControlMsg",
+        "FlowKind",
+        "FramePacket",
+        "StateSync",
+        "VcrCommand",
+        "VcrOp",
+        "movie_group",
+        "session_group",
+    ),
+})

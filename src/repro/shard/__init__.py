@@ -21,26 +21,16 @@ The same worker pool powers the scenario matrix
 independent cells execute in parallel with byte-identical verdicts.
 """
 
-from repro.shard.merge import (
-    ScoreHistogram,
-    merge_metric_snapshots,
-    merge_scorecards,
-    merge_slo_windows,
-    slo_summary_from_windows,
-)
-from repro.shard.plan import ShardPlan, ShardTask, shard_seed
-from repro.shard.runner import ShardError, map_tasks, run_shards
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ScoreHistogram",
-    "ShardError",
-    "ShardPlan",
-    "ShardTask",
-    "map_tasks",
-    "merge_metric_snapshots",
-    "merge_scorecards",
-    "merge_slo_windows",
-    "run_shards",
-    "shard_seed",
-    "slo_summary_from_windows",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".merge": (
+        "ScoreHistogram",
+        "merge_metric_snapshots",
+        "merge_scorecards",
+        "merge_slo_windows",
+        "slo_summary_from_windows",
+    ),
+    ".plan": ("ShardPlan", "ShardTask", "shard_seed"),
+    ".runner": ("ShardError", "map_tasks", "run_shards"),
+})

@@ -7,18 +7,11 @@ streams.  Every other subsystem in :mod:`repro` is driven by a single
 reproducible from a seed.
 """
 
-from repro.sim.core import EventHandle, Simulator
-from repro.sim.process import Process, Timer, sleep
-from repro.sim.rng import RngRegistry
-from repro.telemetry.trace import TraceRecord, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventHandle",
-    "Process",
-    "RngRegistry",
-    "Simulator",
-    "Timer",
-    "TraceRecord",
-    "Tracer",
-    "sleep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("EventHandle", "Simulator"),
+    ".process": ("Process", "Timer", "sleep"),
+    ".rng": ("RngRegistry",),
+    "repro.telemetry.trace": ("TraceRecord", "Tracer"),
+})

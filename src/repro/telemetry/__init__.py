@@ -34,149 +34,61 @@ instrumented site, and enabling it never changes simulation outcomes
 off).  See ``docs/TELEMETRY.md`` for the event taxonomy.
 """
 
-from repro.telemetry.bus import (
-    FIREHOSE_PREFIXES,
-    Subscription,
-    Telemetry,
-    TelemetryEvent,
-)
-from repro.telemetry.causal import (
-    CausalChain,
-    FailoverBreakdown,
-    TraceGraph,
-    critical_path,
-    failover_breakdowns,
-    load_trace_graph,
-    render_breakdowns,
-)
-from repro.telemetry.export import (
-    DEFAULT_PREFIXES,
-    SCHEMA_VERSION,
-    JsonlExporter,
-    read_jsonl,
-)
-from repro.telemetry.flight import (
-    ALWAYS_RETAIN_PREFIXES,
-    FLIGHT_PREFIXES,
-    FlightRecorder,
-    FlightRecorderConfig,
-    Incident,
-    incidents_from_records,
-    is_trigger,
-)
-from repro.telemetry.metrics import (
-    DEFAULT_LATENCY_BUCKETS_S,
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    MetricRegistry,
-    MetricsCollector,
-)
-from repro.telemetry.qoe import (
-    QoEAccumulator,
-    QoECollector,
-    QoEScorecard,
-    render_scorecards,
-    scorecards_from_timeline,
-)
-from repro.telemetry.postmortem import (
-    incidents_from_export,
-    render_incident,
-    render_incidents,
-)
-from repro.telemetry.report import RunTimeline, load_timeline, render_report
-from repro.telemetry.series import Counter, Probe, TimeSeries
-from repro.telemetry.slo import (
-    EmergencyBandwidthRule,
-    FailoverLatencyRule,
-    GlitchFreeRule,
-    SloMonitor,
-    SloRule,
-    default_rules,
-    render_slo,
-    slo_from_timeline,
-)
-from repro.telemetry.spans import Span
-from repro.telemetry.trace import Tracer, TraceRecord
-from repro.telemetry.watch import WatchState, render_watch
+from repro._lazy import lazy_exports
 
-
-def probe(sim, period: float = 0.25, owner: str = "") -> Probe:
-    """Create a :class:`Probe` sampling on ``period`` seconds.
-
-    Convenience constructor for the common case; ``owner`` tags the
-    probe's ``metric.sample`` events (typically a client name).
-    """
-    return Probe(sim, period, owner=owner)
-
-
-def __getattr__(name):
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bus": ("FIREHOSE_PREFIXES", "Subscription", "Telemetry", "TelemetryEvent"),
+    ".causal": (
+        "CausalChain",
+        "FailoverBreakdown",
+        "TraceGraph",
+        "critical_path",
+        "failover_breakdowns",
+        "load_trace_graph",
+        "render_breakdowns",
+    ),
+    ".export": ("DEFAULT_PREFIXES", "SCHEMA_VERSION", "JsonlExporter", "read_jsonl"),
+    ".flight": (
+        "ALWAYS_RETAIN_PREFIXES",
+        "FLIGHT_PREFIXES",
+        "FlightRecorder",
+        "FlightRecorderConfig",
+        "Incident",
+        "incidents_from_records",
+        "is_trigger",
+    ),
+    ".metrics": (
+        "DEFAULT_LATENCY_BUCKETS_S",
+        "CounterMetric",
+        "GaugeMetric",
+        "HistogramMetric",
+        "MetricRegistry",
+        "MetricsCollector",
+    ),
+    ".qoe": (
+        "QoEAccumulator",
+        "QoECollector",
+        "QoEScorecard",
+        "render_scorecards",
+        "scorecards_from_timeline",
+    ),
+    ".postmortem": ("incidents_from_export", "render_incident", "render_incidents"),
+    ".report": ("RunTimeline", "load_timeline", "render_report"),
+    ".series": ("Counter", "Probe", "TimeSeries", "probe"),
+    ".slo": (
+        "EmergencyBandwidthRule",
+        "FailoverLatencyRule",
+        "GlitchFreeRule",
+        "SloMonitor",
+        "SloRule",
+        "default_rules",
+        "render_slo",
+        "slo_from_timeline",
+    ),
+    ".spans": ("Span",),
+    ".trace": ("TraceRecord", "Tracer"),
+    ".watch": ("WatchState", "render_watch"),
     # ClientStats lives with the player (it is filled by client logic)
-    # but is part of the observability API; resolve it lazily because
-    # importing the client here would cycle back through the sim kernel.
-    if name == "ClientStats":
-        from repro.client.player import ClientStats
-
-        return ClientStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "Telemetry",
-    "TelemetryEvent",
-    "Subscription",
-    "Span",
-    "Tracer",
-    "TraceRecord",
-    "Counter",
-    "TimeSeries",
-    "Probe",
-    "probe",
-    "MetricRegistry",
-    "MetricsCollector",
-    "CounterMetric",
-    "GaugeMetric",
-    "HistogramMetric",
-    "DEFAULT_LATENCY_BUCKETS_S",
-    "JsonlExporter",
-    "read_jsonl",
-    "SCHEMA_VERSION",
-    "DEFAULT_PREFIXES",
-    "FIREHOSE_PREFIXES",
-    "RunTimeline",
-    "load_timeline",
-    "render_report",
-    "CausalChain",
-    "TraceGraph",
-    "FailoverBreakdown",
-    "load_trace_graph",
-    "critical_path",
-    "failover_breakdowns",
-    "render_breakdowns",
-    "QoEAccumulator",
-    "QoECollector",
-    "QoEScorecard",
-    "scorecards_from_timeline",
-    "render_scorecards",
-    "SloMonitor",
-    "SloRule",
-    "GlitchFreeRule",
-    "FailoverLatencyRule",
-    "EmergencyBandwidthRule",
-    "default_rules",
-    "slo_from_timeline",
-    "render_slo",
-    "FlightRecorder",
-    "FlightRecorderConfig",
-    "Incident",
-    "FLIGHT_PREFIXES",
-    "ALWAYS_RETAIN_PREFIXES",
-    "is_trigger",
-    "incidents_from_records",
-    "incidents_from_export",
-    "render_incident",
-    "render_incidents",
-    "WatchState",
-    "render_watch",
-    "ClientStats",
-]
+    # but is part of the observability API.
+    "repro.client.player": ("ClientStats",),
+})

@@ -40,6 +40,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.bus import Telemetry, TelemetryEvent
+from repro.telemetry.causal import TraceGraph, critical_path, failover_breakdowns
+from repro.telemetry.report import is_timeline_kind
 
 #: What the recorder subscribes to: every application-level kind (the
 #: exporter's default set) plus invariant violations.  The two firehose
@@ -362,10 +364,6 @@ class FlightRecorder:
             else capture.trigger_t - config.pre_trigger_s
         )
 
-        from repro.telemetry.causal import (
-            TraceGraph, critical_path, failover_breakdowns,
-        )
-
         graph = TraceGraph(records)
         breakdowns = failover_breakdowns(graph)
         chains = graph.chains()
@@ -554,8 +552,6 @@ def _brief(event: Dict) -> str:
 
 def _excerpt(records: Sequence[Dict], limit: int) -> List[Dict]:
     """The notable-timeline slice of the window, head+tail bounded."""
-    from repro.telemetry.report import is_timeline_kind
-
     notable = [r for r in records if is_timeline_kind(str(r.get("kind", "")))]
     if len(notable) <= limit:
         return list(notable)

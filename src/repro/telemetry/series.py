@@ -6,10 +6,6 @@ sample it takes is also emitted as a ``metric.sample`` event when the
 bus is active, which is how JSONL exports carry the Figure 4/5 curves
 without adding any timer of their own (sampling always rides the same
 probe timer, so enabling telemetry cannot perturb the simulation).
-
-Import discipline: the sim kernel imports :mod:`repro.telemetry`, so
-this module must not import kernel modules at import time — the Timer
-import inside :meth:`Probe.__post_init__` is deliberately lazy.
 """
 
 from __future__ import annotations
@@ -17,6 +13,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+from repro.sim.process import Timer
 
 
 @dataclass
@@ -119,8 +117,6 @@ class Probe:
     )
 
     def __post_init__(self) -> None:
-        from repro.sim.process import Timer  # lazy: avoids an import cycle
-
         self._timer = Timer(self.sim, self.period, self._sample, start_delay=0.0)
 
     def watch(self, name: str, source: Callable[[], float]) -> TimeSeries:
@@ -145,3 +141,12 @@ class Probe:
                     value=value,
                     owner=self.owner,
                 )
+
+
+def probe(sim, period: float = 0.25, owner: str = "") -> Probe:
+    """Create a :class:`Probe` sampling on ``period`` seconds.
+
+    Convenience constructor for the common case; ``owner`` tags the
+    probe's ``metric.sample`` events (typically a client name).
+    """
+    return Probe(sim, period, owner=owner)

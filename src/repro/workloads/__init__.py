@@ -14,29 +14,11 @@ single-client measurement runs of Section 6:
   population-level quality-of-experience statistics.
 """
 
-from repro.workloads.arrivals import (
-    burst_arrivals,
-    diurnal_arrivals,
-    poisson_arrivals,
-)
-from repro.workloads.driver import PopulationStats, WorkloadDriver
-from repro.workloads.popularity import ZipfCatalogSampler
-from repro.workloads.viewer import (
-    CHANNEL_SURFER,
-    COUCH_POTATO,
-    VCR_STORM,
-    ViewerProfile,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHANNEL_SURFER",
-    "COUCH_POTATO",
-    "PopulationStats",
-    "VCR_STORM",
-    "ViewerProfile",
-    "WorkloadDriver",
-    "ZipfCatalogSampler",
-    "burst_arrivals",
-    "diurnal_arrivals",
-    "poisson_arrivals",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".arrivals": ("burst_arrivals", "diurnal_arrivals", "poisson_arrivals"),
+    ".driver": ("PopulationStats", "WorkloadDriver"),
+    ".popularity": ("ZipfCatalogSampler",),
+    ".viewer": ("CHANNEL_SURFER", "COUCH_POTATO", "VCR_STORM", "ViewerProfile"),
+})

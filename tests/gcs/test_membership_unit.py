@@ -46,6 +46,9 @@ class FakeEndpoint:
     def daemon_of(process):
         return process.node
 
+    def note_proposal(self):
+        pass
+
     def note_installed_view(self, group, view):
         pass
 

@@ -38,14 +38,33 @@ def test_version_string():
         "repro.sim", "repro.net", "repro.gcs", "repro.media",
         "repro.client", "repro.server", "repro.service",
         "repro.baselines", "repro.experiments", "repro.workloads",
+        "repro.telemetry", "repro.faulting", "repro.placement", "repro.shard",
     ],
 )
 def test_package_all_resolves(module_name):
     import importlib
 
     module = importlib.import_module(module_name)
-    for name in getattr(module, "__all__", []):
+    # Names resolve on first access (PEP 562), and dir() lists them
+    # before that, as it listed the eager imports it replaced.
+    listed = dir(module)
+    for name in module.__all__:
+        assert name in listed, f"{module_name}.{name} missing from dir()"
         assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def test_lazy_names_keep_their_cross_package_homes():
+    import repro.service
+    import repro.telemetry
+    from repro.client.player import ClientStats
+    from repro.service.deployment import Deployment
+
+    assert repro.service.Deployment is Deployment
+    assert repro.telemetry.ClientStats is ClientStats
+    assert repro.Deployment is Deployment
+    assert "Deployment" in dir(repro)
+    with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+        repro.telemetry.Nope
 
 
 def test_public_api_has_docstrings():
