@@ -6,6 +6,7 @@ nothing but the two fields travels between interpreters.
 """
 
 import copy
+import gc
 import json
 import os
 import pickle
@@ -61,12 +62,18 @@ def _python_frames(work):
         if event == "call":
             frames.append(frame.f_code.co_name)
 
+    # A collection inside work() would run the gc.callbacks (Hypothesis
+    # installs one) as Python frames that are not the identities' code.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
         work()
     finally:
         sys.setprofile(previous)
+        if gc_was_enabled:
+            gc.enable()
     return [name for name in frames if name != work.__name__]
 
 
