@@ -14,6 +14,7 @@ Run with::
 """
 
 from repro import Deployment, Movie, MovieCatalog, Simulator, build_lan
+from repro.faulting import FaultInjector, FaultPlan
 
 N_CLIENTS = 10
 
@@ -48,10 +49,15 @@ def main() -> None:
 
         sim.call_at(2.0 + 6.0 * index, attach)
 
-    # Scale out at t=70 and t=80; scale in (graceful) at t=160.
-    deployment.controller.start_server_at(70.0, 1, "server1")
-    deployment.controller.start_server_at(80.0, 2, "server2")
-    deployment.controller.detach_server_at(160.0, "server1")
+    # Scale out at t=70 and t=80 (server1 on host 1, server2 on host 2);
+    # scale in (graceful) at t=160.
+    plan = (
+        FaultPlan(name="elastic-pool")
+        .server_up(70.0, host=1)
+        .server_up(80.0, host=2)
+        .stop(160.0, "server1")
+    )
+    FaultInjector(deployment, plan).start()
 
     for checkpoint, label in [
         (65.0, "one server, fully loaded"),

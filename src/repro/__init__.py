@@ -6,6 +6,7 @@ communication substrate, running on a deterministic discrete-event
 network simulator.  Quickstart::
 
     from repro import Simulator, build_lan, Movie, MovieCatalog, Deployment
+    from repro.faulting import FaultInjector, FaultPlan
 
     sim = Simulator(seed=1)
     topology = build_lan(sim, n_hosts=5)
@@ -13,7 +14,7 @@ network simulator.  Quickstart::
     deploy = Deployment(topology, catalog, server_nodes=[0, 1])
     client = deploy.attach_client(4)
     client.request_movie("clip")
-    deploy.controller.crash_server_at(40.0, "server0")
+    FaultInjector(deploy, FaultPlan().crash(40.0, "server0")).start()
     sim.run_until(130.0)
     print(client.skipped_total, client.late_total)
 
@@ -39,7 +40,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.net.qos": ("QosManager",),
     "repro.net.topologies": ("Topology", "build_lan", "build_wan"),
     "repro.server.server": ("ServerConfig", "VoDServer"),
-    "repro.service.controller": ("ScenarioController",),
     "repro.service.deployment": ("Deployment",),
     "repro.sim.core": ("Simulator",),
     "repro.telemetry.bus": ("Telemetry",),

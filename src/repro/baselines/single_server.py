@@ -11,6 +11,8 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.client.player import VoDClient
+from repro.faulting.injector import FaultInjector
+from repro.faulting.plan import FaultPlan
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
 from repro.net.topologies import build_lan
@@ -30,7 +32,9 @@ def run_single_server_crash(
     deployment = Deployment(topology, catalog, server_nodes=[0])
     client = deployment.attach_client(1)
     client.request_movie("feature")
-    deployment.controller.crash_server_at(crash_at, "server0")
+    FaultInjector(
+        deployment, FaultPlan().crash(crash_at, "server0"), client=client
+    ).start()
     sim.run_until(duration_s)
     client.decoder.end_stall(sim.now)
     return client, deployment

@@ -178,9 +178,6 @@ class StripedCluster:
     def crash_server(self, index: int) -> None:
         self.servers[index].crash()
 
-    def live_count(self) -> int:
-        return sum(1 for server in self.servers if server.alive)
-
 
 def run_striped_crash(
     n_servers: int = 3,

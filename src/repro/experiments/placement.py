@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,6 +56,7 @@ from repro.placement import (
 from repro.placement.plan import build_zipf_catalog
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
+from repro.telemetry.harness import RunObservers
 from repro.telemetry.text import Table
 from repro.workloads.popularity import ZipfCatalogSampler
 
@@ -232,18 +232,16 @@ def run_strategy(
 ) -> StrategyOutcome:
     """Run the full fault timeline under one placement strategy."""
     sim = Simulator(seed=seed)
-    exporter = None
-    if telemetry_path is not None:
-        from repro.telemetry.export import JsonlExporter
-
-        exporter = JsonlExporter(sim.telemetry, telemetry_path)
-        exporter.meta(
+    observers = RunObservers(
+        sim,
+        telemetry_path,
+        dict(
             experiment="placement", strategy=strategy, seed=seed,
             run_duration_s=duration_s,
-        )
-    from repro.telemetry.qoe import QoECollector
-
-    qoe_collector = QoECollector(sim.telemetry)
+        ),
+        observe=True,
+        slo_rules=(),
+    )
     placement_events, placement_sub = sim.telemetry.collect(
         prefixes=("placement.",)
     )
@@ -326,21 +324,19 @@ def run_strategy(
             lambda c=client, t=hot_title: c.request_movie(t),
         )
 
-    # The exporter as context manager writes the summary trailer
+    # The observers as context manager write the summary trailer
     # (``crashed`` / ``error``) even if the run raises.
-    with exporter if exporter is not None else nullcontext():
+    with observers:
         sim.run_until(duration_s)
         checker.stop()
-        scorecards = qoe_collector.finish(sim.now)
-        placement_sub.close()
-        if exporter is not None:
-            exporter.close(
-                strategy=strategy,
-                violations=len(checker.violations),
-                migrations_completed=len(rebalancer.completed),
-            )
+        observers.settle(
+            strategy=strategy,
+            violations=len(checker.violations),
+            migrations_completed=len(rebalancer.completed),
+        )
+    placement_sub.close()
 
-    scores = [card.score() for card in scorecards.values()]
+    scores = [card.score() for card in observers.qoe.values()]
     stall_events = sum(
         client.decoder.stats.stall_events
         for client in deployment.clients.values()

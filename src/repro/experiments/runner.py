@@ -171,8 +171,8 @@ def _run_watch(args: argparse.Namespace) -> None:
         flight=True,
     )
     state = WatchState(
-        live.sim.telemetry, slo_monitor=live.slo_monitor,
-        flight_recorder=live.flight_recorder,
+        live.sim.telemetry, slo_monitor=live.observers.slo_monitor,
+        flight_recorder=live.observers.recorder,
     )
     interval = max(0.1, args.interval)
     # Event budget per drawn frame: a slice that turns out to be heavy

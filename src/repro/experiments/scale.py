@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -54,6 +53,7 @@ from repro.server.server import ServerConfig
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
 from repro.sim.gcgate import paused_gc
+from repro.telemetry.harness import RunObservers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.shard.plan import ShardTask
@@ -404,25 +404,20 @@ def run_scale_point(
         movie_duration_s=duration_s + 60.0,
         mode="flyweight" if flyweight else "full",
     )
-    exporter = None
-    if telemetry_path is not None:
-        from repro.telemetry.export import JsonlExporter
-
-        exporter = JsonlExporter(sim.telemetry, telemetry_path)
-        exporter.meta(
+    observers = RunObservers(
+        sim,
+        telemetry_path,
+        dict(
             experiment="scale",
             n_clients=n_clients,
             batch_window_s=batch_window_s,
             mode="flyweight" if flyweight else "full",
             seed=seed,
             duration_s=duration_s,
-        )
-
-    recorder = None
-    if flight:
-        from repro.telemetry.flight import FlightRecorder
-
-        recorder = FlightRecorder(sim.telemetry, flight_config)
+        ),
+        flight=flight,
+        flight_config=flight_config,
+    )
 
     sim.call_at(crash_at, make_crash_most_loaded(deployment, observer))
 
@@ -435,9 +430,9 @@ def run_scale_point(
     # The sim heap is cycle-free (profiling found 859 collector passes
     # freeing zero objects over a 20k-viewer run), so automatic cyclic
     # GC only adds wall time — ~33% at N=20k.  Pause it for the
-    # measured section.  The exporter as context manager writes the
+    # measured section.  The observers as context manager write the
     # summary trailer (``crashed`` / ``error``) even if the run raises.
-    with exporter if exporter is not None else nullcontext():
+    with observers:
         started = time.perf_counter()
         with paused_gc():
             if wall_budget_s is None:
@@ -468,28 +463,13 @@ def run_scale_point(
             flyweight=flyweight,
             violations=len(checker.violations) if checker is not None else 0,
         )
-        abandoned_spans = None
-        if recorder is not None:
-            # Abandoned takeover spans are incident triggers, so sweep open
-            # spans before closing the recorder; the exporter (if any) then
-            # finds none itself, so hand it the list explicitly.
-            abandoned_spans = sim.telemetry.abandon_open_spans(
-                reason="export-close"
-            )
-            point.incidents = [i.as_dict() for i in recorder.finish(sim.now)]
-            point.flight = recorder.metering()
-        if exporter is not None:
-            summary = dict(
-                frames_delivered=frames,
-                takeovers=point.takeovers,
-                max_failover_s=point.max_failover_s,
-            )
-            if abandoned_spans is not None:
-                summary["open_spans"] = [
-                    {"span": s.kind, "key": s.key, "start": s.start}
-                    for s in abandoned_spans
-                ]
-            exporter.close(**summary)
+        observers.settle(
+            frames_delivered=frames,
+            takeovers=point.takeovers,
+            max_failover_s=point.max_failover_s,
+        )
+    point.incidents = [incident.as_dict() for incident in observers.incidents]
+    point.flight = observers.flight
     return point
 
 

@@ -8,8 +8,9 @@
   ~25 s in, a new server is brought up (load-balance migration); ~22 s
   later the transmitting server is terminated.
 
-Both crash "the server transmitting this movie", so the controller
-resolves the victim dynamically from the client's session at fire time.
+Both crash "the server transmitting this movie", so the fault plan's
+``crash_serving`` action resolves the victim from the client's session
+at fire time.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.server.admission import AdmissionSpec
 from repro.server.server import ServerConfig
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
+from repro.telemetry.harness import RunObservers
 from repro.workloads import (
     CHANNEL_SURFER,
     COUCH_POTATO,
@@ -48,14 +50,8 @@ from repro.workloads import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.export import JsonlExporter
-    from repro.telemetry.flight import (
-        FlightRecorder,
-        FlightRecorderConfig,
-        Incident,
-    )
-    from repro.telemetry.qoe import QoECollector, QoEScorecard
-    from repro.telemetry.slo import SloMonitor
+    from repro.telemetry.flight import FlightRecorderConfig, Incident
+    from repro.telemetry.qoe import QoEScorecard
 
 
 #: Viewer-behaviour profiles a :class:`WorkloadSpec` can name.
@@ -370,10 +366,7 @@ class LiveScenario:
     sim: Simulator
     result: ScenarioResult
     injector: FaultInjector
-    exporter: Optional["JsonlExporter"] = None
-    qoe_collector: Optional["QoECollector"] = None
-    slo_monitor: Optional["SloMonitor"] = None
-    flight_recorder: Optional["FlightRecorder"] = None
+    observers: RunObservers
     _finished: bool = False
 
     def step(self, until: float, max_events: Optional[int] = None) -> float:
@@ -395,49 +388,20 @@ class LiveScenario:
         injector = self.injector
         result.crash_times = list(injector.crash_times)
         result.server_up_times = list(injector.server_up_times)
-        # Observers settle before the exporter closes so the trailing
-        # SLO window's breach/recover events land in the artifact.
-        if self.qoe_collector is not None:
-            result.qoe = self.qoe_collector.finish(self.sim.now)
-        if self.slo_monitor is not None:
-            self.slo_monitor.finish(self.sim.now)
-            result.slo = self.slo_monitor.summary()
-            result.failovers = list(self.slo_monitor.failovers)
-        abandoned_spans = None
-        if self.flight_recorder is not None:
-            # Abandon open spans *before* the recorder finishes: an
-            # abandoned takeover span is an incident trigger, and the
-            # exporter (still subscribed) captures the same events it
-            # would have emitted itself at close.  finish() then
-            # publishes the telemetry.flight.* self-metering into the
-            # registry, so the export's summary snapshot carries it.
-            abandoned_spans = self.sim.telemetry.abandon_open_spans(
-                reason="export-close"
-            )
-            result.incidents = self.flight_recorder.finish(self.sim.now)
-            result.flight = self.flight_recorder.metering()
-        if self.exporter is not None:
-            summary = dict(
-                faults_fired=len(injector.fired),
-                displayed=result.client.displayed_total,
-                skipped=result.client.skipped_total,
-                tracer_dropped=self.sim.tracer.dropped,
-            )
-            if abandoned_spans is not None:
-                # The exporter's own sweep will find nothing now; keep
-                # its summary listing faithful.
-                summary["open_spans"] = [
-                    {"span": s.kind, "key": s.key, "start": s.start}
-                    for s in abandoned_spans
-                ]
-            if self.slo_monitor is not None:
-                summary["slo_breaches"] = self.slo_monitor.total_breaches
-            if error is not None:
-                summary.update(
-                    crashed=True, error=f"{type(error).__name__}: {error}"
-                )
-            self.exporter.close(**summary)
-            result.telemetry_path = self.exporter.path
+        observers = self.observers
+        observers.settle(
+            error,
+            faults_fired=len(injector.fired),
+            displayed=result.client.displayed_total,
+            skipped=result.client.skipped_total,
+            tracer_dropped=self.sim.tracer.dropped,
+        )
+        result.qoe = observers.qoe
+        result.slo = observers.slo
+        result.failovers = observers.failovers
+        result.incidents = observers.incidents
+        result.flight = observers.flight
+        result.telemetry_path = observers.path
         return result
 
     def __enter__(self) -> "LiveScenario":
@@ -474,46 +438,33 @@ def prepare_scenario(
     """
     effective_seed = spec.seed if seed is None else seed
     sim = Simulator(seed=effective_seed)
-    exporter = None
-    if telemetry_path is not None:
-        from repro.telemetry.export import JsonlExporter
+    if observe is None:
+        observe = telemetry_path is not None
+    slo_rules = None
+    if observe and spec.admission is not None:
+        # Admission is opt-in, and so is its SLO rule — keeping
+        # default summaries stable for policy-free runs.
+        from repro.telemetry.slo import AdmissionStormRule, default_rules
 
-        exporter = JsonlExporter(
-            sim.telemetry,
-            telemetry_path,
-            full=telemetry_full,
-            max_events=telemetry_max_events,
-            since=telemetry_since,
-            until=telemetry_until,
-        )
-        exporter.meta(
+        slo_rules = default_rules() + (AdmissionStormRule(),)
+    observers = RunObservers(
+        sim,
+        telemetry_path,
+        dict(
             scenario=spec.name,
             network=spec.network,
             seed=effective_seed,
             run_duration_s=spec.run_duration_s,
-        )
-    qoe_collector = None
-    slo_monitor = None
-    if observe is None:
-        observe = telemetry_path is not None
-    if observe:
-        from repro.telemetry.qoe import QoECollector
-        from repro.telemetry.slo import SloMonitor
-
-        qoe_collector = QoECollector(sim.telemetry)
-        slo_rules = None
-        if spec.admission is not None:
-            # Admission is opt-in, and so is its SLO rule — keeping
-            # default summaries stable for policy-free runs.
-            from repro.telemetry.slo import AdmissionStormRule, default_rules
-
-            slo_rules = default_rules() + (AdmissionStormRule(),)
-        slo_monitor = SloMonitor(sim.telemetry, rules=slo_rules)
-    flight_recorder = None
-    if flight:
-        from repro.telemetry.flight import FlightRecorder
-
-        flight_recorder = FlightRecorder(sim.telemetry, flight_config)
+        ),
+        observe=observe,
+        slo_rules=slo_rules,
+        flight=flight,
+        flight_config=flight_config,
+        full=telemetry_full,
+        max_events=telemetry_max_events,
+        since=telemetry_since,
+        until=telemetry_until,
+    )
     topology = build_topology(spec, sim)
     catalog = MovieCatalog(
         [Movie.synthetic("feature", duration_s=spec.movie_duration_s)]
@@ -576,14 +527,7 @@ def prepare_scenario(
         spec, sim, deployment, client, plan, injector, driver
     )
     return LiveScenario(
-        spec=spec,
-        sim=sim,
-        result=result,
-        injector=injector,
-        exporter=exporter,
-        qoe_collector=qoe_collector,
-        slo_monitor=slo_monitor,
-        flight_recorder=flight_recorder,
+        spec=spec, sim=sim, result=result, injector=injector, observers=observers
     )
 
 

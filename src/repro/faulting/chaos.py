@@ -12,7 +12,6 @@ report is a bug in either the service or the invariant.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -24,6 +23,7 @@ from repro.media.movie import Movie
 from repro.net.topologies import build_lan
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
+from repro.telemetry.harness import RunObservers
 from repro.telemetry.text import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,25 +72,17 @@ def run_chaos_trial(
     are identical with or without them.
     """
     sim = Simulator(seed=seed)
-    exporter = None
-    if telemetry_path is not None:
-        from repro.telemetry.export import JsonlExporter
-
-        exporter = JsonlExporter(sim.telemetry, telemetry_path)
-        exporter.meta(
-            scenario="chaos", seed=seed, k=k,
-            intensity=intensity, run_duration_s=duration_s,
-        )
-    qoe_collector = None
-    slo_monitor = None
     if observe is None:
         observe = telemetry_path is not None
-    if observe:
-        from repro.telemetry.qoe import QoECollector
-        from repro.telemetry.slo import SloMonitor
-
-        qoe_collector = QoECollector(sim.telemetry)
-        slo_monitor = SloMonitor(sim.telemetry)
+    observers = RunObservers(
+        sim,
+        telemetry_path,
+        dict(
+            scenario="chaos", seed=seed, k=k,
+            intensity=intensity, run_duration_s=duration_s,
+        ),
+        observe=observe,
+    )
     topology = build_lan(sim, n_hosts=k + 1)
     catalog = MovieCatalog(
         [Movie.synthetic("feature", duration_s=duration_s + 60.0)]
@@ -110,32 +102,16 @@ def run_chaos_trial(
         )
     injector = FaultInjector(deployment, plan, client=client).start()
 
-    qoe: Dict[str, "QoEScorecard"] = {}
-    slo: Dict[str, Dict] = {}
-    failovers: List[float] = []
-    # The exporter-as-context-manager guarantees the summary trailer is
-    # written (with ``crashed``/``error``) even if the trial raises.
-    with exporter if exporter is not None else nullcontext():
+    with observers:
         sim.run_until(duration_s)
         checker.final_check()
         checker.stop()
         client.decoder.end_stall(sim.now)
-        if qoe_collector is not None:
-            qoe = qoe_collector.finish(sim.now)
-        if slo_monitor is not None:
-            slo_monitor.finish(sim.now)
-            slo = slo_monitor.summary()
-            failovers = list(slo_monitor.failovers)
-        if exporter is not None:
-            exporter.close(
-                violations=len(checker.violations),
-                faults_fired=len(injector.fired),
-                tracer_dropped=sim.tracer.dropped,
-                slo_breaches=(
-                    slo_monitor.total_breaches
-                    if slo_monitor is not None else 0
-                ),
-            )
+        observers.settle(
+            violations=len(checker.violations),
+            faults_fired=len(injector.fired),
+            tracer_dropped=sim.tracer.dropped,
+        )
 
     return ChaosResult(
         seed=seed,
@@ -149,9 +125,9 @@ def run_chaos_trial(
         displayed=client.displayed_total,
         samples=checker.samples,
         events=[f"t={t:7.2f}s  {note}" for t, note in injector.fired],
-        qoe=qoe,
-        slo=slo,
-        failovers=failovers,
+        qoe=observers.qoe,
+        slo=observers.slo,
+        failovers=observers.failovers,
     )
 
 

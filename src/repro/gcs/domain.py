@@ -61,10 +61,6 @@ class GcsDomain:
         """
         self._view_observers.append(observer)
 
-    def remove_view_observer(self, observer: ViewObserver) -> None:
-        if observer in self._view_observers:
-            self._view_observers.remove(observer)
-
     def notify_view_installed(self, daemon_id: int, group: str, view: "View") -> None:
         for observer in self._view_observers:
             observer(daemon_id, group, view)

@@ -134,9 +134,6 @@ class LinkStats:
     fault_duplicated: int = 0
     fault_delayed: int = 0
 
-    def drop_total(self) -> int:
-        return self.dropped_loss + self.dropped_queue + self.fault_dropped
-
 
 class _Direction:
     """One direction of a link: FIFO transmitter + lossy channel."""

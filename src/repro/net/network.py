@@ -154,9 +154,6 @@ class Network:
             link.set_fault(None)
         self.note_change()
 
-    def faulted_links(self) -> List[Tuple[int, int]]:
-        return sorted(key for key, link in self._links.items() if link.faulted)
-
     def reachable(self, src: int, dst: int) -> bool:
         return self._hop(src, dst) is not None or src == dst
 

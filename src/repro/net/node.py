@@ -52,9 +52,6 @@ class Node:
     def unbind(self, port: int) -> None:
         self._sockets.pop(port, None)
 
-    def socket_on(self, port: int) -> Optional["UdpSocket"]:
-        return self._sockets.get(port)
-
     def _allocate_ephemeral(self) -> int:
         while self._next_ephemeral in self._sockets:
             self._next_ephemeral += 1

@@ -178,13 +178,6 @@ class _TokenBucketPolicy(AdmissionPolicy):
             return True
         return bucket.take(now)
 
-    def _overload(self, now: float, request) -> Optional[str]:
-        """The traffic class if the request exceeds its budget, else None."""
-        tclass = classify_request(request)
-        if self._has_token(now, tclass):
-            return None
-        return tclass
-
 
 class RejectOverload(_TokenBucketPolicy):
     """Token-bucket admission, rejecting everything over budget.

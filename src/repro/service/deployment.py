@@ -12,7 +12,6 @@ from repro.net.address import VIDEO_PORT
 from repro.net.topologies import Topology
 from repro.placement.plan import PlacementPlan
 from repro.server.server import ServerConfig, VoDServer
-from repro.service.controller import ScenarioController
 
 
 class Deployment:
@@ -71,7 +70,6 @@ class Deployment:
         self.servers: Dict[str, VoDServer] = {}
         self.clients: Dict[str, VoDClient] = {}
         self.flyweight_pools: List[Any] = []
-        self.controller = ScenarioController(self)
         self._server_counter = 0
         self._client_counter = 0
         # Lifecycle observers attached to every server, present and
@@ -98,8 +96,8 @@ class Deployment:
         full replica), applied to it, and one server is brought up per
         plan server — on ``server_hosts[name]`` when given, else on
         hosts 0, 1, ... in sorted name order.  The deployment keeps the
-        plan (``deployment.placement``) so late servers started by the
-        scenario controller inherit their assignments too.  Remaining
+        plan (``deployment.placement``) so late servers started by a
+        fault plan inherit their assignments too.  Remaining
         keyword arguments go to :class:`Deployment`.
         """
         plan.validate(catalog)

@@ -11,9 +11,9 @@ construction.
 One mode, **shared-nothing** (:func:`repro.shard.runner.run_shards`):
 independent head-ends, one per worker, each with a deterministic
 per-shard seed (``crc32(f"{seed}:{shard_id}")``, mirroring the
-scenario-matrix cell convention) and merged telemetry — QoE scorecards,
-SLO verdicts and metric snapshots fold together order-independently
-(:mod:`repro.shard.merge`).  This is what lets the scale rig publish
+scenario-matrix cell convention) and merged results — failover
+latencies, QoE score histograms and flight-recorder incidents fold
+together order-independently (:mod:`repro.shard.merge`).  This is what lets the scale rig publish
 million-viewer numbers.
 
 The same worker pool powers the scenario matrix
@@ -24,13 +24,7 @@ independent cells execute in parallel with byte-identical verdicts.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".merge": (
-        "ScoreHistogram",
-        "merge_metric_snapshots",
-        "merge_scorecards",
-        "merge_slo_windows",
-        "slo_summary_from_windows",
-    ),
+    ".merge": ("ScoreHistogram", "slo_summary_from_windows"),
     ".plan": ("ShardPlan", "ShardTask", "shard_seed"),
     ".runner": ("ShardError", "map_tasks", "run_shards"),
 })

@@ -1,18 +1,18 @@
-"""Order-independent merging of per-shard telemetry.
+"""Order-independent merging of per-shard results.
 
-Shared-nothing shards each finish with their own QoE scorecards, SLO
-accounting, metric snapshots and failover latencies.  The functions
-here fold those into one run-level view with two contracts:
+Shared-nothing shards each finish with their own failover latencies,
+QoE score histograms and flight-recorder incidents.  The functions here
+fold those into one run-level view that cannot depend on worker
+completion order: every merge is commutative and associative over its
+inputs (shards are keyed, summed or sorted, never positionally folded).
+Property-tested in ``tests/shard/test_merge_properties.py`` and
+``tests/shard/test_incident_merge.py``.
 
-* **Order independence** — every merge is commutative and associative
-  over its inputs (shards are keyed or summed, never positionally
-  folded), so the merged result cannot depend on worker completion
-  order.  Property-tested in ``tests/shard/test_merge_properties.py``.
-* **Single-process equivalence** — merging the shards of a *disjoint*
-  deployment equals running the whole deployment in one process: QoE
-  cards union (client keys are disjoint by construction), metric
-  counters and histograms sum, and SLO windows sum component-wise
-  before the rules re-evaluate the merged sequence.
+Single-process equivalence holds for what is summed: a merged
+:class:`ScoreHistogram` equals one histogram over the combined
+population, and the merged failover list equals the combined one.
+:func:`sharded_slo_summary` re-judges the paper's rules on one
+whole-run window built from those merged facts.
 
 At the million-viewer scale per-client scorecards stop being a
 reasonable wire format (a dict of 10⁶ dataclasses per shard), so the
@@ -25,7 +25,7 @@ score point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.errors import ReproError
 from repro.telemetry.slo import RuleState, WindowSnapshot, default_rules
@@ -36,25 +36,8 @@ class MergeError(ReproError):
 
 
 # ----------------------------------------------------------------------
-# QoE scorecards
+# QoE score histograms
 # ----------------------------------------------------------------------
-def merge_scorecards(shard_cards: Iterable[Dict[str, object]]) -> Dict:
-    """Union per-shard ``{client: QoEScorecard}`` maps.
-
-    Shards own disjoint viewers, so a duplicate client name means the
-    shard map was wrong — that is an error, not a tie to break."""
-    merged: Dict[str, object] = {}
-    for cards in shard_cards:
-        for name, card in cards.items():
-            if name in merged:
-                raise MergeError(
-                    f"client {name!r} appears in more than one shard; "
-                    "shards must own disjoint viewer populations"
-                )
-            merged[name] = card
-    return merged
-
-
 @dataclass
 class ScoreHistogram:
     """Integer-bucketed 0..100 score distribution, exactly mergeable.
@@ -136,72 +119,6 @@ def merge_score_histograms(
 # ----------------------------------------------------------------------
 # SLO accounting
 # ----------------------------------------------------------------------
-def merge_slo_windows(
-    shard_windows: Sequence[Sequence[WindowSnapshot]],
-) -> List[WindowSnapshot]:
-    """Sum per-shard window sequences component-wise.
-
-    Every shard's :class:`~repro.telemetry.slo.SloMonitor` (run with
-    ``record_windows=True``) closes windows on the same ``window_s``
-    grid; aligned windows sum their client/stall/failover/bandwidth
-    accumulators, which is exactly what one monitor over the combined
-    event stream would have accumulated (clients are disjoint across
-    shards).  A shard that went quiet early contributes its last
-    cumulative state to the remaining windows (zero in-window
-    activity).  Misaligned boundaries — different ``window_s``, or a
-    lazy trailing window that spans several grid steps — raise
-    :class:`MergeError` rather than merging approximately.
-    """
-    lists = [list(windows) for windows in shard_windows if windows]
-    if not lists:
-        return []
-    grid = max(lists, key=len)
-    boundaries = [(w.start, w.end) for w in grid]
-    for windows in lists:
-        for index, window in enumerate(windows):
-            if (window.start, window.end) != boundaries[index]:
-                raise MergeError(
-                    f"shard window {index} covers "
-                    f"[{window.start}, {window.end}) but the grid has "
-                    f"[{boundaries[index][0]}, {boundaries[index][1]}); "
-                    "shards must share window_s and close on the same "
-                    "boundaries to merge exactly"
-                )
-    merged: List[WindowSnapshot] = []
-    for index, (start, end) in enumerate(boundaries):
-        clients = stalled = window_failovers = rejects = 0
-        extra = base = 0.0
-        failovers: List[float] = []
-        for windows in lists:
-            if index < len(windows):
-                window = windows[index]
-                clients += window.clients
-                stalled += window.stalled
-                window_failovers += window.window_failovers
-                rejects += window.rejects
-                extra += window.extra_frames
-                base += window.base_frames
-                failovers.extend(window.failover_durations)
-            elif windows:
-                # Quiet shard: cumulative state persists, nothing new.
-                clients += windows[-1].clients
-                failovers.extend(windows[-1].failover_durations)
-        merged.append(
-            WindowSnapshot(
-                start=start,
-                end=end,
-                clients=clients,
-                stalled=stalled,
-                failover_durations=sorted(failovers),
-                window_failovers=window_failovers,
-                extra_frames=extra,
-                base_frames=base,
-                rejects=rejects,
-            )
-        )
-    return merged
-
-
 def slo_summary_from_windows(
     windows: Sequence[WindowSnapshot],
     rules=None,
@@ -211,9 +128,8 @@ def slo_summary_from_windows(
 
     The same fold :class:`~repro.telemetry.slo.SloMonitor` applies
     online (breach = ok->not-ok transition, burn = burn rate over the
-    threshold), minus the bus emissions — so replaying a monitor's own
-    recorded windows reproduces its summary, and replaying *merged*
-    windows yields the combined run's summary.
+    threshold), minus the bus emissions — so a window sequence gets the
+    verdicts a monitor that closed those windows would have reported.
     """
     rules = tuple(rules) if rules is not None else default_rules()
     states = {rule.name: RuleState(rule=rule) for rule in rules}
@@ -265,85 +181,9 @@ def sharded_slo_summary(
 
 
 # ----------------------------------------------------------------------
-# Metric snapshots
-# ----------------------------------------------------------------------
-def merge_metric_snapshots(
-    snapshots: Iterable[Dict[str, object]],
-) -> Dict[str, object]:
-    """Merge :meth:`MetricRegistry.snapshot` dumps across shards.
-
-    Counters (ints) sum; histograms (dicts) require identical bucket
-    layouts and sum count-wise, with the mean recomputed from the
-    merged totals; gauges (floats / ``None``) keep the maximum — there
-    is no global last-writer across processes, and every current gauge
-    is entity-scoped so disjoint shards never collide on one anyway.
-    """
-    merged: Dict[str, object] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.items():
-            if name not in merged:
-                merged[name] = _copy_metric(value)
-                continue
-            merged[name] = _combine_metric(name, merged[name], value)
-    return merged
-
-
-def _copy_metric(value):
-    if isinstance(value, dict):
-        out = dict(value)
-        out["counts"] = list(value.get("counts", ()))
-        out["buckets"] = list(value.get("buckets", ()))
-        return out
-    return value
-
-
-def _combine_metric(name: str, left, right):
-    if isinstance(left, bool) or isinstance(right, bool):
-        raise MergeError(f"metric {name!r} has a non-mergeable bool value")
-    if isinstance(left, dict) != isinstance(right, dict):
-        raise MergeError(
-            f"metric {name!r} is a histogram in one shard but not another"
-        )
-    if isinstance(left, dict):
-        if list(left.get("buckets", ())) != list(right.get("buckets", ())):
-            raise MergeError(
-                f"histogram {name!r} has mismatched bucket layouts"
-            )
-        counts = [a + b for a, b in zip(left["counts"], right["counts"])]
-        count = left["count"] + right["count"]
-        total = _add_optional(left.get("total"), right.get("total"))
-        return {
-            "count": count,
-            "total": total,
-            "mean": (total / count) if (count and total is not None) else (
-                None if total is None else 0.0
-            ),
-            "buckets": list(left["buckets"]),
-            "counts": counts,
-        }
-    if isinstance(left, int) and isinstance(right, int):
-        return left + right  # counters
-    # Gauges: floats (or None for non-finite exports).
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return max(left, right)
-
-
-def _add_optional(left: Optional[float], right: Optional[float]):
-    if left is None or right is None:
-        return None
-    return left + right
-
-
-# ----------------------------------------------------------------------
 # Incidents (flight recorder)
 # ----------------------------------------------------------------------
-def merge_incidents(
-    shard_incidents: Iterable,
-    overlap_groups: bool = True,
-) -> List:
+def merge_incidents(shard_incidents: Iterable) -> List:
     """Merge per-shard flight-recorder incidents, order-independently.
 
     ``shard_incidents`` yields ``(shard_id, incidents)`` pairs where
@@ -354,8 +194,7 @@ def merge_incidents(
     on worker completion order (the reversed-input self-check in the
     scale rig holds by construction).
 
-    With ``overlap_groups`` (the default), incidents from *different*
-    shards whose windows overlap in sim time fold into one cross-shard
+    Incidents from *different* shards whose windows overlap in sim time fold into one cross-shard
     incident — the same injected fault seen from four shards is one
     event, not four.  The folded incident unions the windows, keeps
     the earliest trigger as primary, concatenates triggers/breakdowns/
@@ -383,7 +222,7 @@ def merge_incidents(
 
     groups: List[List[Incident]] = []
     for incident in stamped:
-        if overlap_groups and groups:
+        if groups:
             group = groups[-1]
             group_end = max(i.window_end for i in group)
             # Group on the *trigger* falling inside the open window, not

@@ -215,20 +215,11 @@ class SloMonitor:
         rules: Optional[Tuple[SloRule, ...]] = None,
         window_s: float = 10.0,
         burn_threshold: float = 1.0,
-        record_windows: bool = False,
     ) -> None:
         self.telemetry = telemetry
         self.rules = tuple(rules) if rules is not None else default_rules()
         self.window_s = float(window_s)
         self.burn_threshold = float(burn_threshold)
-        #: Closed :class:`WindowSnapshot` records, kept only when
-        #: ``record_windows`` is set.  Sharded runs use these to merge
-        #: per-shard SLO accounting exactly (see
-        #: :func:`repro.shard.merge.merge_slo_windows`): summing aligned
-        #: windows across shards and re-evaluating the rules reproduces
-        #: what one monitor over the combined event stream would say.
-        self.record_windows = bool(record_windows)
-        self.windows: List[WindowSnapshot] = []
         self.states: Dict[str, RuleState] = {
             rule.name: RuleState(rule=rule) for rule in self.rules
         }
@@ -319,8 +310,6 @@ class SloMonitor:
             base_frames=self._base_frames,
             rejects=self._rejects,
         )
-        if self.record_windows:
-            self.windows.append(window)
         for rule in self.rules:
             self._judge(rule, window)
         # Roll the window: stalls spanning the boundary stay counted.
@@ -424,14 +413,6 @@ def render_slo(summary: Dict[str, Dict]) -> str:
             item.get("windows", 0),
         )
     return table.render()
-
-
-def slo_events_from_timeline(timeline) -> List[Dict]:
-    """The ``slo.*`` events recorded in an export (offline view)."""
-    return [
-        event for event in timeline.events
-        if str(event.get("kind", "")).startswith("slo.")
-    ]
 
 
 def slo_from_timeline(

@@ -26,10 +26,6 @@ class PopulationStats:
     requests_per_title: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def mean_stall_s(self) -> float:
-        return self.total_stall_s / max(1, self.n_viewers)
-
-    @property
     def skip_fraction(self) -> float:
         shown = self.total_displayed + self.total_skipped
         return self.total_skipped / max(1, shown)

@@ -5,6 +5,8 @@ orphaned across back-to-back server joins, lost view commits under
 bursty flush traffic, and multi-movie load spreading.
 """
 
+from repro.faulting.injector import FaultInjector
+from repro.faulting.plan import FaultPlan
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
 from repro.net.topologies import build_lan
@@ -30,6 +32,10 @@ def make_two_movie_service(n_clients=6, seed=42):
     return sim, deployment, clients
 
 
+def schedule(deployment, plan):
+    FaultInjector(deployment, plan).start()
+
+
 def assert_every_client_served_once(deployment, clients):
     served = {}
     for server in deployment.live_servers():
@@ -48,8 +54,9 @@ class TestBackToBackJoins:
         """Two servers brought up 10 s apart (the flush replays state
         to each joiner) must not leave any client unserved."""
         sim, deployment, clients = make_two_movie_service()
-        deployment.controller.start_server_at(40.0, 1, "serverB")
-        deployment.controller.start_server_at(50.0, 2, "serverC")
+        schedule(
+            deployment, FaultPlan().server_up(40.0, host=1).server_up(50.0, host=2)
+        )
         sim.run_until(80.0)
         assert_every_client_served_once(deployment, clients)
         for client in clients:
@@ -61,10 +68,10 @@ class TestBackToBackJoins:
         from repro.service.protocol import movie_group
 
         sim, deployment, clients = make_two_movie_service()
-        deployment.controller.start_server_at(40.0, 1, "serverB")
+        schedule(deployment, FaultPlan().server_up(40.0, host=1))
         sim.run_until(45.0)
         for title in ("news", "feature"):
-            view = deployment.server("serverB").endpoint.group_view(
+            view = deployment.server("server1").endpoint.group_view(
                 movie_group(title)
             )
             assert view is not None, f"no view for {title}"
@@ -72,8 +79,9 @@ class TestBackToBackJoins:
 
     def test_loads_spread_after_joins(self):
         sim, deployment, clients = make_two_movie_service()
-        deployment.controller.start_server_at(40.0, 1, "serverB")
-        deployment.controller.start_server_at(50.0, 2, "serverC")
+        schedule(
+            deployment, FaultPlan().server_up(40.0, host=1).server_up(50.0, host=2)
+        )
         sim.run_until(80.0)
         loads = sorted(s.n_clients for s in deployment.live_servers())
         assert sum(loads) == len(clients)
@@ -83,8 +91,9 @@ class TestBackToBackJoins:
 class TestDetachChurn:
     def test_join_then_detach_keeps_everyone_served(self):
         sim, deployment, clients = make_two_movie_service()
-        deployment.controller.start_server_at(40.0, 1, "serverB")
-        deployment.controller.detach_server_at(70.0, "serverB")
+        schedule(
+            deployment, FaultPlan().server_up(40.0, host=1).stop(70.0, "server1")
+        )
         sim.run_until(100.0)
         assert_every_client_served_once(deployment, clients)
         total_stall = sum(c.decoder.stats.stall_time_s for c in clients)
@@ -94,8 +103,9 @@ class TestDetachChurn:
         """A server crash right after another server's join exercises
         the orphan-repair path."""
         sim, deployment, clients = make_two_movie_service()
-        deployment.controller.start_server_at(40.0, 1, "serverB")
-        deployment.controller.crash_server_at(40.6, "server0")
+        schedule(
+            deployment, FaultPlan().server_up(40.0, host=1).crash(40.6, "server0")
+        )
         sim.run_until(80.0)
         assert_every_client_served_once(deployment, clients)
 

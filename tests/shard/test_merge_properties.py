@@ -1,36 +1,21 @@
-"""The merge layer's two contracts, tested property-first.
+"""The merge layer's contracts, tested property-first.
 
 Order independence: every merge in :mod:`repro.shard.merge` must give
 the same answer for any permutation of its shard inputs — worker
-completion order cannot leak into results.
-
-Single-process equivalence: merging the per-shard views of a *disjoint*
-client population equals one accumulator/monitor/registry fed the
-combined event stream.  The equivalence runs through the real telemetry
-classes (:class:`QoEAccumulator`, :class:`SloMonitor`,
-:class:`MetricRegistry`) — the merge layer is judged against what one
-process would actually have computed, not against a reimplementation.
+completion order cannot leak into results.  A merged score histogram
+and a merged failover list also equal the one built over the combined
+population, and the sharded SLO summary judges with the real rules.
 """
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.shard.merge import (
-    MergeError,
     ScoreHistogram,
     merge_failovers,
-    merge_metric_snapshots,
     merge_score_histograms,
-    merge_scorecards,
-    merge_slo_windows,
     sharded_slo_summary,
-    slo_summary_from_windows,
 )
-from repro.telemetry.bus import Telemetry, TelemetryEvent
-from repro.telemetry.metrics import MetricRegistry
-from repro.telemetry.qoe import QoEAccumulator
-from repro.telemetry.slo import SloMonitor, WindowSnapshot
 
 
 # ----------------------------------------------------------------------
@@ -98,268 +83,6 @@ def test_merge_failovers_is_order_independent(latencies):
     assert merge_failovers(latencies) == sorted(
         value for shard in latencies for value in shard
     )
-
-
-def test_merge_scorecards_unions_and_rejects_duplicates():
-    merged = merge_scorecards([{"a": 1, "b": 2}, {"c": 3}])
-    assert merged == {"a": 1, "b": 2, "c": 3}
-    assert merge_scorecards([{"c": 3}, {"a": 1, "b": 2}]) == merged
-    with pytest.raises(MergeError):
-        merge_scorecards([{"a": 1}, {"a": 2}])
-
-
-def _window(start, end, clients, stalled, failovers, wf, extra, base, rej=0):
-    return WindowSnapshot(
-        start=start, end=end, clients=clients, stalled=stalled,
-        failover_durations=list(failovers), window_failovers=wf,
-        extra_frames=extra, base_frames=base, rejects=rej,
-    )
-
-
-@st.composite
-def shard_window_lists(draw):
-    """Per-shard window sequences on one shared 10-second grid.
-
-    Shards may go quiet early (shorter lists) — the merge forward-fills
-    their cumulative state.  Failovers accumulate (the snapshot's list
-    is cumulative over the run, mirroring SloMonitor).
-    """
-    n_windows = draw(st.integers(min_value=1, max_value=4))
-    n_shards = draw(st.integers(min_value=1, max_value=4))
-    shards = []
-    for _ in range(n_shards):
-        length = draw(st.integers(min_value=1, max_value=n_windows))
-        cumulative = []
-        windows = []
-        for index in range(length):
-            new = draw(
-                st.lists(st.integers(1, 40), min_size=0, max_size=3)
-            )
-            cumulative = cumulative + [value / 8.0 for value in new]
-            windows.append(
-                _window(
-                    start=index * 10.0,
-                    end=(index + 1) * 10.0,
-                    clients=draw(st.integers(0, 50)),
-                    stalled=draw(st.integers(0, 5)),
-                    failovers=cumulative,
-                    wf=len(new),
-                    extra=float(draw(st.integers(0, 100))),
-                    base=float(draw(st.integers(0, 1000))),
-                    rej=draw(st.integers(0, 3)),
-                )
-            )
-        shards.append(windows)
-    return shards
-
-
-@given(shards=shard_window_lists())
-@settings(max_examples=50)
-def test_merge_slo_windows_is_order_independent(shards):
-    forward = merge_slo_windows(shards)
-    backward = merge_slo_windows(list(reversed(shards)))
-    assert forward == backward
-    assert slo_summary_from_windows(forward) == slo_summary_from_windows(
-        backward
-    )
-
-
-def test_merge_slo_windows_rejects_misaligned_grids():
-    aligned = [_window(0.0, 10.0, 4, 0, [], 0, 0.0, 100.0)]
-    skewed = [_window(0.0, 12.0, 4, 0, [], 0, 0.0, 100.0)]
-    with pytest.raises(MergeError):
-        merge_slo_windows([aligned, skewed])
-
-
-def test_merge_slo_windows_forward_fills_quiet_shards():
-    busy = [
-        _window(0.0, 10.0, 3, 0, [0.5], 1, 0.0, 100.0),
-        _window(10.0, 20.0, 3, 1, [0.5, 0.75], 1, 0.0, 100.0),
-    ]
-    quiet = [_window(0.0, 10.0, 2, 0, [0.25], 1, 0.0, 50.0)]
-    merged = merge_slo_windows([busy, quiet])
-    assert merged[0].clients == 5
-    assert merged[0].failover_durations == [0.25, 0.5]
-    # Window 2: the quiet shard still *has* its cumulative clients and
-    # failovers — it just contributed nothing new.
-    assert merged[1].clients == 5
-    assert merged[1].stalled == 1
-    assert merged[1].failover_durations == [0.25, 0.5, 0.75]
-    assert merged[1].window_failovers == 1
-    assert merged[1].base_frames == 100.0
-
-
-# ----------------------------------------------------------------------
-# Single-process equivalence through the real telemetry classes
-# ----------------------------------------------------------------------
-#: A disjoint 2-shard population: shard 0 owns a*, shard 1 owns b*.
-SHARD_CLIENTS = (("a0", "a1"), ("b0", "b1"))
-END_T = 20.0
-
-
-def _qoe_events():
-    """A combined timeline touching every scorecard dimension.
-
-    Times and rates are picked to be exactly representable so float
-    accumulation order cannot blur the equality.
-    """
-    events = []
-    for shard in SHARD_CLIENTS:
-        for offset, name in enumerate(shard):
-            t0 = 0.5 + offset
-            events += [
-                (t0, "span.begin",
-                 {"span": "client.session", "key": name, "movie": "m"}),
-                (t0 + 0.5, "client.playback.start", {"client": name}),
-                (3.0 + offset, "client.stall.begin", {"client": name}),
-                (4.0 + offset, "client.stall.end", {"client": name}),
-                (6.0, "client.migrate",
-                 {"client": name, "from_server": "server0",
-                  "to_server": "server1"}),
-                (8.0, "server.rate",
-                 {"client": name, "rate_fps": 40.0, "base_fps": 30.0,
-                  "emergency": 1}),
-                (10.0, "server.rate",
-                 {"client": name, "rate_fps": 30.0, "base_fps": 30.0,
-                  "emergency": 0}),
-                (18.0, "span.end",
-                 {"span": "client.session", "key": name,
-                  "displayed": 480, "late": 2, "skipped": 4}),
-            ]
-    return sorted(events, key=lambda item: item[0])
-
-
-def _owner_shard(fields):
-    name = str(
-        fields.get("client") or fields.get("key") or "?"
-    ).split("@", 1)[0]
-    return 0 if name.startswith("a") else 1
-
-
-def test_qoe_scorecard_merge_equals_single_process():
-    combined = QoEAccumulator()
-    shard_accs = [QoEAccumulator(), QoEAccumulator()]
-    for t, kind, fields in _qoe_events():
-        combined.feed(t, kind, fields)
-        shard_accs[_owner_shard(fields)].feed(t, kind, fields)
-
-    # The shared end_t matters: finish() settles open episodes at
-    # max(end_t, last event seen), and shards see different last events.
-    combined_cards = combined.finish(END_T)
-    merged = merge_scorecards(
-        accumulator.finish(END_T) for accumulator in shard_accs
-    )
-    assert sorted(merged) == sorted(combined_cards)
-    for name, card in combined_cards.items():
-        assert merged[name].as_dict() == card.as_dict()
-    # Sanity: the timeline actually exercised the dimensions.
-    assert all(card.stall_count == 1 for card in combined_cards.values())
-    assert all(card.migrations == 1 for card in combined_cards.values())
-    assert all(
-        card.emergency_extra_frames > 0 for card in combined_cards.values()
-    )
-
-
-def _slo_events(shard):
-    """One shard's stream: activity in every 5-second window."""
-    events = []
-    for index, name in enumerate(SHARD_CLIENTS[shard]):
-        for window in range(4):
-            events.append(
-                (window * 5.0 + 1.0 + index * 0.5,
-                 "client.playback.start", {"client": name})
-            )
-        events += [
-            (7.0 + index, "client.stall.begin", {"client": name}),
-            (8.0 + index, "client.stall.end", {"client": name}),
-            (11.0 + shard + index, "span.end",
-             {"span": "takeover", "duration_s": 0.25 * (shard + index + 1)}),
-            (12.0, "server.rate",
-             {"client": name, "rate_fps": 40.0, "base_fps": 30.0,
-              "emergency": 1}),
-            (14.0, "server.rate",
-             {"client": name, "rate_fps": 30.0, "base_fps": 30.0,
-              "emergency": 0}),
-        ]
-    return events
-
-
-def test_slo_window_merge_equals_single_process():
-    window_s = 5.0
-    combined_monitor = SloMonitor(
-        Telemetry(), window_s=window_s, record_windows=True
-    )
-    shard_monitors = [
-        SloMonitor(Telemetry(), window_s=window_s, record_windows=True)
-        for _ in SHARD_CLIENTS
-    ]
-    per_shard = [_slo_events(0), _slo_events(1)]
-    for t, kind, fields in sorted(
-        (event for shard in per_shard for event in shard),
-        key=lambda item: item[0],
-    ):
-        combined_monitor._on_event(TelemetryEvent(t, kind, fields))
-    for monitor, events in zip(shard_monitors, per_shard):
-        for t, kind, fields in sorted(events, key=lambda item: item[0]):
-            monitor._on_event(TelemetryEvent(t, kind, fields))
-
-    combined_summary = combined_monitor.finish(END_T)
-    for monitor in shard_monitors:
-        monitor.finish(END_T)
-    merged_windows = merge_slo_windows(
-        [monitor.windows for monitor in shard_monitors]
-    )
-
-    # Window for window, the merge equals what the combined monitor saw
-    # (failover lists compare as multisets: the combined monitor keeps
-    # event order, the merge keeps sorted order — the rules sort anyway).
-    assert len(merged_windows) == len(combined_monitor.windows)
-    for merged, single in zip(merged_windows, combined_monitor.windows):
-        assert (merged.start, merged.end) == (single.start, single.end)
-        assert merged.clients == single.clients
-        assert merged.stalled == single.stalled
-        assert merged.window_failovers == single.window_failovers
-        assert merged.failover_durations == sorted(single.failover_durations)
-        assert merged.extra_frames == single.extra_frames
-        assert merged.base_frames == single.base_frames
-
-    assert slo_summary_from_windows(merged_windows) == combined_summary
-
-
-def test_metric_snapshot_merge_equals_single_process():
-    combined = MetricRegistry()
-    shard_a, shard_b = MetricRegistry(), MetricRegistry()
-    for registry in (combined, shard_a):
-        registry.counter("net.frames").inc(100)
-        registry.histogram("takeover.latency_s").observe(0.25)
-        registry.histogram("takeover.latency_s").observe(0.5)
-    for registry in (combined, shard_b):
-        registry.counter("net.frames").inc(50)
-        registry.counter("gcs.views").inc(3)
-        registry.histogram("takeover.latency_s").observe(1.0)
-    merged = merge_metric_snapshots(
-        [shard_a.snapshot(), shard_b.snapshot()]
-    )
-    assert merged == combined.snapshot()
-    assert merged == merge_metric_snapshots(
-        [shard_b.snapshot(), shard_a.snapshot()]
-    )
-
-
-def test_metric_snapshot_merge_guards():
-    with pytest.raises(MergeError):
-        merge_metric_snapshots([{"x": 1}, {"x": {"count": 1, "total": 1.0,
-                                                "mean": 1.0, "buckets": [1],
-                                                "counts": [1, 0]}}])
-    histogram_a = {"count": 1, "total": 1.0, "mean": 1.0,
-                   "buckets": [1.0], "counts": [1, 0]}
-    histogram_b = {"count": 1, "total": 1.0, "mean": 1.0,
-                   "buckets": [2.0], "counts": [1, 0]}
-    with pytest.raises(MergeError):
-        merge_metric_snapshots([{"h": histogram_a}, {"h": histogram_b}])
-    # Gauges keep the max (no global last-writer across processes).
-    assert merge_metric_snapshots([{"g": 1.5}, {"g": 0.5}])["g"] == 1.5
-    assert merge_metric_snapshots([{"g": None}, {"g": 0.5}])["g"] == 0.5
 
 
 def test_sharded_slo_summary_uses_the_real_rules():
