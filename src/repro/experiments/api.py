@@ -85,9 +85,10 @@ class Experiment:
     ``module`` owns ``run(spec)``; ``defaults`` are merged under the
     caller's params.  ``help`` is the subcommand's help line (an entry
     without one is a registry-only alias, not a subcommand) and
-    ``flags`` its own flags beside the common ``--seed`` / ``--json`` /
-    ``--telemetry`` / ``--no-telemetry``.  ``telemetry``: the experiment
-    executes a scenario and exports a telemetry artifact by default.
+    ``flags`` its own flags beside the common ``--seed``; an experiment
+    that writes a JSON dump declares ``--json`` there.  ``telemetry``:
+    the experiment executes a scenario and exports a telemetry artifact
+    by default (its subcommand takes ``--telemetry`` / ``--no-telemetry``).
     ``in_all``: ``repro-vod all`` runs it (the slow sweeps stay out).
     """
 
@@ -99,6 +100,11 @@ class Experiment:
     in_all: bool = False
 
 
+#: ``--json PATH`` for the experiments that dump their run to a file.
+RUN_JSON_FLAG = flag(
+    "--json", help="also dump the run (counters + series) to this JSON file"
+)
+
 #: Every experiment, in ``repro-vod --help`` and ``repro-vod all`` order.
 REGISTRY: Dict[str, Experiment] = {
     "figure2": Experiment(
@@ -107,11 +113,11 @@ REGISTRY: Dict[str, Experiment] = {
     ),
     "figure4": Experiment(
         "repro.experiments.figure4", "LAN irregularity recovery (4 panels)",
-        telemetry=True, in_all=True,
+        flags=(RUN_JSON_FLAG,), telemetry=True, in_all=True,
     ),
     "figure5": Experiment(
         "repro.experiments.figure5", "WAN skipped frames (2 panels)",
-        telemetry=True, in_all=True,
+        flags=(RUN_JSON_FLAG,), telemetry=True, in_all=True,
     ),
     "sync-overhead": Experiment(
         "repro.experiments.overheads", "T-sync claim", {"measure": "sync"},
@@ -256,6 +262,9 @@ REGISTRY: Dict[str, Experiment] = {
                  help="with --from-export: replay window end (sim seconds)"),
             flag("--max-rows", type=int,
                  help="table rows per incident section (default 40)"),
+            flag("--json",
+                 help="also write the incidents and the recorder's "
+                      "metering to this JSON file"),
         ),
     ),
 }

@@ -13,14 +13,8 @@ from typing import List, Optional
 
 from repro.baselines.single_server import run_single_server_crash
 from repro.baselines.striped import run_striped_crash
-from repro.faulting.injector import FaultInjector
-from repro.faulting.invariants import InvariantChecker
+from repro.faulting.chaos import run_chaos_trial
 from repro.faulting.plan import FaultPlan
-from repro.media.catalog import MovieCatalog
-from repro.media.movie import Movie
-from repro.net.topologies import build_lan
-from repro.service.deployment import Deployment
-from repro.sim.core import Simulator
 from repro.telemetry.text import Table
 
 
@@ -53,29 +47,17 @@ def kill_plan(kills: int, first_at: float = 30.0, gap_s: float = 15.0) -> FaultP
 def run_group_service_trial(
     k: int = 3, kills: int = 2, duration_s: float = 90.0, seed: int = 61
 ) -> FaultTrial:
-    """k replicas, crash ``kills`` servers 15 s apart (non-concurrent)."""
-    sim = Simulator(seed=seed)
-    topology = build_lan(sim, n_hosts=k + 1)
-    catalog = MovieCatalog([Movie.synthetic("feature", duration_s=duration_s)])
-    deployment = Deployment(topology, catalog, server_nodes=list(range(k)))
-    checker = InvariantChecker(deployment).install()
-    client = deployment.attach_client(k)
-    client.request_movie("feature")
-
-    injector = FaultInjector(deployment, kill_plan(kills), client=client)
-    injector.start()
-    sim.run_until(duration_s)
-    checker.final_check()
-    checker.stop()
-    client.decoder.end_stall(sim.now)
+    """k replicas, crash ``kills`` servers 15 s apart (non-concurrent):
+    a chaos trial whose plan is :func:`kill_plan`."""
+    trial = run_chaos_trial(seed, duration_s, k, plan=kill_plan(kills))
     return FaultTrial(
         system="group-communication VoD",
         servers=k,
         kills=kills,
-        stall_time_s=client.decoder.stats.stall_time_s,
-        skipped=client.skipped_total,
-        displayed=client.displayed_total,
-        violations=len(checker.violations),
+        stall_time_s=trial.stall_time_s,
+        skipped=trial.skipped,
+        displayed=trial.displayed,
+        violations=len(trial.violations),
     )
 
 

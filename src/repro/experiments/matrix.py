@@ -30,7 +30,7 @@ and can dump everything as a benchmark JSON for the CI gate
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -40,10 +40,10 @@ from repro.experiments.api import ExperimentResult, ExperimentSpec
 from repro.experiments.scenarios import (
     ScenarioSpec,
     WorkloadSpec,
+    plan_for_spec,
     run_scenario,
 )
 from repro.faulting.invariants import InvariantChecker
-from repro.faulting.plan import FaultPlan
 from repro.net.link import LinkFault
 from repro.server.admission import AdmissionSpec
 from repro.telemetry.slo import quantile
@@ -236,41 +236,32 @@ def spec_for_cell(cell: Cell, matrix_seed: int = 11) -> ScenarioSpec:
     if faults == "crash-recover":
         schedule = ((crash_at, "crash-serving"), (up_at, "server-up"))
 
-    seed = cell.seed(matrix_seed)
-    plan = None
-    if clients == "lossy-lastmile":
-        # The schedule plus a degraded last-mile link under the measured
-        # client needs the full FaultPlan DSL (mirrors plan_for_spec's
-        # schedule translation, then adds the impairment).
-        plan = FaultPlan(name=cell.cell_id, seed=seed)
-        next_server_slot = n_initial_servers
-        for at, action in schedule:
-            if action == "crash-serving":
-                plan = plan.crash_serving(at)
-            else:
-                plan = plan.server_up(at, host=next_server_slot)
-                next_server_slot += 1
-        client_host = n_initial_servers + 2 + n_client_hosts - 1
-        plan = plan.impair_host(
-            0.0,
-            host=client_host,
-            fault=LinkFault(drop_prob=0.02, extra_delay_s=0.005),
-        )
-
-    return ScenarioSpec(
+    spec = ScenarioSpec(
         name=cell.cell_id,
         network=topology,
         movie_duration_s=duration_s,
         run_duration_s=duration_s,
         n_initial_servers=n_initial_servers,
         schedule=schedule,
-        plan=plan,
-        seed=seed,
+        seed=cell.seed(matrix_seed),
         client_config=_client_mix(clients),
         workload=workload_spec,
         admission=admission,
         n_client_hosts=n_client_hosts,
     )
+    if clients == "lossy-lastmile":
+        # The schedule's plan plus a degraded last-mile link under the
+        # measured client, which holds the last host.
+        client_host = n_initial_servers + 2 + n_client_hosts - 1
+        spec = replace(
+            spec,
+            plan=plan_for_spec(spec).impair_host(
+                0.0,
+                host=client_host,
+                fault=LinkFault(drop_prob=0.02, extra_delay_s=0.005),
+            ),
+        )
+    return spec
 
 
 # ----------------------------------------------------------------------

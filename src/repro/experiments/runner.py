@@ -100,11 +100,15 @@ def _run_all(args: argparse.Namespace) -> None:
     for index, name in enumerate(names):
         if index:
             print("\n" + "=" * 72 + "\n")
-        # One file per experiment from the one path given, or figure5
-        # would write over figure4's.
-        own = argparse.Namespace(**vars(args))
-        own.json = args.json and labelled_path(args.json, name)
-        own.telemetry = args.telemetry and labelled_path(args.telemetry, name)
+        # Each experiment gets the flags it takes, and one file of its
+        # own from the one path given, or figure5 would write over
+        # figure4's.
+        entry = REGISTRY[name]
+        own = argparse.Namespace(seed=args.seed, no_telemetry=args.no_telemetry)
+        if any(flag_name == "--json" for flag_name, _ in entry.flags):
+            own.json = args.json and labelled_path(args.json, name)
+        if entry.telemetry:
+            own.telemetry = args.telemetry and labelled_path(args.telemetry, name)
         _run_experiment(name, own)
 
 
@@ -273,17 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, default=None, help="override the scenario seed"
     )
-    common.add_argument(
-        "--json", type=str, default=None,
-        help="also dump the figure4/figure5 run (counters + series) to "
-             "this JSON file",
-    )
-    common.add_argument(
+    # Only the subcommands that export telemetry take these two.
+    telemetry = argparse.ArgumentParser(add_help=False)
+    telemetry.add_argument(
         "--telemetry", type=str, default=None,
-        help="telemetry JSONL artifact path (scenario experiments; "
-             "default artifacts/<name>-telemetry.jsonl)",
+        help="telemetry JSONL artifact path "
+             "(default artifacts/<name>-telemetry.jsonl)",
     )
-    common.add_argument(
+    telemetry.add_argument(
         "--no-telemetry", action="store_true",
         help="disable the default telemetry artifact",
     )
@@ -291,10 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name, entry in REGISTRY.items():
         if entry.help is None:
             continue  # a registry-only alias
-        p = sub.add_parser(name, parents=[common], help=entry.help)
+        parents = [common, telemetry] if entry.telemetry else [common]
+        p = sub.add_parser(name, parents=parents, help=entry.help)
         for flag, kwargs in entry.flags:
             p.add_argument(flag, **kwargs)
-    sub.add_parser("all", parents=[common], help="everything")
+    p = sub.add_parser("all", parents=[common, telemetry], help="everything")
+    p.add_argument(
+        "--json", type=str, default=None,
+        help="dump each experiment that takes --json to its own file: "
+             "PATH's root + -<name>.json",
+    )
 
     p = sub.add_parser(
         "profile", parents=[common],
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only consider events at/before this sim second")
 
     p = sub.add_parser(
-        "watch", parents=[common],
+        "watch", parents=[common, telemetry],
         help="run a scenario with the live dashboard: clients, buffer "
              "distribution, active spans and SLO state per time slice",
     )

@@ -23,7 +23,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".chaos": (
         "ChaosResult",
         "chaos_table",
-        "run_chaos_sweep",
         "run_chaos_trial",
         "total_violations",
     ),

@@ -131,25 +131,6 @@ def run_chaos_trial(
     )
 
 
-def run_chaos_sweep(
-    n_plans: int = 20,
-    base_seed: int = 1000,
-    duration_s: float = 90.0,
-    k: int = 3,
-    intensity: float = 1.0,
-) -> List[ChaosResult]:
-    """Run ``n_plans`` seeded chaos trials (seeds ``base_seed + i``)."""
-    return [
-        run_chaos_trial(
-            seed=base_seed + index,
-            duration_s=duration_s,
-            k=k,
-            intensity=intensity,
-        )
-        for index in range(n_plans)
-    ]
-
-
 def chaos_table(results: List[ChaosResult]) -> Table:
     """The sweep report: one row per seed, violations called out."""
     table = Table(
@@ -184,7 +165,8 @@ def total_violations(results: List[ChaosResult]) -> List[Violation]:
 
 
 def run(spec) -> "ExperimentResult":
-    """Unified entry point (see :mod:`repro.experiments.api`).
+    """Unified entry point (see :mod:`repro.experiments.api`): the sweep
+    of ``plans`` seeded trials, seeds ``spec.seed + i`` (default 1000).
 
     When ``spec.telemetry_path`` is set the first trial of the sweep
     streams its telemetry there (one representative artifact; exporting

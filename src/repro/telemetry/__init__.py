@@ -26,7 +26,9 @@ Everything observable about a run flows through this package:
 * :class:`FlightRecorder` / :class:`Incident` — bounded always-on
   capture (per-kind rings, deterministic sampling, trigger-scoped
   full-fidelity windows) rendered as postmortems by
-  :func:`render_incidents` behind ``repro-vod postmortem``.
+  :func:`render_incidents` behind ``repro-vod postmortem``;
+* :class:`RunObservers` — how a run attaches the exporter and these
+  observers, and the one order they settle in at run end.
 
 With no subscribers the whole subsystem costs one attribute check per
 instrumented site, and enabling it never changes simulation outcomes
@@ -48,6 +50,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "render_breakdowns",
     ),
     ".export": ("DEFAULT_PREFIXES", "SCHEMA_VERSION", "JsonlExporter", "read_jsonl"),
+    ".harness": ("RunObservers",),
     ".flight": (
         "ALWAYS_RETAIN_PREFIXES",
         "FLIGHT_PREFIXES",

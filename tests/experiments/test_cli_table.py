@@ -3,7 +3,10 @@
 ``CLI_TABLE`` was recorded on the commit before the generation landed
 (f881313, hand-written ``sub.add_parser`` blocks): every experiment
 subcommand and every flag, each with the ``ExperimentSpec`` the runner
-built from it.  It must keep passing unchanged.
+built from it.  Two of its rows pinned a flag the experiment accepted
+and then ignored (``figure2 --telemetry``, ``faults --json``); a
+subcommand now takes only the flags its module reads, so those argv
+lines moved to ``REJECTED``, which pins argparse's usage error.
 """
 
 import pytest
@@ -14,7 +17,7 @@ from repro.experiments.api import REGISTRY, ExperimentResult, ExperimentSpec
 # (argv, name, seed, params, telemetry_path)
 CLI_TABLE = [
     ("figure2", "figure2", None, {}, None),
-    ("figure2 --seed 3 --telemetry ignored.jsonl", "figure2", 3, {}, None),
+    ("figure2 --seed 3", "figure2", 3, {}, None),
     ("figure4", "figure4", None, {}, "artifacts/figure4-telemetry.jsonl"),
     ("figure4 --seed 17 --json out.json --telemetry t/f4.jsonl",
      "figure4", 17, {"json": "out.json"}, "t/f4.jsonl"),
@@ -29,7 +32,7 @@ CLI_TABLE = [
     ("qos", "qos", None, {}, None),
     ("capacity", "capacity", None, {}, None),
     ("gcs", "gcs", None, {}, None),
-    ("faults --json f.json", "faults", None, {"json": "f.json"}, None),
+    ("faults", "faults", None, {}, None),
     ("chaos", "chaos", None, {"plans": 20},
      "artifacts/chaos-telemetry.jsonl"),
     ("chaos --plans 5 --seed 1000 --no-telemetry",
@@ -80,6 +83,16 @@ CLI_TABLE = [
      "artifacts/postmortem-telemetry.jsonl"),
 ]
 
+#: Flags whose experiment never reads them: rejected, not ignored.
+REJECTED = [
+    "figure2 --seed 3 --telemetry ignored.jsonl",
+    "faults --json f.json",
+    "gcs --json x.json",
+    "sync-overhead --no-telemetry",
+    "trace --json x.json",
+    "report run.jsonl --telemetry x.jsonl",
+]
+
 #: The parent's 22 subcommands: 16 experiments and the six tools.
 TOOLS = {"all", "profile", "trace", "report", "watch", "gate"}
 EXPERIMENT_SUBCOMMANDS = {
@@ -109,6 +122,14 @@ def test_argv_builds_the_recorded_spec(
     assert runner._spec_from_args(args.experiment, args) == ExperimentSpec(
         name=name, seed=seed, params=params, telemetry_path=telemetry_path
     )
+
+
+@pytest.mark.parametrize("argv", REJECTED)
+def test_an_ignored_flag_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        runner.build_parser().parse_args(argv.split())
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_table_covers_every_experiment_subcommand():
@@ -156,3 +177,6 @@ def test_all_runs_the_parents_sequence_one_file_per_experiment(
     assert by_name["figure4"].telemetry_path == "t-figure4.jsonl"
     assert by_name["figure5"].telemetry_path == "t-figure5.jsonl"
     assert by_name["figure2"].telemetry_path is None
+    # Only the experiments that write a JSON dump are handed a path.
+    assert by_name["figure2"].params == {}
+    assert by_name["faults"].params == {}
