@@ -367,7 +367,6 @@ class LiveScenario:
     result: ScenarioResult
     injector: FaultInjector
     observers: RunObservers
-    _finished: bool = False
 
     def step(self, until: float, max_events: Optional[int] = None) -> float:
         """Advance the simulation toward ``until``; returns the new now.
@@ -380,10 +379,8 @@ class LiveScenario:
         return self.sim.now
 
     def finish(self, error: Optional[BaseException] = None) -> ScenarioResult:
-        """Settle observers, close the export, fill the result."""
-        if self._finished:
-            return self.result
-        self._finished = True
+        """Settle observers, close the export, fill the result.  A second
+        call only refills the result: the observers settle once."""
         result = self.result
         injector = self.injector
         result.crash_times = list(injector.crash_times)
