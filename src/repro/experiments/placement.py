@@ -37,6 +37,7 @@ CI regression-checks the emitted benchmark JSON against
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -489,6 +490,9 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
             )
     benchmark_json = params.get("benchmark_json")
     if benchmark_json:
+        directory = os.path.dirname(benchmark_json)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
         with open(benchmark_json, "w") as handle:
             json.dump(comparison.benchmark_dict(), handle, indent=1)
             handle.write("\n")
