@@ -11,7 +11,7 @@ session group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.client.buffers import (
     DEFAULT_SW_CAPACITY_FRAMES,
@@ -264,47 +264,6 @@ class VoDClient:
         self._connect_timer = Timer(
             self.sim, self.config.connect_retry_s, self._connect_retry
         )
-
-    def adopt_session(
-        self,
-        title: str,
-        serving_server: ProcessId,
-        offset: int,
-        epoch: int = 0,
-        buffered: Sequence[Any] = (),
-    ) -> None:
-        """Resume an in-flight session without a connect handshake.
-
-        Used when a flyweight row is promoted to a full client: the
-        serving server has already converted the row into a real
-        per-client session streaming toward this client's video
-        endpoint, so the client starts mid-movie at ``offset`` with the
-        frames the row notionally buffered (``buffered``, in ascending
-        index order, ending just below ``offset``) pre-loaded.  Only
-        meaningful under ``session_mux`` — there is no session group to
-        join, and the serving server is handed over directly instead of
-        being learnt from the first arriving frame."""
-        if self.movie_title is not None:
-            raise SessionError(f"client {self.name} is already watching a movie")
-        if not self.config.session_mux:
-            raise SessionError("adopt_session requires a session_mux client")
-        self.movie_title = title
-        self.session_name = session_group(self.name)
-        self.epoch = epoch
-        tel = self.sim.telemetry
-        if tel.active:
-            self._session_span = tel.span(
-                "client.session", key=self.name, movie=title
-            )
-        self._note_server(serving_server)
-        first = buffered[0].index if buffered else offset
-        self.decoder.reposition(first)
-        for frame in buffered:
-            self.software_buffer.insert(frame)
-        self._resync_playhead = True
-        self._pump()
-        self._last_frame_at = self.sim.now
-        self._start_playback()
 
     def list_movies(self, callback: Callable[[Tuple[str, ...]], None]) -> None:
         """Ask the service for its catalog; ``callback`` gets the titles."""

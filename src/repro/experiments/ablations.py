@@ -23,6 +23,7 @@ from typing import List, Sequence
 
 from repro.client.player import ClientConfig
 from repro.experiments.scenarios import LAN_SCENARIO, run_scenario
+from repro.faulting import FaultInjector, FaultPlan
 from repro.server.rate_controller import EmergencyConfig
 from repro.server.server import ServerConfig
 from repro.telemetry.text import Table
@@ -39,8 +40,7 @@ class AblationRow:
     control_fraction: float
 
 
-def _row(parameter: str, value: str, result) -> AblationRow:
-    client = result.client
+def _row(parameter: str, value: str, client, deployment) -> AblationRow:
     return AblationRow(
         parameter=parameter,
         value=value,
@@ -49,9 +49,15 @@ def _row(parameter: str, value: str, result) -> AblationRow:
         late=client.late_total,
         overflow=client.stats.overflow_discards,
         control_fraction=(
-            result.total_control_bytes() / max(1, result.total_video_bytes())
+            deployment.control_bytes_sent()
+            / max(1, deployment.video_bytes_sent())
         ),
     )
+
+
+def _scenario_row(parameter: str, value: str, spec, seed: int) -> AblationRow:
+    result = run_scenario(spec, seed=seed)
+    return _row(parameter, value, result.client, result.deployment)
 
 
 def ablate_buffer_size(
@@ -65,9 +71,7 @@ def ablate_buffer_size(
             name=f"lan-sw{capacity}",
             client_config=ClientConfig(sw_capacity_frames=capacity),
         )
-        rows.append(
-            _row("sw buffer (frames)", str(capacity), run_scenario(spec, seed=seed))
-        )
+        rows.append(_scenario_row("sw buffer (frames)", str(capacity), spec, seed))
     return rows
 
 
@@ -87,7 +91,7 @@ def ablate_emergency(
             name=f"lan-emerg-{label}",
             server_config=ServerConfig(emergency=emergency),
         )
-        rows.append(_row("emergency quota", label, run_scenario(spec, seed=seed)))
+        rows.append(_scenario_row("emergency quota", label, spec, seed))
     return rows
 
 
@@ -102,9 +106,7 @@ def ablate_sync_interval(
             name=f"lan-sync{interval}",
             server_config=ServerConfig(sync_interval_s=interval),
         )
-        rows.append(
-            _row("sync interval (s)", str(interval), run_scenario(spec, seed=seed))
-        )
+        rows.append(_scenario_row("sync interval (s)", str(interval), spec, seed))
     return rows
 
 
@@ -119,7 +121,6 @@ def ablate_fd_timeout(
     from repro.media.movie import Movie
     from repro.service.deployment import Deployment
     from repro.sim.core import Simulator
-    from repro.testing import crash_serving_server
 
     rows = []
     for timeout in timeouts:
@@ -131,14 +132,12 @@ def ablate_fd_timeout(
         )
         client = deployment.attach_client(len(topology.hosts) - 1)
         client.request_movie("feature")
-        sim.call_at(38.0, crash_serving_server, deployment, client)
+        FaultInjector(
+            deployment, FaultPlan().crash_serving(38.0), client=client
+        ).start()
         sim.run_until(120.0)
         client.decoder.end_stall(sim.now)
-        fake = type("R", (), {})()
-        fake.client = client
-        fake.total_control_bytes = lambda: 0
-        fake.total_video_bytes = lambda: 1
-        rows.append(_row("fd timeout (s)", str(timeout), fake))
+        rows.append(_row("fd timeout (s)", str(timeout), client, deployment))
     return rows
 
 
@@ -176,23 +175,12 @@ def ablate_double_emergency(
         )
         client = deployment.attach_client(3)
         client.request_movie("feature")
-
-        def crash_serving(deployment=deployment, client=client):
-            for server in deployment.live_servers():
-                if server.process == client.serving_server:
-                    server.crash()
-                    return
-
-        sim.call_at(30.0, crash_serving)
-        sim.call_at(30.0 + gap_s, crash_serving)
+        plan = FaultPlan().crash_serving(30.0).crash_serving(30.0 + gap_s)
+        FaultInjector(deployment, plan, client=client).start()
         sim.run_until(80.0)
         client.decoder.end_stall(sim.now)
-        fake = type("R", (), {})()
-        fake.client = client
-        fake.total_control_bytes = lambda: 0
-        fake.total_video_bytes = lambda: 1
         rows.append(
-            _row("double crash, sw buffer", str(capacity), fake)
+            _row("double crash, sw buffer", str(capacity), client, deployment)
         )
     return rows
 

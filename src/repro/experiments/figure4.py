@@ -17,7 +17,6 @@ Four panels, all measured at the client during the LAN scenario
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
 from repro.experiments.scenarios import LAN_SCENARIO, ScenarioResult, run_scenario
 from repro.telemetry.series import TimeSeries
@@ -159,26 +158,6 @@ class Figure4:
                       f"{client.decoder.stats.degradation_episodes} episode(s)")
         return table
 
-    def series_samples(self, every: float = 20.0) -> Dict[str, List[Tuple[float, float]]]:
-        """Down-sampled curves, one row per ``every`` seconds."""
-        end = self.result.spec.run_duration_s
-
-        def sample(series: TimeSeries):
-            points = []
-            t = 0.0
-            while t <= end:
-                value = series.value_at(t)
-                if value is not None:
-                    points.append((t, value))
-                t += every
-            return points
-
-        return {
-            "4a_skipped": sample(self.skipped),
-            "4b_late": sample(self.late),
-            "4c_software_frames": sample(self.sw_occupancy),
-            "4d_hardware_bytes": sample(self.hw_occupancy_bytes),
-        }
 
 
 def run_figure4(seed: int = None, telemetry_path: str = None) -> Figure4:

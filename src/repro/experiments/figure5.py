@@ -13,7 +13,6 @@ server ~22 s later) over a seven-hop lossy Internet path:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
 from repro.experiments.scenarios import WAN_SCENARIO, ScenarioResult, run_scenario
 from repro.telemetry.series import TimeSeries
@@ -102,23 +101,6 @@ class Figure5:
         )
         return table
 
-    def series_samples(self, every: float = 15.0) -> Dict[str, List[Tuple[float, float]]]:
-        end = self.result.spec.run_duration_s
-
-        def sample(series: TimeSeries):
-            points = []
-            t = 0.0
-            while t <= end:
-                value = series.value_at(t)
-                if value is not None:
-                    points.append((t, value))
-                t += every
-            return points
-
-        return {
-            "5a_skipped": sample(self.skipped),
-            "5b_overflow_discards": sample(self.overflow),
-        }
 
 
 def run_figure5(seed: int = None, telemetry_path: str = None) -> Figure5:

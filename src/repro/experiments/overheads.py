@@ -74,27 +74,19 @@ def measure_sync_overhead(
         [Movie.synthetic("feature", duration_s=duration_s + 30)]
     )
     deployment = Deployment(topology, catalog, server_nodes=[0, 1])
-    clients = []
     for index in range(n_clients):
-        client = deployment.attach_client(2 + index)
-        client.request_movie("feature")
-        clients.append(client)
+        deployment.attach_client(2 + index).request_movie("feature")
     sim.run_until(duration_s)
-
-    video_bytes = sum(s.video_bytes_sent for s in deployment.servers.values())
-    control_bytes = sum(
-        s.endpoint.control_bytes_sent for s in deployment.servers.values()
-    ) + sum(c.endpoint.control_bytes_sent for c in clients)
-    # State-sync volume alone (the paper's "synchronization" traffic).
-    sync_bytes = sum(
-        server.state_sync_bytes_sent for server in deployment.servers.values()
-    )
     return SyncOverheadResult(
         n_clients=n_clients,
         duration_s=duration_s,
-        video_bytes=video_bytes,
-        control_bytes=control_bytes,
-        sync_bytes=sync_bytes,
+        video_bytes=deployment.video_bytes_sent(),
+        control_bytes=deployment.control_bytes_sent(),
+        # State-sync volume alone (the paper's "synchronization" traffic).
+        sync_bytes=sum(
+            server.state_sync_bytes_sent
+            for server in deployment.servers.values()
+        ),
     )
 
 

@@ -24,9 +24,25 @@ import json
 import os
 from typing import Dict, List
 
+from repro.errors import ServiceError
 from repro.experiments.api import ExperimentResult, ExperimentSpec
 from repro.telemetry.flight import FlightRecorderConfig, Incident
 from repro.telemetry.postmortem import render_incidents
+
+#: Each source's CLI flag.
+_SOURCE_FLAGS = {
+    "export": "--from-export", "scale": "--scale", "scenario": "--scenario",
+}
+
+#: Params only some sources read: CLI flag, the sources reading it, and
+#: how the error names them.
+_READERS = {
+    "shards": ("--shards", ("scale",), "--scale"),
+    "shard_inline": ("--shard-inline", ("scale",), "--scale"),
+    "since": ("--since", ("export",), "--from-export"),
+    "until": ("--until", ("export",), "--from-export"),
+    "duration": ("--duration", ("scenario", "scale"), "a live run"),
+}
 
 
 def _config_from_params(params: Dict) -> FlightRecorderConfig:
@@ -38,20 +54,47 @@ def _config_from_params(params: Dict) -> FlightRecorderConfig:
     return FlightRecorderConfig(**kwargs)
 
 
+def _source_of(params: Dict) -> str:
+    """The one source ``params`` select; a flag that source would not
+    read raises :class:`ServiceError` naming it, before anything runs."""
+    chosen = [
+        source for source, given in (
+            ("export", params.get("export")),
+            ("scale", params.get("source") == "scale"),
+            ("scenario", params.get("scenario") is not None),
+        ) if given
+    ]
+    if len(chosen) > 1:
+        raise ServiceError(
+            "postmortem reads one source, got "
+            + " and ".join(_SOURCE_FLAGS[source] for source in chosen)
+        )
+    source = chosen[0] if chosen else "scenario"
+    for key, (flag, readers, needs) in _READERS.items():
+        if params.get(key) not in (None, False) and source not in readers:
+            raise ServiceError(
+                f"postmortem {flag} is read only with {needs}; this "
+                f"run's source would ignore it"
+            )
+    return source
+
+
 def run(spec: ExperimentSpec) -> ExperimentResult:
     """Entry point for ``ExperimentSpec(name="postmortem")``.
 
-    Params: ``export`` (replay a recorded JSONL artifact; overrides the
-    live sources), ``since``/``until`` (replay window, sim seconds),
+    Params: ``export`` (replay a recorded JSONL artifact instead of a
+    live source), ``since``/``until`` (replay window, sim seconds),
     ``source`` (``scenario``/``scale``), ``scenario`` (``lan``/``wan``),
     ``duration`` (simulated seconds), ``n`` (scale population),
     ``shards`` (sharded head-ends; 0 = single flyweight rig),
     ``max_rows`` (render cap), ``json`` (dump incident payloads there),
     plus recorder-config overrides (``default_budget``,
     ``pre_trigger_s``, ``post_trigger_s``, ``max_capture_events``,
-    ``max_incidents``, ``horizon_s``).
+    ``max_incidents``, ``horizon_s``).  Two sources, or a param the
+    chosen source does not read, raise :class:`ServiceError`.
     """
     params = spec.params
+    source = _source_of(params)
     config = _config_from_params(params)
     max_rows = int(params.get("max_rows", 40))
     seed = spec.seed if spec.seed is not None else 77
@@ -60,16 +103,17 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     metering = None
     header: str
 
-    export = params.get("export")
-    if export:
+    if source == "export":
         from repro.telemetry.postmortem import incidents_from_export
+
+        export = params["export"]
 
         incidents = incidents_from_export(
             export, config,
             since=params.get("since"), until=params.get("until"),
         )
         header = f"postmortem of recorded export {export}"
-    elif params.get("source", "scenario") == "scale":
+    elif source == "scale":
         from repro.experiments.scale import (
             run_scale_point, run_sharded_scale_point,
         )

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.client.player import VoDClient
+from repro.faulting import FaultInjector, FaultPlan
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
 from repro.net.topologies import build_wan
@@ -56,14 +57,9 @@ def run_wan_trial(
     )
     client: VoDClient = deployment.attach_client(2)
     client.request_movie("feature")
-
-    def crash_serving() -> None:
-        for server in deployment.live_servers():
-            if server.process == client.serving_server:
-                server.crash()
-                return
-
-    sim.call_at(crash_at, crash_serving)
+    FaultInjector(
+        deployment, FaultPlan().crash_serving(crash_at), client=client
+    ).start()
     sim.run_until(duration_s + 10.0)
     client.decoder.end_stall(sim.now)
     reserved = 0.0

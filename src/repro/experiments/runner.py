@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="KEY=VALUE",
                    help="experiment param (VALUE parsed as JSON when "
                         "possible); repeatable, e.g. "
-                        "--arg sizes=[1000] --arg compare_max=0")
+                        "--arg sizes=[1000] --arg duration=6")
 
     p = sub.add_parser(
         "trace", parents=[common],

@@ -7,7 +7,8 @@ concurrent viewers (N = 100 / 1 000 / 5 000), crashes the most-loaded
 server mid-run, and measures
 
 * simulator throughput — events and delivered frames per wall-clock
-  second — with the batched fast path on and off, and
+  second — on the batched fast path (its speed against the per-frame
+  path is ``bench/``'s to measure, not this experiment's), and
 * failover latency (crash to takeover session start), which must stay
   flat in N: the takeover path is per-client state lookup, not a scan.
 
@@ -70,10 +71,6 @@ CLIENTS_PER_EDGE = 64
 
 #: Default population sweep (the paper's "scalability" claim at depth).
 DEFAULT_SIZES = (100, 1000, 5000)
-
-#: Per-frame baseline comparison runs up to this N (the slow path at
-#: 5 000 viewers costs minutes of wall clock for no extra information).
-COMPARE_MAX = 1000
 
 
 @dataclass
@@ -297,8 +294,8 @@ def build_scale_rig(
     uses mux + a prebuffer deep enough that flow control stays silent).
     ``mode="flyweight"`` registers the viewers as rows of one
     :class:`~repro.client.flyweight.FlyweightPool` instead and returns
-    the pool in the clients slot; servers always run mux in this mode
-    (a promoted row needs it)."""
+    the pool in the clients slot (a row never starts a session, so
+    ``session_mux`` changes nothing for it)."""
     if mode not in ("full", "flyweight"):
         raise ServiceError(f"unknown scale-rig mode {mode!r}")
     flyweight = mode == "flyweight"
@@ -311,7 +308,6 @@ def build_scale_rig(
     from repro.client.player import ClientConfig
     from repro.placement import PlacementContext, ServerProfile, StaticKWay
 
-    mux = session_mux or flyweight
     # Fully replicated feature as a derived placement (k = n_servers):
     # the rig's crash point needs every survivor able to adopt any
     # share of the flood.
@@ -325,10 +321,10 @@ def build_scale_rig(
         catalog,
         server_hosts={profile.name: i for i, profile in enumerate(profiles)},
         server_config=ServerConfig(
-            batch_window_s=batch_window_s, session_mux=mux
+            batch_window_s=batch_window_s, session_mux=session_mux
         ),
         client_config=ClientConfig(
-            session_mux=mux, prebuffer_frames=prebuffer_frames
+            session_mux=session_mux, prebuffer_frames=prebuffer_frames
         ),
         replicate_all=True,
     )
@@ -674,9 +670,8 @@ def run(spec) -> "ExperimentResult":
     """Entry point for ``ExperimentSpec(name="scale")``.
 
     Params: ``sizes`` (populations to sweep), ``duration`` (simulated
-    seconds per point), ``window`` (batch window, seconds; the per-frame
-    baseline always uses 0), ``compare_max`` (largest N that also runs
-    the per-frame baseline), ``flyweight_sizes`` (populations to run in
+    seconds per point), ``window`` (batch window, seconds),
+    ``flyweight_sizes`` (populations to run in
     flyweight mode — this is where 20 000..100 000 live),
     ``sharded_sizes`` (populations to run shared-nothing across
     ``shards`` worker processes — this is where 1 000 000 lives),
@@ -696,7 +691,6 @@ def run(spec) -> "ExperimentResult":
     sizes = tuple(params.get("sizes", DEFAULT_SIZES))
     duration = float(params.get("duration", 12.0))
     window = float(params.get("window", 1.0))
-    compare_max = int(params.get("compare_max", COMPARE_MAX))
     flyweight_sizes = tuple(params.get("flyweight_sizes", ()))
     sharded_sizes = tuple(params.get("sharded_sizes", ()))
     n_shards = int(params.get("shards", 4))
@@ -708,17 +702,10 @@ def run(spec) -> "ExperimentResult":
     flight = bool(params.get("flight", False))
     seed = spec.seed if spec.seed is not None else 77
 
-    points: List[ScalePoint] = []
-    baselines: Dict[int, ScalePoint] = {}
-    for n_clients in sizes:
-        fast = run_scale_point(
-            n_clients, window, duration_s=duration, seed=seed
-        )
-        points.append(fast)
-        if n_clients <= compare_max:
-            baselines[n_clients] = run_scale_point(
-                n_clients, 0.0, duration_s=duration, seed=seed
-            )
+    points = [
+        run_scale_point(n_clients, window, duration_s=duration, seed=seed)
+        for n_clients in sizes
+    ]
     for n_clients in flyweight_sizes:
         points.append(
             run_scale_point(
@@ -746,10 +733,7 @@ def run(spec) -> "ExperimentResult":
             "seed": seed,
             "duration_s": duration,
             "window_s": window,
-            "points": [
-                _point_payload(row)
-                for row in list(baselines.values()) + points
-            ],
+            "points": [_point_payload(row) for row in points],
         }
         with open(benchmark_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -771,32 +755,18 @@ def run(spec) -> "ExperimentResult":
         ],
     )
     for point in points:
-        baseline = None if point.flyweight else baselines.get(point.n_clients)
-        for row in filter(None, (baseline, point)):
-            table.add_row(
-                row.n_clients,
-                row.mode,
-                row.events,
-                f"{row.wall_s:.2f}",
-                f"{row.events_per_s:,.0f}",
-                f"{row.frames_per_wall_s:,.0f}",
-                row.takeovers,
-                f"{row.max_failover_s:.3f}",
-            )
+        table.add_row(
+            point.n_clients,
+            point.mode,
+            point.events,
+            f"{point.wall_s:.2f}",
+            f"{point.events_per_s:,.0f}",
+            f"{point.frames_per_wall_s:,.0f}",
+            point.takeovers,
+            f"{point.max_failover_s:.3f}",
+        )
 
     blocks = [table.render()]
-    speedups = []
-    for point in points:
-        baseline = None if point.flyweight else baselines.get(point.n_clients)
-        if baseline is not None and point.wall_s > 0:
-            speedups.append(
-                f"N={point.n_clients}: "
-                f"{baseline.wall_s / point.wall_s:.2f}x wall, "
-                f"{point.frames_per_wall_s / max(baseline.frames_per_wall_s, 1e-9):.2f}x "
-                f"frame throughput"
-            )
-    if speedups:
-        blocks.append("Fast-path speedup vs per-frame: " + "; ".join(speedups))
     failovers = [p.max_failover_s for p in points if p.takeovers]
     if len(failovers) >= 2:
         blocks.append(

@@ -207,11 +207,6 @@ class ScenarioResult:
     def events(self) -> Dict[str, List[float]]:
         return {"crash": self.crash_times, "server-up": self.server_up_times}
 
-    def total_video_bytes(self) -> int:
-        return sum(
-            server.video_bytes_sent for server in self.deployment.servers.values()
-        )
-
     def total_video_frames(self) -> int:
         return sum(
             server.video_frames_sent
@@ -256,8 +251,8 @@ class ScenarioResult:
                 "reconnects": stats.reconnects,
                 "stall_time_s": client.decoder.stats.stall_time_s,
                 "stall_events": client.decoder.stats.stall_events,
-                "video_bytes": self.total_video_bytes(),
-                "control_bytes": self.total_control_bytes(),
+                "video_bytes": self.deployment.video_bytes_sent(),
+                "control_bytes": self.deployment.control_bytes_sent(),
             },
             # A missing endpoint is null, not the string "None" — the
             # startup adoption's from-server round-trips as the absence
@@ -290,14 +285,6 @@ class ScenarioResult:
 
         with open(path, "w") as handle:
             json.dump(self.export_dict(), handle, indent=1)
-
-    def total_control_bytes(self) -> int:
-        total = 0
-        for server in self.deployment.servers.values():
-            total += server.endpoint.control_bytes_sent
-        for client in self.deployment.clients.values():
-            total += client.endpoint.control_bytes_sent
-        return total
 
 
 def build_topology(spec: ScenarioSpec, sim: Simulator) -> Topology:

@@ -349,10 +349,6 @@ class Link:
         self.forward.set_fault(fault)
         self.backward.set_fault(fault)
 
-    @property
-    def faulted(self) -> bool:
-        return self.forward.fault is not None or self.backward.fault is not None
-
     def stats(self) -> LinkStats:
         """Aggregated two-direction statistics."""
         total = LinkStats()

@@ -118,9 +118,8 @@ class PlacementPlan:
     """title -> {server name -> prefix seconds (None = full copy)}.
 
     The canonical derived replica map.  Use :meth:`apply` to write it
-    onto a catalog, :meth:`from_catalog` to capture a catalog's current
-    placement (the rebalancer diffs two plans), and the query helpers
-    for storage/availability accounting.
+    onto a catalog, and the query helpers for storage/availability
+    accounting.
     """
 
     entries: Dict[str, Dict[str, Optional[float]]] = field(default_factory=dict)
@@ -143,19 +142,6 @@ class PlacementPlan:
             for title, servers in assignments.items()
         }
         return cls(entries=entries, strategy=strategy, k=k)
-
-    @classmethod
-    def from_catalog(
-        cls, catalog: "MovieCatalog", strategy: str = "captured"
-    ) -> "PlacementPlan":
-        """Capture the catalog's current replica map as a plan."""
-        entries: Dict[str, Dict[str, Optional[float]]] = {}
-        for title in catalog.titles():
-            holders: Dict[str, Optional[float]] = {}
-            for server in sorted(catalog.replicas(title)):
-                holders[server] = catalog.prefix_of(title, server)
-            entries[title] = holders
-        return cls(entries=entries, strategy=strategy)
 
     def place(
         self, title: str, server: str, prefix_s: Optional[float] = None

@@ -290,40 +290,6 @@ class MovieReplica:
         return chosen
 
     # ==================================================================
-    # Flyweight promotion / demotion
-    # ==================================================================
-    def promote_row(self, client: ProcessId) -> ClientRecord:
-        """Convert a cohort row into a real per-client session in place.
-
-        The session resumes at the row's arithmetic playhead with the
-        row's epoch; the record enters the shared state so peers adopt
-        the placement (its ``server`` field is honoured while fresh).
-        Returns the record the session was started from."""
-        cohort = self.cohort
-        record = cohort.record_of(client)
-        cohort.remove_row(client)
-        cohort.assignment.pop(client, None)
-        self.state.put_record(record, self.sim.now)
-        self.assignment[client] = self.process
-        self.server.start_session(record)
-        self.sync()
-        return record
-
-    def demote_session(self, client: ProcessId) -> ClientRecord:
-        """Fold a full session back into a flyweight cohort row.
-
-        The session ends as departed (the tombstone clears the record
-        everywhere); the row resumes at the session's final offset."""
-        record = self.server.sessions[client].record()
-        self.server.end_session(client, departed=True)
-        self.assignment.pop(client, None)
-        cohort = self.ensure_cohort()
-        cohort.assignment[client] = self.process
-        cohort.add_row(client, record.offset, record.epoch, takeover=False)
-        self.sync()
-        return record
-
-    # ==================================================================
     # The movie group: state sharing and re-distribution
     # ==================================================================
     def on_view(self, view: View) -> None:
@@ -456,9 +422,9 @@ class MovieReplica:
                     # A fresh record names its owner: what the group
                     # shares overrides whatever this ledger computed
                     # (a connect placed from a different load count, a
-                    # row promoted in place, a prefix handoff naming its
-                    # successor).  Two servers streaming one client are
-                    # the session group's to resolve, not ours.
+                    # prefix handoff naming its successor).  Two servers
+                    # streaming one client are the session group's to
+                    # resolve, not ours.
                     assignment[client] = record.server
                 elif client not in assignment:
                     self.assign(client, record.offset)

@@ -611,9 +611,9 @@ class CohortSession:
         )
 
     def remove_row(self, client: ProcessId) -> None:
-        """Drop a row (shed, finish, or promotion).  The assignment
-        entry is left to the caller: a shed row keeps its (new) owner, a
-        finished/promoted one is erased."""
+        """Drop a row (shed or finish).  The assignment entry is left
+        to the caller: a shed row keeps its (new) owner, a finished one
+        is erased."""
         if self.rows.pop(client, None) is not None:
             self._row_indices.discard(self.pool.row_of(client))
 
@@ -623,8 +623,8 @@ class CohortSession:
         self.server.notify("on_session_end", self.server, client, False)
 
     def record_of(self, client: ProcessId) -> ClientRecord:
-        """A full :class:`ClientRecord` view of one row (promotion and
-        observer notifications; never the periodic share)."""
+        """A full :class:`ClientRecord` view of one row (observer
+        notifications; never the periodic share)."""
         base, anchor, epoch = self.rows[client]
         session, endpoint, quality = self.pool.record_fields(client)
         return ClientRecord(
@@ -646,8 +646,8 @@ class CohortSession:
     # ------------------------------------------------------------------
     def sync_payload(self) -> CohortSync:
         # An empty share still matters: it is how peers learn that our
-        # last row left (finished, promoted, or shed) — suppressing it
-        # would freeze their view of our share of the assignment.
+        # last row left (finished or shed) — suppressing it would
+        # freeze their view of our share of the assignment.
         now = self.sim.now
         rows = self.rows
         indices = sorted(map(self.pool.row_of, rows))

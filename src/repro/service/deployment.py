@@ -208,28 +208,19 @@ class Deployment:
             raise ServiceError(f"no client named {name!r}")
         return client
 
-    def attach_flyweight(
-        self,
-        movie: str,
-        config: Optional[Any] = None,
-        client_config: Optional[ClientConfig] = None,
-    ):
+    def attach_flyweight(self, movie: str, config: Optional[Any] = None):
         """Create a columnar viewer pool for ``movie``, attach it to
         every server — present and future — and return it.
 
         Steady-state viewers then live as rows served by the servers'
-        cohort sessions (see :mod:`repro.client.flyweight`); use
-        :meth:`FlyweightPool.promote` to inflate one into a full
-        :class:`VoDClient` for interaction.  One pool per movie."""
+        cohort sessions for their whole movie (see
+        :mod:`repro.client.flyweight`); an interactive viewer is a
+        :class:`VoDClient` from the start.  One pool per movie."""
         from repro.client.flyweight import FlyweightPool
 
         if any(pool.movie_title == movie for pool in self.flyweight_pools):
             raise ServiceError(f"{movie!r} already has a flyweight pool")
-        if client_config is None and self.client_config.session_mux:
-            client_config = self.client_config
-        pool = FlyweightPool(
-            self, movie, config=config, client_config=client_config
-        )
+        pool = FlyweightPool(self, movie, config=config)
         self.flyweight_pools.append(pool)
         for server in self.servers.values():
             server.attach_flyweight(pool)
@@ -240,6 +231,20 @@ class Deployment:
     # ------------------------------------------------------------------
     def run_until(self, time: float) -> None:
         self.sim.run_until(time)
+
+    def video_bytes_sent(self) -> int:
+        """Video bytes sent by every server, live or crashed."""
+        return sum(server.video_bytes_sent for server in self.servers.values())
+
+    def control_bytes_sent(self) -> int:
+        """GCS control bytes sent by the servers' and clients' endpoints
+        (each once, however many clients share it)."""
+        endpoints = {
+            member.endpoint
+            for members in (self.servers, self.clients)
+            for member in members.values()
+        }
+        return sum(endpoint.control_bytes_sent for endpoint in endpoints)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,7 +24,7 @@ independent cells execute in parallel with byte-identical verdicts.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".merge": ("ScoreHistogram", "slo_summary_from_windows"),
+    ".merge": ("ScoreHistogram",),
     ".plan": ("ShardPlan", "ShardTask", "shard_seed"),
     ".runner": ("ShardError", "map_tasks", "run_shards"),
 })

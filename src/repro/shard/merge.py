@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
 
 from repro.errors import ReproError
-from repro.telemetry.slo import RuleState, WindowSnapshot, default_rules
+from repro.telemetry.bus import Telemetry
+from repro.telemetry.slo import SloMonitor, WindowSnapshot
 
 
 class MergeError(ReproError):
@@ -119,37 +120,6 @@ def merge_score_histograms(
 # ----------------------------------------------------------------------
 # SLO accounting
 # ----------------------------------------------------------------------
-def slo_summary_from_windows(
-    windows: Sequence[WindowSnapshot],
-    rules=None,
-    burn_threshold: float = 1.0,
-) -> Dict[str, Dict]:
-    """Evaluate SLO rules over a closed window sequence.
-
-    The same fold :class:`~repro.telemetry.slo.SloMonitor` applies
-    online (breach = ok->not-ok transition, burn = burn rate over the
-    threshold), minus the bus emissions — so a window sequence gets the
-    verdicts a monitor that closed those windows would have reported.
-    """
-    rules = tuple(rules) if rules is not None else default_rules()
-    states = {rule.name: RuleState(rule=rule) for rule in rules}
-    for window in windows:
-        for rule in rules:
-            verdict = rule.evaluate(window)
-            state = states[rule.name]
-            state.windows += 1
-            state.value = verdict.value
-            state.worst = max(state.worst, abs(verdict.value))
-            if verdict.burn_rate is not None and (
-                verdict.burn_rate >= burn_threshold
-            ):
-                state.burn_windows += 1
-            if not verdict.ok and state.ok:
-                state.breaches += 1
-            state.ok = verdict.ok
-    return {name: state.as_dict() for name, state in states.items()}
-
-
 def sharded_slo_summary(
     n_clients: int,
     duration_s: float,
@@ -164,7 +134,8 @@ def sharded_slo_summary(
     evaluate one whole-run window built from the merged facts: the
     viewer population, which viewers stalled (none can, on clean
     links — rows advance arithmetically), and every measured failover
-    latency.  Uses the real rule objects, not a reimplementation.
+    latency, judged by a :class:`~repro.telemetry.slo.SloMonitor` on a
+    detached bus (the online fold, not a reimplementation).
     """
     latencies = sorted(float(value) for value in failover_latencies)
     window = WindowSnapshot(
@@ -177,7 +148,9 @@ def sharded_slo_summary(
         extra_frames=0.0,
         base_frames=0.0,
     )
-    return slo_summary_from_windows([window], rules=rules)
+    monitor = SloMonitor(Telemetry(), rules=rules)
+    monitor.judge(window)
+    return monitor.finish()
 
 
 # ----------------------------------------------------------------------

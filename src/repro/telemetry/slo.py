@@ -310,8 +310,7 @@ class SloMonitor:
             base_frames=self._base_frames,
             rejects=self._rejects,
         )
-        for rule in self.rules:
-            self._judge(rule, window)
+        self.judge(window)
         # Roll the window: stalls spanning the boundary stay counted.
         self._window_start = end
         self._stalled_in_window = set(self._stalled_now)
@@ -319,6 +318,11 @@ class SloMonitor:
         self._extra_frames = 0.0
         self._base_frames = 0.0
         self._rejects = 0
+
+    def judge(self, window: WindowSnapshot) -> None:
+        """Fold one closed window into every rule's state."""
+        for rule in self.rules:
+            self._judge(rule, window)
 
     def _judge(self, rule: SloRule, window: WindowSnapshot) -> None:
         verdict = rule.evaluate(window)

@@ -1,36 +1,36 @@
-"""Unit and property tests for the flyweight viewer pool.
+"""Unit tests for the flyweight viewer pool.
 
 A flyweight viewer is one row across the pool's columns; its playhead is
-closed-form arithmetic inside the serving server's cohort.  These tests
-pin the life cycle — admit, stream, fail over, promote to a full
-client, demote back — and the invariants the fast path must keep: exact
-frame-rate advancement, conservative takeover offsets, and playhead
-monotonicity through promote/demote round trips.
+closed-form arithmetic inside the serving server's cohort.  A row stays
+a row for life.  These tests pin that life — admit, stream, fail over,
+finish — and the invariants the fast path must keep: exact frame-rate
+advancement, conservative takeover offsets, rows and full clients
+sharing an edge, and rows served alike whether or not the servers and
+clients run ``session_mux``.
 """
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.client.flyweight import FlyweightPool
 from repro.client.player import ClientConfig
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
 from repro.server.server import ServerConfig
 from repro.service.deployment import Deployment
-from repro.errors import ServiceError, SessionError
 from repro.sim.core import Simulator
 from repro.experiments.scale import build_edge_lan
 
 
-def build_rig(n_viewers=8, movie_s=30.0, seed=77, n_servers=2):
+def build_rig(n_viewers=8, movie_s=30.0, seed=77, n_servers=2,
+              session_mux=True):
     sim = Simulator(seed=seed)
     topology = build_edge_lan(sim, n_servers, 1)
     catalog = MovieCatalog([Movie.synthetic("feature", duration_s=movie_s)])
     deployment = Deployment(
         topology, catalog, server_nodes=list(range(n_servers)),
-        server_config=ServerConfig(session_mux=True, batch_window_s=1.0),
-        client_config=ClientConfig(session_mux=True, prebuffer_frames=330),
+        server_config=ServerConfig(
+            session_mux=session_mux, batch_window_s=1.0
+        ),
+        client_config=ClientConfig(
+            session_mux=session_mux, prebuffer_frames=330
+        ),
     )
     pool = deployment.attach_flyweight("feature")
     for _ in range(n_viewers):
@@ -39,19 +39,41 @@ def build_rig(n_viewers=8, movie_s=30.0, seed=77, n_servers=2):
     return sim, deployment, pool
 
 
-def test_pool_requires_session_mux():
-    sim = Simulator(seed=1)
-    topology = build_edge_lan(sim, 2, 1)
-    catalog = MovieCatalog([Movie.synthetic("feature", duration_s=10.0)])
+def test_pool_serves_rows_without_session_mux():
+    """A row never starts a per-client session, so the mux flag cannot
+    change how rows are admitted, streamed or failed over: a rig
+    without it serves every row exactly as the mux rig does."""
+
+    def crashed_run(session_mux):
+        sim, deployment, pool = build_rig(session_mux=session_mux)
+        sim.run_until(5.0)
+        victim = max(deployment.live_servers(), key=lambda s: s.n_clients)
+        victim.crash()
+        sim.run_until(8.0)
+        return pool.positions(), pool.serving_counts()
+
+    positions, counts = crashed_run(session_mux=False)
+    assert sum(counts.values()) == 8
+    assert (positions, counts) == crashed_run(session_mux=True)
+
+
+def test_rows_retry_at_the_deployments_connect_cadence():
+    """A row's connect retry is the full client's, read from the
+    deployment's client config whatever its ``session_mux``."""
+    sim = Simulator(seed=77)
+    topology = build_edge_lan(sim, 1, 1)
+    catalog = MovieCatalog([Movie.synthetic("feature", duration_s=30.0)])
     deployment = Deployment(
-        topology, catalog, server_nodes=[0, 1],
-        server_config=ServerConfig(session_mux=True),
+        topology, catalog, server_nodes=[],
+        client_config=ClientConfig(connect_retry_s=0.25),
     )
-    with pytest.raises(ServiceError):
-        FlyweightPool(
-            deployment, "feature",
-            client_config=ClientConfig(session_mux=False),
-        )
+    pool = deployment.attach_flyweight("feature")
+    for _ in range(4):
+        pool.add_viewer(1)
+    pool.connect_all(0.0)
+    sim.run_until(1.9)  # no server: attempts at 0, 0.25, ..., 1.75
+    assert pool.connects_sent == 4 * 8
+    assert not any(pool.started)
 
 
 def test_viewers_stream_balanced():
@@ -150,94 +172,3 @@ def test_full_clients_and_rows_share_an_edge_through_a_crash():
         client.stats.received > before
         for client, before in zip(fulls, received)
     )
-
-
-def test_promote_to_full_client_continues_playback():
-    sim, deployment, pool = build_rig()
-    sim.run_until(5.0)
-    before = pool.positions()["client0"]
-    client = pool.promote("client0")
-    sim.run_until(7.0)
-    assert sum(pool.serving_counts().values()) == 7
-    assert client.serving_server is not None
-    assert client.displayed_total > 0
-    assert client.combined_occupancy > 0
-    # The promoted session picked up at the row's playhead, not at the
-    # start of the movie.
-    server = next(
-        s for s in deployment.live_servers()
-        if s.process == client.serving_server
-    )
-    assert server.sessions[client.process].position >= before
-
-
-def test_promote_then_demote_returns_the_row():
-    sim, deployment, pool = build_rig()
-    sim.run_until(5.0)
-    before = pool.positions()["client0"]
-    client = pool.promote("client0")
-    sim.run_until(6.5)
-    client.pause()
-    sim.run_until(7.0)
-    client.resume()
-    sim.run_until(7.5)
-    client.seek(20.0)
-    sim.run_until(8.5)
-    pool.demote(client)
-    sim.run_until(9.0)
-    counts = pool.serving_counts()
-    assert sum(counts.values()) == 8
-    index = pool.row_of(client.process)
-    assert index not in pool._promoted
-    # The seek bumped the epoch; the demoted row carries it along with
-    # the repositioned playhead.
-    assert pool.epochs[index] >= 1
-    assert pool.positions()["client0"] >= 20 * 30
-    assert pool.positions()["client0"] >= before
-
-
-def test_promotion_errors():
-    sim, deployment, pool = build_rig()
-    sim.run_until(5.0)
-    with pytest.raises(SessionError):
-        pool.promote("nobody")
-    client = pool.promote("client1")
-    with pytest.raises(SessionError):
-        pool.promote("client1")
-    sim.run_until(6.0)
-    pool.demote(client)
-    with pytest.raises(SessionError):
-        pool.demote(client)
-
-
-@given(
-    row=st.integers(min_value=0, max_value=3),
-    promote_tick=st.integers(min_value=0, max_value=10),
-    dwell_ticks=st.integers(min_value=1, max_value=10),
-    cycles=st.integers(min_value=1, max_value=2),
-)
-@settings(max_examples=15, deadline=None)
-def test_promote_demote_round_trip_properties(
-    row, promote_tick, dwell_ticks, cycles
-):
-    """Whenever a viewer is promoted and demoted, and however often:
-    the pool never loses or double-serves a viewer, and the viewer's
-    server-side playhead never moves backwards."""
-    sim, deployment, pool = build_rig(n_viewers=4, movie_s=120.0)
-    sim.run_until(4.0)
-    name = pool.names[row]
-    watermark = pool.positions()[name]
-    for _ in range(cycles):
-        sim.run_until(sim.now + promote_tick * 0.1)
-        client = pool.promote(name)
-        assert sum(pool.serving_counts().values()) == 3
-        sim.run_until(sim.now + dwell_ticks * 0.2)
-        pool.demote(client)
-        assert sum(pool.serving_counts().values()) == 4
-        position = pool.positions()[name]
-        assert position >= watermark
-        watermark = position
-    sim.run_until(sim.now + 2.0)
-    # Still streaming as a row afterwards.
-    assert pool.positions()[name] > watermark
-    assert not pool.finished[row]

@@ -11,6 +11,7 @@ lines moved to ``REJECTED``, which pins argparse's usage error.
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.experiments import runner
 from repro.experiments.api import REGISTRY, ExperimentResult, ExperimentSpec
 
@@ -93,6 +94,22 @@ REJECTED = [
     "report run.jsonl --telemetry x.jsonl",
 ]
 
+#: Postmortem flags its chosen source never reads: argparse takes them
+#: (another source reads each), ``postmortem.run`` refuses them — with
+#: the flag named — before anything is simulated.
+REJECTED_BY_SOURCE = [
+    ("postmortem --shards 4 --since 3 --duration 5 --no-telemetry", "--shards"),
+    ("postmortem --shards 2 --no-telemetry", "--shards"),
+    ("postmortem --shard-inline --no-telemetry", "--shard-inline"),
+    ("postmortem --since 3 --no-telemetry", "--since"),
+    ("postmortem --scale 200 --until 3 --no-telemetry", "--until"),
+    ("postmortem --from-export r.jsonl --duration 5", "--duration"),
+    ("postmortem --from-export r.jsonl --shards 2", "--shards"),
+    ("postmortem --scenario wan --scale 200 --no-telemetry", "--scale and --scenario"),
+    ("postmortem --scenario lan --from-export r.jsonl", "--from-export and --scenario"),
+    ("postmortem --scale 200 --from-export r.jsonl", "--from-export and --scale"),
+]
+
 #: The parent's 22 subcommands: 16 experiments and the six tools.
 TOOLS = {"all", "profile", "trace", "report", "watch", "gate"}
 EXPERIMENT_SUBCOMMANDS = {
@@ -130,6 +147,13 @@ def test_an_ignored_flag_is_rejected(argv, capsys):
         runner.build_parser().parse_args(argv.split())
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", REJECTED_BY_SOURCE)
+def test_a_flag_its_source_ignores_is_rejected(argv, flag, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default artifact directory is made
+    with pytest.raises(ServiceError, match=flag):
+        runner.main(argv.split())
 
 
 def test_table_covers_every_experiment_subcommand():

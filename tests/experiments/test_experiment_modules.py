@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import ExperimentSpec, run
 from repro.experiments.ablations import (
     ablate_buffer_size,
+    ablate_double_emergency,
     ablate_emergency,
     ablate_fd_timeout,
     ablate_sync_interval,
@@ -69,6 +70,14 @@ class TestOverheads:
         assert 0 < result.sync_fraction < 0.01
         assert result.sync_fraction < result.control_fraction
         assert "T-sync" in result.table().render()
+
+
+class TestAblations:
+    def test_hand_built_sweeps_report_their_control_traffic(self):
+        """A-4 and A-5 build their own deployments; their rows once read
+        a stub result whose control bytes were always 0."""
+        rows = ablate_fd_timeout((0.45,)) + ablate_double_emergency((37,))
+        assert all(0 < row.control_fraction < 0.05 for row in rows)
 
 
 class TestFaults:

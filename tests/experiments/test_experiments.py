@@ -56,8 +56,8 @@ class TestScenarioHarness:
         assert deployment.server("server2").n_clients == 1
 
     def test_traffic_accounting(self, short_lan_result):
-        assert short_lan_result.total_video_bytes() > 1e7
-        assert short_lan_result.total_control_bytes() > 0
+        assert short_lan_result.deployment.video_bytes_sent() > 1e7
+        assert short_lan_result.deployment.control_bytes_sent() > 0
         assert short_lan_result.total_video_frames() > 2000
 
     def test_seed_override_changes_stochastic_run(self):

@@ -50,15 +50,12 @@ def test_scale_16_clients():
     deployment, clients = run_scaled(16)
     total_stall = sum(c.decoder.stats.stall_time_s for c in clients)
     loads = sorted(s.n_clients for s in deployment.live_servers())
-    video = sum(s.video_bytes_sent for s in deployment.servers.values())
-    control = sum(
-        s.endpoint.control_bytes_sent for s in deployment.servers.values()
-    ) + sum(c.endpoint.control_bytes_sent for c in clients)
+    control = deployment.control_bytes_sent()
 
     assert sum(loads) == 16
     assert max(loads) - min(loads) <= 2
     assert total_stall <= 1.0
-    assert control / video < 0.02
+    assert control / deployment.video_bytes_sent() < 0.02
 
 
 def test_failover_under_load():
