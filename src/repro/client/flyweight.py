@@ -27,6 +27,7 @@ itself costs one datagram per daemon hosting a server, whoever sends it.)
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -75,7 +76,9 @@ class FlyweightPool:
         # land back here at finish time.
         self.names: List[str] = []
         self.procs: List[ProcessId] = []
-        self.video_endpoints: List[Endpoint] = []
+        # Video port per row; with the row's node it is the row's video
+        # endpoint, built where a message needs one.
+        self.video_ports = array("H")
         self.epochs: List[int] = []
         self.last_offsets: List[int] = []
         self.started: List[bool] = []
@@ -112,7 +115,7 @@ class FlyweightPool:
         process = ProcessId(node_id, name)
         self.names.append(name)
         self.procs.append(process)
-        self.video_endpoints.append(Endpoint(node_id, port))
+        self.video_ports.append(port)
         self.epochs.append(0)
         self.last_offsets.append(1)
         self.started.append(False)
@@ -160,7 +163,7 @@ class FlyweightPool:
         request = ConnectRequest(
             client=self.procs[index],
             movie=self.movie_title,
-            video_endpoint=self.video_endpoints[index],
+            video_endpoint=self.video_endpoint(index),
             session=session_group(self.names[index]),
             quality_fps=None,
             resume_offset=self.last_offsets[index],
@@ -183,9 +186,12 @@ class FlyweightPool:
         index = self._index[client]
         return (
             session_group(self.names[index]),
-            self.video_endpoints[index],
+            self.video_endpoint(index),
             None,
         )
+
+    def video_endpoint(self, index: int) -> Endpoint:
+        return Endpoint(self.procs[index].node, self.video_ports[index])
 
     def epoch_of(self, client: ProcessId) -> int:
         return self.epochs[self._index[client]]
@@ -222,7 +228,7 @@ class FlyweightPool:
         cohort; finished/unstarted rows their last known offset)."""
         out = {}
         for cohort in self._cohorts():
-            for client in cohort.rows:
+            for client in cohort.clients():
                 out[client.name] = cohort.position_of(client)
         for name, index in self._by_name.items():
             if name not in out:
@@ -234,7 +240,7 @@ class FlyweightPool:
         total = 0
         seen = set()
         for cohort in self._cohorts():
-            for client in cohort.rows:
+            for client in cohort.clients():
                 total += cohort.position_of(client) - 1
                 seen.add(client)
         for index in range(len(self.names)):
@@ -244,7 +250,7 @@ class FlyweightPool:
 
     def serving_counts(self) -> Dict[str, int]:
         return {
-            cohort.server.name: len(cohort.rows) for cohort in self._cohorts()
+            cohort.server.name: len(cohort) for cohort in self._cohorts()
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

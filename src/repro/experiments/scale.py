@@ -235,7 +235,7 @@ def conformance_trace(
         for replica in server.movies.values():
             cohort = replica.cohort
             if cohort is not None:
-                for client in cohort.rows:
+                for client in cohort.clients():
                     final[client.name] = int(cohort.position_of(client))
     return {
         "starts": {name: trace.starts[name] for name in sorted(trace.starts)},

@@ -14,6 +14,7 @@ also provides two extra messaging services used by the VoD layer:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -59,6 +60,64 @@ ViewCallback = Callable[[View], None]
 MessageCallback = Callable[[ProcessId, Any], None]
 P2pCallback = Callable[[ProcessId, Any], None]
 OpenSendCallback = Callable[[ProcessId, Any], None]
+
+
+class IdRuns:
+    """A set of ids held as sorted, disjoint, non-adjacent runs.
+
+    ``bounds`` is ``[lo0, hi0, lo1, hi1, ...]``, each run inclusive.  A
+    daemon's open-send ids reach a receiver as one contiguous run with
+    the odd gap (a lost or still-reordered send), so n ids cost a few
+    list slots, not n set entries.  ``len()`` counts the ids held.
+    """
+
+    __slots__ = ("bounds", "count")
+
+    def __init__(self) -> None:
+        self.bounds: List[int] = []
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def add(self, request_id: int) -> bool:
+        """Hold ``request_id``; False if it was held already."""
+        bounds = self.bounds
+        slot = bisect_right(bounds, request_id)
+        if slot % 2 == 1 or (slot > 0 and bounds[slot - 1] == request_id):
+            return False
+        # ``slot`` is even: the id falls in the gap before run slot // 2.
+        joins_left = slot > 0 and bounds[slot - 1] == request_id - 1
+        joins_right = slot < len(bounds) and bounds[slot] == request_id + 1
+        if joins_left and joins_right:
+            del bounds[slot - 1:slot + 1]
+        elif joins_left:
+            bounds[slot - 1] = request_id
+        elif joins_right:
+            bounds[slot] = request_id
+        else:
+            bounds[slot:slot] = (request_id, request_id)
+        self.count += 1
+        return True
+
+    def drop_lowest(self, n: int) -> int:
+        """Forget the ``n`` smallest ids held (``1 <= n <= len``) and
+        return the largest of them."""
+        bounds = self.bounds
+        self.count -= n
+        slot = 0
+        while True:
+            lo, hi = bounds[slot], bounds[slot + 1]
+            if hi - lo + 1 >= n:
+                last = lo + n - 1
+                if last == hi:
+                    slot += 2
+                else:
+                    bounds[slot] = last + 1
+                del bounds[:slot]
+                return last
+            n -= hi - lo + 1
+            slot += 2
 
 
 class GroupListener:
@@ -144,8 +203,10 @@ class GcsEndpoint:
         # Open-group duplicate suppression, per sending daemon (a
         # sender's node is its daemon, and request ids are per daemon):
         # the ids delivered above that daemon's low-water mark, at or
-        # below which every id counts as delivered.
-        self._open_seen: Dict[int, Set[int]] = {}
+        # below which every id counts as delivered.  Only sends from
+        # other daemons are recorded: a local one never crosses the
+        # network, so nothing can duplicate it.
+        self._open_seen: Dict[int, IdRuns] = {}
         self._open_low: Dict[int, int] = {}
         self._open_next_id = incarnation << 32
         # Graceful-leave tombstones per group.
@@ -270,8 +331,8 @@ class GcsEndpoint:
         for daemon in self.domain.group_daemons(group):
             if daemon != self.daemon_id:
                 self.send_to_daemon(daemon, message)
-        # Local members receive it too.
-        self._deliver_open_send(message, self.daemon_id)
+        # Local members receive it too, past the duplicate ledger.
+        self._hand_open_send(message)
         return self._open_next_id
 
     def register_open_group_handler(
@@ -625,17 +686,22 @@ class GcsEndpoint:
         request_id = message.request_id
         seen = self._open_seen.get(daemon)
         if seen is None:
-            seen = self._open_seen[daemon] = set()
-        if request_id in seen or request_id <= self._open_low.get(daemon, 0):
+            seen = self._open_seen[daemon] = IdRuns()
+        bounds = seen.bounds
+        if bounds and request_id == bounds[-1] + 1:
+            # In order: the daemon's next id extends its last run.
+            bounds[-1] = request_id
+            seen.count += 1
+        elif request_id <= self._open_low.get(daemon, 0) or not seen.add(request_id):
             return
-        seen.add(request_id)
-        if len(seen) > SEEN_CAP:
+        if seen.count > SEEN_CAP:
             # Ids only grow per daemon (restarts included), so the older
             # half folds into the mark and a late duplicate of any of
             # them is still suppressed.
-            older = sorted(seen)[: len(seen) // 2]
-            self._open_low[daemon] = older[-1]
-            seen.difference_update(older)
+            self._open_low[daemon] = seen.drop_lowest(seen.count // 2)
+        self._hand_open_send(message)
+
+    def _hand_open_send(self, message: OpenGroupSend) -> None:
         member = self._members.get(message.group)
         if member is None or not member.is_member:
             return

@@ -94,7 +94,7 @@ class MovieReplica:
         sessions and flyweight cohort rows alike."""
         clients = [client for client, _ in self.sessions()]
         if self.cohort is not None:
-            clients.extend(self.cohort.rows)
+            clients.extend(self.cohort.clients())
         return clients
 
     @property
@@ -186,7 +186,7 @@ class MovieReplica:
         the owner its ledger computes, the owner adds the row."""
         cohort = self.ensure_cohort()
         client = request.client
-        if self.assign_row(client) != self.process or client in cohort.rows:
+        if self.assign_row(client) != self.process or client in cohort:
             return  # not ours, or a duplicate connect retry
         if self.server.admission_policy is not None:
             if not self._admission_check(request).admitted:
@@ -493,7 +493,7 @@ class MovieReplica:
         for client in [client for client, _ in self.sessions()]:
             self.server.end_session(client, departed=False)
         if self.cohort is not None:
-            for client in list(self.cohort.rows):
+            for client in self.cohort.clients():
                 self.cohort.shed(client)
         self.stop()
         self.handle.leave()

@@ -26,8 +26,7 @@ a per-frame run would publish.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from heapq import heappop, heappush
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.gcs.view import ProcessId, View
@@ -524,6 +523,11 @@ class CohortSession:
     sliver of a tick boundary.  The conformance suite pins a golden
     trace against full-object runs to catch exactly that.
 
+    A row costs bytes, not objects: its three numbers and its place in
+    the cohort's order sit in ``array`` columns indexed by pool row,
+    and the finish schedule holds one ``(time, row)`` entry per live row
+    in two sorted parallel arrays.
+
     The cohort owns the *row ledger* — ``assignment`` plus the peers'
     last shares — and how it learns (share deltas, where the record
     ledger merges per-client records by timestamp).  The placement
@@ -536,26 +540,44 @@ class CohortSession:
 
     def __init__(self, server: "VoDServer", movie: Movie,
                  pool: "FlyweightPool") -> None:
+        # Imported here: only a flyweight run makes a cohort, and a run
+        # without one should not map the extension module.
+        from array import array
+
         self.server = server
         self.sim: Simulator = server.sim
         self.movie = movie
         self.pool = pool
         self.rate_fps = server.config.default_rate_fps
         self.delta = 1.0 / self.rate_fps
-        # client -> (base offset, anchor time, epoch).  The playhead of
-        # a row is derived, never stored: position(T) = base +
-        # floor((T - anchor) / delta), clamped to one past the movie.
-        self.rows: Dict[ProcessId, Tuple[int, float, int]] = {}
+        # Row columns, indexed by pool row: base offset, anchor time and
+        # epoch.  The playhead of a row is derived, never stored:
+        # position(T) = base + floor((T - anchor) / delta), clamped to
+        # one past the movie.  ``_order`` numbers rows in the order they
+        # were added (re-anchoring a row in place keeps its number): the
+        # order of :meth:`clients`.  A column entry means something only
+        # while its row index is in ``_row_indices``.
+        self._base = array("i")
+        self._anchor = array("d")
+        self._epoch = array("i")
+        self._order = array("I")
+        self._added = 0
+        self._grow(len(pool))
+        # Pool indices of our own rows: membership, and the overlap
+        # check against incoming peer shares (duplicate-row resolution)
+        # — a set, because the shed loop's order is its iteration order.
+        self._row_indices: set = set()
         # The cohort's deterministic client -> server map (all replicas
         # run the identical admission/rebalance rules over it).
         self.assignment = OwnerMap()
-        # Pool indices of our own rows, for O(1) overlap checks against
-        # incoming peer shares (duplicate-row resolution).
-        self._row_indices: set = set()
         # Last CohortSync heard from each peer replica: the takeover
         # resume offsets ("from the offset ... last heard").
         self.peer_shared: Dict[ProcessId, CohortSync] = {}
-        self._finish_heap: List[Tuple[float, ProcessId]] = []
+        # Finish schedule: each live row that has frames left, once, as
+        # (finish time, pool row) — two parallel arrays sorted by time,
+        # then row, so a row's entry is found by bisection.
+        self._finish_at = array("d")
+        self._finish_row = array("i")
         window = server.config.batch_window_s or server.config.sync_interval_s
         self._window_timer = Timer(self.sim, window, self._window_tick)
         self._stopped = False
@@ -565,7 +587,9 @@ class CohortSession:
     # ------------------------------------------------------------------
     def position_of(self, client: ProcessId, now: Optional[float] = None) -> int:
         """Next frame index the row's virtual session would transmit."""
-        base, anchor, _ = self.rows[client]
+        index = self.pool.row_of(client)
+        base = self._base[index]
+        anchor = self._anchor[index]
         at = self.sim.now if now is None else now
         ticks = int((at - anchor) / self.delta + 1e-9)
         if ticks < 0:
@@ -582,14 +606,21 @@ class CohortSession:
         scan of the cohort."""
         if self._stopped:
             return
-        while self._finish_heap and self._finish_heap[0][0] <= self.sim.now:
-            _, client = heappop(self._finish_heap)
-            row = self.rows.get(client)
-            if row is None or self.position_of(client) <= len(self.movie):
-                continue  # stale entry (row moved or re-anchored)
-            self.remove_row(client)
+        due = bisect_right(self._finish_at, self.sim.now)
+        if not due:
+            return
+        rows = self._finish_row[:due]
+        del self._finish_at[:due]
+        del self._finish_row[:due]
+        limit = len(self.movie)
+        client_of = self.pool.client_of
+        for index in rows:
+            client = client_of(index)
+            if self.position_of(client) <= limit:
+                continue  # a float hair short: the row plays on unscheduled
+            self._row_indices.discard(index)
             self.assignment.pop(client, None)
-            self.pool.note_finished(client, len(self.movie) + 1)
+            self.pool.note_finished(client, limit + 1)
 
     # ------------------------------------------------------------------
     # Rows
@@ -600,11 +631,10 @@ class CohortSession:
         this server as its owner in ``assignment`` (admission and
         re-distribution do, as the step that decided it)."""
         base = max(1, min(offset, len(self.movie) + 1))
-        self.rows[client] = (base, self.sim.now, epoch)
-        self._row_indices.add(self.pool.row_of(client))
-        if base <= len(self.movie):
-            finish_at = self.sim.now + (len(self.movie) + 1 - base) * self.delta
-            heappush(self._finish_heap, (finish_at, client))
+        index = self.pool.row_of(client)
+        self._unschedule(index)
+        self._put(index, base, self.sim.now, epoch)
+        self._schedule(index)
         self.pool.note_started(client, self.server.process)
         self.server.announce_start(
             self.record_of(client), takeover, flyweight=True
@@ -614,8 +644,86 @@ class CohortSession:
         """Drop a row (shed or finish).  The assignment entry is left
         to the caller: a shed row keeps its (new) owner, a finished one
         is erased."""
-        if self.rows.pop(client, None) is not None:
-            self._row_indices.discard(self.pool.row_of(client))
+        index = self.pool.row_of(client)
+        self._unschedule(index)
+        self._row_indices.discard(index)
+
+    def _put(self, index: int, base: int, anchor: float, epoch: int) -> None:
+        """Write pool row ``index``'s columns, making it a row if it
+        was not one (it then goes last in :meth:`clients`)."""
+        if index >= len(self._base):
+            self._grow(index + 1)  # the pool grew after this cohort began
+        if index not in self._row_indices:
+            self._row_indices.add(index)
+            self._added += 1
+            self._order[index] = self._added
+        self._base[index] = base
+        self._anchor[index] = anchor
+        self._epoch[index] = epoch
+
+    def _grow(self, size: int) -> None:
+        for column in (self._base, self._anchor, self._epoch, self._order):
+            column.frombytes(bytes(column.itemsize * (size - len(column))))
+
+    def _finish_time(self, index: int) -> Optional[float]:
+        """When row ``index`` plays its last frame; None if it has."""
+        base = self._base[index]
+        limit = len(self.movie)
+        if base > limit:
+            return None
+        return self._anchor[index] + (limit + 1 - base) * self.delta
+
+    def _slot_of(self, finish_at: float, index: int) -> int:
+        """Where ``(finish_at, index)`` sits in the schedule, which is
+        sorted by time and, among equal times, by pool row."""
+        times = self._finish_at
+        lo = bisect_left(times, finish_at)
+        hi = bisect_right(times, finish_at, lo)
+        return bisect_left(self._finish_row, index, lo, hi)
+
+    def _schedule(self, index: int) -> None:
+        finish_at = self._finish_time(index)
+        if finish_at is None:
+            return
+        times = self._finish_at
+        rows = self._finish_row
+        if not times or (finish_at, index) > (times[-1], rows[-1]):
+            times.append(finish_at)  # fresh rows finish last: no search
+            rows.append(index)
+        else:
+            slot = self._slot_of(finish_at, index)
+            times.insert(slot, finish_at)
+            rows.insert(slot, index)
+
+    def _unschedule(self, index: int) -> None:
+        """Take row ``index``'s entry out of the schedule, if it is a row
+        and has one.  Its finish time is recomputed from its columns,
+        bit for bit the time it was scheduled at."""
+        if index not in self._row_indices:
+            return
+        finish_at = self._finish_time(index)
+        if finish_at is None:
+            return
+        slot = self._slot_of(finish_at, index)
+        rows = self._finish_row
+        if slot < len(rows) and rows[slot] == index:
+            del self._finish_at[slot]
+            del rows[slot]
+
+    def __contains__(self, client: ProcessId) -> bool:
+        return self.pool.row_of(client) in self._row_indices
+
+    def clients(self) -> List[ProcessId]:
+        """The rows' clients, in the order they became rows."""
+        order = sorted(self._row_indices, key=self._order.__getitem__)
+        return list(map(self.pool.client_of, order))
+
+    def row(self, client: ProcessId) -> Tuple[int, float, int]:
+        """A row's ``(base offset, anchor time, epoch)``."""
+        index = self.pool.row_of(client)
+        if index not in self._row_indices:
+            raise KeyError(client)
+        return self._base[index], self._anchor[index], self._epoch[index]
 
     def shed(self, client: ProcessId) -> None:
         """Stop serving a row another replica serves from now on."""
@@ -625,7 +733,7 @@ class CohortSession:
     def record_of(self, client: ProcessId) -> ClientRecord:
         """A full :class:`ClientRecord` view of one row (observer
         notifications; never the periodic share)."""
-        base, anchor, epoch = self.rows[client]
+        epoch = self._epoch[self.pool.row_of(client)]
         session, endpoint, quality = self.pool.record_fields(client)
         return ClientRecord(
             client=client,
@@ -649,16 +757,17 @@ class CohortSession:
         # last row left (finished or shed) — suppressing it would
         # freeze their view of our share of the assignment.
         now = self.sim.now
-        rows = self.rows
-        indices = sorted(map(self.pool.row_of, rows))
-        client_of = self.pool.client_of
+        indices = sorted(self._row_indices)
         # position_of for every row in one pass: the same float
         # operations in the same order, without a call per row.
+        base_of = self._base
+        anchor_of = self._anchor
         delta = self.delta
         limit = len(self.movie) + 1
         offsets = []
         for index in indices:
-            base, anchor, _ = rows[client_of(index)]
+            base = base_of[index]
+            anchor = anchor_of[index]
             ticks = int((now - anchor) / delta + 1e-9)
             position = base + ticks if ticks > 0 else base
             offsets.append(position if position < limit else limit)
@@ -705,10 +814,9 @@ class CohortSession:
                 self.assignment[client] = payload.server
             # else: we outrank the peer; it sheds on our next share.
         for index in payload_rows - previous_rows:
-            client = client_of(index)
-            if client in self.rows:
+            if index in self._row_indices:
                 continue  # duplicate we keep — resolved above
-            self.assignment[client] = payload.server
+            self.assignment[client_of(index)] = payload.server
         for index in previous_rows - payload_rows:
             client = client_of(index)
             if self.assignment.get(client) == payload.server:
@@ -792,10 +900,10 @@ class CohortSession:
         self._window_timer.cancel()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._row_indices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CohortSession {self.server.name} {self.movie.title!r} "
-            f"rows={len(self.rows)}>"
+            f"rows={len(self)}>"
         )

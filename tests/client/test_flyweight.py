@@ -116,7 +116,7 @@ def test_crash_fails_rows_over_with_conservative_resume():
     survivor = next(
         s for s in deployment.live_servers() if s is not victim
     )
-    victim_rows = set(victim.movies["feature"].cohort.rows)
+    victim_rows = set(victim.movies["feature"].cohort.clients())
     assert victim_rows
     victim.crash()
     sim.run_until(8.0)
@@ -128,7 +128,7 @@ def test_crash_fails_rows_over_with_conservative_resume():
         # Takeover resumed from the last *shared* offset: at or behind
         # the true playhead (never ahead — no skipped frames), within
         # one sync interval of it, and still advancing afterwards.
-        resumed_base = cohort.rows[client][0]
+        resumed_base = cohort.row(client)[0]
         assert resumed_base <= before[name] + 1
         assert before[name] - resumed_base <= 30  # <= one 0.5s share + slack
         assert pool.positions()[name] > before[name]

@@ -1,7 +1,10 @@
 """Unit tests for the GCS daemon endpoint services."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.gcs.endpoint as endpoint_module
 from repro.errors import GroupError
 from repro.gcs import GcsDomain, GroupListener
 from repro.gcs.endpoint import SEEN_CAP
@@ -294,3 +297,98 @@ def test_a_duplicate_straddling_the_p2p_cap_is_still_suppressed(rig):
         receiver._on_p2p(PointToPoint(sender, target, late, "duplicate", 64), sender.node)
     assert len(got) == SEEN_CAP + 1
     assert len(receiver._p2p_seen) <= SEEN_CAP // 2 + 1
+
+
+def test_local_open_sends_skip_the_dedupe_ledger(rig):
+    """A send a daemon hands its own members never crosses the network,
+    so nothing can duplicate it: the sender keeps no ledger entry, and
+    the one remote member holds the whole stream as a single run."""
+    sim, _topo, _domain, endpoints = rig
+    member, sender = endpoints[1], endpoints[0]
+    got = []
+    member.join("g", "m", GroupListener())
+    member.register_open_group_handler("g", lambda s, p: got.append(p))
+    sim.run_until(1.0)
+    for n in range(1000):  # 1 ms apart: one burst would overflow the uplink
+        sim.call_at(1.0 + n * 0.001, sender.send_to_group, "g", n)
+    sim.run_until(2.5)
+    assert got == list(range(1000))
+    assert not sender._open_seen
+    assert len(member._open_seen[sender.daemon_id]) == 1000
+    assert len(member._open_seen[sender.daemon_id].bounds) == 2
+
+
+class _ReferenceLedger:
+    """The dedupe as a plain set per sending daemon plus the low-water
+    fold: what ``_deliver_open_send`` suppresses, by definition."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.seen = {}
+        self.low = {}
+
+    def accept(self, daemon, request_id):
+        seen = self.seen.setdefault(daemon, set())
+        if request_id in seen or request_id <= self.low.get(daemon, 0):
+            return False
+        seen.add(request_id)
+        if len(seen) > self.cap:
+            older = sorted(seen)[: len(seen) // 2]
+            self.low[daemon] = older[-1]
+            seen.difference_update(older)
+        return True
+
+
+@st.composite
+def _open_send_streams(draw):
+    """Two daemons' id streams, interleaved: each a run of ids (some
+    from the next incarnation, ``1 << 32`` up) with permanent gaps,
+    duplicates and bounded reordering."""
+    arrivals = []
+    for daemon in (2, 3):
+        n = draw(st.integers(0, 40))
+        reborn = draw(st.integers(0, 8))
+        ids = list(range(1, n + 1)) + [(1 << 32) + k for k in range(1, reborn + 1)]
+        lost = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+        sent = [i for i, gone in zip(ids, lost) if not gone]
+        late = draw(st.lists(st.integers(0, 6), min_size=len(sent), max_size=len(sent)))
+        stream = [(pos + delay, daemon, i) for pos, (i, delay) in enumerate(zip(sent, late))]
+        if sent:
+            copies = draw(st.lists(
+                st.tuples(st.integers(0, len(sent) + 6), st.sampled_from(sent)),
+                max_size=10,
+            ))
+            stream += [(at, daemon, i) for at, i in copies]
+        arrivals += stream
+    order = draw(st.permutations(range(len(arrivals))))
+    # Sort by arrival slot; ties broken by a drawn permutation, so the
+    # two daemons' streams interleave every which way.
+    keyed = sorted(zip(arrivals, order), key=lambda pair: (pair[0][0], pair[1]))
+    return [(daemon, i) for (_at, daemon, i), _ in keyed]
+
+
+def test_the_run_ledger_suppresses_exactly_what_a_plain_set_does(rig, monkeypatch):
+    """Differential: the run-length ledger against a plain set with the
+    same low-water fold, over reordered, duplicated, gapped streams
+    across an incarnation jump, with a cap small enough to fold often."""
+    receiver, got = _receiver(rig)
+
+    @given(stream=_open_send_streams(), cap=st.integers(1, 12))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def check(stream, cap):
+        monkeypatch.setattr(endpoint_module, "SEEN_CAP", cap)
+        receiver._open_seen.clear()
+        receiver._open_low.clear()
+        got.clear()
+        reference = _ReferenceLedger(cap)
+        want = []
+        for k, (daemon, request_id) in enumerate(stream):
+            receiver._deliver_open_send(_open_send(daemon, request_id, k), daemon)
+            if reference.accept(daemon, request_id):
+                want.append(k)
+        assert got == want
+        for daemon, seen in reference.seen.items():
+            assert len(receiver._open_seen[daemon]) == len(seen)
+            assert receiver._open_low.get(daemon, 0) == reference.low.get(daemon, 0)
+
+    check()

@@ -26,6 +26,13 @@ DELTA = 1.0 / ServerConfig().default_rate_fps
 CLIENTS = [ProcessId(40 - i % 7, f"client{i}") for i in range(24)]
 
 
+class _Pool(SimpleNamespace):
+    """Stub pool: the cohort sizes its row columns by the pool."""
+
+    def __len__(self):
+        return len(CLIENTS)
+
+
 def cohort_at(now, rows):
     """A cohort holding ``rows`` (pool index -> (base, anchor, epoch))
     at simulated time ``now``, over a stub pool and server: the share
@@ -35,12 +42,13 @@ def cohort_at(now, rows):
         sim=sim, config=ServerConfig(), process=ProcessId(1, "server0"),
         name="server0",
     )
-    pool = SimpleNamespace(
+    pool = _Pool(
         row_of={CLIENTS[index]: index for index in rows}.__getitem__,
         client_of=CLIENTS.__getitem__,
     )
     cohort = CohortSession(server, MOVIE, pool)
-    cohort.rows = {CLIENTS[index]: row for index, row in rows.items()}
+    for index, (base, anchor, epoch) in rows.items():
+        cohort._put(index, base, anchor, epoch)
     sim.run_until(now)
     return cohort
 
