@@ -3,9 +3,10 @@
 ``PYTHONPATH=src python3 scripts/admission_sweep.py``
 
 Builds one full-mode scale rig
-(``repro.experiments.scale.build_scale_rig``) per cell, one rig at a
-time, and prints per rig the distinct viewers some live server streams
-by a deadline and the viewers two servers stream some time later:
+(``repro.experiments.scale.build_scale_rig``) per cell, the cells spread
+over ``os.cpu_count()`` worker processes, and prints per rig, in cell
+order, the distinct viewers some live server streams by a deadline and
+the viewers two servers stream some time later:
 
 * clean links — N ∈ {60, 400} × connect window {0, 2 s} × seeds 1–30;
   every viewer served at 3 s, none twice at 12 s;
@@ -22,10 +23,15 @@ rule is marked ``LOSSY`` and does not set the exit code: at 2 % the
 replicas' ledgers drift apart and livelock admission, which only first
 placement from the agreed view fixes; once it does, lossy cells fail
 like clean ones.
+
+Every rig is independent and seeded, so the output is byte-identical
+to running the cells one at a time.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import sys
 from typing import Dict, Tuple
 
@@ -89,20 +95,29 @@ def cells():
                 yield loss, n_clients, LOSSY_WINDOW_S, seed
 
 
+def run_cell(cell) -> Tuple[int, int]:
+    loss, n_clients, window_s, seed = cell
+    return run_rig(n_clients, window_s, seed, loss)
+
+
 def main() -> int:
     failed = lossy = 0
     print(f"{'loss':>5} {'N':>5} {'window':>6} {'seed':>4} "
-          f"{'served':>6} {'twice':>5}")
-    for loss, n_clients, window_s, seed in cells():
-        served, twice = run_rig(n_clients, window_s, seed, loss)
-        bad = served < n_clients or twice > 0
-        if loss:
-            lossy += bad
-        else:
-            failed += bad
-        mark = ("  LOSSY" if loss else "  FAIL") if bad else ""
-        print(f"{loss:5.3f} {n_clients:5d} {window_s:6.1f} {seed:4d} "
-              f"{served:6d} {twice:5d}{mark}", flush=True)
+          f"{'served':>6} {'twice':>5}", flush=True)
+    grid = list(cells())
+    with multiprocessing.get_context("spawn").Pool(os.cpu_count()) as pool:
+        results = pool.imap(run_cell, grid)
+        for (loss, n_clients, window_s, seed), (served, twice) in zip(
+            grid, results
+        ):
+            bad = served < n_clients or twice > 0
+            if loss:
+                lossy += bad
+            else:
+                failed += bad
+            mark = ("  LOSSY" if loss else "  FAIL") if bad else ""
+            print(f"{loss:5.3f} {n_clients:5d} {window_s:6.1f} {seed:4d} "
+                  f"{served:6d} {twice:5d}{mark}", flush=True)
     if lossy:
         print(f"{lossy} lossy rig(s) left a viewer unserved at 12 s or "
               f"served twice at 24 s (reported, not failed)")

@@ -10,7 +10,7 @@ reproducible from a seed.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".core": ("EventHandle", "Simulator"),
+    ".core": ("EventHandle", "Lane", "Simulator"),
     ".process": ("Process", "Timer", "sleep"),
     ".rng": ("RngRegistry",),
     "repro.telemetry.trace": ("TraceRecord", "Tracer"),
