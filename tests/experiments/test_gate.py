@@ -322,8 +322,39 @@ def test_postmortem_gate_measures_then_passes_at_test_scale(
     assert judge("postmortem", written) == []
 
 
+def _differing_paths(measured, recorded, path=""):
+    """Every dotted path at which two JSON values differ."""
+    if isinstance(measured, dict) and isinstance(recorded, dict):
+        return [
+            found
+            for key in sorted(set(measured) | set(recorded))
+            for found in (
+                _differing_paths(measured[key], recorded[key], f"{path}.{key}")
+                if key in measured and key in recorded
+                else [f"{path}.{key}"]
+            )
+        ]
+    if (
+        isinstance(measured, list)
+        and isinstance(recorded, list)
+        and len(measured) == len(recorded)
+    ):
+        return [
+            found
+            for index, (a, b) in enumerate(zip(measured, recorded))
+            for found in _differing_paths(a, b, f"{path}[{index}]")
+        ]
+    return [] if measured == recorded else [path or "."]
+
+
 def test_the_paper_gate_measures_then_passes():
     """Every claim of EXPERIMENTS.md, measured on this tree: the whole
-    gate, as CI's ``paper-claims`` job runs it."""
+    gate, as CI's ``paper-claims`` job runs it.  The measurement must
+    also equal the recorded ``tests/data/BENCH_paper.json`` exactly, so
+    a refactor that moves any outcome of any experiment fails here and
+    names where."""
     baseline = json.loads((ROOT / GATES["paper"].baseline).read_text())
-    assert judge("paper", measure_paper(), baseline) == []
+    measured = json.loads(json.dumps(measure_paper(), default=str))
+    assert judge("paper", measured, baseline) == []
+    recorded = json.loads((ROOT / "tests/data/BENCH_paper.json").read_text())
+    assert _differing_paths(measured, recorded) == []
