@@ -11,13 +11,9 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.client.player import VoDClient
-from repro.faulting.injector import FaultInjector
+from repro.experiments.scenarios import ScenarioSpec, run_scenario
 from repro.faulting.plan import FaultPlan
-from repro.media.catalog import MovieCatalog
-from repro.media.movie import Movie
-from repro.net.topologies import build_lan
 from repro.service.deployment import Deployment
-from repro.sim.core import Simulator
 
 
 def run_single_server_crash(
@@ -26,15 +22,11 @@ def run_single_server_crash(
     seed: int = 41,
 ) -> Tuple[VoDClient, Deployment]:
     """One server, one client; crash the server mid-movie."""
-    sim = Simulator(seed=seed)
-    topology = build_lan(sim, n_hosts=2)
-    catalog = MovieCatalog([Movie.synthetic("feature", duration_s=duration_s)])
-    deployment = Deployment(topology, catalog, server_nodes=[0])
-    client = deployment.attach_client(1)
-    client.request_movie("feature")
-    FaultInjector(
-        deployment, FaultPlan().crash(crash_at, "server0"), client=client
-    ).start()
-    sim.run_until(duration_s)
-    client.decoder.end_stall(sim.now)
-    return client, deployment
+    result = run_scenario(ScenarioSpec(
+        "single-server", "lan", seed=seed,
+        movie_duration_s=duration_s, run_duration_s=duration_s,
+        n_initial_servers=1, spare_hosts=0,
+        plan=FaultPlan().crash(crash_at, "server0"),
+    ))
+    result.client.decoder.end_stall(result.sim.now)
+    return result.client, result.deployment

@@ -15,11 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.media.catalog import MovieCatalog
-from repro.media.movie import Movie
-from repro.net.topologies import build_lan
-from repro.service.deployment import Deployment
-from repro.sim.core import Simulator
+from repro.experiments.scenarios import ScenarioSpec, run_scenario
 from repro.telemetry.text import Table
 
 
@@ -46,24 +42,16 @@ def run_capacity_point(
     duration_s: float = 30.0,
     seed: int = 51,
 ) -> CapacityPoint:
-    sim = Simulator(seed=seed)
-    topology = build_lan(sim, n_hosts=n_servers + n_clients)
-    catalog = MovieCatalog(
-        [Movie.synthetic("feature", duration_s=duration_s + 20)]
-    )
-    deployment = Deployment(
-        topology, catalog, server_nodes=list(range(n_servers))
-    )
-    clients = []
-    for index in range(n_clients):
-        client = deployment.attach_client(n_servers + index)
-        client.request_movie("feature")
-        clients.append(client)
-    sim.run_until(duration_s)
+    result = run_scenario(ScenarioSpec(
+        f"capacity-{n_clients}x{n_servers}", "lan", seed=seed,
+        movie_duration_s=duration_s + 20, run_duration_s=duration_s,
+        n_initial_servers=n_servers, spare_hosts=0, n_viewers=n_clients,
+    ))
+    clients = result.viewers
     for client in clients:
-        client.decoder.end_stall(sim.now)
+        client.decoder.end_stall(result.sim.now)
 
-    movie = catalog.movie("feature")
+    movie = result.deployment.catalog.movie("feature")
     offered = n_clients * movie.bitrate_bps() / 1e6
     skipped = [c.skipped_total for c in clients]
     stalls = [c.decoder.stats.stall_time_s for c in clients]

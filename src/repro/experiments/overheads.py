@@ -17,14 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.experiments.scenarios import LAN_SCENARIO, run_scenario
-from repro.media.catalog import MovieCatalog
-from repro.media.movie import Movie
-from repro.net.topologies import build_lan
+from repro.experiments.scenarios import LAN_SCENARIO, ScenarioSpec, run_scenario
 from repro.server.rate_controller import EmergencyConfig
-from repro.service.deployment import Deployment
 from repro.service.protocol import EmergencyLevel
-from repro.sim.core import Simulator
 from repro.telemetry.text import Table
 
 
@@ -68,15 +63,11 @@ def measure_sync_overhead(
     n_clients: int = 4, duration_s: float = 60.0, seed: int = 21
 ) -> SyncOverheadResult:
     """Run a steady LAN deployment and compare traffic volumes."""
-    sim = Simulator(seed=seed)
-    topology = build_lan(sim, n_hosts=2 + n_clients)
-    catalog = MovieCatalog(
-        [Movie.synthetic("feature", duration_s=duration_s + 30)]
-    )
-    deployment = Deployment(topology, catalog, server_nodes=[0, 1])
-    for index in range(n_clients):
-        deployment.attach_client(2 + index).request_movie("feature")
-    sim.run_until(duration_s)
+    deployment = run_scenario(ScenarioSpec(
+        "t-sync", "lan", seed=seed,
+        movie_duration_s=duration_s + 30, run_duration_s=duration_s,
+        spare_hosts=0, n_viewers=n_clients,
+    )).deployment
     return SyncOverheadResult(
         n_clients=n_clients,
         duration_s=duration_s,

@@ -16,14 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.client.player import VoDClient
-from repro.faulting import FaultInjector, FaultPlan
-from repro.media.catalog import MovieCatalog
-from repro.media.movie import Movie
-from repro.net.topologies import build_wan
+from repro.experiments.scenarios import ScenarioSpec, run_scenario
+from repro.faulting import FaultPlan
 from repro.server.server import ServerConfig
-from repro.service.deployment import Deployment
-from repro.sim.core import Simulator
 from repro.telemetry.text import Table
 
 
@@ -45,23 +40,14 @@ def run_wan_trial(
     seed: int = 5,
 ) -> QosTrial:
     """One WAN run (7 hops, ~1% loss) with a mid-movie crash."""
-    sim = Simulator(seed=seed)
-    topology = build_wan(sim, 2, 1)
-    catalog = MovieCatalog([Movie.synthetic("feature", duration_s=duration_s)])
-    deployment = Deployment(
-        topology,
-        catalog,
-        server_nodes=[0, 1],
-        server_config=ServerConfig(use_qos=use_qos),
-        enable_qos=use_qos,
-    )
-    client: VoDClient = deployment.attach_client(2)
-    client.request_movie("feature")
-    FaultInjector(
-        deployment, FaultPlan().crash_serving(crash_at), client=client
-    ).start()
-    sim.run_until(duration_s + 10.0)
-    client.decoder.end_stall(sim.now)
+    result = run_scenario(ScenarioSpec(
+        "wan-qos" if use_qos else "wan-best-effort", "wan", seed=seed,
+        movie_duration_s=duration_s, run_duration_s=duration_s + 10.0,
+        plan=FaultPlan().crash_serving(crash_at),
+        server_config=ServerConfig(use_qos=use_qos), spare_hosts=0,
+    ))
+    client, deployment = result.client, result.deployment
+    client.decoder.end_stall(result.sim.now)
     reserved = 0.0
     if deployment.qos is not None:
         reserved = sum(

@@ -12,13 +12,14 @@ server mid-run, and measures
 * failover latency (crash to takeover session start), which must stay
   flat in N: the takeover path is per-client state lookup, not a scan.
 
-Topology: an *edge-concentrator* LAN.  Each edge node concentrates up
-to ``clients_per_edge`` viewers behind one GCS daemon and one fat
-edge link, so the control plane scales with the number of edges rather
-than the number of viewers — how a real metropolitan head-end would be
-provisioned — while the video plane still crosses two switched hops per
-frame.  All links are loss-free, so batched sessions stay on the fast
-path for the entire run.
+Topology: the ``"edge-lan"`` network of
+:class:`~repro.experiments.scenarios.ScenarioSpec`.  Each edge node
+concentrates up to ``CLIENTS_PER_EDGE`` viewers behind one GCS daemon
+and one fat edge link, so the control plane scales with the number of
+edges rather than the number of viewers — how a real metropolitan
+head-end would be provisioned — while the video plane still crosses two
+switched hops per frame.  All links are loss-free, so batched sessions
+stay on the fast path for the entire run.
 
 Three population modes:
 
@@ -40,34 +41,27 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.client.player import VoDClient
+from repro.client.player import ClientConfig
 from repro.errors import ServiceError
-from repro.media.catalog import MovieCatalog
-from repro.media.movie import Movie
-from repro.net.link import LinkParams
-from repro.net.network import Network
-from repro.net.topologies import Topology
+from repro.experiments.scenarios import ScenarioSpec, prepare_scenario
 from repro.server.server import ServerConfig
-from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
-from repro.sim.gcgate import paused_gc
 from repro.telemetry.harness import RunObservers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.deployment import Deployment
     from repro.shard.plan import ShardTask
 
-#: Server uplink: a head-end trunk.  Loss-free and fat enough that a
-#: third of the 5 000-viewer load stays far below saturation.
-SERVER_LINK = LinkParams(delay_s=0.0001, bandwidth_bps=40e9)
-
-#: Edge concentrator link: many viewers share it, still loss-free.
-EDGE_LINK = LinkParams(delay_s=0.0002, bandwidth_bps=10e9)
-
-#: Viewers packed behind one edge node / GCS daemon.
-CLIENTS_PER_EDGE = 64
+#: The scale rig: the feature fully replicated on three head-end servers
+#: (k = 3: the crash needs every survivor able to adopt any share of
+#: the flood), viewers on the edge LAN connecting over the first 2 s.
+SCALE_SPEC = ScenarioSpec(
+    "scale", "edge-lan", movie_duration_s=120.0, n_initial_servers=3,
+    seed=77, spare_hosts=0, connect_window_s=2.0,
+)
 
 #: Default population sweep (the paper's "scalability" claim at depth).
 DEFAULT_SIZES = (100, 1000, 5000)
@@ -143,12 +137,12 @@ class _FailoverObserver:
         self.victim_clients: set = set()
         self.latencies: List[float] = []
 
-    def note_crash(self, victim) -> None:
-        self.crash_time = self.sim.now
-        # served_clients() covers both per-client sessions and flyweight
+    def on_server_crash(self, server, served) -> None:
+        # ``served`` covers both per-client sessions and flyweight
         # cohort rows — failover latency is measured identically across
         # modes (and must stay flat in N for both).
-        self.victim_clients = set(victim.served_clients())
+        self.crash_time = self.sim.now
+        self.victim_clients = set(served)
 
     def on_session_start(self, server, record, takeover: bool) -> None:
         if takeover and record.client in self.victim_clients:
@@ -156,19 +150,24 @@ class _FailoverObserver:
             self.latencies.append(self.sim.now - self.crash_time)
 
 
-def make_crash_most_loaded(deployment: Deployment, observer: _FailoverObserver):
-    """The rigs' shared mid-run fault: kill the busiest server.
+def make_crash_most_loaded(deployment: "Deployment", observer=None):
+    """Old spelling of ``FaultPlan().crash_most_loaded(at)``'s action."""
+    return lambda: deployment.busiest_server().crash()
 
-    Returns a zero-argument action (for ``sim.call_at``) that crashes
-    the most-loaded live server after noting the crash on ``observer``
-    so failover latencies are measured from the instant of failure."""
 
-    def crash_most_loaded() -> None:
-        victim = max(deployment.live_servers(), key=lambda s: s.n_clients)
-        observer.note_crash(victim)
-        victim.crash()
-
-    return crash_most_loaded
+def _rig(n_clients: int, mode: str, server_config: ServerConfig, **fields):
+    """:data:`SCALE_SPEC`'s world with ``n_clients`` viewers and a
+    failover observer: ``(sim, deployment, viewers, observer)``."""
+    if mode not in ("full", "flyweight"):
+        raise ServiceError(f"unknown scale-rig mode {mode!r}")
+    live = prepare_scenario(replace(
+        SCALE_SPEC, n_viewers=n_clients, flyweight=mode == "flyweight",
+        server_config=server_config, **fields,
+    ))
+    deployment = live.result.deployment
+    observer = _FailoverObserver(live.sim)
+    deployment.add_server_observer(observer)
+    return live.sim, deployment, live.result.viewers, observer
 
 
 class ConformanceTrace:
@@ -212,21 +211,20 @@ def conformance_trace(
     arithmetic.  Returns ``{"starts": .., "final": ..}`` where
     ``final`` maps each still-served viewer to its server-side playhead
     at ``duration_s``."""
-    sim, deployment, viewers, observer = build_scale_rig(
-        n_clients,
-        batch_window_s,
-        n_servers=3,
-        seed=seed,
-        movie_duration_s=duration_s + 60.0,
-        connect_window_s=0.0,
-        mode=mode,
-        session_mux=True,
-        prebuffer_frames=330,
+    plan = None
+    if crash_at is not None:
+        from repro.faulting.plan import FaultPlan
+
+        plan = FaultPlan().crash_most_loaded(crash_at)
+    sim, deployment, viewers, observer = _rig(
+        n_clients, mode,
+        ServerConfig(batch_window_s=batch_window_s, session_mux=True),
+        client_config=ClientConfig(session_mux=True, prebuffer_frames=330),
+        seed=seed, movie_duration_s=duration_s + 60.0, connect_window_s=0.0,
+        plan=plan,
     )
     trace = ConformanceTrace()
     deployment.add_server_observer(trace)
-    if crash_at is not None:
-        sim.call_at(crash_at, make_crash_most_loaded(deployment, observer))
     sim.run_until(duration_s)
     final: Dict[str, int] = {}
     for server in deployment.live_servers():
@@ -244,117 +242,32 @@ def conformance_trace(
     }
 
 
-def build_edge_lan(
-    sim: Simulator,
-    n_servers: int,
-    n_edges: int,
-    server_link: LinkParams = SERVER_LINK,
-    edge_link: LinkParams = EDGE_LINK,
-) -> Topology:
-    """One core switch, ``n_servers`` head-end hosts, ``n_edges``
-    concentrator hosts.  ``hosts[:n_servers]`` are the server slots,
-    ``hosts[n_servers:]`` the edges."""
-    network = Network(sim)
-    core = network.add_node("core")
-    topology = Topology(network=network, infrastructure=[core.node_id])
-    for index in range(n_servers):
-        host = network.add_node(f"headend{index}")
-        network.add_link(host.node_id, core.node_id, server_link)
-        topology.hosts.append(host.node_id)
-    for index in range(n_edges):
-        edge = network.add_node(f"edge{index}")
-        network.add_link(edge.node_id, core.node_id, edge_link)
-        topology.hosts.append(edge.node_id)
-    return topology
-
-
 def build_scale_rig(
     n_clients: int,
     batch_window_s: float,
     n_servers: int = 3,
     seed: int = 77,
-    movie_duration_s: float = 120.0,
     connect_window_s: float = 2.0,
-    clients_per_edge: int = CLIENTS_PER_EDGE,
     mode: str = "full",
-    session_mux: bool = False,
-    prebuffer_frames: int = 0,
 ):
-    """A service with ``n_clients`` viewers connecting over the first
-    ``connect_window_s`` seconds of the run.
+    """:data:`SCALE_SPEC`'s world with ``n_clients`` viewers connecting
+    over the first ``connect_window_s`` seconds of the run.
 
     Connects start at t=0, before the movie group's first view exists:
     the servers' admission queue absorbs the flood and admits it once
     the view settles, so the join-regime recompute never sees a growing
-    record set (the old rig delayed connects instead — a workaround).
+    record set.
 
-    ``mode="full"`` attaches one :class:`VoDClient` per viewer and
-    returns ``(sim, deployment, clients, observer)``; ``session_mux`` /
-    ``prebuffer_frames`` configure those clients (the conformance rig
-    uses mux + a prebuffer deep enough that flow control stays silent).
-    ``mode="flyweight"`` registers the viewers as rows of one
-    :class:`~repro.client.flyweight.FlyweightPool` instead and returns
-    the pool in the clients slot (a row never starts a session, so
-    ``session_mux`` changes nothing for it)."""
-    if mode not in ("full", "flyweight"):
-        raise ServiceError(f"unknown scale-rig mode {mode!r}")
-    flyweight = mode == "flyweight"
-    sim = Simulator(seed=seed)
-    n_edges = max(1, -(-n_clients // clients_per_edge))
-    topology = build_edge_lan(sim, n_servers, n_edges)
-    catalog = MovieCatalog(
-        [Movie.synthetic("feature", duration_s=movie_duration_s)]
+    Returns ``(sim, deployment, viewers, observer)``: ``viewers`` is the
+    list of :class:`VoDClient` (``mode="full"``) or the
+    :class:`~repro.client.flyweight.FlyweightPool` holding them as rows
+    (``mode="flyweight"``), and ``observer`` measures failover latency
+    from any server crash."""
+    return _rig(
+        n_clients, mode, ServerConfig(batch_window_s=batch_window_s),
+        n_initial_servers=n_servers, seed=seed,
+        connect_window_s=connect_window_s,
     )
-    from repro.client.player import ClientConfig
-    from repro.placement import PlacementContext, ServerProfile, StaticKWay
-
-    # Fully replicated feature as a derived placement (k = n_servers):
-    # the rig's crash point needs every survivor able to adopt any
-    # share of the flood.
-    profiles = [ServerProfile(name=f"server{i}") for i in range(n_servers)]
-    plan = StaticKWay(k=n_servers).build(
-        PlacementContext(catalog=catalog, servers=profiles, k=n_servers)
-    )
-    deployment = Deployment.from_placement(
-        topology,
-        plan,
-        catalog,
-        server_hosts={profile.name: i for i, profile in enumerate(profiles)},
-        server_config=ServerConfig(
-            batch_window_s=batch_window_s, session_mux=session_mux
-        ),
-        client_config=ClientConfig(
-            session_mux=session_mux, prebuffer_frames=prebuffer_frames
-        ),
-        replicate_all=True,
-    )
-    observer = _FailoverObserver(sim)
-    deployment.add_server_observer(observer)
-
-    if flyweight:
-        from repro.client.flyweight import FlyweightConfig
-
-        pool = deployment.attach_flyweight(
-            "feature",
-            config=FlyweightConfig(senders_max=min(4, n_edges)),
-        )
-        for index in range(n_clients):
-            pool.add_viewer(n_servers + index % n_edges)
-        pool.connect_all(connect_window_s)
-        return sim, deployment, pool, observer
-
-    clients: List[VoDClient] = []
-    for index in range(n_clients):
-        host_index = n_servers + index % n_edges
-        # One shared GCS daemon per edge node.
-        endpoint = deployment.domain.ensure_endpoint(topology.host(host_index))
-        client = deployment.attach_client(
-            host_index, endpoint=endpoint, video_port=None
-        )
-        clients.append(client)
-        offset = (index * connect_window_s) / max(1, n_clients)
-        sim.call_at(offset, client.request_movie, "feature")
-    return sim, deployment, clients, observer
 
 
 def run_scale_point(
@@ -392,13 +305,11 @@ def run_scale_point(
     assembled incidents and the recorder's self-metering."""
     if crash_at is None:
         crash_at = duration_s / 2.0
-    sim, deployment, viewers, observer = build_scale_rig(
-        n_clients,
-        batch_window_s,
-        n_servers=n_servers,
-        seed=seed,
+    sim, deployment, viewers, observer = _rig(
+        n_clients, "flyweight" if flyweight else "full",
+        ServerConfig(batch_window_s=batch_window_s),
+        n_initial_servers=n_servers, seed=seed,
         movie_duration_s=duration_s + 60.0,
-        mode="flyweight" if flyweight else "full",
     )
     observers = RunObservers(
         sim,
@@ -415,7 +326,10 @@ def run_scale_point(
         flight_config=flight_config,
     )
 
-    sim.call_at(crash_at, make_crash_most_loaded(deployment, observer))
+    # A plain event, not a FaultInjector action: an injected fault is a
+    # causal root with a ``fault.fired`` record of its own, and this
+    # producer's export is pinned without them.
+    sim.call_at(crash_at, lambda: deployment.busiest_server().crash())
 
     checker = None
     if invariants:
@@ -428,6 +342,8 @@ def run_scale_point(
     # GC only adds wall time — ~33% at N=20k.  Pause it for the
     # measured section.  The observers as context manager write the
     # summary trailer (``crashed`` / ``error``) even if the run raises.
+    from repro.sim.gcgate import paused_gc
+
     with observers:
         started = time.perf_counter()
         with paused_gc():

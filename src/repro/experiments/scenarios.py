@@ -11,55 +11,57 @@
 Both crash "the server transmitting this movie", so the fault plan's
 ``crash_serving`` action resolves the victim from the client's session
 at fire time.
+
+Every other single-feature world of the evaluation is one of these
+specs with a knob turned, and :func:`prepare_scenario` builds them all.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.client.player import ClientConfig, VoDClient
 from repro.errors import ServiceError
-from repro.faulting.injector import FaultInjector
-from repro.faulting.plan import FaultPlan
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
 from repro.net.topologies import (
     Topology,
+    build_edge_lan,
     build_hierarchy,
     build_lan,
     build_wan,
 )
 from repro.placement import PlacementContext, ServerProfile, StaticKWay
-from repro.server.admission import AdmissionSpec
 from repro.server.server import ServerConfig
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
 from repro.telemetry.harness import RunObservers
-from repro.workloads import (
-    CHANNEL_SURFER,
-    COUCH_POTATO,
-    VCR_STORM,
-    ViewerProfile,
-    WorkloadDriver,
-    ZipfCatalogSampler,
-    burst_arrivals,
-    diurnal_arrivals,
-    poisson_arrivals,
-)
 
+# Faults, workloads and admission policies load only when a spec uses
+# them: the scale rig builds through here and times its start-up.
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.client.flyweight import FlyweightPool
+    from repro.faulting.injector import FaultInjector
+    from repro.faulting.plan import FaultPlan
+    from repro.server.admission import AdmissionSpec
     from repro.telemetry.flight import FlightRecorderConfig, Incident
     from repro.telemetry.qoe import QoEScorecard
+    from repro.workloads import ViewerProfile, WorkloadDriver
 
 
-#: Viewer-behaviour profiles a :class:`WorkloadSpec` can name.
-VIEWER_PROFILES: Dict[str, ViewerProfile] = {
-    "couch-potato": COUCH_POTATO,
-    "channel-surfer": CHANNEL_SURFER,
-    "vcr-storm": VCR_STORM,
+#: Viewer-behaviour profiles a :class:`WorkloadSpec` can name: constants
+#: of :mod:`repro.workloads`.
+VIEWER_PROFILES: Dict[str, str] = {
+    "couch-potato": "COUCH_POTATO",
+    "channel-surfer": "CHANNEL_SURFER",
+    "vcr-storm": "VCR_STORM",
 }
+
+#: Viewers packed behind one edge concentrator (and its GCS daemon) on
+#: the ``"edge-lan"`` network.
+CLIENTS_PER_EDGE = 64
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,12 @@ class WorkloadSpec:
 
     def arrival_times(self, seed: int) -> List[float]:
         """The population's arrival schedule for ``seed``."""
+        from repro.workloads import (
+            burst_arrivals,
+            diurnal_arrivals,
+            poisson_arrivals,
+        )
+
         rng = random.Random(seed)
         if self.kind == "flash-crowd":
             return burst_arrivals(
@@ -114,45 +122,66 @@ class WorkloadSpec:
             )
         raise ServiceError(f"unknown workload kind {self.kind!r}")
 
-    def viewer_profile(self) -> ViewerProfile:
+    def viewer_profile(self) -> "ViewerProfile":
+        import repro.workloads
+
         profile = VIEWER_PROFILES.get(self.profile)
         if profile is None:
             raise ServiceError(f"unknown viewer profile {self.profile!r}")
-        return profile
+        return getattr(repro.workloads, profile)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A declarative description of a measurement run.
 
+    One feature replicated on the ``n_initial_servers`` first hosts,
+    ``spare_hosts`` empty slots for servers a fault plan brings up, then
+    the client hosts.  ``fd_timeout`` overrides the GCS failure
+    detector's suspicion timeout.
+
     Faults come either from ``schedule`` — the compact legacy
     ``(time, action)`` tuples — or from an explicit ``plan`` built with
     the full :class:`~repro.faulting.plan.FaultPlan` DSL; ``plan`` wins
     when both are set.
 
+    The network kind picks the population's shape.  On ``"lan"``,
+    ``"wan"`` and ``"hierarchy"`` each of the ``n_viewers`` viewers has
+    a host and daemon of its own and requests the feature at build time
+    (the first is the measured client).  ``"edge-lan"`` is the scale
+    rig: :data:`CLIENTS_PER_EDGE` viewers per concentrator behind one
+    shared daemon, connecting evenly over ``connect_window_s``, as
+    :class:`VoDClient` objects or (``flyweight``) rows of one
+    :class:`~repro.client.flyweight.FlyweightPool`.
+
     The population fields are additive and default-off: with
     ``workload=None``, ``admission=None`` and ``n_client_hosts=1`` a
     spec builds the historical single-client world byte-for-byte.  A
     ``workload`` attaches a :class:`WorkloadDriver` population on the
-    last ``n_client_hosts - 1`` hosts (the measured client keeps the
-    final host); an ``admission`` spec installs the pool-level policy
-    from :mod:`repro.server.admission` on every server.
+    ``n_client_hosts - 1`` client hosts before the viewers'; an
+    ``admission`` spec installs the pool-level policy from
+    :mod:`repro.server.admission` on every server.
     """
 
     name: str
-    network: str  # "lan" | "wan" | "hierarchy"
+    network: str  # "lan" | "wan" | "hierarchy" | "edge-lan"
     movie_duration_s: float = 240.0
     run_duration_s: float = 240.0
     n_initial_servers: int = 2
     # (time, action) pairs; action is "crash-serving" or "server-up".
     schedule: Tuple[Tuple[float, str], ...] = ()
-    plan: Optional[FaultPlan] = None
+    plan: Optional["FaultPlan"] = None
     seed: int = 11
     client_config: Optional[ClientConfig] = None
     server_config: Optional[ServerConfig] = None
     workload: Optional[WorkloadSpec] = None
-    admission: Optional[AdmissionSpec] = None
+    admission: Optional["AdmissionSpec"] = None
     n_client_hosts: int = 1
+    spare_hosts: int = 2
+    fd_timeout: Optional[float] = None
+    n_viewers: int = 1
+    connect_window_s: float = 0.0  # "edge-lan" only
+    flyweight: bool = False  # "edge-lan" only
 
 
 #: Section 6.1: crash at ~38 s, new server (load balance) ~24 s later.
@@ -182,12 +211,19 @@ class ScenarioResult:
     spec: ScenarioSpec
     sim: Simulator
     deployment: Deployment
-    client: VoDClient
-    # The executed fault plan and injector (fire log, resolved targets).
-    plan: Optional[FaultPlan] = None
-    injector: Optional[FaultInjector] = None
+    # The measured client: the first viewer (None for a flyweight pool).
+    client: Optional[VoDClient]
+    # Every viewer the spec attached: VoDClients in attach order, or the
+    # FlyweightPool holding them as rows.
+    viewers: Union[List[VoDClient], "FlyweightPool"] = field(
+        default_factory=list
+    )
+    # The executed fault plan and injector (fire log, resolved targets);
+    # None when the spec schedules no fault.
+    plan: Optional["FaultPlan"] = None
+    injector: Optional["FaultInjector"] = None
     # The riding-along population, when the spec declared a workload.
-    driver: Optional[WorkloadDriver] = None
+    driver: Optional["WorkloadDriver"] = None
     # Times at which schedule actions actually fired.
     crash_times: List[float] = field(default_factory=list)
     server_up_times: List[float] = field(default_factory=list)
@@ -287,31 +323,34 @@ class ScenarioResult:
             json.dump(self.export_dict(), handle, indent=1)
 
 
+def _n_edges(spec: ScenarioSpec) -> int:
+    return max(1, -(-spec.n_viewers // CLIENTS_PER_EDGE))
+
+
 def build_topology(spec: ScenarioSpec, sim: Simulator) -> Topology:
+    """Server slots (the initial servers, then the spares) first, client
+    hosts last."""
+    server_slots = spec.n_initial_servers + spec.spare_hosts
+    client_hosts = spec.n_client_hosts - 1 + spec.n_viewers
     if spec.network == "lan":
-        # Hosts: server slots + 2 spares, client hosts last.
-        return build_lan(
-            sim, n_hosts=spec.n_initial_servers + 2 + spec.n_client_hosts
-        )
+        return build_lan(sim, n_hosts=server_slots + client_hosts)
     if spec.network == "wan":
         # Server slots at site A, the clients at site B (7 hops away).
         return build_wan(
-            sim,
-            n_hosts_site_a=spec.n_initial_servers + 2,
-            n_hosts_site_b=spec.n_client_hosts,
+            sim, n_hosts_site_a=server_slots, n_hosts_site_b=client_hosts
         )
     if spec.network == "hierarchy":
         # Server slots at the head-end core, clients behind the edge
         # concentrators.
         return build_hierarchy(
-            sim,
-            n_core_hosts=spec.n_initial_servers + 2,
-            n_edge_hosts=spec.n_client_hosts,
+            sim, n_core_hosts=server_slots, n_edge_hosts=client_hosts
         )
+    if spec.network == "edge-lan":
+        return build_edge_lan(sim, server_slots, _n_edges(spec))
     raise ServiceError(f"unknown network kind {spec.network!r}")
 
 
-def plan_for_spec(spec: ScenarioSpec) -> FaultPlan:
+def plan_for_spec(spec: ScenarioSpec) -> "FaultPlan":
     """The :class:`FaultPlan` a spec describes.
 
     An explicit ``spec.plan`` is returned as-is.  Legacy ``schedule``
@@ -323,6 +362,8 @@ def plan_for_spec(spec: ScenarioSpec) -> FaultPlan:
     """
     if spec.plan is not None:
         return spec.plan
+    from repro.faulting.plan import FaultPlan
+
     plan = FaultPlan(name=spec.name, seed=spec.seed)
     next_server_slot = spec.n_initial_servers
     for at, action in spec.schedule:
@@ -352,7 +393,7 @@ class LiveScenario:
     spec: ScenarioSpec
     sim: Simulator
     result: ScenarioResult
-    injector: FaultInjector
+    injector: Optional["FaultInjector"]
     observers: RunObservers
 
     def step(self, until: float, max_events: Optional[int] = None) -> float:
@@ -370,12 +411,13 @@ class LiveScenario:
         call only refills the result: the observers settle once."""
         result = self.result
         injector = self.injector
-        result.crash_times = list(injector.crash_times)
-        result.server_up_times = list(injector.server_up_times)
+        if injector is not None:
+            result.crash_times = list(injector.crash_times)
+            result.server_up_times = list(injector.server_up_times)
         observers = self.observers
         observers.settle(
             error,
-            faults_fired=len(injector.fired),
+            faults_fired=len(injector.fired) if injector is not None else 0,
             displayed=result.client.displayed_total,
             skipped=result.client.skipped_total,
             tracer_dropped=self.sim.tracer.dropped,
@@ -407,18 +449,22 @@ def prepare_scenario(
     telemetry_max_events: Optional[int] = None,
     telemetry_since: Optional[float] = None,
     telemetry_until: Optional[float] = None,
+    meta: Optional[Dict] = None,
 ) -> LiveScenario:
     """Build a scenario's world without running it.
 
     ``telemetry_path`` streams the run's telemetry to a JSONL file (see
     :mod:`repro.telemetry.export`; a ``.gz`` suffix compresses, and
     ``telemetry_max_events`` / ``telemetry_since`` / ``telemetry_until``
-    bound the export).  ``observe`` attaches the QoE and SLO observers;
-    it defaults to "whenever telemetry is exported", and can be forced
-    on (``repro-vod watch`` without an artifact) or off.  ``flight``
-    attaches a :class:`~repro.telemetry.flight.FlightRecorder` so the
-    run assembles incidents (``result.incidents``).  All of these are
-    pure observers, so results are identical with or without them.
+    bound the export) whose header holds ``meta`` (default: the
+    scenario's name, network, seed and duration).  ``observe`` attaches
+    the QoE and SLO observers; it defaults to "whenever telemetry is
+    exported", and can be forced on (``repro-vod watch`` without an
+    artifact) or off.  ``flight`` attaches a
+    :class:`~repro.telemetry.flight.FlightRecorder` so the run assembles
+    incidents (``result.incidents``).  All of these are pure observers,
+    so results are identical with or without them.  They attach before
+    the world is built, so the export sees it being built.
     """
     effective_seed = spec.seed if seed is None else seed
     sim = Simulator(seed=effective_seed)
@@ -431,15 +477,17 @@ def prepare_scenario(
         from repro.telemetry.slo import AdmissionStormRule, default_rules
 
         slo_rules = default_rules() + (AdmissionStormRule(),)
-    observers = RunObservers(
-        sim,
-        telemetry_path,
-        dict(
+    if meta is None:
+        meta = dict(
             scenario=spec.name,
             network=spec.network,
             seed=effective_seed,
             run_duration_s=spec.run_duration_s,
-        ),
+        )
+    observers = RunObservers(
+        sim,
+        telemetry_path,
+        meta,
         observe=observe,
         slo_rules=slo_rules,
         flight=flight,
@@ -463,91 +511,112 @@ def prepare_scenario(
         ServerProfile(name=f"server{i}")
         for i in range(spec.n_initial_servers)
     ]
-    plan = StaticKWay(k=spec.n_initial_servers).build(
+    placement = StaticKWay(k=spec.n_initial_servers).build(
         PlacementContext(
             catalog=catalog, servers=profiles, k=spec.n_initial_servers
         )
     )
     deployment = Deployment.from_placement(
         topology,
-        plan,
+        placement,
         catalog,
         server_hosts={profile.name: i for i, profile in enumerate(profiles)},
         server_config=spec.server_config,
         client_config=spec.client_config,
         replicate_all=True,
+        fd_timeout=spec.fd_timeout,
         admission_policy=(
             spec.admission.build() if spec.admission is not None else None
         ),
     )
-    client_host = len(topology.hosts) - 1
-    client = deployment.attach_client(client_host)
-    client.request_movie("feature")
+    viewers = _attach_viewers(spec, deployment)
+    client = None if spec.flyweight else viewers[0]
 
     driver = None
     if spec.workload is not None:
-        if spec.n_client_hosts < 2:
+        from repro.workloads import WorkloadDriver, ZipfCatalogSampler
+
+        if spec.n_client_hosts < 2 or spec.network == "edge-lan":
             raise ServiceError(
-                "a workload population needs n_client_hosts >= 2 (the "
-                "measured client keeps the last host)"
+                "a workload population needs client hosts of its own "
+                "(n_client_hosts >= 2, not on the edge LAN)"
             )
-        # The measured client holds the final host; the population gets
-        # the client hosts before it.
-        viewer_hosts = list(
-            range(len(topology.hosts) - spec.n_client_hosts, client_host)
-        )
+        # The population gets the client hosts before the viewers'.
+        first_viewer = len(topology.hosts) - spec.n_viewers
         driver = WorkloadDriver(
             deployment,
-            viewer_hosts,
+            list(range(first_viewer - spec.n_client_hosts + 1, first_viewer)),
             sampler=ZipfCatalogSampler(["feature"]),
             profile=spec.workload.viewer_profile(),
             workload_seed=effective_seed,
         )
         driver.schedule_arrivals(spec.workload.arrival_times(effective_seed))
 
-    plan = plan_for_spec(spec)
-    injector = FaultInjector(deployment, plan, client=client).start()
+    plan = injector = None
+    if spec.plan is not None or spec.schedule:
+        from repro.faulting.injector import FaultInjector
+
+        plan = plan_for_spec(spec)
+        injector = FaultInjector(deployment, plan, client=client).start()
     result = ScenarioResult(
-        spec, sim, deployment, client, plan, injector, driver
+        spec, sim, deployment, client, viewers, plan, injector, driver
     )
     return LiveScenario(
         spec=spec, sim=sim, result=result, injector=injector, observers=observers
     )
 
 
+def _attach_viewers(
+    spec: ScenarioSpec, deployment: Deployment
+) -> Union[List[VoDClient], "FlyweightPool"]:
+    """Viewer ``i`` on the last hosts round-robin: its own host (and
+    daemon) requesting now, or on the edge LAN a concentrator shared
+    with the rest of its daemon's viewers, connecting at ``i``'s share
+    of the window."""
+    packed = spec.network == "edge-lan"
+    n_hosts = _n_edges(spec) if packed else spec.n_viewers
+    first = len(deployment.topology.hosts) - n_hosts
+    window = spec.connect_window_s
+    if spec.flyweight:
+        from repro.client.flyweight import FlyweightConfig
+
+        pool = deployment.attach_flyweight(
+            "feature", config=FlyweightConfig(senders_max=min(4, n_hosts))
+        )
+        for index in range(spec.n_viewers):
+            pool.add_viewer(first + index % n_hosts)
+        pool.connect_all(window)
+        return pool
+    viewers = []
+    for index in range(spec.n_viewers):
+        host = first + index % n_hosts
+        if not packed:
+            viewer = deployment.attach_client(host)
+            viewer.request_movie("feature")
+        else:
+            node = deployment.topology.host(host)
+            endpoint = deployment.domain.ensure_endpoint(node)
+            viewer = deployment.attach_client(host, endpoint=endpoint, video_port=None)
+            offset = (index * window) / max(1, spec.n_viewers)
+            deployment.sim.call_at(offset, viewer.request_movie, "feature")
+        viewers.append(viewer)
+    return viewers
+
+
 def run_scenario(
-    spec: ScenarioSpec,
-    seed: Optional[int] = None,
-    telemetry_path: Optional[str] = None,
-    telemetry_full: bool = False,
-    observe: Optional[bool] = None,
-    flight: bool = False,
-    flight_config: Optional["FlightRecorderConfig"] = None,
-    telemetry_max_events: Optional[int] = None,
-    telemetry_since: Optional[float] = None,
-    telemetry_until: Optional[float] = None,
+    spec: ScenarioSpec, seed: Optional[int] = None, **options
 ) -> ScenarioResult:
     """Execute a scenario and return the collected measurements.
 
-    ``telemetry_path`` additionally streams the run's telemetry to a
-    JSONL file and attaches the QoE/SLO observers (``result.qoe`` /
-    ``result.slo``); ``flight`` attaches the flight recorder
-    (``result.incidents``).  All are pure observers, so measurements
-    are identical with or without them.  The export's summary trailer
-    is written even if the simulation raises.
+    ``options`` are :func:`prepare_scenario`'s: ``telemetry_path``
+    additionally streams the run's telemetry to a JSONL file and
+    attaches the QoE/SLO observers (``result.qoe`` / ``result.slo``);
+    ``flight`` attaches the flight recorder (``result.incidents``).  All
+    are pure observers, so measurements are identical with or without
+    them.  The export's summary trailer is written even if the
+    simulation raises.
     """
-    live = prepare_scenario(
-        spec,
-        seed=seed,
-        telemetry_path=telemetry_path,
-        telemetry_full=telemetry_full,
-        observe=observe,
-        flight=flight,
-        flight_config=flight_config,
-        telemetry_max_events=telemetry_max_events,
-        telemetry_since=telemetry_since,
-        telemetry_until=telemetry_until,
-    )
+    live = prepare_scenario(spec, seed=seed, **options)
     with live:
         live.step(spec.run_duration_s)
     return live.result

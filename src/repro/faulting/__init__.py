@@ -30,6 +30,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".invariants": ("InvariantChecker", "Violation"),
     ".plan": (
         "ClearImpairments",
+        "CrashMostLoaded",
         "CrashServer",
         "CrashServing",
         "FalseSuspicion",

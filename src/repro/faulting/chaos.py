@@ -15,15 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.faulting.injector import FaultInjector
+from repro.experiments.scenarios import ScenarioSpec, prepare_scenario
 from repro.faulting.invariants import InvariantChecker, Violation
 from repro.faulting.plan import FaultPlan
-from repro.media.catalog import MovieCatalog
-from repro.media.movie import Movie
-from repro.net.topologies import build_lan
-from repro.service.deployment import Deployment
-from repro.sim.core import Simulator
-from repro.telemetry.harness import RunObservers
 from repro.telemetry.text import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,27 +65,6 @@ def run_chaos_trial(
     telemetry is exported).  All are pure observers, so trial outcomes
     are identical with or without them.
     """
-    sim = Simulator(seed=seed)
-    if observe is None:
-        observe = telemetry_path is not None
-    observers = RunObservers(
-        sim,
-        telemetry_path,
-        dict(
-            scenario="chaos", seed=seed, k=k,
-            intensity=intensity, run_duration_s=duration_s,
-        ),
-        observe=observe,
-    )
-    topology = build_lan(sim, n_hosts=k + 1)
-    catalog = MovieCatalog(
-        [Movie.synthetic("feature", duration_s=duration_s + 60.0)]
-    )
-    deployment = Deployment(topology, catalog, server_nodes=list(range(k)))
-    checker = InvariantChecker(deployment).install()
-    client = deployment.attach_client(k)
-    client.request_movie("feature")
-
     if plan is None:
         plan = FaultPlan.random(
             seed=seed,
@@ -100,10 +73,25 @@ def run_chaos_trial(
             client_host=k,
             intensity=intensity,
         )
-    injector = FaultInjector(deployment, plan, client=client).start()
+    spec = ScenarioSpec(
+        "chaos", "lan", seed=seed,
+        movie_duration_s=duration_s + 60.0, run_duration_s=duration_s,
+        n_initial_servers=k, spare_hosts=0, plan=plan,
+    )
+    live = prepare_scenario(
+        spec, telemetry_path=telemetry_path, observe=observe,
+        meta=dict(
+            scenario="chaos", seed=seed, k=k,
+            intensity=intensity, run_duration_s=duration_s,
+        ),
+    )
+    sim = live.sim
+    client, injector = live.result.client, live.injector
+    checker = InvariantChecker(live.result.deployment).install()
 
+    observers = live.observers
     with observers:
-        sim.run_until(duration_s)
+        live.step(duration_s)
         checker.final_check()
         checker.stop()
         client.decoder.end_stall(sim.now)

@@ -18,6 +18,7 @@ from typing import Any, List, Optional, Tuple
 from repro.errors import FaultError
 from repro.faulting.plan import (
     ClearImpairments,
+    CrashMostLoaded,
     CrashServer,
     CrashServing,
     FalseSuspicion,
@@ -176,6 +177,16 @@ class FaultInjector:
             return f"crashed {server.name} (serving {client.name})"
         return f"no server serving {client.name}; nothing crashed"
 
+    def _do_crash_most_loaded(self, action: CrashMostLoaded) -> str:
+        server = self.deployment.busiest_server()
+        if server is None:
+            return "no live server; nothing crashed"
+        self._note_down(server)
+        load = server.n_clients
+        server.crash()
+        self.crash_times.append(self.sim.now)
+        return f"crashed {server.name} (most loaded, {load} clients)"
+
     def _do_crash_server(self, action: CrashServer) -> str:
         server = self.deployment.server(action.server)
         if server.running:
@@ -283,6 +294,7 @@ class FaultInjector:
 
     _HANDLERS = {
         CrashServing: _do_crash_serving,
+        CrashMostLoaded: _do_crash_most_loaded,
         CrashServer: _do_crash_server,
         _CrashHost: _do_crash_host,
         StopServer: _do_stop_server,

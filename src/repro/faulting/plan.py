@@ -70,6 +70,16 @@ class CrashServing(FaultAction):
 
 
 @dataclass(frozen=True)
+class CrashMostLoaded(FaultAction):
+    """Crash the live server with the most clients at fire time (the
+    first in the deployment's server order on a tie) — the scale rig's
+    mid-run fault."""
+
+    def describe(self) -> str:
+        return "crash the most-loaded server"
+
+
+@dataclass(frozen=True)
 class CrashServer(FaultAction):
     """Fail-stop a named server together with its host node."""
 
@@ -258,6 +268,9 @@ class FaultPlan:
 
     def crash_serving(self, at: float, client: Optional[str] = None) -> "FaultPlan":
         return self._with(CrashServing(at, client=client))
+
+    def crash_most_loaded(self, at: float) -> "FaultPlan":
+        return self._with(CrashMostLoaded(at))
 
     def crash(self, at: float, server: str) -> "FaultPlan":
         return self._with(CrashServer(at, server=server))

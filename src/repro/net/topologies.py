@@ -38,6 +38,13 @@ EDGE_LINK = LinkParams(
     delay_s=0.005, jitter_s=0.0, loss_prob=0.0, bandwidth_bps=25e6
 )
 
+#: Scale-rig head-end trunk: loss-free and fat enough that a third of a
+#: 5 000-viewer load stays far below saturation.
+HEADEND_LINK = LinkParams(delay_s=0.0001, bandwidth_bps=40e9)
+
+#: Scale-rig concentrator link: many viewers share it, still loss-free.
+CONCENTRATOR_LINK = LinkParams(delay_s=0.0002, bandwidth_bps=10e9)
+
 #: One Internet backbone hop: 34 Mbps (an E3/ATM trunk of the era),
 #: a few ms propagation, per-hop jitter, a small loss probability so the
 #: end-to-end path loses a fraction of a percent of packets, and rare
@@ -178,4 +185,24 @@ def build_hierarchy(
         concentrator = concentrators[index % n_concentrators]
         network.add_link(host.node_id, concentrator, edge_link)
         topology.hosts.append(host.node_id)
+    return topology
+
+
+def build_edge_lan(sim: Simulator, n_servers: int, n_edges: int) -> Topology:
+    """The scale rig's edge-concentrator LAN: one core switch,
+    ``n_servers`` head-end hosts and ``n_edges`` concentrator hosts, each
+    concentrator standing for the many viewers packed behind it.
+    ``hosts[:n_servers]`` are the server slots, ``hosts[n_servers:]``
+    the concentrators."""
+    network = Network(sim)
+    core = network.add_node("core")
+    topology = Topology(network=network, infrastructure=[core.node_id])
+    for index in range(n_servers):
+        host = network.add_node(f"headend{index}")
+        network.add_link(host.node_id, core.node_id, HEADEND_LINK)
+        topology.hosts.append(host.node_id)
+    for index in range(n_edges):
+        edge = network.add_node(f"edge{index}")
+        network.add_link(edge.node_id, core.node_id, CONCENTRATOR_LINK)
+        topology.hosts.append(edge.node_id)
     return topology

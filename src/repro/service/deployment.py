@@ -28,6 +28,10 @@ class Deployment:
         strategy instead.
     server_nodes:
         Host indices (into ``topology.hosts``) that run servers at start.
+    server_config:
+        Shared by every server; its ``use_qos`` also installs a
+        :class:`~repro.net.qos.QosManager` on the network
+        (``deployment.qos``) for the streams' reservations.
     placement:
         A :class:`~repro.placement.PlacementPlan` consulted by
         :meth:`add_server` for each server's stored titles (full or
@@ -44,7 +48,6 @@ class Deployment:
         client_config: Optional[ClientConfig] = None,
         replicate_all: bool = True,
         fd_timeout: Optional[float] = None,
-        enable_qos: bool = False,
         placement: Optional[PlacementPlan] = None,
         admission_policy: Optional[Any] = None,
     ) -> None:
@@ -62,7 +65,7 @@ class Deployment:
         self.admission_policy = admission_policy
         self.domain = GcsDomain(self.sim, self.network, fd_timeout=fd_timeout)
         self.qos = None
-        if enable_qos:
+        if self.server_config.use_qos:
             from repro.net.qos import QosManager
 
             self.qos = QosManager(self.network)
@@ -171,6 +174,11 @@ class Deployment:
 
     def live_servers(self) -> List[VoDServer]:
         return [server for server in self.servers.values() if server.running]
+
+    def busiest_server(self) -> Optional[VoDServer]:
+        """The live server with the most clients, the first in
+        ``servers`` order on a tie (None when none is live)."""
+        return max(self.live_servers(), key=lambda s: s.n_clients, default=None)
 
     # ------------------------------------------------------------------
     # Viewers

@@ -174,6 +174,14 @@ class JsonlExporter:
         return False  # never swallow the exception
 
 
+def _lines_before_cut(handle):
+    """A gzip stream cut off mid-write raises at the cut; a plain file ends."""
+    try:
+        yield from handle
+    except EOFError:
+        return
+
+
 def read_jsonl(
     path: str,
     since: Optional[float] = None,
@@ -184,13 +192,15 @@ def read_jsonl(
     Tolerant of a truncated final line (a run killed mid-write): a line
     that fails to parse is skipped rather than poisoning the whole
     artifact.  An empty file parses to an empty list.  A ``.gz`` path
-    is decompressed transparently.  ``since``/``until`` keep only the
-    event records inside the sim-time window (records without a ``t``
-    — meta, summary, truncation markers — always pass).
+    is decompressed transparently, and one cut off mid-write keeps the
+    records that decoded before the cut, as a plain file does.
+    ``since``/``until`` keep only the event records inside the sim-time
+    window (records without a ``t`` — meta, summary, truncation
+    markers — always pass).
     """
     records = []
     with _open_text(path, "r") as handle:
-        for line in handle:
+        for line in _lines_before_cut(handle):
             line = line.strip()
             if not line:
                 continue

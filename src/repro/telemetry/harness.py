@@ -109,7 +109,16 @@ class RunObservers:
             self.slo = monitor.summary()
             self.failovers = list(monitor.failovers)
             trailer["slo_breaches"] = monitor.total_breaches
-        abandoned = self.sim.telemetry.abandon_open_spans(reason="export-close")
+        # A run nobody observed opened no span, and must not touch its
+        # bus beyond the ``active`` guard.
+        abandoned = []
+        if any(
+            observer is not None
+            for observer in (self.exporter, self.qoe_collector, self.recorder)
+        ):
+            abandoned = self.sim.telemetry.abandon_open_spans(
+                reason="export-close"
+            )
         if self.recorder is not None:
             self.incidents = self.recorder.finish(now)
             self.flight = self.recorder.metering()

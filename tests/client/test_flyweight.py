@@ -13,10 +13,10 @@ from repro.client.flyweight import FlyweightConfig
 from repro.client.player import ClientConfig
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
+from repro.net.topologies import build_edge_lan
 from repro.server.server import ServerConfig
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
-from repro.experiments.scale import build_edge_lan
 
 
 def build_rig(n_viewers=8, movie_s=30.0, seed=77, n_servers=2,

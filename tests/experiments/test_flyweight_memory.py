@@ -26,7 +26,9 @@ The bound again allows 25 %.
 import gc
 import tracemalloc
 
-from repro.experiments.scale import build_scale_rig, make_crash_most_loaded
+from repro.experiments.scale import build_scale_rig
+from repro.faulting.injector import FaultInjector
+from repro.faulting.plan import FaultPlan
 from repro.sim.gcgate import paused_gc
 
 MEASURED_BYTES_PER_VIEWER = 529.9
@@ -46,7 +48,9 @@ class Run:
             )
             #: Live events right after the build: every row's connect.
             self.pending_after_build = sim.pending_count()
-            sim.call_at(4.0, make_crash_most_loaded(self.deployment, observer))
+            FaultInjector(
+                self.deployment, FaultPlan().crash_most_loaded(4.0)
+            ).start()
             #: Kernel heap entries, largest at a slice boundary.
             self.heap_peak = len(sim._queue)
             with paused_gc():

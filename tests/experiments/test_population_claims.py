@@ -8,7 +8,8 @@ day-in-the-life workload (Zipf demand, Poisson arrivals, viewers with
 VCR habits) with a server failure at peak.
 """
 
-from repro.experiments.scale import _FailoverObserver, make_crash_most_loaded
+from repro.faulting.injector import FaultInjector
+from repro.faulting.plan import FaultPlan
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
 from repro.net.topologies import build_lan
@@ -37,10 +38,7 @@ def run_scaled(n_clients, duration_s=40.0, seed=77, crash_at=None):
         client.request_movie("feature")
         clients.append(client)
     if crash_at is not None:
-        sim.call_at(
-            crash_at,
-            make_crash_most_loaded(deployment, _FailoverObserver(sim)),
-        )
+        FaultInjector(deployment, FaultPlan().crash_most_loaded(crash_at)).start()
     sim.run_until(duration_s)
     return deployment, clients
 

@@ -17,7 +17,7 @@ join regime.  Two rows also pin the ordered ``server.*`` / ``span.*`` /
 The digests were recorded before ``repro.server`` was split into
 ``MovieReplica`` + ``VoDServer``; a restructuring of that package is
 correct exactly when this file passes unedited.  The rig only touches
-public surface (``build_scale_rig``, ``make_crash_most_loaded``,
+public surface (``build_scale_rig``, ``Deployment.busiest_server``,
 ``Deployment.add_server``, ``FlyweightPool.positions``,
 ``VoDServer.sessions``) so it runs on either side of such a change.
 
@@ -45,11 +45,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments.scale import (
-    ConformanceTrace,
-    build_scale_rig,
-    make_crash_most_loaded,
-)
+from repro.experiments.scale import ConformanceTrace, build_scale_rig
 
 ORACLE_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "data" / "server_oracle.json"
@@ -108,7 +104,9 @@ def run_row(row) -> dict:
         bus, _ = sim.telemetry.collect(
             prefixes=("server.", "span.", "placement.")
         )
-    sim.call_at(CRASH_AT_S, make_crash_most_loaded(deployment, observer))
+    # A plain event: an injected fault would be a causal root, and the
+    # bus digests were recorded without one.
+    sim.call_at(CRASH_AT_S, lambda: deployment.busiest_server().crash())
 
     def restart_on_crashed_host() -> None:
         (victim,) = [s for s in deployment.servers.values() if not s.running]

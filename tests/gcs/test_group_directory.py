@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.client.flyweight import FlyweightPool
-from repro.experiments.scale import build_scale_rig, make_crash_most_loaded
+from repro.experiments.scale import build_scale_rig
 from repro.gcs import GcsDomain, GroupListener
 from repro.gcs.messages import Heartbeat, OpenGroupSend
 from repro.media.catalog import MovieCatalog
@@ -329,7 +329,7 @@ def test_a_served_clients_daemon_is_heard_through_heartbeats_alone():
 
 
 def test_one_control_packet_per_connect_attempt_per_live_server_daemon():
-    sim, deployment, pool, observer = build_scale_rig(
+    sim, deployment, pool, _observer = build_scale_rig(
         600, 1.0, n_servers=3, seed=1, mode="flyweight"
     )
     assert isinstance(pool, FlyweightPool)
@@ -349,7 +349,7 @@ def test_one_control_packet_per_connect_attempt_per_live_server_daemon():
     attempts_before, packets_before = pool.connects_sent, packets()
     assert attempts_before > 100
     assert packets_before == 3 * attempts_before
-    make_crash_most_loaded(deployment, observer)()
+    deployment.busiest_server().crash()
     assert len(domain.group_daemons(SERVER_GROUP)) == 2
     sim.run_until(4.0)
     attempts_after = pool.connects_sent - attempts_before

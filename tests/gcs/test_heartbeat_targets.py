@@ -18,7 +18,9 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.scale import build_scale_rig, make_crash_most_loaded
+from repro.experiments.scale import build_scale_rig
+from repro.faulting.injector import FaultInjector
+from repro.faulting.plan import FaultPlan
 from repro.gcs import GcsDomain, GroupListener
 from repro.gcs.endpoint import GcsEndpoint
 from repro.net.topologies import build_lan
@@ -148,7 +150,7 @@ def test_cached_targets_on_a_scale_rig_through_a_crash():
         sim, deployment, _viewers, observer = build_scale_rig(
             60, 1.0, n_servers=3, seed=3, mode="full"
         )
-        sim.call_at(3.0, make_crash_most_loaded(deployment, observer))
+        FaultInjector(deployment, FaultPlan().crash_most_loaded(3.0)).start()
         sim.run_until(6.0)
     assert observer.latencies
     assert counts["warm"] > counts["calls"] // 2

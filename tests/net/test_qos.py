@@ -155,7 +155,6 @@ class TestQosVodService:
             catalog,
             server_nodes=[0, 1],
             server_config=ServerConfig(use_qos=True),
-            enable_qos=True,
         )
         client = deployment.attach_client(2)
         client.request_movie("feature")
@@ -182,7 +181,6 @@ class TestQosVodService:
             catalog,
             server_nodes=[0, 1],
             server_config=ServerConfig(use_qos=True),
-            enable_qos=True,
         )
         client = deployment.attach_client(2)
         client.request_movie("feature")

@@ -17,8 +17,8 @@ window.
 
 import pytest
 
-from repro.experiments.scale import build_scale_rig, make_crash_most_loaded
-from repro.faulting import InvariantChecker
+from repro.experiments.scale import build_scale_rig
+from repro.faulting import FaultInjector, FaultPlan, InvariantChecker
 
 
 def run_flood(n_clients=64, duration_s=8.0, seed=77):
@@ -123,7 +123,7 @@ def test_every_victim_is_taken_over_with_the_default_window():
     sim, deployment, _, observer = build_scale_rig(
         400, 1.0, mode="full", seed=27
     )
-    sim.call_at(6.0, make_crash_most_loaded(deployment, observer))
+    FaultInjector(deployment, FaultPlan().crash_most_loaded(6.0)).start()
     sim.run_until(7.0)
     assert observer.latencies  # the crashed server was serving someone
     assert observer.victim_clients == set()

@@ -51,7 +51,8 @@ def test_different_seeds_differ_somewhere():
 HASH_SEED_CHILD = r"""
 import dataclasses, hashlib, json
 
-from repro.experiments.scale import build_scale_rig, make_crash_most_loaded
+from repro.experiments.scale import build_scale_rig
+from repro.faulting import FaultInjector, FaultPlan
 from repro.experiments.scenarios import LAN_SCENARIO, run_scenario
 
 def digest(value):
@@ -62,7 +63,7 @@ lan = dataclasses.replace(LAN_SCENARIO, movie_duration_s=70.0, run_duration_s=70
 outcomes["per-frame"] = digest(run_scenario(lan).export_dict())
 for mode, n in (("full", 60), ("flyweight", 2000)):
     sim, deployment, viewers, observer = build_scale_rig(n, 1.0, mode=mode, seed=3)
-    sim.call_at(3.0, make_crash_most_loaded(deployment, observer))
+    FaultInjector(deployment, FaultPlan().crash_most_loaded(3.0)).start()
     events = sim.run_until(6.0)
     if mode == "full":
         viewers = sorted(
