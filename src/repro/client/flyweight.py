@@ -6,7 +6,7 @@ at scale — no per-client timers, sockets, buffers or GCS state.  Its
 whole observable footprint is (a) the connect handshake and (b) a
 playhead the serving server advances deterministically.  The
 :class:`FlyweightPool` therefore keeps such viewers as *rows* in
-columnar arrays (name, node, video endpoint, epoch, last offset) and
+columnar arrays (name, node, video endpoint, last offset) and
 lets each server's :class:`~repro.server.streamer.CohortSession`
 advance the playheads arithmetically per batch window.  A row stays a
 row for life: it never interacts, so a viewer that will pause, seek or
@@ -80,7 +80,6 @@ class FlyweightPool:
         # Video port per row; with the row's node it is the row's video
         # endpoint, built where a message needs one.
         self.video_ports = array("H")
-        self.epochs: List[int] = []
         self.last_offsets: List[int] = []
         self.started: List[bool] = []
         self.finished: List[bool] = []
@@ -89,8 +88,9 @@ class FlyweightPool:
         self._index: Dict[ProcessId, int] = {}
         #: client -> row index and back.  The containers' own lookups,
         #: so a cohort sorting or probing its rows pays no Python frame
-        #: per row.
+        #: per row.  ``index_of`` is None for a client that is no row.
         self.row_of: Callable[[ProcessId], int] = self._index.__getitem__
+        self.index_of: Callable[[ProcessId], Optional[int]] = self._index.get
         self.client_of: Callable[[int], ProcessId] = self.procs.__getitem__
         self._by_name: Dict[str, int] = {}
         self._sender_endpoints: Dict[int, object] = {}  # node -> GcsEndpoint
@@ -124,7 +124,6 @@ class FlyweightPool:
         self.names.append(name)
         self.procs.append(process)
         self.video_ports.append(port)
-        self.epochs.append(0)
         self.last_offsets.append(1)
         self.started.append(False)
         self.finished.append(False)
@@ -171,15 +170,7 @@ class FlyweightPool:
         if self.started[index] or self.finished[index]:
             return
         endpoint = self._sender_endpoints[self._senders[index]]
-        request = ConnectRequest(
-            client=self.procs[index],
-            movie=self.movie_title,
-            video_endpoint=self.video_endpoint(index),
-            session=session_group(self.names[index]),
-            quality_fps=None,
-            resume_offset=self.last_offsets[index],
-            resume_epoch=self.epochs[index],
-        )
+        request = self.connect_request(index)
         endpoint.send_to_group(
             SERVER_GROUP, request, payload_bytes=request.wire_bytes(),
             sender_name=self.names[index],
@@ -187,14 +178,24 @@ class FlyweightPool:
         self.connects_sent += 1
         self._retries.add(self.sim.now + self.connect_retry_s, index)
 
-    # ------------------------------------------------------------------
-    # Cohort callbacks (server side)
-    # ------------------------------------------------------------------
-    def owns(self, client: ProcessId) -> bool:
-        return client in self._index
+    def connect_request(self, index: int) -> ConnectRequest:
+        """Row ``index``'s connect, built from its columns: what it sends,
+        and what a server admitting a queued row without the delivered
+        request hands its admission policy.  Until the row starts, only
+        finishing changes its offset, so the two are the same."""
+        return ConnectRequest(
+            client=self.procs[index],
+            movie=self.movie_title,
+            video_endpoint=self.video_endpoint(index),
+            session=session_group(self.names[index]),
+            quality_fps=None,
+            resume_offset=self.last_offsets[index],
+        )
 
-    def record_fields(self, client: ProcessId):
-        index = self._index[client]
+    # ------------------------------------------------------------------
+    # Cohort callbacks (server side), by row index
+    # ------------------------------------------------------------------
+    def record_fields(self, index: int):
         return (
             session_group(self.names[index]),
             self.video_endpoint(index),
@@ -204,19 +205,11 @@ class FlyweightPool:
     def video_endpoint(self, index: int) -> Endpoint:
         return Endpoint(self.procs[index].node, self.video_ports[index])
 
-    def epoch_of(self, client: ProcessId) -> int:
-        return self.epochs[self._index[client]]
-
-    def last_offset(self, client: ProcessId) -> int:
-        return self.last_offsets[self._index[client]]
-
-    def note_started(self, client: ProcessId, server: ProcessId) -> None:
-        index = self._index[client]
+    def note_started(self, index: int, server: ProcessId) -> None:
         self.started[index] = True
         self.serving[index] = server
 
-    def note_finished(self, client: ProcessId, offset: int) -> None:
-        index = self._index[client]
+    def note_finished(self, index: int, offset: int) -> None:
         self.finished[index] = True
         self.serving[index] = None
         self.last_offsets[index] = offset

@@ -43,6 +43,8 @@ about *when* the deterministic rule may run, not about who it admits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import merge
+from itertools import compress
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.errors import ServiceError
@@ -278,12 +280,18 @@ class AdmissionQueue:
     changes one replica's load counts and not the other's.  What makes
     the ledgers agree afterwards is that a fresh record names its owner
     (:meth:`~repro.server.replica.MovieReplica.reevaluate`).
+
+    A flyweight row is queued as a flag in a ``bytearray`` indexed by
+    pool row, not as its request: the pool's columns hold everything the
+    request said (:meth:`~repro.client.flyweight.FlyweightPool.connect_request`).
     """
 
     def __init__(self, replica: MovieReplica) -> None:
         self._replica = replica
         self._sim = replica.sim
         self._pending: Dict[ProcessId, ConnectRequest] = {}
+        self._rows = bytearray()
+        self._row_count = 0
         self._drain_handle: Optional[Any] = None
         self.deferred_total = 0
 
@@ -299,6 +307,21 @@ class AdmissionQueue:
             return False
         # A retry replaces the original but keeps its queue position.
         self._pending[request.client] = request
+        self.deferred_total += 1
+        self._arm_drain()
+        return True
+
+    def defer_row(self, index: int) -> bool:
+        """:meth:`defer` for the connect of flyweight pool row ``index``."""
+        replica = self._replica
+        if replica.view is not None and not replica.settling:
+            return False
+        rows = self._rows
+        if index >= len(rows):
+            rows.extend(bytes(max(index + 1, len(replica.pool)) - len(rows)))
+        if not rows[index]:
+            rows[index] = 1
+            self._row_count += 1
         self.deferred_total += 1
         self._arm_drain()
         return True
@@ -319,13 +342,16 @@ class AdmissionQueue:
         self._drain_handle = None
         replica = self._replica
         if not replica.server.running:
-            self._pending.clear()
+            self._clear()
             return
         if replica.view is None or replica.settling:
             self._arm_drain()  # a newer view re-opened the window
             return
         queue, self._pending = self._pending, {}
-        if not queue:
+        rows, self._rows = self._rows, bytearray()
+        queued = len(queue) + self._row_count
+        self._row_count = 0
+        if not queued:
             return
         tel = self._sim.telemetry
         if tel.active:
@@ -333,20 +359,38 @@ class AdmissionQueue:
                 "server.admission.drain",
                 server=replica.server.name,
                 movie=replica.title,
-                queued=len(queue),
+                queued=queued,
             )
-        # Admit in sorted client order (identical at every replica)
-        # without the per-admission sync storm; one state share at the
-        # end propagates the whole batch.
-        for client in sorted(queue):
-            replica.connect(queue[client], sync=False)
+        # Admit in sorted client order (identical at every replica),
+        # full clients and rows merged, without the per-admission sync
+        # storm; one state share at the end propagates the whole batch.
+        full = ((client, -1) for client in sorted(queue))
+        for client, index in merge(full, self._in_client_order(rows)):
+            if index < 0:
+                replica.connect(queue[client], sync=False)
+            else:
+                replica.connect_row(index)
         replica.sync()
 
+    def _in_client_order(self, rows: bytearray):
+        """``(client, row)`` for every row flagged in ``rows``, sorted by
+        client."""
+        if not rows:
+            return ()
+        client_of = self._replica.pool.client_of
+        order = sorted(compress(range(len(rows)), rows), key=client_of)
+        return ((client_of(index), index) for index in order)
+
     def pending(self) -> int:
-        return len(self._pending)
+        return len(self._pending) + self._row_count
+
+    def _clear(self) -> None:
+        self._pending.clear()
+        self._rows = bytearray()
+        self._row_count = 0
 
     def close(self) -> None:
         if self._drain_handle is not None:
             self._drain_handle.cancel()
             self._drain_handle = None
-        self._pending.clear()
+        self._clear()

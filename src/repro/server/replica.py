@@ -120,12 +120,14 @@ class MovieReplica:
     # Connect path
     # ==================================================================
     def connect(self, request: ConnectRequest, sync: bool = True) -> None:
+        client = request.client
+        index = None if self.pool is None else self.pool.index_of(client)
+        if index is not None:
+            if not self.admission.defer_row(index):
+                self.connect_row(index, request)
+            return
         if self.admission.defer(request):
             return  # the movie group's view is still settling
-        client = request.client
-        if self.pool is not None and self.pool.owns(client):
-            self._connect_row(request)
-            return
         server = self.server
         state = self.state
         now = self.sim.now
@@ -178,28 +180,32 @@ class MovieReplica:
         if sync:
             self.sync()  # propagate the new client promptly
 
-    def _connect_row(self, request: ConnectRequest) -> None:
-        """Admit a flyweight viewer: one columnar row, no session.
+    def connect_row(
+        self, index: int, request: Optional[ConnectRequest] = None
+    ) -> None:
+        """Admit flyweight pool row ``index``: one columnar row, no
+        session.
 
         The same deterministic admission as the full path, over the row
         ledger — every replica that sees the open-group request records
-        the owner its ledger computes, the owner adds the row."""
+        the owner its ledger computes, the owner adds the row.  The row
+        starts from the pool's columns, which say what its request said
+        (an unstarted row's offset changes only when it finishes), so a
+        row the admission queue held comes without its ``request``; an
+        admission policy gets one rebuilt from them."""
         cohort = self.ensure_cohort()
-        client = request.client
-        if self.assign_row(client) != self.process or client in cohort:
+        pool = self.pool
+        client = pool.client_of(index)
+        if self.assign_row(client, index) != self.process or cohort.has_row(index):
             return  # not ours, or a duplicate connect retry
         if self.server.admission_policy is not None:
+            request = request or pool.connect_request(index)
             if not self._admission_check(request).admitted:
                 return  # the row's connect retry is the queue
             # Degrades admit as-is: flyweight rows share the cohort's
             # closed-form playhead, so there is no per-row quality to
             # grant (the decision still emitted its telemetry).
-        cohort.add_row(
-            client,
-            max(1, request.resume_offset),
-            request.resume_epoch,
-            takeover=False,
-        )
+        cohort.add_row(index, max(1, pool.last_offsets[index]), takeover=False)
         # No prompt state share (unlike the full path): syncing per row
         # would make a connect flood O(N^2) in shared bytes.  The
         # periodic CohortSync covers takeover freshness and corrects
@@ -253,8 +259,9 @@ class MovieReplica:
         )
         return chosen
 
-    def assign_row(self, client: ProcessId) -> ProcessId:
-        """:meth:`assign` for a flyweight row, over the row ledger.
+    def assign_row(self, client: ProcessId, index: int) -> ProcessId:
+        """:meth:`assign` for flyweight row ``index`` (``client``'s pool
+        row), over the row ledger.
 
         What differs is only what a row genuinely lacks: a per-client
         record (so whether the cached owner really serves it is probed
@@ -265,9 +272,9 @@ class MovieReplica:
         cohort = self.cohort
         ledger = cohort.assignment
         view = self.view
-        existing = ledger.get(client)
+        existing = ledger.owner_at(index)
         if existing is not None and existing in view.member_set:
-            if cohort.lists_row(existing, cohort.pool.row_of(client)):
+            if cohort.lists_row(existing, index):
                 return existing
             # A connect retry against a placement no fresh share
             # confirms: replicas whose row ledgers counted different
@@ -275,7 +282,7 @@ class MovieReplica:
             # rule (a fresh record names its owner), evaluated lazily
             # for the one row asked about — drop the cached entry and
             # re-admit from converged load state.
-            ledger.pop(client)
+            ledger.pop_at(index)
         members = view.members
         # Read per connect, not cached: place_replica can add a prefix
         # copy mid-run.
@@ -286,7 +293,8 @@ class MovieReplica:
             ] or members
         # Never inside a settle window: row admissions only come from
         # connects, and the queue holds those back while one is open.
-        chosen = ledger[client] = choose_owner(client, ledger, members)
+        chosen = choose_owner(client, ledger, members)
+        ledger.set_at(index, chosen)
         return chosen
 
     # ==================================================================
@@ -493,7 +501,7 @@ class MovieReplica:
         for client in [client for client, _ in self.sessions()]:
             self.server.end_session(client, departed=False)
         if self.cohort is not None:
-            for client in self.cohort.clients():
-                self.cohort.shed(client)
+            for index in self.cohort.rows():
+                self.cohort.shed(index)
         self.stop()
         self.handle.leave()

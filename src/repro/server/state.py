@@ -10,8 +10,9 @@ therefore reaches the same assignment without any extra agreement round.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import (
     Callable,
     Dict,
@@ -101,9 +102,9 @@ class OwnerMap:
     recomputing the load by scanning the whole map makes admitting N
     clients O(N^2), which is exactly what the flyweight path exists to
     avoid.  This map keeps the counts incrementally, so an admission is
-    O(live servers) regardless of population.  Both of a replica's
-    ledgers are one: the record ledger (full sessions) and the cohort's
-    row ledger."""
+    O(live servers) regardless of population.  It is the record ledger
+    (full sessions); :class:`RowLedger` is the cohort's row ledger, the
+    same map stored by pool row."""
 
     __slots__ = ("_map", "load")
 
@@ -157,6 +158,126 @@ class OwnerMap:
         return f"OwnerMap({self._map!r})"
 
 
+class RowLedger:
+    """:class:`OwnerMap` for a flyweight pool's rows, stored by pool row.
+
+    Every replica keeps one, so a row's entry is paid once per replica:
+    here it is two bytes, the owner's slot in an ``array("H")`` indexed
+    by pool row (0 = no owner), beside the slot table and the per-server
+    load counts :func:`least_loaded` reads.  The ``*_at`` methods take
+    the row index the caller already holds; the client-keyed methods
+    make the ledger the same mapping as an :class:`OwnerMap`, which is
+    what :func:`choose_owner` and :func:`rebalance` read.  Iteration
+    runs in pool-row order, not insertion order."""
+
+    __slots__ = ("_owner", "_servers", "_slot", "_load", "_count", "_pool",
+                 "load_of")
+
+    def __init__(self, pool) -> None:
+        # Imported here, as in the cohort that makes the ledger: a run
+        # without flyweight rows should not map the extension module.
+        from array import array
+
+        self._pool = pool
+        self._owner = array("H", bytes(2 * len(pool)))
+        # Slot -> server and back; slot 0 stands for "no owner".
+        self._servers: List[Optional[ProcessId]] = [None]
+        self._slot: Dict[ProcessId, int] = {}
+        self._load: Dict[ProcessId, int] = defaultdict(int)
+        #: A server's row count: the dict's own lookup (0 for a server
+        #: it has not seen), so admission pays no Python frame per
+        #: member.
+        self.load_of: Callable[[ProcessId], int] = self._load.__getitem__
+        self._count = 0
+
+    # Row-indexed access ------------------------------------------------
+    def owner_at(self, index: int) -> Optional[ProcessId]:
+        owner = self._owner
+        return self._servers[owner[index]] if index < len(owner) else None
+
+    def set_at(self, index: int, server: ProcessId) -> None:
+        owner = self._owner
+        if index >= len(owner):  # the pool grew after the ledger began
+            owner.frombytes(bytes(2 * (index + 1 - len(owner))))
+        slot = self._slot.get(server)
+        if slot is None:
+            slot = self._slot[server] = len(self._servers)
+            self._servers.append(server)
+        previous = owner[index]
+        if previous:
+            self._load[self._servers[previous]] -= 1
+        else:
+            self._count += 1
+        owner[index] = slot
+        self._load[server] += 1
+
+    def pop_at(self, index: int) -> Optional[ProcessId]:
+        owner = self._owner
+        previous = owner[index] if index < len(owner) else 0
+        if not previous:
+            return None
+        owner[index] = 0
+        server = self._servers[previous]
+        self._load[server] -= 1
+        self._count -= 1
+        return server
+
+    def _rows(self):
+        owner = self._owner
+        return compress(range(len(owner)), owner)
+
+    # The OwnerMap surface, keyed by client ---------------------------
+    def __getitem__(self, client: ProcessId) -> ProcessId:
+        try:
+            slot = self._owner[self._pool.row_of(client)]
+        except IndexError:  # a row the pool added after the column grew
+            slot = 0
+        if not slot:
+            raise KeyError(client)
+        return self._servers[slot]
+
+    def get(self, client: ProcessId, default: object = None):
+        try:
+            return self[client]
+        except KeyError:
+            return default
+
+    def __setitem__(self, client: ProcessId, server: ProcessId) -> None:
+        self.set_at(self._pool.row_of(client), server)
+
+    def pop(self, client: ProcessId, default: object = None):
+        server = self.get(client)
+        if server is None:
+            return default
+        self.pop_at(self._pool.row_of(client))
+        return server
+
+    def __delitem__(self, client: ProcessId) -> None:
+        if self.pop(client) is None:
+            raise KeyError(client)
+
+    def items(self):
+        client_of = self._pool.client_of
+        servers = self._servers
+        owner = self._owner
+        return ((client_of(index), servers[owner[index]]) for index in self._rows())
+
+    def __contains__(self, client: object) -> bool:
+        return self.get(client) is not None
+
+    def __iter__(self):
+        return map(self._pool.client_of, self._rows())
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __bool__(self) -> bool:
+        return self._count > 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"RowLedger({dict(self.items())!r})"
+
+
 # ----------------------------------------------------------------------
 # The placement rules.  Each exists once; both ledgers go through them.
 # ----------------------------------------------------------------------
@@ -190,7 +311,7 @@ def least_loaded(
 
 def choose_owner(
     client: ProcessId,
-    ledger: OwnerMap,
+    ledger: Union[OwnerMap, RowLedger],
     members: Sequence[ProcessId],
     settling_joiners: Sequence[ProcessId] = (),
     also_known: Iterable[ProcessId] = (),
@@ -215,7 +336,9 @@ def choose_owner(
 
 
 def rebalance(
-    ledger: Union[Iterable[ClientRecord], Mapping[ProcessId, ProcessId], OwnerMap],
+    ledger: Union[
+        Iterable[ClientRecord], Mapping[ProcessId, ProcessId], OwnerMap, RowLedger
+    ],
     servers: Sequence[ProcessId],
     joined: Sequence[ProcessId] = (),
     can_serve: Optional[Callable[[ProcessId, ProcessId], bool]] = None,

@@ -33,7 +33,7 @@ from repro.gcs.view import ProcessId, View
 from repro.media.movie import Movie
 from repro.net.address import Endpoint
 from repro.server.rate_controller import RateController
-from repro.server.state import OwnerMap, rebalance
+from repro.server.state import RowLedger, rebalance
 from repro.service.protocol import (
     ClientRecord,
     CohortSync,
@@ -511,7 +511,7 @@ class CohortSession:
     at ``t0`` ticks at ``t0 + k/rate`` (the first transmission one frame
     period after admission), so its published offset at any time ``T``
     is ``base + floor((T - t0) * rate)``.  The cohort stores exactly
-    that — ``(base, anchor, epoch)`` per row — and evaluates it on
+    that — ``(base, anchor)`` per row — and evaluates it on
     demand: at every batch window boundary (finish detection, the
     advancing watermark) and at every state-sync tick (the offsets that
     ride the movie group's single :class:`CohortSync` record).
@@ -523,14 +523,16 @@ class CohortSession:
     sliver of a tick boundary.  The conformance suite pins a golden
     trace against full-object runs to catch exactly that.
 
-    A row costs bytes, not objects: its three numbers and its place in
+    A row costs bytes, not objects: its two numbers and its place in
     the cohort's order sit in ``array`` columns indexed by pool row,
     and the finish schedule holds one ``(time, row)`` entry per live row
     in two sorted parallel arrays.
 
-    The cohort owns the *row ledger* — ``assignment`` plus the peers'
-    last shares — and how it learns (share deltas, where the record
-    ledger merges per-client records by timestamp).  The placement
+    The cohort owns the *row ledger* — ``assignment``, a
+    :class:`~repro.server.state.RowLedger` (every row's owner, itself a
+    column), plus the peers' last shares — and how it learns (share
+    deltas, where the record ledger merges per-client records by
+    timestamp).  The placement
     rules it is fed through are the record ledger's, not copies of
     them: :func:`repro.server.state.rebalance` at view changes and the
     owning :class:`~repro.server.replica.MovieReplica`'s admission, so
@@ -550,8 +552,8 @@ class CohortSession:
         self.pool = pool
         self.rate_fps = server.config.default_rate_fps
         self.delta = 1.0 / self.rate_fps
-        # Row columns, indexed by pool row: base offset, anchor time and
-        # epoch.  The playhead of a row is derived, never stored:
+        # Row columns, indexed by pool row: base offset and anchor time.
+        # The playhead of a row is derived, never stored:
         # position(T) = base + floor((T - anchor) / delta), clamped to
         # one past the movie.  ``_order`` numbers rows in the order they
         # were added (re-anchoring a row in place keeps its number): the
@@ -559,7 +561,6 @@ class CohortSession:
         # while its row index is in ``_row_indices``.
         self._base = array("i")
         self._anchor = array("d")
-        self._epoch = array("i")
         self._order = array("I")
         self._added = 0
         self._grow(len(pool))
@@ -569,7 +570,7 @@ class CohortSession:
         self._row_indices: set = set()
         # The cohort's deterministic client -> server map (all replicas
         # run the identical admission/rebalance rules over it).
-        self.assignment = OwnerMap()
+        self.assignment = RowLedger(pool)
         # Last CohortSync heard from each peer replica: the takeover
         # resume offsets ("from the offset ... last heard").
         self.peer_shared: Dict[ProcessId, CohortSync] = {}
@@ -587,10 +588,13 @@ class CohortSession:
     # ------------------------------------------------------------------
     def position_of(self, client: ProcessId, now: Optional[float] = None) -> int:
         """Next frame index the row's virtual session would transmit."""
-        index = self.pool.row_of(client)
+        return self._position_at(
+            self.pool.row_of(client), self.sim.now if now is None else now
+        )
+
+    def _position_at(self, index: int, at: float) -> int:
         base = self._base[index]
         anchor = self._anchor[index]
-        at = self.sim.now if now is None else now
         ticks = int((at - anchor) / self.delta + 1e-9)
         if ticks < 0:
             ticks = 0
@@ -613,42 +617,31 @@ class CohortSession:
         del self._finish_at[:due]
         del self._finish_row[:due]
         limit = len(self.movie)
-        client_of = self.pool.client_of
+        now = self.sim.now
         for index in rows:
-            client = client_of(index)
-            if self.position_of(client) <= limit:
+            if self._position_at(index, now) <= limit:
                 continue  # a float hair short: the row plays on unscheduled
             self._row_indices.discard(index)
-            self.assignment.pop(client, None)
-            self.pool.note_finished(client, limit + 1)
+            self.assignment.pop_at(index)
+            self.pool.note_finished(index, limit + 1)
 
     # ------------------------------------------------------------------
     # Rows
     # ------------------------------------------------------------------
-    def add_row(self, client: ProcessId, offset: int, epoch: int,
-                takeover: bool) -> None:
-        """Start serving ``client`` as a row.  The caller has entered
+    def add_row(self, index: int, offset: int, takeover: bool) -> None:
+        """Start serving pool row ``index``.  The caller has entered
         this server as its owner in ``assignment`` (admission and
         re-distribution do, as the step that decided it)."""
         base = max(1, min(offset, len(self.movie) + 1))
-        index = self.pool.row_of(client)
         self._unschedule(index)
-        self._put(index, base, self.sim.now, epoch)
+        self._put(index, base, self.sim.now)
         self._schedule(index)
-        self.pool.note_started(client, self.server.process)
+        self.pool.note_started(index, self.server.process)
         self.server.announce_start(
-            self.record_of(client), takeover, flyweight=True
+            self.record_at(index), takeover, flyweight=True
         )
 
-    def remove_row(self, client: ProcessId) -> None:
-        """Drop a row (shed or finish).  The assignment entry is left
-        to the caller: a shed row keeps its (new) owner, a finished one
-        is erased."""
-        index = self.pool.row_of(client)
-        self._unschedule(index)
-        self._row_indices.discard(index)
-
-    def _put(self, index: int, base: int, anchor: float, epoch: int) -> None:
+    def _put(self, index: int, base: int, anchor: float) -> None:
         """Write pool row ``index``'s columns, making it a row if it
         was not one (it then goes last in :meth:`clients`)."""
         if index >= len(self._base):
@@ -659,10 +652,9 @@ class CohortSession:
             self._order[index] = self._added
         self._base[index] = base
         self._anchor[index] = anchor
-        self._epoch[index] = epoch
 
     def _grow(self, size: int) -> None:
-        for column in (self._base, self._anchor, self._epoch, self._order):
+        for column in (self._base, self._anchor, self._order):
             column.frombytes(bytes(column.itemsize * (size - len(column))))
 
     def _finish_time(self, index: int) -> Optional[float]:
@@ -713,40 +705,50 @@ class CohortSession:
     def __contains__(self, client: ProcessId) -> bool:
         return self.pool.row_of(client) in self._row_indices
 
+    def has_row(self, index: int) -> bool:
+        return index in self._row_indices
+
+    def rows(self) -> List[int]:
+        """The pool rows served here, in the order they became rows."""
+        return sorted(self._row_indices, key=self._order.__getitem__)
+
     def clients(self) -> List[ProcessId]:
         """The rows' clients, in the order they became rows."""
-        order = sorted(self._row_indices, key=self._order.__getitem__)
-        return list(map(self.pool.client_of, order))
+        return list(map(self.pool.client_of, self.rows()))
 
-    def row(self, client: ProcessId) -> Tuple[int, float, int]:
-        """A row's ``(base offset, anchor time, epoch)``."""
+    def row(self, client: ProcessId) -> Tuple[int, float]:
+        """A row's ``(base offset, anchor time)``."""
         index = self.pool.row_of(client)
         if index not in self._row_indices:
             raise KeyError(client)
-        return self._base[index], self._anchor[index], self._epoch[index]
+        return self._base[index], self._anchor[index]
 
-    def shed(self, client: ProcessId) -> None:
-        """Stop serving a row another replica serves from now on."""
-        self.remove_row(client)
-        self.server.notify("on_session_end", self.server, client, False)
+    def shed(self, index: int) -> None:
+        """Stop serving a row another replica serves from now on.  Its
+        ledger entry is the caller's: it names the new owner."""
+        self._unschedule(index)
+        self._row_indices.discard(index)
+        self.server.notify(
+            "on_session_end", self.server, self.pool.client_of(index), False
+        )
 
-    def record_of(self, client: ProcessId) -> ClientRecord:
-        """A full :class:`ClientRecord` view of one row (observer
-        notifications; never the periodic share)."""
-        epoch = self._epoch[self.pool.row_of(client)]
-        session, endpoint, quality = self.pool.record_fields(client)
+    def record_at(self, index: int) -> ClientRecord:
+        """A full :class:`ClientRecord` view of pool row ``index``
+        (observer notifications; never the periodic share)."""
+        session, endpoint, quality = self.pool.record_fields(index)
+        now = self.sim.now
         return ClientRecord(
-            client=client,
+            client=self.pool.client_of(index),
             movie=self.movie.title,
             session=session,
             video_endpoint=endpoint,
-            offset=self.position_of(client),
+            offset=self._position_at(index, now),
             rate_fps=self.rate_fps,
             quality_fps=quality,
             paused=False,
-            epoch=epoch,
+            epoch=0,
             server=self.server.process,
-            updated_at=self.sim.now,
+            updated_at=now,
         )
 
     # ------------------------------------------------------------------
@@ -794,7 +796,7 @@ class CohortSession:
         # the full listing: during an admission flood every share
         # differs from the last, and relearning all N rows per share
         # would be quadratic.
-        client_of = self.pool.client_of
+        ledger = self.assignment
         me = self.server.process
         previous_rows = set() if previous is None else set(previous.rows)
         payload_rows = set(payload.rows)
@@ -809,25 +811,23 @@ class CohortSession:
         # overlapping shares.)
         for index in payload_rows & self._row_indices:
             if payload.server < me:
-                client = client_of(index)
-                self.shed(client)
-                self.assignment[client] = payload.server
+                self.shed(index)
+                ledger.set_at(index, payload.server)
             # else: we outrank the peer; it sheds on our next share.
         for index in payload_rows - previous_rows:
             if index in self._row_indices:
                 continue  # duplicate we keep — resolved above
-            self.assignment[client_of(index)] = payload.server
+            ledger.set_at(index, payload.server)
         for index in previous_rows - payload_rows:
-            client = client_of(index)
-            if self.assignment.get(client) == payload.server:
-                del self.assignment[client]
+            if ledger.owner_at(index) == payload.server:
+                ledger.pop_at(index)
                 # The row may still be listed elsewhere (it moved, or
                 # a duplicate resolved in another replica's favour):
                 # adopt that owner rather than leave a bookkeeping gap
                 # a later view change would mis-redistribute.
                 owner = self._listed_owner(index)
                 if owner is not None:
-                    self.assignment[client] = owner
+                    ledger.set_at(index, owner)
         return True
 
     @staticmethod
@@ -859,14 +859,14 @@ class CohortSession:
         ]
         return min(candidates) if candidates else None
 
-    def _shared_offset(self, client: ProcessId, previous: ProcessId) -> int:
+    def _shared_offset(self, index: int, previous: ProcessId) -> int:
         """The row's offset as last heard from its previous server."""
         sync = self.peer_shared.get(previous)
         if sync is not None:
-            slot = self._slot(sync, self.pool.row_of(client))
+            slot = self._slot(sync, index)
             if slot is not None:
                 return sync.offsets[slot]
-        return self.pool.last_offset(client)
+        return self.pool.last_offsets[index]
 
     # ------------------------------------------------------------------
     # Membership changes
@@ -882,18 +882,20 @@ class CohortSession:
         if self._stopped or not self.assignment:
             return
         me = self.server.process
-        moves = rebalance(self.assignment, view.members, view.joined)
+        ledger = self.assignment
+        row_of = self.pool.row_of
+        moves = rebalance(ledger, view.members, view.joined)
         for client, target in moves.items():
-            previous = self.assignment[client]
+            index = row_of(client)
+            previous = ledger.owner_at(index)
             if target == previous:
                 continue
-            self.assignment[client] = target
+            ledger.set_at(index, target)
             if previous == me:
-                self.shed(client)
+                self.shed(index)
             if target == me:
-                offset = self._shared_offset(client, previous)
-                epoch = self.pool.epoch_of(client)
-                self.add_row(client, offset, epoch, takeover=True)
+                offset = self._shared_offset(index, previous)
+                self.add_row(index, offset, takeover=True)
 
     def stop(self) -> None:
         self._stopped = True

@@ -1,8 +1,9 @@
 """A flyweight viewer costs bytes, not objects: a memory guard.
 
 The scale rig's per-viewer bookkeeping — the GCS daemons' open-send
-duplicate ledgers, the cohorts' row columns and the pool's scheduled
-connects — is flat data.  This runs ``build_scale_rig(N, 1.0,
+duplicate ledgers, the cohorts' row columns and row ledgers, the
+admission queues' held rows and the pool's scheduled connects — is flat
+data.  This runs ``build_scale_rig(N, 1.0,
 mode="flyweight", seed=77)`` with the most-loaded server crashed at 4 s
 to 8 s (in 0.1 s slices), at N = 1 000 and N = 2 000 (and 4 000 for
 the heap), and bounds what the larger run retains and what it peaks at
@@ -10,17 +11,21 @@ per extra viewer (tracemalloc, after the run and at its high-water
 mark, against before the build; a small run first loads every module a
 run imports, so no measured run pays for an import).
 
-Measured when the ledgers became id runs and the rows columns:
-529.9 bytes per viewer on CPython 3.11.7 (the boxed-int sets and row
-tuples before it: 1 238.9).  The bound allows that plus 25 %.  The same
-code measured 548.1 on 3.9.18, 520.7 on 3.12.1 and 520.6 on 3.13.0;
-re-measure on another interpreter before reading a failure as a leak.
+Measured when each replica's row ledger became a column of owner slots
+(an ``OwnerMap`` dict keyed by client before it): 428.4 bytes per viewer
+on CPython 3.11.7, against 529.9 before (and 1 238.9 with the boxed-int
+sets and row tuples that the id runs and row columns replaced).  The
+bound allows that plus 25 %.  The same code measured 442.0 on 3.9.18,
+419.2 on 3.12.1 and 419.2 on 3.13.0; re-measure on another interpreter
+before reading a failure as a leak.
 
-The peak is set by the connect storm.  Measured when a row's scheduled
-connect and connect retry became lane entries (flat columns, only the
-lane's head in the kernel heap): 863.3 bytes per viewer on CPython
-3.11.7, against 1 202.7 when each was an ``EventHandle`` in the heap.
-The bound again allows 25 %.
+The peak is set by the connect storm.  Measured when the admission
+queue held a deferred row as a flag instead of its ``ConnectRequest``:
+464.5 bytes per viewer on CPython 3.11.7 (478.2 on 3.9.18, 455.3 on
+3.12.1, 455.2 on 3.13.0), against 863.3 with the requests held, and
+1 202.7 before that, when each row's scheduled connect and connect
+retry was an ``EventHandle`` in the kernel heap.  The bound again allows
+25 %.
 """
 
 import gc
@@ -31,8 +36,8 @@ from repro.faulting.injector import FaultInjector
 from repro.faulting.plan import FaultPlan
 from repro.sim.gcgate import paused_gc
 
-MEASURED_BYTES_PER_VIEWER = 529.9
-MEASURED_PEAK_BYTES_PER_VIEWER = 863.3
+MEASURED_BYTES_PER_VIEWER = 428.4
+MEASURED_PEAK_BYTES_PER_VIEWER = 464.5
 
 
 class Run:

@@ -34,7 +34,7 @@ class _Pool(SimpleNamespace):
 
 
 def cohort_at(now, rows):
-    """A cohort holding ``rows`` (pool index -> (base, anchor, epoch))
+    """A cohort holding ``rows`` (pool index -> (base, anchor))
     at simulated time ``now``, over a stub pool and server: the share
     reads nothing else of either."""
     sim = Simulator(seed=1)
@@ -47,8 +47,8 @@ def cohort_at(now, rows):
         client_of=CLIENTS.__getitem__,
     )
     cohort = CohortSession(server, MOVIE, pool)
-    for index, (base, anchor, epoch) in rows.items():
-        cohort._put(index, base, anchor, epoch)
+    for index, (base, anchor) in rows.items():
+        cohort._put(index, base, anchor)
     sim.run_until(now)
     return cohort
 
@@ -62,7 +62,7 @@ instants = st.one_of(
     .map(lambda pair: pair[0] * DELTA + pair[1]),
     st.floats(0.0, 7.0, allow_nan=False),
 )
-row = st.tuples(st.integers(1, LIMIT), instants, st.integers(0, 3))
+row = st.tuples(st.integers(1, LIMIT), instants)
 
 
 @given(
@@ -88,10 +88,10 @@ def test_sync_payload_corner_rows():
     past the movie) and one exactly on a tick boundary."""
     now = 90 * DELTA
     cohort = cohort_at(now, {
-        5: (7, now + 1.0, 0),
-        2: (LIMIT - 3, 0.0, 1),
-        9: (1, now - 30 * DELTA, 2),
-        0: (LIMIT, 0.0, 0),
+        5: (7, now + 1.0),
+        2: (LIMIT - 3, 0.0),
+        9: (1, now - 30 * DELTA),
+        0: (LIMIT, 0.0),
     })
     share = cohort.sync_payload()
     assert share.rows == (0, 2, 5, 9)
