@@ -3,7 +3,8 @@
 ``PYTHONPATH=src python3 scripts/admission_sweep.py``
 
 Builds one scale rig (``repro.experiments.scale.build_scale_rig``) per
-cell, the cells spread over ``os.cpu_count()`` worker processes, and
+cell, the cells spread over one spawned worker process per core
+(``repro.experiments.matrix.map_tasks``), and
 prints per rig, in cell order, the distinct viewers some live server
 streams by a deadline and the viewers two servers stream some time
 later:
@@ -18,7 +19,8 @@ later:
 * flyweight rows — N = 2 000 × connect window {0, 2 s} × seeds 1–10 on
   clean links; at 12 s every row is listed by exactly one live cohort
   (``fly`` in the loss column; served = rows some cohort lists, twice =
-  rows two cohorts list).  Not at 3 s: with the window at 0 the connect
+  rows two cohorts list, both from ``FlyweightPool.listing``, the count
+  the flyweight scale point reports).  Not at 3 s: with the window at 0 the connect
   flood has started only about two thirds of the rows by then.
 
 Exits 1 if any clean or flyweight rig breaks its rule.  Tier-1 pins one seed; a
@@ -35,11 +37,10 @@ to running the cells one at a time.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import sys
 from typing import Dict, Tuple
 
+from repro.experiments.matrix import map_tasks
 from repro.experiments.scale import build_scale_rig
 from repro.faulting.injector import FaultInjector
 from repro.faulting.plan import FaultPlan
@@ -69,26 +70,15 @@ def served_counts(deployment) -> Dict[object, int]:
     return counts
 
 
-def listed_counts(deployment) -> Dict[object, int]:
-    """row client -> how many live cohorts list it."""
-    counts: Dict[object, int] = {}
-    for server in deployment.live_servers():
-        for replica in server.movies.values():
-            if replica.cohort is not None:
-                for client in replica.cohort.clients():
-                    counts[client] = counts.get(client, 0) + 1
-    return counts
-
-
 def run_fly_rig(n_clients: int, window_s: float, seed: int) -> Tuple[int, int]:
     """(rows listed, rows listed twice) at :data:`FLY_CHECK_S`."""
-    sim, deployment, _, _ = build_scale_rig(
+    sim, _, pool, _ = build_scale_rig(
         n_clients, 1.0, n_servers=N_SERVERS, mode="flyweight", seed=seed,
         connect_window_s=window_s,
     )
     sim.run_until(FLY_CHECK_S)
-    counts = listed_counts(deployment)
-    return len(counts), sum(1 for n in counts.values() if n > 1)
+    unlisted, twice = pool.listing()
+    return n_clients - unlisted, twice
 
 
 def run_rig(
@@ -141,25 +131,23 @@ def main() -> int:
     print(f"{'loss':>5} {'N':>5} {'window':>6} {'seed':>4} "
           f"{'served':>6} {'twice':>5}", flush=True)
     grid = list(cells())
-    with multiprocessing.get_context("spawn").Pool(os.cpu_count()) as pool:
-        results = pool.imap(run_cell, grid)
-        for (loss, n_clients, window_s, seed), (served, twice) in zip(
-            grid, results
-        ):
-            bad = served < n_clients or twice > 0
-            if loss == "fly":
-                fly_failed += bad
-                print(f"{loss:>5} {n_clients:5d} {window_s:6.1f} {seed:4d} "
-                      f"{served:6d} {twice:5d}{'  FAIL' if bad else ''}",
-                      flush=True)
-                continue
-            if loss:
-                lossy += bad
-            else:
-                failed += bad
-            mark = ("  LOSSY" if loss else "  FAIL") if bad else ""
-            print(f"{loss:5.3f} {n_clients:5d} {window_s:6.1f} {seed:4d} "
-                  f"{served:6d} {twice:5d}{mark}", flush=True)
+    for (loss, n_clients, window_s, seed), (served, twice) in zip(
+        grid, map_tasks(run_cell, grid)
+    ):
+        bad = served < n_clients or twice > 0
+        if loss == "fly":
+            fly_failed += bad
+            print(f"{loss:>5} {n_clients:5d} {window_s:6.1f} {seed:4d} "
+                  f"{served:6d} {twice:5d}{'  FAIL' if bad else ''}",
+                  flush=True)
+            continue
+        if loss:
+            lossy += bad
+        else:
+            failed += bad
+        mark = ("  LOSSY" if loss else "  FAIL") if bad else ""
+        print(f"{loss:5.3f} {n_clients:5d} {window_s:6.1f} {seed:4d} "
+              f"{served:6d} {twice:5d}{mark}", flush=True)
     if lossy:
         print(f"{lossy} lossy rig(s) left a viewer unserved at 12 s or "
               f"served twice at 24 s (reported, not failed)")

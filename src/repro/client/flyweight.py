@@ -252,6 +252,18 @@ class FlyweightPool:
                 total += self.last_offsets[index] - 1
         return total
 
+    def listing(self) -> Tuple[int, int]:
+        """``(unlisted, listed_twice)``: rows no live cohort lists, and
+        rows two or more list.  Counted per pool row in one byte each
+        (a cohort lists a row once, and no rig runs 255 servers), so a
+        million rows cost a megabyte, not a dict of clients."""
+        listed = bytearray(len(self.names))
+        for cohort in self._cohorts():
+            for index in cohort.rows():
+                listed[index] += 1
+        unlisted = listed.count(0)
+        return unlisted, len(listed) - unlisted - listed.count(1)
+
     def serving_counts(self) -> Dict[str, int]:
         return {
             cohort.server.name: len(cohort) for cohort in self._cohorts()

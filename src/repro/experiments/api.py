@@ -171,18 +171,7 @@ REGISTRY: Dict[str, Experiment] = {
                       "(default 100,1000,5000)"),
             flag("--flyweight-sizes", type=_ints,
                  help="extra populations run in flyweight mode (columnar "
-                      "viewers; e.g. 20000,100000)"),
-            flag("--sharded-sizes", type=_ints,
-                 help="extra populations run shared-nothing across worker "
-                      "processes (e.g. 1000000)"),
-            flag("--shards", type=int,
-                 help="shard count for --sharded-sizes points (default 4)"),
-            flag("--workers", type=int,
-                 help="process-pool cap for sharded points (default: one "
-                      "per core)"),
-            flag("--shard-inline", action="store_true",
-                 help="run shards sequentially in-process (determinism "
-                      "checks; no parallelism)"),
+                      "viewers, one process; e.g. 20000,1000000)"),
             flag("--wall-budget", type=float,
                  help="abort a point once it exceeds this many wall seconds "
                       "(the 100k barrier gate)"),
@@ -248,11 +237,6 @@ REGISTRY: Dict[str, Experiment] = {
             flag("--scale", dest="scale_n", type=int,
                  help="instead run the flyweight chaos rig at this "
                       "population (mid-run crash of the most-loaded server)"),
-            flag("--shards", type=int,
-                 help="with --scale: run shared-nothing across this many "
-                      "shards and merge their incidents"),
-            flag("--shard-inline", action="store_true",
-                 help="with --shards: run the shards sequentially in-process"),
             flag("--from-export", dest="export",
                  help="replay a recorded telemetry JSONL/.jsonl.gz artifact "
                       "instead of running anything"),

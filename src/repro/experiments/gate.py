@@ -17,7 +17,7 @@ Check kinds (what ``ref`` holds):
 ``relation``           strictly greater than another measured value (its path)
 a callable            ``f(value, measured)``: the expectation it broke, or None
 
-``scale``, ``shard``, ``matrix`` and ``placement`` judge the file written by
+``scale``, ``matrix`` and ``placement`` judge the file written by
 ``repro-vod scale|matrix|placement --benchmark-json``; ``qoe``, ``postmortem``
 and ``paper`` run their own workload when ``measured.json`` is omitted and
 write ``artifacts/BENCH_<name>.json`` first.  A baseline is reference values
@@ -122,12 +122,6 @@ def _within_ring_budget(metering: Dict, measured: Dict) -> Optional[str]:
     return None if metering["occupancy"] <= budget else f"occupancy <= ring_budget {budget}"
 
 
-def _tags_every_shard(incidents: List[Dict], measured: Dict) -> Optional[str]:
-    tags = {s for i in incidents for s in str(i.get("shard", "")).split(",")}
-    shards = measured["shards"]
-    return None if len(tags) == shards else f"tags for all {shards} shards, got {sorted(tags)}"
-
-
 def _has_critical_path(report: str, measured: Dict) -> Optional[str]:
     return None if "Failover critical path" in report else 'a "Failover critical path" table'
 
@@ -176,11 +170,10 @@ def measure_qoe() -> Dict:
     }
 
 
-def measure_postmortem(n: int = 20_000, shards: int = 4) -> Dict:
+def measure_postmortem(n: int = 20_000) -> Dict:
     """The seeded chaos point (flyweight viewers, the most-loaded server
-    crashed mid-run) three ways: recorder off, recorder on, and recorder
-    on across ``shards`` shared-nothing shards."""
-    from repro.experiments.scale import run_scale_point, run_sharded_scale_point
+    crashed mid-run) with the flight recorder off and on."""
+    from repro.experiments.scale import run_scale_point
     from repro.telemetry.flight import Incident
     from repro.telemetry.postmortem import render_incidents
 
@@ -191,20 +184,15 @@ def measure_postmortem(n: int = 20_000, shards: int = 4) -> Dict:
     rig = dict(batch_window_s=1.0, duration_s=12.0, seed=77)
     plain = run_scale_point(n, flyweight=True, **rig)
     recorded = run_scale_point(n, flyweight=True, flight=True, **rig)
-    sharded = run_sharded_scale_point(n, n_shards=shards, flight=True, **rig)
-    metering = {"flyweight": recorded.flight or {}}
-    for shard_id, shard in ((sharded.flight or {}).get("shards") or {}).items():
-        metering[f"shard{shard_id}"] = shard or {}
     return {
-        "n": n, "shards": shards,
+        "n": n,
         "signatures": {"recorder_off": signature(plain), "recorder_on": signature(recorded)},
-        "incidents": {"flyweight": recorded.incidents, "sharded": sharded.incidents},
-        "metering": metering,
+        "incidents": {"flyweight": recorded.incidents},
+        "metering": {"flyweight": recorded.flight or {}},
         "report": render_incidents(
             [Incident.from_dict(i) for i in recorded.incidents],
             metering=recorded.flight,
         ),
-        "merge_deterministic": sharded.merge_deterministic,
     }
 
 
@@ -350,11 +338,10 @@ def measure_paper() -> Dict:
     }
 
 
-_FLY, _SHARDED = ("flyweight", "n_clients"), ("sharded", "n_clients", "n_shards")
+_FLY = ("flyweight", "n_clients")
 _SEEDED = "the seeded run must be deterministic"
 _SILENT = ("the invariant checker must stay silent: faults, migrations and admission "
            "throttling all preserve exactly-one-adoption and offset continuity")
-_QUANTILE = "score quantiles are exact over the integer buckets"
 _REGRESSION = ("deterministic under the fixed gate seeds, so a real regression (an "
                "extra glitch, a slower failover) trips it; the absolute slack only "
                "absorbs jitter near zero that no viewer could perceive")
@@ -368,8 +355,14 @@ _SCALE = (
         "each crash must fail over exactly the victim's share"),
     Row(_FLY, "max_failover_s", "ceiling", "failover_ceiling_s",
         "failover (simulated seconds) must stay flat in N"),
+    Row(_FLY, "unlisted", "zero", None,
+        "k - 1 failures tolerated: every row the crashed server served is "
+        "adopted by a survivor"),
+    Row(_FLY, "listed_twice", "zero", None,
+        "and by exactly one: no row streamed by two servers"),
+    Row(_FLY, "slo.*.ok", "is_true", None,
+        "the whole run must meet the paper's service levels"),
 )
-_SHARDED_SCALE = tuple(row._replace(scope=_SHARDED) for row in _SCALE)
 
 
 # The paper gate: EXPERIMENTS.md's claims, one row each.  A bound the paper
@@ -541,17 +534,6 @@ _PAPER = (
 
 GATES: Dict[str, Gate] = {
     "scale": Gate("benchmarks/BENCH_scale_flyweight.json", _SCALE),
-    "shard": Gate("benchmarks/BENCH_shard_scale.json", _SHARDED_SCALE + (
-        Row(_SHARDED, "merge_deterministic", "is_true", None,
-            "the reversed-order re-merge self-check must have run and held"),
-        Row(_SHARDED, "violations", "zero", None, _SILENT),
-        Row(_SHARDED, "qoe.n", "exact", "n_clients",
-            "the merged QoE histogram must cover the whole population"),
-        Row(_SHARDED, "qoe.p10", "exact", None, _QUANTILE),
-        Row(_SHARDED, "qoe.p50", "exact", None, _QUANTILE),
-        Row(_SHARDED, "slo.*.ok", "is_true", None,
-            "the merged run must meet the paper's service levels"),
-    )),
     "matrix": Gate("benchmarks/BENCH_matrix_baseline.json", (
         Row("cells", "verdict", "exact", None, _SEEDED),
         Row("cells", "clients", "exact", None, _SEEDED),
@@ -604,10 +586,6 @@ GATES: Dict[str, Gate] = {
             "zero bytes means the recorder saw nothing"),
         Row("", "report", _has_critical_path, None,
             "the rendered postmortem must carry the explainable decomposition"),
-        Row("", "merge_deterministic", "is_true", None,
-            "the reversed-order incident re-merge must hold"),
-        Row("", "incidents.sharded", _tags_every_shard, None,
-            "every shard crashes its most-loaded server"),
     ), measure_postmortem),
     "paper": Gate("benchmarks/BENCH_paper_claims.json", _PAPER, measure_paper),
 }

@@ -29,13 +29,15 @@ and can dump everything as a benchmark JSON for the CI gate
 
 from __future__ import annotations
 
+import os
+import pickle
 import zlib
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.client.player import ClientConfig
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.experiments.api import ExperimentResult, ExperimentSpec
 from repro.experiments.scenarios import (
     ScenarioSpec,
@@ -302,11 +304,60 @@ def run_cell(cell: Cell, matrix_seed: int = 11) -> Dict:
     }
 
 
+class PoolError(ReproError):
+    """Work that cannot cross a spawn boundary, or a worker that failed."""
+
+
+def map_tasks(
+    worker: Callable[[Any], Any],
+    tasks: Sequence[Any],
+    workers: Optional[int] = None,
+) -> List[Any]:
+    """``[worker(task) for task in tasks]`` over spawned processes.
+
+    Workers start from the ``spawn`` context on every platform, so a
+    run can never depend on fork-inherited globals (RNG state, a
+    telemetry bus, an open deployment): everything a worker needs
+    arrives pickled in its task.  The worker and every task are
+    test-pickled before any process starts, so a lambda or a live
+    object fails at once with guidance instead of as a mid-pool
+    ``PicklingError``.  Results come back in task order, whichever
+    worker finished first.  ``workers`` caps the pool (default one per
+    core).
+    """
+    named = [(f"worker {getattr(worker, '__name__', worker)!r}", worker)]
+    named += [(f"task {index}", task) for index, task in enumerate(tasks)]
+    for what, value in named:
+        try:
+            pickle.dumps(value)
+        except Exception as exc:
+            raise PoolError(
+                f"{what} is not picklable under the spawn start method: "
+                f"{exc}.  Workers construct simulation state themselves; "
+                "pass importable top-level callables and plain-data tasks, "
+                "never live objects."
+            ) from None
+    if not tasks:
+        return []
+    # Imported here: nothing but a started pool loads multiprocessing.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    n_workers = min(workers or os.cpu_count() or 1, len(tasks))
+    with ProcessPoolExecutor(
+        max_workers=n_workers, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        try:
+            return list(pool.map(worker, tasks))
+        except Exception as exc:
+            raise PoolError(f"a pool worker failed: {exc!r}") from exc
+
+
 def _run_cell_task(task: Tuple[Cell, int]) -> Dict:
     """Spawn-importable wrapper: one ``(cell, matrix_seed)`` work item.
 
-    Top-level by design — the parallel matrix ships these through the
-    shard worker pool, and spawned processes import the worker by
+    Top-level by design — the parallel matrix ships these through
+    :func:`map_tasks`, and spawned processes import the worker by
     module path and rebuild all simulation state from the (frozen,
     picklable) cell."""
     cell, matrix_seed = task
@@ -322,16 +373,14 @@ def run_matrix(
 
     ``workers=None`` keeps the historical serial in-process sweep.  An
     integer fans the cells out over that many spawned worker processes
-    (the pool of :mod:`repro.shard.runner`); cells are independent
-    seeded simulations, so the parallel sweep returns byte-identical
-    verdicts in the same cell order — the scenario-matrix CI gate runs
-    parallel and asserts against a serially-generated baseline."""
+    (:func:`map_tasks`); cells are independent seeded simulations, so
+    the parallel sweep returns byte-identical verdicts in the same cell
+    order — the scenario-matrix CI gate runs parallel and asserts
+    against a serially-generated baseline."""
     if matrix is None:
         matrix = default_matrix()
     if workers is None:
         return [run_cell(cell, matrix_seed) for cell in matrix.cells()]
-    from repro.shard.runner import map_tasks
-
     tasks = [(cell, matrix_seed) for cell in matrix.cells()]
     return map_tasks(_run_cell_task, tasks, workers=workers)
 

@@ -7,8 +7,8 @@ Three sources, one renderer:
   trigger rules captured (the LAN scenario's mid-run crash and fault
   injections make it a reliable demo).
 * **Scale point** (``source="scale"``): run the flyweight chaos rig at
-  population ``n`` — sharded across ``shards`` head-ends when asked —
-  and render the (merged) incidents.
+  population ``n``, one process and one deployment, and render its
+  incidents.
 * **Recorded export** (``export=path``): replay a telemetry JSONL (or
   ``.jsonl.gz``) artifact through a detached recorder, optionally
   windowed by ``since``/``until`` sim seconds.
@@ -37,8 +37,6 @@ _SOURCE_FLAGS = {
 #: Params only some sources read: CLI flag, the sources reading it, and
 #: how the error names them.
 _READERS = {
-    "shards": ("--shards", ("scale",), "--scale"),
-    "shard_inline": ("--shard-inline", ("scale",), "--scale"),
     "since": ("--since", ("export",), "--from-export"),
     "until": ("--until", ("export",), "--from-export"),
     "duration": ("--duration", ("scenario", "scale"), "a live run"),
@@ -86,7 +84,6 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     live source), ``since``/``until`` (replay window, sim seconds),
     ``source`` (``scenario``/``scale``), ``scenario`` (``lan``/``wan``),
     ``duration`` (simulated seconds), ``n`` (scale population),
-    ``shards`` (sharded head-ends; 0 = single flyweight rig),
     ``max_rows`` (render cap), ``json`` (dump incident payloads there),
     plus recorder-config overrides (``default_budget``,
     ``pre_trigger_s``, ``post_trigger_s``, ``max_capture_events``,
@@ -114,34 +111,20 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         )
         header = f"postmortem of recorded export {export}"
     elif source == "scale":
-        from repro.experiments.scale import (
-            run_scale_point, run_sharded_scale_point,
-        )
+        from repro.experiments.scale import run_scale_point
 
         n = int(params.get("n", 20_000))
-        shards = int(params.get("shards", 0))
         duration = float(params.get("duration", 12.0))
-        if shards > 1:
-            point = run_sharded_scale_point(
-                n, 1.0, duration_s=duration, seed=seed, n_shards=shards,
-                inline=bool(params.get("shard_inline", False)),
-                flight=True,
-            )
-            header = (
-                f"postmortem of sharded scale run: N={n:,} across "
-                f"{shards} shards, {duration:.0f}s, seed {seed}"
-            )
-        else:
-            point = run_scale_point(
-                n, 1.0, duration_s=duration, seed=seed, flyweight=True,
-                flight=True, flight_config=config,
-            )
-            header = (
-                f"postmortem of flyweight scale run: N={n:,}, "
-                f"{duration:.0f}s, seed {seed}"
-            )
+        point = run_scale_point(
+            n, 1.0, duration_s=duration, seed=seed, flyweight=True,
+            flight=True, flight_config=config,
+        )
+        header = (
+            f"postmortem of flyweight scale run: N={n:,}, "
+            f"{duration:.0f}s, seed {seed}"
+        )
         incidents = [Incident.from_dict(i) for i in point.incidents]
-        metering = point.flight if shards <= 1 else None
+        metering = point.flight
     else:
         from repro.experiments.scenarios import (
             LAN_SCENARIO, WAN_SCENARIO, run_scenario,

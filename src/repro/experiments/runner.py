@@ -34,14 +34,18 @@ Two extra subcommands work with those artifacts directly::
 Both accept ``--since``/``--until`` sim-second windows, ``trace --out``
 transparently gzips ``.jsonl.gz`` paths, and ``repro-vod postmortem``
 renders flight-recorder incident reports from a live scenario, a
-flyweight/sharded scale run, or a recorded export::
+flyweight scale run, or a recorded export::
 
     repro-vod postmortem --scenario lan
-    repro-vod postmortem --scale 20000 --shards 4
+    repro-vod postmortem --scale 20000
     repro-vod postmortem --from-export run.jsonl.gz --since 30 --until 60
 
 ``repro-vod gate <name> [measured.json] [baseline.json]`` judges a run
 against its committed baseline (:mod:`repro.experiments.gate`).
+
+Input the library refuses with a :class:`~repro.errors.ServiceError` (a
+flag the chosen source ignores, a missing or corrupt export) prints as
+one ``repro-vod: error:`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.errors import ServiceError
 from repro.experiments.api import REGISTRY, ExperimentSpec, labelled_path, run
 
 #: Parsed attributes that are not experiment params: the subcommand and
@@ -375,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "gate",
-        help="judge a run against its committed baseline: scale, shard, "
-             "matrix, placement, qoe, postmortem or paper (the last three "
+        help="judge a run against its committed baseline: scale, matrix, "
+             "placement, qoe, postmortem or paper (the last three "
              "measure first when no measured.json is given)",
     )
     p.add_argument("name", help="which gate's table to apply")
@@ -391,6 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ServiceError as error:
+        print(f"repro-vod: error: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     name = args.experiment
     if name == "all":
         _run_all(args)

@@ -53,7 +53,6 @@ from repro.telemetry.harness import RunObservers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.deployment import Deployment
-    from repro.shard.plan import ShardTask
 
 #: The scale rig: the feature fully replicated on three head-end servers
 #: (k = 3: the crash needs every survivor able to adopt any share of
@@ -71,12 +70,10 @@ DEFAULT_SIZES = (100, 1000, 5000)
 class ScalePoint:
     """Measurements from one (N, mode) run.
 
-    A merged shared-nothing run (``n_shards > 1``) is the same shape
-    plus the fields one process cannot produce alone: per-shard wall
-    clocks, the merged QoE score histogram, the SLO verdicts over the
-    merged facts, and the invariant-violation count summed across
-    shards.  ``wall_s`` is then the coordinator-measured makespan of
-    the whole sharded run."""
+    A flyweight point also says, read at the end of the run, how many
+    rows no live cohort lists (``unlisted``) and how many two or more
+    list (``listed_twice``), and carries the paper's SLO verdicts over
+    the whole run (``slo``; an unlisted row counts as stalled)."""
 
     n_clients: int
     batch_window_s: float
@@ -87,15 +84,11 @@ class ScalePoint:
     failover_latencies: List[float] = field(default_factory=list)
     takeovers: int = 0
     flyweight: bool = False
-    violations: int = 0
-    n_shards: int = 1
-    shard_walls: List[float] = field(default_factory=list)
-    qoe: Optional[Dict] = None
+    unlisted: Optional[int] = None
+    listed_twice: Optional[int] = None
     slo: Optional[Dict] = None
-    merge_deterministic: Optional[bool] = None
-    # Flight-recorder output (``as_dict`` incidents — JSON-ready and
-    # identical in shape whether the point ran in-process or sharded)
-    # and the recorder's self-metering (per shard when sharded).
+    # Flight-recorder output (``as_dict`` incidents, JSON-ready) and
+    # the recorder's self-metering.
     incidents: List[Dict] = field(default_factory=list)
     flight: Optional[Dict] = None
 
@@ -105,8 +98,6 @@ class ScalePoint:
 
     @property
     def mode(self) -> str:
-        if self.n_shards > 1:
-            return "sharded"
         if self.flyweight:
             return "flyweight"
         return "batched" if self.batched else "per-frame"
@@ -280,7 +271,6 @@ def run_scale_point(
     telemetry_path: Optional[str] = None,
     flyweight: bool = False,
     wall_budget_s: Optional[float] = None,
-    invariants: bool = False,
     flight: bool = False,
     flight_config=None,
 ) -> ScalePoint:
@@ -294,15 +284,13 @@ def run_scale_point(
     wall clock: the run advances in one-second simulated slices and
     stops early once the budget is spent (the returned point then
     covers ``sim.now`` seconds, not ``duration_s`` — a CI guard, not a
-    measurement mode).  ``invariants`` installs a
-    :class:`~repro.faulting.InvariantChecker` for the run and reports
-    its violation count on the point — note its sampling timer adds
-    (deterministic) events, so only compare event counts across runs
-    with the same setting.  ``flight`` attaches a bounded
+    measurement mode).  ``flight`` attaches a bounded
     :class:`~repro.telemetry.FlightRecorder` — a pure bus subscriber,
     so the simulated outcome (events, frames, failover latencies) is
     byte-identical with it on or off; the point then carries the
-    assembled incidents and the recorder's self-metering."""
+    assembled incidents and the recorder's self-metering.  A flyweight
+    point's listing counts and SLO verdicts are read after the measured
+    section, so they cost the wall figure nothing."""
     if crash_at is None:
         crash_at = duration_s / 2.0
     sim, deployment, viewers, observer = _rig(
@@ -331,12 +319,6 @@ def run_scale_point(
     # producer's export is pinned without them.
     sim.call_at(crash_at, lambda: deployment.busiest_server().crash())
 
-    checker = None
-    if invariants:
-        from repro.faulting import InvariantChecker
-
-        checker = InvariantChecker(deployment).install()
-
     # The sim heap is cycle-free (profiling found 859 collector passes
     # freeing zero objects over a 20k-viewer run), so automatic cyclic
     # GC only adds wall time — ~33% at N=20k.  Pause it for the
@@ -356,8 +338,6 @@ def run_scale_point(
                     if time.perf_counter() - started > wall_budget_s:
                         break
         wall = time.perf_counter() - started
-        if checker is not None:
-            checker.stop()
 
         if flyweight:
             frames = viewers.frames_served()
@@ -373,7 +353,6 @@ def run_scale_point(
             failover_latencies=list(observer.latencies),
             takeovers=len(observer.latencies),
             flyweight=flyweight,
-            violations=len(checker.violations) if checker is not None else 0,
         )
         observers.settle(
             frames_delivered=frames,
@@ -382,176 +361,20 @@ def run_scale_point(
         )
     point.incidents = [incident.as_dict() for incident in observers.incidents]
     point.flight = observers.flight
+    if flyweight:
+        from repro.telemetry.slo import whole_run_slo
+
+        point.unlisted, point.listed_twice = viewers.listing()
+        point.slo = whole_run_slo(
+            n_clients, sim.now, point.failover_latencies,
+            stalled_clients=point.unlisted,
+        )
     return point
 
 
-def _scale_shard_worker(task: ShardTask) -> Dict:
-    """One shared-nothing shard of a sharded scale point.
-
-    Top-level by design: spawned workers import this by module path and
-    rebuild everything from the plain-data :class:`ShardTask`.  Each
-    shard is a complete independent head-end — ``run_scale_point`` in
-    flyweight mode under the shard's derived seed — and returns plain
-    mergeable facts plus a :class:`ScoreHistogram` QoE summary (on the
-    rig's clean links a row never stalls, so a viewer's score is 100
-    minus the migration penalty of its takeovers — here 0 or 1)."""
-    from repro.shard.merge import ScoreHistogram
-
-    params = task.params
-    point = run_scale_point(
-        task.n_viewers,
-        float(params.get("batch_window_s", 1.0)),
-        duration_s=float(params.get("duration_s", 12.0)),
-        crash_at=params.get("crash_at"),
-        seed=task.seed,
-        flyweight=True,
-        wall_budget_s=params.get("wall_budget_s"),
-        invariants=bool(params.get("invariants", False)),
-        flight=bool(params.get("flight", False)),
-    )
-    histogram = ScoreHistogram()
-    clean = max(0, point.n_clients - point.takeovers)
-    if clean:
-        histogram.add(100.0, clean)
-    if point.takeovers:
-        histogram.add(99.0, point.takeovers)
-    return {
-        "shard_id": task.shard_id,
-        "seed": task.seed,
-        "n_clients": point.n_clients,
-        "events": point.events,
-        "wall_s": point.wall_s,
-        "frames": point.frames_delivered,
-        "failover_latencies": list(point.failover_latencies),
-        "takeovers": point.takeovers,
-        "violations": point.violations,
-        "qoe": histogram.as_dict(),
-        "incidents": point.incidents,
-        "flight": point.flight,
-    }
-
-
-def run_sharded_scale_point(
-    n_clients: int,
-    batch_window_s: float,
-    duration_s: float = 12.0,
-    crash_at: Optional[float] = None,
-    seed: int = 77,
-    n_shards: int = 4,
-    workers: Optional[int] = None,
-    inline: bool = False,
-    wall_budget_s: Optional[float] = None,
-    invariants: bool = False,
-    flight: bool = False,
-) -> ScalePoint:
-    """Run one population as ``n_shards`` shared-nothing head-ends.
-
-    The population splits evenly across shards (plus one viewer for the
-    first ``n % n_shards``); every shard runs the flyweight scale rig
-    to ``duration_s`` under its content-addressed seed and crashes its
-    own most-loaded server at ``crash_at``.  The merged point sums
-    events/frames/takeovers/violations, unions failover latencies,
-    folds the per-shard QoE histograms and evaluates the paper's SLO
-    rules over the merged facts.  ``wall_s`` is the coordinator-side
-    makespan; per-shard walls ride along in ``shard_walls``.
-
-    The merge is re-applied over the reversed shard order and compared;
-    ``merge_deterministic`` records that order-independence held (the
-    shard gate asserts it).  With ``flight`` every shard runs its own
-    bounded flight recorder; the per-shard incidents merge through
-    :func:`repro.shard.merge.merge_incidents` (also checked reversed)
-    and the point carries the merged incidents plus per-shard recorder
-    metering."""
-    # Only this path needs the worker pool (and with it multiprocessing).
-    from repro.shard.merge import (
-        MergeError,
-        ScoreHistogram,
-        merge_failovers,
-        merge_incidents,
-        merge_score_histograms,
-        sharded_slo_summary,
-    )
-    from repro.shard.plan import ShardPlan
-    from repro.shard.runner import run_shards
-
-    plan = ShardPlan(n_shards=n_shards, seed=seed)
-    tasks = plan.tasks(
-        n_clients,
-        params={
-            "batch_window_s": batch_window_s,
-            "duration_s": duration_s,
-            "crash_at": crash_at,
-            "wall_budget_s": wall_budget_s,
-            "invariants": invariants,
-            "flight": flight,
-        },
-    )
-    started = time.perf_counter()
-    shard_results = run_shards(
-        tasks, _scale_shard_worker, workers=workers, inline=inline
-    )
-    wall = time.perf_counter() - started
-
-    histograms = [ScoreHistogram.from_dict(r["qoe"]) for r in shard_results]
-    qoe = merge_score_histograms(histograms)
-    qoe_reversed = merge_score_histograms(reversed(histograms))
-    latencies = merge_failovers(r["failover_latencies"] for r in shard_results)
-    latencies_reversed = merge_failovers(
-        r["failover_latencies"] for r in reversed(shard_results)
-    )
-    incidents: List[Dict] = []
-    flight_meter: Optional[Dict] = None
-    incidents_deterministic = True
-    if flight:
-        pairs = [(r["shard_id"], r["incidents"]) for r in shard_results]
-        merged = merge_incidents(pairs)
-        merged_reversed = merge_incidents(list(reversed(pairs)))
-        incidents_deterministic = (
-            [i.as_dict() for i in merged]
-            == [i.as_dict() for i in merged_reversed]
-        )
-        incidents = [i.as_dict() for i in merged]
-        flight_meter = {
-            "shards": {r["shard_id"]: r["flight"] for r in shard_results}
-        }
-    deterministic = (
-        qoe.as_dict() == qoe_reversed.as_dict()
-        and latencies == latencies_reversed
-        and incidents_deterministic
-    )
-    if not deterministic:
-        raise MergeError(
-            "sharded merge produced order-dependent results; the merge "
-            "layer's commutativity contract is broken"
-        )
-    slo = sharded_slo_summary(
-        n_clients=sum(r["n_clients"] for r in shard_results),
-        duration_s=duration_s,
-        failover_latencies=latencies,
-    )
-    return ScalePoint(
-        n_clients=sum(r["n_clients"] for r in shard_results),
-        batch_window_s=batch_window_s,
-        duration_s=duration_s,
-        events=sum(r["events"] for r in shard_results),
-        wall_s=wall,
-        frames_delivered=sum(r["frames"] for r in shard_results),
-        failover_latencies=latencies,
-        takeovers=sum(r["takeovers"] for r in shard_results),
-        flyweight=True,
-        violations=sum(r["violations"] for r in shard_results),
-        n_shards=n_shards,
-        shard_walls=[r["wall_s"] for r in shard_results],
-        qoe=qoe.as_dict(),
-        slo=slo,
-        merge_deterministic=deterministic,
-        incidents=incidents,
-        flight=flight_meter,
-    )
-
-
 def _point_payload(row: ScalePoint) -> Dict:
-    """One benchmark-JSON row; sharded points carry their extra facts."""
+    """One benchmark-JSON row; flyweight points carry their listing and
+    SLO facts."""
     payload = {
         "n_clients": row.n_clients,
         "mode": row.mode,
@@ -564,14 +387,9 @@ def _point_payload(row: ScalePoint) -> Dict:
         "max_failover_s": row.max_failover_s,
         "failover_latencies": row.failover_latencies,
     }
-    if row.n_shards > 1:
+    if row.flyweight:
         payload.update(
-            n_shards=row.n_shards,
-            shard_walls=row.shard_walls,
-            violations=row.violations,
-            qoe=row.qoe,
-            slo=row.slo,
-            merge_deterministic=row.merge_deterministic,
+            unlisted=row.unlisted, listed_twice=row.listed_twice, slo=row.slo,
         )
     if row.flight is not None:
         payload.update(
@@ -587,18 +405,13 @@ def run(spec) -> "ExperimentResult":
 
     Params: ``sizes`` (populations to sweep), ``duration`` (simulated
     seconds per point), ``window`` (batch window, seconds),
-    ``flyweight_sizes`` (populations to run in
-    flyweight mode — this is where 20 000..100 000 live),
-    ``sharded_sizes`` (populations to run shared-nothing across
-    ``shards`` worker processes — this is where 1 000 000 lives),
-    ``shards`` (shard count for those, default 4), ``workers``
-    (process-pool cap, default one per core), ``shard_inline`` (run
-    shards sequentially in-process — determinism checks on small
-    boxes), ``wall_budget`` (optional wall-clock ceiling per flyweight
+    ``flyweight_sizes`` (populations to run in flyweight mode, one
+    process and one deployment each — this is where 20 000..1 000 000
+    live), ``wall_budget`` (optional wall-clock ceiling per flyweight
     point, seconds), ``telemetry_n`` (population of the
     telemetry-artifact run; ignored without ``spec.telemetry_path``),
-    ``flight`` (attach a flight recorder to flyweight and sharded
-    points; the points then carry incidents and recorder metering).
+    ``flight`` (attach a flight recorder to flyweight points; they then
+    carry incidents and recorder metering).
     """
     from repro.experiments.api import ExperimentResult
     from repro.telemetry.text import Table
@@ -608,11 +421,6 @@ def run(spec) -> "ExperimentResult":
     duration = float(params.get("duration", 12.0))
     window = float(params.get("window", 1.0))
     flyweight_sizes = tuple(params.get("flyweight_sizes", ()))
-    sharded_sizes = tuple(params.get("sharded_sizes", ()))
-    n_shards = int(params.get("shards", 4))
-    workers = params.get("workers")
-    workers = None if workers is None else int(workers)
-    shard_inline = bool(params.get("shard_inline", False))
     wall_budget = params.get("wall_budget")
     wall_budget = None if wall_budget is None else float(wall_budget)
     flight = bool(params.get("flight", False))
@@ -627,14 +435,6 @@ def run(spec) -> "ExperimentResult":
             run_scale_point(
                 n_clients, window, duration_s=duration, seed=seed,
                 flyweight=True, wall_budget_s=wall_budget, flight=flight,
-            )
-        )
-    for n_clients in sharded_sizes:
-        points.append(
-            run_sharded_scale_point(
-                n_clients, window, duration_s=duration, seed=seed,
-                n_shards=n_shards, workers=workers, inline=shard_inline,
-                wall_budget_s=wall_budget, flight=flight,
             )
         )
 
@@ -691,20 +491,12 @@ def run(spec) -> "ExperimentResult":
             + " (flat in N: takeover is per-client state lookup)"
         )
     for point in points:
-        if point.n_shards > 1 and point.qoe is not None:
-            slo_ok = all(
-                state.get("breaches", 0) == 0
-                for state in (point.slo or {}).values()
-            )
+        if point.flyweight:
+            slo_ok = all(state["ok"] for state in point.slo.values())
             blocks.append(
-                f"Sharded N={point.n_clients:,} ({point.n_shards} shards): "
-                f"QoE mean {point.qoe['mean']:.2f} / p10 "
-                f"{point.qoe['p10']:.0f}, SLO "
-                f"{'clean' if slo_ok else 'BREACHED'}, "
-                f"{point.violations} invariant violations, makespan "
-                f"{point.wall_s:.1f}s (shard walls "
-                + ", ".join(f"{w:.1f}s" for w in point.shard_walls)
-                + ")"
+                f"Flyweight N={point.n_clients:,}: {point.unlisted} row(s) "
+                f"listed by no live cohort, {point.listed_twice} by two or "
+                f"more; SLO {'clean' if slo_ok else 'BREACHED'}"
                 + (
                     f", {len(point.incidents)} incident(s) recorded"
                     if point.flight is not None

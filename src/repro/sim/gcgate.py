@@ -17,10 +17,9 @@ run did leave cyclic is reclaimed before the process moves on.  Nesting
 is safe (the previous enabled-state is restored, not assumed), and a
 run that raises still restores the collector.
 
-The scale experiment's measurement points (its shard workers run the
-same function) run inside this gate; long-lived interactive
-processes should not, which is why it is opt-in rather than wired into
-``Simulator``.
+The scale experiment's measurement points run inside this gate;
+long-lived interactive processes should not, which is why it is opt-in
+rather than wired into ``Simulator``.
 """
 
 from __future__ import annotations

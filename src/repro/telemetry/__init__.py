@@ -87,6 +87,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "default_rules",
         "render_slo",
         "slo_from_timeline",
+        "whole_run_slo",
     ),
     ".spans": ("Span",),
     ".trace": ("TraceRecord", "Tracer"),

@@ -29,6 +29,7 @@ import gzip
 import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.errors import ServiceError
 from repro.telemetry.bus import (
     FIREHOSE_PREFIXES,  # noqa: F401 - re-exported; the bus owns the definition
     Telemetry,
@@ -189,34 +190,49 @@ def read_jsonl(
 ) -> List[Dict]:
     """Parse a telemetry JSONL file back into a list of dicts.
 
-    Tolerant of a truncated final line (a run killed mid-write): a line
-    that fails to parse is skipped rather than poisoning the whole
-    artifact.  An empty file parses to an empty list.  A ``.gz`` path
+    Tolerant of a truncated final line (a run killed mid-write): that
+    one line is dropped and the records before it kept.  A ``.gz`` path
     is decompressed transparently, and one cut off mid-write keeps the
-    records that decoded before the cut, as a plain file does.
+    records that decoded before the cut, as a plain file does.  An empty
+    file parses to an empty list.  A missing or unreadable file, or a
+    line that is not a JSON object with more lines after it, raises
+    :class:`~repro.errors.ServiceError` naming the file (and the line).
     ``since``/``until`` keep only the event records inside the sim-time
     window (records without a ``t`` — meta, summary, truncation
     markers — always pass).
     """
     records = []
-    with _open_text(path, "r") as handle:
-        for line in _lines_before_cut(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # truncated tail of a crashed run
-            if since is not None or until is not None:
-                t = record.get("t")
-                if t is not None and record.get("kind") not in (
-                    "meta", "summary", "truncated"
-                ):
-                    t = float(t)
-                    if (since is not None and t < since) or (
-                        until is not None and t > until
+    bad_line = 0  # an unparseable line, forgiven only if it is the last
+    try:
+        with _open_text(path, "r") as handle:
+            for number, line in enumerate(_lines_before_cut(handle), 1):
+                line = line.strip()
+                if not line:
+                    continue
+                if bad_line:
+                    raise ServiceError(
+                        f"{path}:{bad_line}: not a JSON record, and not the "
+                        "cut-off last line of a run killed mid-write"
+                    )
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    record = None
+                if not isinstance(record, dict):
+                    bad_line = number
+                    continue
+                if since is not None or until is not None:
+                    t = record.get("t")
+                    if t is not None and record.get("kind") not in (
+                        "meta", "summary", "truncated"
                     ):
-                        continue
-            records.append(record)
+                        t = float(t)
+                        if (since is not None and t < since) or (
+                            until is not None and t > until
+                        ):
+                            continue
+                records.append(record)
+    except (OSError, UnicodeDecodeError) as error:
+        reason = getattr(error, "strerror", None) or error
+        raise ServiceError(f"cannot read telemetry export {path}: {reason}") from None
     return records

@@ -156,18 +156,17 @@ class Incident:
     """One assembled capture window: the *why*, bounded and portable.
 
     Everything is plain data (``as_dict``/``from_dict`` round-trip), so
-    incidents cross process boundaries from spawned shard workers and
-    serialize into benchmark JSON unchanged.  The breakdowns inherit
-    the causal layer's exactness guarantee: ``detect_s + agree_s +
-    redistribute_s == total_s`` (the takeover span duration) by
-    construction.
+    incidents serialize into benchmark JSON unchanged; ``from_dict``
+    ignores keys it does not know (a ``shard`` tag of older files).
+    The breakdowns inherit the causal layer's exactness guarantee:
+    ``detect_s + agree_s + redistribute_s == total_s`` (the takeover
+    span duration) by construction.
     """
 
     id: str
     trigger_kind: str
     trigger_t: float
     trigger_detail: str = ""
-    shard: Optional[str] = None
     window_start: float = 0.0
     window_end: float = 0.0
     triggers: List[Dict] = field(default_factory=list)

@@ -52,8 +52,6 @@ def render_incident(incident: Incident, max_rows: int = 40) -> str:
     )
     if incident.trigger_detail:
         header += f" ({incident.trigger_detail})"
-    if incident.shard:
-        header += f" [shard {incident.shard}]"
     blocks.append(header)
     window = (
         f"window [{incident.window_start:.3f}s, {incident.window_end:.3f}s]"

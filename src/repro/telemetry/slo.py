@@ -24,7 +24,7 @@ so its own emissions can never feed back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.telemetry.text import Table
@@ -445,3 +445,34 @@ def slo_from_timeline(
         }
         monitor._on_event(TelemetryEvent(t, kind, fields))
     return monitor.finish(last_t)
+
+
+def whole_run_slo(
+    n_clients: int,
+    duration_s: float,
+    failover_latencies: List[float],
+    stalled_clients: int,
+) -> Dict[str, Dict]:
+    """SLO verdicts over one window spanning a whole unobserved run.
+
+    A scale run measures with the bus inactive, so there is no
+    per-window stream to fold; the rules instead judge one window built
+    from the run's end-of-run facts — the population, how many viewers
+    stalled and every failover latency — through a monitor on a
+    detached bus (the online fold, not a reimplementation).
+    """
+    from repro.telemetry.bus import Telemetry
+
+    latencies = sorted(float(value) for value in failover_latencies)
+    monitor = SloMonitor(Telemetry())
+    monitor.judge(WindowSnapshot(
+        start=0.0,
+        end=float(duration_s),
+        clients=int(n_clients),
+        stalled=int(stalled_clients),
+        failover_durations=latencies,
+        window_failovers=len(latencies),
+        extra_frames=0.0,
+        base_frames=0.0,
+    ))
+    return monitor.finish()

@@ -6,12 +6,14 @@ subcommand and every flag, each with the ``ExperimentSpec`` the runner
 built from it.  Two of its rows pinned a flag the experiment accepted
 and then ignored (``figure2 --telemetry``, ``faults --json``); a
 subcommand now takes only the flags its module reads, so those argv
-lines moved to ``REJECTED``, which pins argparse's usage error.
+lines moved to ``REJECTED``, which pins argparse's usage error.  So did
+the rows of the six flags the retired shard path took (``scale
+--sharded-sizes / --shards / --workers / --shard-inline``, ``postmortem
+--shards / --shard-inline``).
 """
 
 import pytest
 
-from repro.errors import ServiceError
 from repro.experiments import runner
 from repro.experiments.api import REGISTRY, ExperimentResult, ExperimentSpec
 
@@ -40,16 +42,13 @@ CLI_TABLE = [
      "chaos", 1000, {"plans": 5}, None),
     ("ablations", "ablations", None, {}, None),
     ("scale", "scale", None, {}, "artifacts/scale-telemetry.jsonl"),
-    ("scale --sizes 100,200 --flyweight-sizes 20000 --sharded-sizes 1000 "
-     "--shards 2 --shard-inline --wall-budget 5 --duration 6 --window 0.5 "
-     "--benchmark-json x.json",
+    ("scale --sizes 100,200 --flyweight-sizes 20000 --wall-budget 5 "
+     "--duration 6 --window 0.5 --benchmark-json x.json",
      "scale", None,
      {"benchmark_json": "x.json", "duration": 6.0,
-      "flyweight_sizes": (20000,), "shard_inline": True,
-      "sharded_sizes": (1000,), "shards": 2, "sizes": (100, 200),
+      "flyweight_sizes": (20000,), "sizes": (100, 200),
       "wall_budget": 5.0, "window": 0.5},
      "artifacts/scale-telemetry.jsonl"),
-    ("scale --workers 3 --no-telemetry", "scale", None, {"workers": 3}, None),
     ("placement", "placement", None, {},
      "artifacts/placement-telemetry.jsonl"),
     ("placement --clients 4", "placement", None, {"clients": 4},
@@ -69,13 +68,8 @@ CLI_TABLE = [
     ("postmortem --scenario wan --duration 40", "postmortem", None,
      {"duration": 40.0, "scenario": "wan"},
      "artifacts/postmortem-telemetry.jsonl"),
-    ("postmortem --scale 2000 --shards 2", "postmortem", None,
-     {"n": 2000, "shards": 2, "source": "scale"},
-     "artifacts/postmortem-telemetry.jsonl"),
-    ("postmortem --scale 2000 --shards 2 --shard-inline --no-telemetry",
-     "postmortem", None,
-     {"n": 2000, "shard_inline": True, "shards": 2, "source": "scale"},
-     None),
+    ("postmortem --scale 2000 --no-telemetry", "postmortem", None,
+     {"n": 2000, "source": "scale"}, None),
     ("postmortem --from-export run.jsonl.gz --since 30 --until 60 "
      "--max-rows 10 --json inc.json",
      "postmortem", None,
@@ -92,19 +86,23 @@ REJECTED = [
     "sync-overhead --no-telemetry",
     "trace --json x.json",
     "report run.jsonl --telemetry x.jsonl",
+    # The shared-nothing shard path's flags, gone with it.
+    "scale --sharded-sizes 1000 --no-telemetry",
+    "scale --shards 2 --no-telemetry",
+    "scale --workers 3 --no-telemetry",
+    "scale --shard-inline --no-telemetry",
+    "postmortem --scale 2000 --shards 2",
+    "postmortem --scale 2000 --shard-inline --no-telemetry",
 ]
 
 #: Postmortem flags its chosen source never reads: argparse takes them
-#: (another source reads each), ``postmortem.run`` refuses them — with
-#: the flag named — before anything is simulated.
+#: (another source reads each), ``postmortem.run`` refuses them with a
+#: ``ServiceError`` naming the flag before anything is simulated, and the
+#: CLI prints that as one line and exits 2.
 REJECTED_BY_SOURCE = [
-    ("postmortem --shards 4 --since 3 --duration 5 --no-telemetry", "--shards"),
-    ("postmortem --shards 2 --no-telemetry", "--shards"),
-    ("postmortem --shard-inline --no-telemetry", "--shard-inline"),
     ("postmortem --since 3 --no-telemetry", "--since"),
     ("postmortem --scale 200 --until 3 --no-telemetry", "--until"),
     ("postmortem --from-export r.jsonl --duration 5", "--duration"),
-    ("postmortem --from-export r.jsonl --shards 2", "--shards"),
     ("postmortem --scenario wan --scale 200 --no-telemetry", "--scale and --scenario"),
     ("postmortem --scenario lan --from-export r.jsonl", "--from-export and --scenario"),
     ("postmortem --scale 200 --from-export r.jsonl", "--from-export and --scale"),
@@ -150,10 +148,15 @@ def test_an_ignored_flag_is_rejected(argv, capsys):
 
 
 @pytest.mark.parametrize("argv,flag", REJECTED_BY_SOURCE)
-def test_a_flag_its_source_ignores_is_rejected(argv, flag, tmp_path, monkeypatch):
+def test_a_flag_its_source_ignores_is_rejected(
+    argv, flag, tmp_path, monkeypatch, capsys
+):
     monkeypatch.chdir(tmp_path)  # the default artifact directory is made
-    with pytest.raises(ServiceError, match=flag):
-        runner.main(argv.split())
+    # postmortem.run raises ServiceError; the CLI prints it as one line.
+    assert runner.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and line.startswith("repro-vod: error: ") and flag in line
 
 
 def test_table_covers_every_experiment_subcommand():

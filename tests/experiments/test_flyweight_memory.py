@@ -9,7 +9,10 @@ to 8 s (in 0.1 s slices), at N = 1 000 and N = 2 000 (and 4 000 for
 the heap), and bounds what the larger run retains and what it peaks at
 per extra viewer (tracemalloc, after the run and at its high-water
 mark, against before the build; a small run first loads every module a
-run imports, so no measured run pays for an import).
+run imports, so no measured run pays for an import).  The rig runs
+three servers, as every served-once proof here does: S = 3 is the only
+server count at which one early crash is known to lose no flyweight row
+(DESIGN §8.5; ``test_early_crash_rows.py`` pins S = 4 and 12).
 
 Measured when each replica's row ledger became a column of owner slots
 (an ``OwnerMap`` dict keyed by client before it): 428.4 bytes per viewer

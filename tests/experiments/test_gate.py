@@ -39,7 +39,6 @@ _SIGNATURE = {
 }
 _INCIDENT = {
     "id": "incident#1",
-    "shard": "0,1",
     "breakdowns": [{
         "client": "c7", "detect_s": 0.25, "agree_s": 0.125,
         "redistribute_s": 0.0625, "total_s": 0.4375,
@@ -51,13 +50,17 @@ _METERING = {
 }
 POSTMORTEM = {
     "n": 600,
-    "shards": 2,
     "signatures": {"recorder_off": _SIGNATURE, "recorder_on": _SIGNATURE},
-    "incidents": {"flyweight": [_INCIDENT], "sharded": [dict(_INCIDENT)]},
-    "metering": {name: dict(_METERING) for name in ("flyweight", "shard0", "shard1")},
+    "incidents": {"flyweight": [_INCIDENT]},
+    "metering": {"flyweight": dict(_METERING)},
     "report": "1 incident(s)\nFailover critical path (detect + agree + ...)",
-    "merge_deterministic": True,
 }
+#: What a flyweight point adds to a scale baseline's values.
+_LISTED_ONCE = dict(
+    unlisted=0, listed_twice=0,
+    slo={"failover_p99_s": {"ok": True, "value": 0.5},
+         "glitch_free_fraction": {"ok": True, "value": 1.0}},
+)
 
 
 def passing(name):
@@ -69,13 +72,8 @@ def passing(name):
     if name == "paper":
         return json.loads((ROOT / "tests/data/BENCH_paper.json").read_text()), baseline
     if name == "scale":
-        return {"points": [dict(baseline, mode="flyweight")]}, baseline
-    if name == "shard":
-        point = dict(
-            baseline, mode="sharded", merge_deterministic=True, violations=0,
-            slo={"failover_p99_s": {"ok": True, "value": 0.5}},
-        )
-        return {"points": [copy.deepcopy(point)]}, baseline
+        point = dict(baseline, mode="flyweight", **copy.deepcopy(_LISTED_ONCE))
+        return {"points": [point]}, baseline
     return copy.deepcopy(baseline), baseline
 
 
@@ -144,7 +142,6 @@ def _perturbed(row, x, want, path, measured, baseline):
             dict(x, occupancy=x["ring_budget"]),
         ),
         "_has_critical_path": lambda: ("1 incident(s), no tables", x),
-        "_tags_every_shard": lambda: ([dict(i, shard="0") for i in x], x),
         "_breakdowns_exact": lambda: (
             with_total_off_by(1e-6), with_total_off_by(1e-12)
         ),
@@ -164,6 +161,19 @@ ROWS = [
 @pytest.mark.parametrize("name", list(GATES))
 def test_committed_baseline_passes_its_own_gate(name):
     assert judge(name, *passing(name)) == []
+
+
+def test_the_million_viewer_baseline_passes_the_scale_gate():
+    """CI's one-process N = 1 000 000 job judges its run with the scale
+    gate's rows against ``BENCH_scale_million.json``."""
+    baseline = json.loads((ROOT / "benchmarks/BENCH_scale_million.json").read_text())
+    assert baseline["n_clients"] == 1_000_000
+    assert baseline["tolerances"]["failover_ceiling_s"] <= 2.0
+    measured = {"points": [dict(baseline, mode="flyweight", **_LISTED_ONCE)]}
+    assert judge("scale", measured, baseline) == []
+    measured["points"][0]["unlisted"] = 1
+    (line,) = judge("scale", measured, baseline)
+    assert line.startswith("FAIL scale flyweight[n_clients=1000000].unlisted:")
 
 
 @pytest.mark.parametrize("name, index", ROWS)
@@ -210,8 +220,6 @@ def test_a_missing_metric_is_reported_once_however_many_rows_judge_it():
 
 @pytest.mark.parametrize("name, drop", [
     ("scale", lambda m: m["points"][0].update(mode="batched")),
-    ("shard", lambda m: m["points"][0].update(mode="flyweight")),
-    ("shard", lambda m: m["points"][0].update(n_shards=8)),
     ("matrix", lambda m: m["cells"].pop(next(iter(m["cells"])))),
     ("placement", lambda m: m["strategies"].pop("markov")),
 ])
@@ -309,16 +317,17 @@ def test_repro_vod_gate_subcommand(tmp_path, capsys, monkeypatch):
 def test_postmortem_gate_measures_then_passes_at_test_scale(
     tmp_path, capsys, monkeypatch
 ):
-    """The self-measuring path end to end: run the three chaos points,
-    write ``artifacts/BENCH_postmortem.json``, judge the file."""
+    """The self-measuring path end to end: run the chaos point with the
+    recorder off and on, write ``artifacts/BENCH_postmortem.json``, judge
+    the file."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setitem(
         GATES, "postmortem",
-        GATES["postmortem"]._replace(measure=lambda: measure_postmortem(600, 2)),
+        GATES["postmortem"]._replace(measure=lambda: measure_postmortem(600)),
     )
     assert main(["postmortem"]) == 0, capsys.readouterr().out
     written = json.loads((tmp_path / "artifacts/BENCH_postmortem.json").read_text())
-    assert written["shards"] == 2 and len(written["metering"]) == 3
+    assert written["n"] == 600 and list(written["metering"]) == ["flyweight"]
     assert judge("postmortem", written) == []
 
 

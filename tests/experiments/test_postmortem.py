@@ -1,12 +1,12 @@
 """The flight recorder end to end: scenarios, scale points and the
 ``postmortem`` experiment (its CI gate is judged in ``test_gate.py``).
 
-The non-perturbation contract is asserted at a sharded chaos point:
-the same population under the same seed must produce byte-identical
-merged outcomes with the recorder on or off (``N20K=1`` in the
-environment runs the full 20 000-viewer version CI's postmortem-smoke
-job uses; the default stays small so the tier-1 suite is fast on one
-core).
+The non-perturbation contract is asserted at a flyweight chaos point,
+one process and one deployment: the same population under the same
+seed must produce byte-identical outcomes with the recorder on or off
+(``N20K=1`` in the environment runs the full 20 000-viewer version CI's
+postmortem-smoke job uses; the default stays small so the tier-1 suite
+is fast on one core).
 """
 
 import json
@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.experiments.api import ExperimentSpec, run
-from repro.experiments.scale import run_scale_point, run_sharded_scale_point
+from repro.experiments.scale import run_scale_point
 
 
 def _signature(point):
@@ -30,29 +30,24 @@ def _signature(point):
     )
 
 
-#: The chaos point: every shard crashes its most-loaded server mid-run.
+#: The chaos point: the most-loaded server crashes mid-run.
 _N = 20_000 if os.environ.get("N20K") else 600
 _POINT = dict(batch_window_s=1.0, duration_s=4.0, crash_at=2.0, seed=77)
 
 
-def test_recorder_on_off_equivalence_at_sharded_chaos_point():
-    off = run_sharded_scale_point(
-        _N, n_shards=2, inline=True, **_POINT
-    )
-    on = run_sharded_scale_point(
-        _N, n_shards=2, inline=True, flight=True, **_POINT
-    )
+def test_recorder_on_off_equivalence_at_flyweight_chaos_point():
+    off = run_scale_point(_N, flyweight=True, **_POINT)
+    on = run_scale_point(_N, flyweight=True, flight=True, **_POINT)
     assert _signature(off) == _signature(on)
-    assert on.merge_deterministic is True
+    assert (on.unlisted, on.listed_twice, on.slo) == (
+        off.unlisted, off.listed_twice, off.slo
+    )
     assert len(on.incidents) >= 1
     assert off.incidents == [] and off.flight is None
 
 
-def test_sharded_incidents_merge_with_exact_breakdowns():
-    point = run_sharded_scale_point(
-        _N, n_shards=2, inline=True, flight=True, **_POINT
-    )
-    assert sorted((point.flight or {}).get("shards", {})) == [0, 1]
+def test_flyweight_incidents_carry_exact_breakdowns():
+    point = run_scale_point(_N, flyweight=True, flight=True, **_POINT)
     breakdowns = 0
     for incident in point.incidents:
         for b in incident["breakdowns"]:
@@ -62,11 +57,6 @@ def test_sharded_incidents_merge_with_exact_breakdowns():
                 - b["total_s"]
             ) <= 1e-9
     assert breakdowns > 0
-    shards = {
-        s for i in point.incidents
-        for s in str(i.get("shard", "")).split(",")
-    }
-    assert shards == {"0", "1"}
 
 
 def test_flyweight_point_meters_within_budget():

@@ -12,7 +12,10 @@ does move.  Each rig crashes its most-loaded server
 at 3 s (failure regime) and starts a new server on the same host at
 5.5 s (join regime) — the committed goldens never reach the cohort's
 join regime.  Two rows also pin the ordered ``server.*`` / ``span.*`` /
-``placement.*`` bus events, field for field.
+``placement.*`` bus events, field for field.  Every rig runs three
+servers, so ``served`` proves served-once at S = 3 only: with more
+servers one early crash loses flyweight rows (DESIGN §8.5;
+``test_early_crash_rows.py``).
 
 The digests were recorded before ``repro.server`` was split into
 ``MovieReplica`` + ``VoDServer``; a restructuring of that package is

@@ -1,10 +1,11 @@
 """Fork/spawn footguns must fail loudly, before any process starts.
 
-Workers and task payloads are test-pickled up front; a lambda or a
-live-object payload raises :class:`ShardError` with guidance instead of
-a mid-pool ``PicklingError``.  The real-spawn tests prove the pool uses
-the spawn start method (fresh interpreters, not forked copies) and that
-each worker sees exactly the content-addressed seed from its task.
+``repro.experiments.matrix.map_tasks`` test-pickles its worker and task
+payloads before starting a pool; a lambda or a live-object payload raises
+:class:`PoolError` with guidance instead of a mid-pool
+``PicklingError``.  The real-spawn tests prove the pool uses the spawn
+start method (fresh interpreters, not forked copies) and returns results
+in task order.
 
 Workers live at module top level: spawned children re-import the worker
 by qualified name, and the spawn preparation data carries the parent's
@@ -16,23 +17,19 @@ import threading
 
 import pytest
 
-from repro.shard.plan import ShardPlan, shard_seed
-from repro.shard.runner import (
-    ShardError,
-    default_workers,
-    map_tasks,
-    run_shards,
-    spawn_context,
-)
+from repro.experiments.matrix import PoolError, map_tasks
+
+#: Set in the parent only: a forked child would inherit it, a spawned
+#: one re-imports this module and sees it empty.
+_PARENT_ONLY = {}
 
 
 def _echo_worker(task):
     """Top-level, importable — what a legal spawn worker looks like."""
     return {
-        "shard_id": task.shard_id,
-        "seed": task.seed,
-        "n_viewers": task.n_viewers,
+        "task": task,
         "pid": os.getpid(),
+        "inherited": dict(_PARENT_ONLY),
     }
 
 
@@ -41,13 +38,18 @@ def _double(value):
 
 
 def test_spawn_context_is_explicit():
-    assert spawn_context().get_start_method() == "spawn"
-    assert default_workers() >= 1
+    _PARENT_ONLY["set"] = True
+    try:
+        (result,) = map_tasks(_echo_worker, [{"id": 0}], workers=1)
+    finally:
+        _PARENT_ONLY.clear()
+    assert result["pid"] != os.getpid()
+    assert result["inherited"] == {}
 
 
 def test_lambda_worker_fails_fast_with_guidance():
-    with pytest.raises(ShardError) as excinfo:
-        map_tasks(lambda task: task, [1, 2], inline=True)
+    with pytest.raises(PoolError) as excinfo:
+        map_tasks(lambda task: task, [1, 2])
     message = str(excinfo.value)
     assert "spawn" in message
     assert "top-level callables" in message
@@ -56,41 +58,31 @@ def test_lambda_worker_fails_fast_with_guidance():
 def test_live_object_payload_fails_fast():
     # A lock stands in for any live simulation object (observer,
     # deployment, telemetry bus) smuggled into a task payload.
-    with pytest.raises(ShardError) as excinfo:
-        map_tasks(_double, [threading.Lock()], inline=True)
+    with pytest.raises(PoolError) as excinfo:
+        map_tasks(_double, [threading.Lock()])
     assert "task 0" in str(excinfo.value)
     assert "never live objects" in str(excinfo.value)
 
 
-def test_inline_mode_still_validates_picklability():
-    # inline=True never pickles for real — but it must enforce the same
-    # contract so an inline-tested config cannot fail only under spawn.
-    def nested(value):
-        return value
-
-    with pytest.raises(ShardError):
-        map_tasks(nested, [1], inline=True)
-    assert map_tasks(_double, [1, 2, 3], inline=True) == [2, 4, 6]
-
-
 def test_spawned_workers_get_content_addressed_seeds():
-    plan = ShardPlan(n_shards=3, seed=42)
-    tasks = plan.tasks(30)
-    results = run_shards(tasks, _echo_worker, workers=2)
+    # A matrix cell's seed is derived from its identity, so it arrives in
+    # the task and the worker never derives one from shared state.
+    from repro.experiments.matrix import Cell
+
+    cells = [Cell.of(topology=t) for t in ("lan", "wan", "lossy")]
+    tasks = [{"cell": cell.cell_id, "seed": cell.seed(42)} for cell in cells]
+    results = map_tasks(_echo_worker, tasks, workers=2)
     # Task order, not completion order.
-    assert [r["shard_id"] for r in results] == [0, 1, 2]
-    assert [r["seed"] for r in results] == [
-        shard_seed(42, 0), shard_seed(42, 1), shard_seed(42, 2),
-    ]
-    assert [r["n_viewers"] for r in results] == [10, 10, 10]
-    # Real processes, not this one (spawn, not inline fallback).
+    assert [r["task"] for r in results] == tasks
+    assert len({task["seed"] for task in tasks}) == 3
+    # Real processes, not this one.
     assert all(r["pid"] != os.getpid() for r in results)
 
 
 def test_inline_equals_spawn_for_pure_workers():
-    tasks = ShardPlan(n_shards=2, seed=7).tasks(5)
-    inline = run_shards(tasks, _echo_worker, inline=True)
-    spawned = run_shards(tasks, _echo_worker, workers=2)
+    tasks = [{"id": index} for index in range(3)]
+    inline = [_echo_worker(task) for task in tasks]
+    spawned = map_tasks(_echo_worker, tasks, workers=2)
 
     def strip(rows):
         return [
@@ -101,9 +93,9 @@ def test_inline_equals_spawn_for_pure_workers():
 
 
 def _failing_worker(task):
-    raise ValueError(f"shard {task} exploded")
+    raise ValueError(f"task {task} exploded")
 
 
-def test_worker_failure_surfaces_as_shard_error():
-    with pytest.raises(ShardError, match="sharded worker failed"):
+def test_worker_failure_surfaces_as_pool_error():
+    with pytest.raises(PoolError, match="a pool worker failed"):
         map_tasks(_failing_worker, [0, 1], workers=2)

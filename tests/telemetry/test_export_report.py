@@ -279,3 +279,37 @@ def test_a_cut_off_export_still_reads(lan_exports, tmp_path, capsys, suffix, com
     )
     assert main(argv) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("damage", ["missing", "mid-file garbage", "truncated last line"])
+@pytest.mark.parametrize("command", ["report", "postmortem"])
+def test_a_bad_export_is_one_error_line_not_a_traceback(
+    lan_exports, tmp_path, capsys, command, damage
+):
+    """Only a cut-off last line is forgiven (the records before it still
+    render); a missing file or a bad line with lines after it is a
+    :class:`ServiceError`, printed as one line with a non-zero exit."""
+    lines = open(lan_exports[".jsonl"]).read().splitlines(keepends=True)
+    path = str(tmp_path / "damaged.jsonl")
+    if damage == "mid-file garbage":
+        lines.insert(10, "garbage\n")
+    elif damage == "truncated last line":
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    if damage != "missing":
+        with open(path, "w") as handle:
+            handle.writelines(lines)
+    argv = (
+        ["report", path]
+        if command == "report"
+        else ["postmortem", "--from-export", path, "--no-telemetry"]
+    )
+    status = main(argv)
+    out, err = capsys.readouterr()
+    if damage == "truncated last line":
+        assert status == 0 and err == ""
+        assert ("Event counts" if command == "report" else "incident#1") in out
+        return
+    assert status == 2 and out == ""
+    (line,) = err.splitlines()
+    where = f"{path}:11:" if damage == "mid-file garbage" else path
+    assert line.startswith("repro-vod: error: ") and where in line

@@ -263,6 +263,9 @@ def test_incident_round_trips_through_dict():
     incident = recorder.finish()[0]
     clone = Incident.from_dict(incident.as_dict())
     assert clone.as_dict() == incident.as_dict()
+    # Files written while incidents carried a shard tag still load.
+    tagged = Incident.from_dict(dict(incident.as_dict(), shard="0,1"))
+    assert tagged.as_dict() == incident.as_dict()
 
 
 def test_recorder_subscribes_and_publishes_metrics():

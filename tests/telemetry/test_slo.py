@@ -20,6 +20,7 @@ from repro.telemetry import (
     read_jsonl,
     render_slo,
     slo_from_timeline,
+    whole_run_slo,
 )
 from repro.telemetry.slo import EmergencyBandwidthRule, WindowSnapshot
 
@@ -196,3 +197,26 @@ def test_render_slo_marks_breached_rules(tmp_path):
     text = render_slo(result.slo)
     assert "BREACH" in text
     assert "glitch_free_fraction" in text
+
+
+def test_whole_run_slo_uses_the_real_rules():
+    summary = whole_run_slo(
+        n_clients=1000, duration_s=8.0,
+        failover_latencies=[0.2, 0.3, 0.4], stalled_clients=0,
+    )
+    assert summary["glitch_free_fraction"]["ok"] is True
+    assert summary["failover_p99_s"]["ok"] is True
+    assert summary["failover_p99_s"]["value"] == 0.4
+    # A latency past the paper's 2-second bound must breach.
+    breached = whole_run_slo(
+        n_clients=10, duration_s=8.0, failover_latencies=[3.0],
+        stalled_clients=0,
+    )
+    assert breached["failover_p99_s"]["ok"] is False
+    assert breached["failover_p99_s"]["breaches"] == 1
+    # So must two stalled viewers in a hundred (the target is 99 %).
+    stalled = whole_run_slo(
+        n_clients=100, duration_s=8.0, failover_latencies=[],
+        stalled_clients=2,
+    )
+    assert stalled["glitch_free_fraction"]["ok"] is False

@@ -38,7 +38,7 @@ def test_version_string():
         "repro.sim", "repro.net", "repro.gcs", "repro.media",
         "repro.client", "repro.server", "repro.service",
         "repro.baselines", "repro.experiments", "repro.workloads",
-        "repro.telemetry", "repro.faulting", "repro.placement", "repro.shard",
+        "repro.telemetry", "repro.faulting", "repro.placement",
     ],
 )
 def test_package_all_resolves(module_name):

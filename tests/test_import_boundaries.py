@@ -12,6 +12,8 @@ module, so the checks run in a child interpreter:
 * a scenario built with its QoE/SLO observers and flight recorder has
   imported, at build time, every module its run and ``finish()`` use:
   nothing is first imported inside the measured section;
+* the worker pool's module (``repro.experiments.matrix.map_tasks``)
+  loads ``multiprocessing`` only when a pool starts, not on import;
 * the scale rig, which the benchmark times from a cold start, loads no
   fault tooling, workload or observer module on its way through the
   scenario builder.
@@ -39,7 +41,7 @@ OBSERVERS_AND_TOOLING = (
     "repro.telemetry.text",
     "repro.faulting.chaos",
     "repro.faulting.invariants",
-    "repro.shard.runner",
+    "repro.experiments.matrix",
     "repro.experiments.api",
     "multiprocessing",
 )
@@ -76,11 +78,15 @@ live.step(spec.run_duration_s)
 result = live.finish()
 observed_run = loaded()
 
+import repro.experiments.matrix
+matrix = loaded()
+
 print(json.dumps({
     "kernel": kernel,
     "unobserved": unobserved,
     "observed_built": observed_built,
     "observed_run": observed_run,
+    "matrix": matrix,
     "incidents": len(result.incidents),
 }))
 """
@@ -156,6 +162,11 @@ def test_an_observed_run_imports_nothing_its_build_did_not(snapshots):
     assert "repro.telemetry.flight" in built
     assert snapshots["incidents"] > 0  # the recorder assembled something
     assert sorted(set(snapshots["observed_run"]) - set(built)) == []
+
+
+def test_the_pool_loads_multiprocessing_only_when_it_starts(snapshots):
+    assert "repro.experiments.matrix" in snapshots["matrix"]
+    assert "multiprocessing" not in snapshots["matrix"]
 
 
 @pytest.mark.parametrize("mode", ["full", "flyweight"])
