@@ -101,7 +101,7 @@ def test_probing_and_sorting_identities_runs_no_python(cls, fields, larger):
 
 
 def test_identities_unpickled_under_another_hash_seed_find_themselves():
-    """``str`` hashes differ per interpreter (spawned shard workers):
+    """``str`` hashes differ per interpreter (spawned pool workers):
     an identity carries only its fields through pickle, never a hash."""
     identities = [ProcessId(3, "server0"), Endpoint(3, 7000)]
     child = (
