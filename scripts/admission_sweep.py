@@ -21,15 +21,22 @@ later:
   (``fly`` in the loss column; served = rows some cohort lists, twice =
   rows two cohorts list, both from ``FlyweightPool.listing``, the count
   the flyweight scale point reports).  Not at 3 s: with the window at 0 the connect
-  flood has started only about two thirds of the rows by then.
+  flood has started only about two thirds of the rows by then;
+* early crashes — flyweight N = 20 000 (the size of the early-crash
+  strict xfails), the rig's 2 s window, S ∈ {3, 4, 6} servers × the
+  busiest server crashed at {none, 4 s, 8 s}
+  (``FaultPlan.crash_most_loaded``) × seeds 1–10; every row listed by
+  exactly one live cohort at 20 s (``S=`` and ``crash`` close the line).
 
-Exits 1 if any clean or flyweight rig breaks its rule.  Tier-1 pins one seed; a
-placement rule that depends on which replica drained its admission
-queue first fails here at some other seed.  A lossy rig that breaks its
+Exits 1 if any clean or N = 2 000 flyweight rig breaks its rule.
+Tier-1 pins one seed; a placement rule that depends on which replica
+drained its admission queue first fails here at some other seed.  A lossy rig that breaks its
 rule is marked ``LOSSY`` and does not set the exit code: at 2 % the
 replicas' ledgers drift apart and livelock admission, which only first
 placement from the agreed view fixes; once it does, lossy cells fail
-like clean ones.
+like clean ones.  An early-crash rig that breaks its rule is marked
+``EARLYCRASH`` and does not set the exit code either: one crash at
+S ≥ 4 loses rows until the owner is computed from the agreed view.
 
 Every rig is independent and seeded, so the output is byte-identical
 to running the cells one at a time.
@@ -38,7 +45,7 @@ to running the cells one at a time.
 from __future__ import annotations
 
 import sys
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.experiments.matrix import map_tasks
 from repro.experiments.scale import build_scale_rig
@@ -59,6 +66,12 @@ LOSSY_CHECKS_S = (12.0, 24.0)
 FLY_SIZE = 2000
 FLY_SEEDS = range(1, 11)
 FLY_CHECK_S = 12.0
+EARLY_SIZE = 20_000
+EARLY_WINDOW_S = 2.0
+EARLY_SERVERS = (3, 4, 6)
+EARLY_CRASHES_S = (None, 4.0, 8.0)
+EARLY_SEEDS = range(1, 11)
+EARLY_CHECK_S = 20.0
 
 
 def served_counts(deployment) -> Dict[object, int]:
@@ -70,13 +83,19 @@ def served_counts(deployment) -> Dict[object, int]:
     return counts
 
 
-def run_fly_rig(n_clients: int, window_s: float, seed: int) -> Tuple[int, int]:
-    """(rows listed, rows listed twice) at :data:`FLY_CHECK_S`."""
-    sim, _, pool, _ = build_scale_rig(
-        n_clients, 1.0, n_servers=N_SERVERS, mode="flyweight", seed=seed,
+def run_fly_rig(
+    n_clients: int, window_s: float, seed: int, n_servers: int = N_SERVERS,
+    crash_at: Optional[float] = None, check_s: float = FLY_CHECK_S,
+) -> Tuple[int, int]:
+    """(rows listed, rows listed twice) at ``check_s``, the busiest of
+    ``n_servers`` crashed at ``crash_at`` (None: no crash)."""
+    sim, deployment, pool, _ = build_scale_rig(
+        n_clients, 1.0, n_servers=n_servers, mode="flyweight", seed=seed,
         connect_window_s=window_s,
     )
-    sim.run_until(FLY_CHECK_S)
+    if crash_at is not None:
+        FaultInjector(deployment, FaultPlan().crash_most_loaded(crash_at)).start()
+    sim.run_until(check_s)
     unlisted, twice = pool.listing()
     return n_clients - unlisted, twice
 
@@ -104,8 +123,9 @@ def run_rig(
 
 
 def cells():
-    """(loss, N, window, seed) for every rig, clean cells first and the
-    flyweight cells (loss ``"fly"``) last."""
+    """(loss, N, window, seed) for every rig, clean cells first, then the
+    flyweight cells (loss ``"fly"``), then the early-crash cells
+    (loss ``"fly"`` plus servers and crash time) last."""
     for n_clients in SIZES:
         for window_s in WINDOWS_S:
             for seed in SEEDS:
@@ -117,24 +137,38 @@ def cells():
     for window_s in WINDOWS_S:
         for seed in FLY_SEEDS:
             yield "fly", FLY_SIZE, window_s, seed
+    for n_servers in EARLY_SERVERS:
+        for crash_at in EARLY_CRASHES_S:
+            for seed in EARLY_SEEDS:
+                yield "fly", EARLY_SIZE, EARLY_WINDOW_S, seed, n_servers, crash_at
 
 
 def run_cell(cell) -> Tuple[int, int]:
-    loss, n_clients, window_s, seed = cell
+    loss, n_clients, window_s, seed, *early = cell
+    if early:
+        return run_fly_rig(n_clients, window_s, seed, *early, EARLY_CHECK_S)
     if loss == "fly":
         return run_fly_rig(n_clients, window_s, seed)
     return run_rig(n_clients, window_s, seed, loss)
 
 
 def main() -> int:
-    failed = lossy = fly_failed = 0
+    failed = lossy = fly_failed = early_failed = 0
     print(f"{'loss':>5} {'N':>5} {'window':>6} {'seed':>4} "
           f"{'served':>6} {'twice':>5}", flush=True)
     grid = list(cells())
-    for (loss, n_clients, window_s, seed), (served, twice) in zip(
+    for (loss, n_clients, window_s, seed, *early), (served, twice) in zip(
         grid, map_tasks(run_cell, grid)
     ):
         bad = served < n_clients or twice > 0
+        if early:
+            n_servers, crash_at = early
+            early_failed += bad
+            crash = "none" if crash_at is None else f"{crash_at:.0f}s"
+            print(f"{loss:>5} {n_clients:5d} {window_s:6.1f} {seed:4d} "
+                  f"{served:6d} {twice:5d}  S={n_servers} crash={crash}"
+                  f"{'  EARLYCRASH' if bad else ''}", flush=True)
+            continue
         if loss == "fly":
             fly_failed += bad
             print(f"{loss:>5} {n_clients:5d} {window_s:6.1f} {seed:4d} "
@@ -151,6 +185,9 @@ def main() -> int:
     if lossy:
         print(f"{lossy} lossy rig(s) left a viewer unserved at 12 s or "
               f"served twice at 24 s (reported, not failed)")
+    if early_failed:
+        print(f"{early_failed} early-crash rig(s) left a row listed by no "
+              f"live cohort or by two at 20 s (reported, not failed)")
     if failed:
         print(f"{failed} clean rig(s) left a viewer unserved at 3 s or "
               f"served twice at 12 s")

@@ -20,31 +20,23 @@ from repro.telemetry.series import Probe
 
 
 class MiniClient:
-    """Receive-buffer-display pipeline without the control plane."""
+    """Receive-buffer-display pipeline without the control plane: 30 fps
+    display and the paper's buffers (37 frames, 240 KiB of decoder)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: int,
-        fps: int = 30,
-        sw_capacity_frames: int = 37,
-        hw_capacity_bytes: int = 240 * 1024,
-        probe_period_s: float = 0.25,
-    ) -> None:
+    def __init__(self, sim: Simulator, network: Network, node_id: int) -> None:
         self.sim = sim
-        self.fps = fps
+        self.fps = 30
         self.socket = UdpSocket(
             network.node(node_id), VIDEO_PORT, on_receive=self._on_datagram
         )
-        self.software_buffer = SoftwareBuffer(sw_capacity_frames)
-        self.decoder = HardwareDecoder(hw_capacity_bytes)
+        self.software_buffer = SoftwareBuffer(37)
+        self.decoder = HardwareDecoder(240 * 1024)
         self.received = 0
         self.late_frames = 0
         self.overflow_discards = 0
         self.playback_started = False
         self._decoder_timer = None
-        self._probe = Probe(sim, probe_period_s)
+        self._probe = Probe(sim, 0.25)
         self.skipped_cum = self._probe.watch(
             "skipped_cumulative", lambda: self.decoder.stats.skipped_gaps
         )

@@ -139,14 +139,14 @@ class StripedCluster:
     # ------------------------------------------------------------------
     # Streaming
     # ------------------------------------------------------------------
-    def start(self, client: MiniClient, lead_s: float = 2.0) -> None:
+    def start(self, client: MiniClient) -> None:
         """Begin streaming to the client, with a small startup lead.
 
         Tiger feeds clients slightly ahead of real time to build the
-        playout buffer; we model that as a brief 2x-rate lead-in.
+        playout buffer; we model that as a 2 s lead-in at twice the rate.
         """
         self._client_endpoint = client.endpoint
-        self._lead_until = self.sim.now + lead_s
+        self._lead_until = self.sim.now + 2.0
         self._lead_done = False
         self._timer = Timer(
             self.sim, 1.0 / (2 * self.movie.fps), self._tick, start_delay=0.0

@@ -19,7 +19,7 @@ full client uses), so servers admit flyweight and full-object viewers
 through the identical deferred-admission path and arrive at the
 identical placement.  To keep the GCS domain small at 100k viewers the
 pool concentrates those sends through a bounded number of edge daemons
-(``senders_max``) instead of one daemon per edge node — every daemon
+(:data:`SENDERS_MAX`) instead of one daemon per edge node — every daemon
 hears the servers' join, leave and presence broadcasts, so daemon count,
 not viewer count, is what the control plane scales with.  (A connect
 itself costs one datagram per daemon hosting a server, whoever sends it.)
@@ -28,7 +28,6 @@ itself costs one datagram per daemon hosting a server, whoever sends it.)
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
@@ -45,32 +44,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: row's endpoint never names a full client's real socket.
 ROW_PORT_BASE = 30000
 
-
-@dataclass(frozen=True)
-class FlyweightConfig:
-    """Pool tunables.  Connect behaviour (the retry cadence) is the full
-    client's: it comes from the deployment's ``client_config``."""
-
-    # Edge daemons used as connect concentrators.  Membership discovery
-    # (JoinRequest / LeaveRequest / Presence) is broadcast to every
-    # daemon in the domain, so this bounds the domain size
-    # independently of N.
-    senders_max: int = 4
+#: Edge daemons used as connect concentrators.  Membership discovery
+#: (JoinRequest / LeaveRequest / Presence) is broadcast to every daemon
+#: in the domain, so this bounds the domain size independently of N.
+SENDERS_MAX = 4
 
 
 class FlyweightPool:
-    """Columnar registry of steady-state viewers for one movie."""
+    """Columnar registry of steady-state viewers for one movie.  Its
+    connect retry cadence is the full client's, from the deployment's
+    ``client_config``."""
 
-    def __init__(
-        self,
-        deployment: "Deployment",
-        movie: str,
-        config: Optional[FlyweightConfig] = None,
-    ) -> None:
+    def __init__(self, deployment: "Deployment", movie: str) -> None:
         self.deployment = deployment
         self.sim = deployment.sim
         self.movie_title = movie
-        self.config = config or FlyweightConfig()
         self.connect_retry_s = deployment.client_config.connect_retry_s
         # Columnar row state.  Identity columns are immutable after
         # add_viewer; playheads live in the serving cohorts and only
@@ -94,7 +82,7 @@ class FlyweightPool:
         self.client_of: Callable[[int], ProcessId] = self.procs.__getitem__
         self._by_name: Dict[str, int] = {}
         self._sender_endpoints: Dict[int, object] = {}  # node -> GcsEndpoint
-        # The sender nodes in order, once senders_max is reached (the
+        # The sender nodes in order, once SENDERS_MAX is reached (the
         # set cannot change after that).
         self._sender_order: Tuple[int, ...] = ()
         self._ports_on_node: Dict[int, int] = {}
@@ -140,11 +128,11 @@ class FlyweightPool:
         daemon — at small N the GCS domain is then identical to a
         full-object run (one shared endpoint per edge).  Past the cap,
         rows round-robin over the existing daemons: the domain stays
-        ``senders_max`` wide no matter how many edges carry viewers."""
+        ``SENDERS_MAX`` wide no matter how many edges carry viewers."""
         candidate = self.procs[index].node
         if candidate in self._sender_endpoints:
             return candidate
-        if len(self._sender_endpoints) < self.config.senders_max:
+        if len(self._sender_endpoints) < SENDERS_MAX:
             # An edge that also hosts full clients already runs a daemon.
             self._sender_endpoints[candidate] = (
                 self.deployment.domain.ensure_endpoint(candidate)

@@ -33,7 +33,6 @@ from repro.service.protocol import (
     EndOfStream,
     FlowControlMsg,
     FlowKind,
-    FrameBurst,
     FramePacket,
     ListMoviesReply,
     ListMoviesRequest,
@@ -439,13 +438,6 @@ class VoDClient:
                     # A movie shorter than the prebuffer target: play
                     # out whatever arrived.
                     self._start_playback()
-            return
-        if isinstance(payload, FrameBurst):
-            # Coalesced window (wire fallback): process members exactly
-            # as if they had arrived one by one — flow-control watermark
-            # accounting is per frame either way.
-            for packet in payload.packets:
-                self._on_frame(packet)
             return
         if not isinstance(payload, FramePacket):
             return

@@ -52,9 +52,5 @@ class ServiceError(ReproError):
     """VoD service-layer errors (no server for movie, bad session, ...)."""
 
 
-class NoServerAvailableError(ServiceError):
-    """No live server holds a replica of the requested movie."""
-
-
 class SessionError(ServiceError):
     """A client/session protocol violation (e.g. request before connect)."""

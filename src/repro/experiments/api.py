@@ -83,8 +83,7 @@ class Experiment:
     CLI know about it, declared here and nowhere else.
 
     ``module`` owns ``run(spec)``; ``defaults`` are merged under the
-    caller's params.  ``help`` is the subcommand's help line (an entry
-    without one is a registry-only alias, not a subcommand) and
+    caller's params.  ``help`` is the subcommand's help line and
     ``flags`` its own flags beside the common ``--seed``; an experiment
     that writes a JSON dump declares ``--json`` there.  ``telemetry``:
     the experiment executes a scenario and exports a telemetry artifact
@@ -93,7 +92,7 @@ class Experiment:
     """
 
     module: str
-    help: Optional[str] = None
+    help: str
     defaults: Dict[str, Any] = field(default_factory=dict)
     flags: Tuple[Tuple[str, Dict[str, Any]], ...] = ()
     telemetry: bool = False
@@ -132,9 +131,6 @@ REGISTRY: Dict[str, Experiment] = {
         {"measure": "takeover"},
         flags=(flag("--trials", type=int, default=5),), in_all=True,
     ),
-    "overheads": Experiment(
-        "repro.experiments.overheads", defaults={"measure": "all"}
-    ),
     "qos": Experiment(
         "repro.experiments.qos", "E-qos: best-effort vs reserved WAN",
         in_all=True,
@@ -146,7 +142,6 @@ REGISTRY: Dict[str, Experiment] = {
         "repro.experiments.gcs_latency",
         "T-gcs: view agreement latency scaling",
     ),
-    "gcs_latency": Experiment("repro.experiments.gcs_latency"),
     "faults": Experiment(
         "repro.experiments.faults", "T-ft comparison matrix", in_all=True
     ),
@@ -177,8 +172,6 @@ REGISTRY: Dict[str, Experiment] = {
                       "(the 100k barrier gate)"),
             flag("--duration", type=float,
                  help="simulated seconds per point (default 12)"),
-            flag("--window", type=float,
-                 help="batch window in seconds (default 1.0)"),
             flag("--benchmark-json",
                  help="write the sweep's measurements (events/s, wall time, "
                       "failover latencies) to this JSON file"),

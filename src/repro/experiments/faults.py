@@ -36,11 +36,12 @@ class FaultTrial:
         return self.stall_time_s <= 1.0
 
 
-def kill_plan(kills: int, first_at: float = 30.0, gap_s: float = 15.0) -> FaultPlan:
-    """``kills`` non-concurrent crashes of the serving server."""
+def kill_plan(kills: int) -> FaultPlan:
+    """``kills`` non-concurrent crashes of the serving server, from 30 s
+    on, 15 s apart."""
     plan = FaultPlan(name=f"kill-{kills}")
     for kill in range(kills):
-        plan = plan.crash_serving(first_at + gap_s * kill)
+        plan = plan.crash_serving(30.0 + 15.0 * kill)
     return plan
 
 

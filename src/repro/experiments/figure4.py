@@ -93,10 +93,10 @@ class Figure4:
     def sw_min_after_lb(self) -> float:
         return self.sw_occupancy.min(self.lb_time, self.lb_time + EVENT_WINDOW_S)
 
-    def sw_fill_time(self, fraction: float = 0.9) -> float:
-        """Seconds until occupancy first reaches ``fraction`` of its
-        steady mean (the paper: mean reached after ~14 s)."""
-        target = fraction * self.sw_mean_steady()
+    def sw_fill_time(self) -> float:
+        """Seconds until occupancy first reaches 90 % of its steady mean
+        (the paper: mean reached after ~14 s)."""
+        target = 0.9 * self.sw_mean_steady()
         for time, value in zip(self.sw_occupancy.times, self.sw_occupancy.values):
             if value >= target:
                 return time
@@ -105,12 +105,12 @@ class Figure4:
     # ------------------------------------------------------------------
     # Panel (d): hardware buffer
     # ------------------------------------------------------------------
-    def hw_fill_time(self, fraction: float = 0.9) -> float:
+    def hw_fill_time(self) -> float:
         capacity = self.result.client.decoder.capacity_bytes
         for time, value in zip(
             self.hw_occupancy_bytes.times, self.hw_occupancy_bytes.values
         ):
-            if value >= fraction * capacity:
+            if value >= 0.9 * capacity:
                 return time
         return float("inf")
 

@@ -25,7 +25,8 @@ plus ``tolerances``: regenerate one by re-running the producing command and
 copying the values.  ``paper`` is the exception: its baseline is what the
 *paper* says (``benchmarks/BENCH_paper_claims.json``), so a measurement that
 leaves it is a finding to write down in EXPERIMENTS.md, not a value to copy.
-Exit 0 on pass, 1 on failure, 2 on a usage error.
+Exit 0 on pass, 1 on failure, 2 on a usage error, such as a bad baseline
+(one ``error:`` line naming the file).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ import os
 import sys
 import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+
+from repro.errors import ServiceError
 
 MISSING = object()
 REGRESS_REL = 0.10  # the ``regress`` kind's relative margin
@@ -181,7 +184,7 @@ def measure_postmortem(n: int = 20_000) -> Dict:
         return {"events": p.events, "frames": p.frames_delivered,
                 "takeovers": p.takeovers, "failover_latencies": p.failover_latencies}
 
-    rig = dict(batch_window_s=1.0, duration_s=12.0, seed=77)
+    rig = dict(duration_s=12.0, seed=77)
     plain = run_scale_point(n, flyweight=True, **rig)
     recorded = run_scale_point(n, flyweight=True, flight=True, **rig)
     return {
@@ -652,18 +655,42 @@ def judge(name: str, measured: Dict, baseline: Optional[Dict] = None) -> List[st
     return list(failures)
 
 
-def check(name: str, measured_path: str, baseline_path: Optional[str]) -> List[str]:
-    """Load both files and judge; an unreadable file is a failure line."""
-    loaded = []
-    for path in filter(None, (measured_path, baseline_path)):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                loaded.append(json.load(fh))
-            if not isinstance(loaded[-1], dict):
-                raise ValueError("not a JSON object")
-        except (OSError, ValueError) as error:
-            return [f"FAIL {name} unreadable: {path} ({error})"]
-    return judge(name, *loaded)
+def _load(path: str) -> Dict:
+    with open(path, encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError("not a JSON object")
+    return loaded
+
+
+def load_baseline(name: str, path: Optional[str]) -> Optional[Dict]:
+    """Gate ``name``'s baseline (None without a path).  One that cannot
+    be read, is not a JSON object or lacks a key a row's scope selects
+    on raises :class:`ServiceError` naming the file (and the key)."""
+    if path is None:
+        return None
+    try:
+        baseline = _load(path)
+    except (OSError, ValueError) as error:
+        raise ServiceError(f"baseline {path}: {error}") from None
+    for row in GATES[name].rows:
+        keys = [row.scope] if isinstance(row.scope, str) else row.scope[1:]
+        for key in filter(None, keys):
+            if key not in baseline:
+                raise ServiceError(
+                    f'baseline {path}: no "{key}" key, which {name} rows select on'
+                )
+    return baseline
+
+
+def check(name: str, measured_path: str, baseline: Optional[Dict]) -> List[str]:
+    """Judge the measurement at ``measured_path`` against a loaded
+    baseline; an unreadable measurement is a failure line."""
+    try:
+        measured = _load(measured_path)
+    except (OSError, ValueError) as error:
+        return [f"FAIL {name} unreadable: {measured_path} ({error})"]
+    return judge(name, measured, baseline)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -675,13 +702,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         measuring = ", ".join(n for n, g in GATES.items() if g.measure)
         print(f"gates: {', '.join(GATES)}; only {measuring} can omit measured.json")
         return 2
+    try:  # before a measurement is spent on it
+        baseline = load_baseline(name, baseline_path or gate.baseline)
+    except ServiceError as error:
+        print(f"error: {error}")
+        return 2
     if measured_path is None:
         measured_path = os.path.join("artifacts", f"BENCH_{name}.json")
         os.makedirs("artifacts", exist_ok=True)
         with open(measured_path, "w", encoding="utf-8") as fh:
             json.dump(gate.measure(), fh, indent=1, default=str)
         print(f"{name} gate measurements written to {measured_path}")
-    failures = check(name, measured_path, baseline_path or gate.baseline)
+    failures = check(name, measured_path, baseline)
     print("\n".join(failures) if failures else
           f"{name} gate passed: all {len(gate.rows)} checks hold on {measured_path}")
     return 1 if failures else 0

@@ -196,35 +196,25 @@ def measure_takeover(n_trials: int = 5, base_seed: int = 100) -> TakeoverResult:
 def run(spec) -> "ExperimentResult":
     """Unified entry point (see :mod:`repro.experiments.api`).
 
-    ``params["measure"]`` picks the claim: ``sync``, ``emergency``,
-    ``takeover`` or ``all``.
+    ``params["measure"]`` picks the claim: ``sync``, ``emergency`` or
+    ``takeover``.
     """
     from repro.experiments.api import ExperimentResult
     from repro.errors import ReproError
 
-    measure = spec.params.get("measure", "all")
-    result = ExperimentResult(spec=spec)
-    data = {}
-    if measure not in ("sync", "emergency", "takeover", "all"):
+    measure = spec.params.get("measure")
+    seed = {} if spec.seed is None else {"seed": spec.seed}
+    if measure == "sync":
+        data = measure_sync_overhead(
+            n_clients=int(spec.params.get("clients", 4)), **seed
+        )
+    elif measure == "emergency":
+        data = measure_emergency(**seed)
+    elif measure == "takeover":
+        base_seed = {} if spec.seed is None else {"base_seed": spec.seed}
+        data = measure_takeover(
+            n_trials=int(spec.params.get("trials", 5)), **base_seed
+        )
+    else:
         raise ReproError(f"unknown overheads measure {measure!r}")
-    if measure in ("sync", "all"):
-        kwargs = {} if spec.seed is None else {"seed": spec.seed}
-        sync = measure_sync_overhead(
-            n_clients=int(spec.params.get("clients", 4)), **kwargs
-        )
-        data["sync"] = sync
-        result.blocks.append(sync.table().render())
-    if measure in ("emergency", "all"):
-        kwargs = {} if spec.seed is None else {"seed": spec.seed}
-        emergency = measure_emergency(**kwargs)
-        data["emergency"] = emergency
-        result.blocks.append(emergency.table().render())
-    if measure in ("takeover", "all"):
-        kwargs = {} if spec.seed is None else {"base_seed": spec.seed}
-        takeover = measure_takeover(
-            n_trials=int(spec.params.get("trials", 5)), **kwargs
-        )
-        data["takeover"] = takeover
-        result.blocks.append(takeover.table().render())
-    result.data = data if measure == "all" else data[measure]
-    return result
+    return ExperimentResult(spec=spec, blocks=[data.table().render()], data=data)

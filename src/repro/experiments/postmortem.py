@@ -26,7 +26,7 @@ from typing import Dict, List
 
 from repro.errors import ServiceError
 from repro.experiments.api import ExperimentResult, ExperimentSpec
-from repro.telemetry.flight import FlightRecorderConfig, Incident
+from repro.telemetry.flight import Incident
 from repro.telemetry.postmortem import render_incidents
 
 #: Each source's CLI flag.
@@ -41,15 +41,6 @@ _READERS = {
     "until": ("--until", ("export",), "--from-export"),
     "duration": ("--duration", ("scenario", "scale"), "a live run"),
 }
-
-
-def _config_from_params(params: Dict) -> FlightRecorderConfig:
-    kwargs = {}
-    for key in ("default_budget", "pre_trigger_s", "post_trigger_s",
-                "max_capture_events", "max_incidents", "horizon_s"):
-        if params.get(key) is not None:
-            kwargs[key] = params[key]
-    return FlightRecorderConfig(**kwargs)
 
 
 def _source_of(params: Dict) -> str:
@@ -84,15 +75,12 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     live source), ``since``/``until`` (replay window, sim seconds),
     ``source`` (``scenario``/``scale``), ``scenario`` (``lan``/``wan``),
     ``duration`` (simulated seconds), ``n`` (scale population),
-    ``max_rows`` (render cap), ``json`` (dump incident payloads there),
-    plus recorder-config overrides (``default_budget``,
-    ``pre_trigger_s``, ``post_trigger_s``, ``max_capture_events``,
-    ``max_incidents``, ``horizon_s``).  Two sources, or a param the
-    chosen source does not read, raise :class:`ServiceError`.
+    ``max_rows`` (render cap), ``json`` (dump incident payloads there).
+    Every source uses the recorder's default budgets.  Two sources, or
+    a param the chosen source does not read, raise :class:`ServiceError`.
     """
     params = spec.params
     source = _source_of(params)
-    config = _config_from_params(params)
     max_rows = int(params.get("max_rows", 40))
     seed = spec.seed if spec.seed is not None else 77
 
@@ -106,8 +94,7 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         export = params["export"]
 
         incidents = incidents_from_export(
-            export, config,
-            since=params.get("since"), until=params.get("until"),
+            export, since=params.get("since"), until=params.get("until"),
         )
         header = f"postmortem of recorded export {export}"
     elif source == "scale":
@@ -116,8 +103,7 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         n = int(params.get("n", 20_000))
         duration = float(params.get("duration", 12.0))
         point = run_scale_point(
-            n, 1.0, duration_s=duration, seed=seed, flyweight=True,
-            flight=True, flight_config=config,
+            n, duration_s=duration, seed=seed, flyweight=True, flight=True
         )
         header = (
             f"postmortem of flyweight scale run: N={n:,}, "
@@ -145,7 +131,7 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         result = run_scenario(
             scenario, seed=spec.seed,
             telemetry_path=spec.telemetry_path,
-            flight=True, flight_config=config,
+            flight=True,
         )
         incidents = result.incidents
         metering = result.flight

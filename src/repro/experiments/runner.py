@@ -295,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, entry in REGISTRY.items():
-        if entry.help is None:
-            continue  # a registry-only alias
         parents = [common, telemetry] if entry.telemetry else [common]
         p = sub.add_parser(name, parents=parents, help=entry.help)
         for flag, kwargs in entry.flags:

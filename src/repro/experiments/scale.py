@@ -21,10 +21,9 @@ head-end would be provisioned — while the video plane still crosses two
 switched hops per frame.  All links are loss-free, so batched sessions
 stay on the fast path for the entire run.
 
-Three population modes:
+Two population modes, both on one-second batch windows
+(:data:`BATCH_WINDOW_S`):
 
-* ``per-frame`` — full client objects, one timer event per frame (the
-  baseline);
 * ``batched`` — full client objects on the batched fast path;
 * ``flyweight`` — viewers as columnar rows in a
   :class:`repro.client.flyweight.FlyweightPool`, served by cohort
@@ -65,6 +64,10 @@ SCALE_SPEC = ScenarioSpec(
 #: Default population sweep (the paper's "scalability" claim at depth).
 DEFAULT_SIZES = (100, 1000, 5000)
 
+#: Every scale run's ``ServerConfig.batch_window_s``: one second of
+#: frames per precomputed burst.
+BATCH_WINDOW_S = 1.0
+
 
 @dataclass
 class ScalePoint:
@@ -76,7 +79,6 @@ class ScalePoint:
     the whole run (``slo``; an unlisted row counts as stalled)."""
 
     n_clients: int
-    batch_window_s: float
     duration_s: float
     events: int
     wall_s: float
@@ -93,14 +95,8 @@ class ScalePoint:
     flight: Optional[Dict] = None
 
     @property
-    def batched(self) -> bool:
-        return self.batch_window_s > 0
-
-    @property
     def mode(self) -> str:
-        if self.flyweight:
-            return "flyweight"
-        return "batched" if self.batched else "per-frame"
+        return "flyweight" if self.flyweight else "batched"
 
     @property
     def events_per_s(self) -> float:
@@ -182,36 +178,32 @@ class ConformanceTrace:
 
 
 def conformance_trace(
-    n_clients: int = 48,
-    duration_s: float = 8.0,
-    seed: int = 77,
-    mode: str = "full",
-    crash_at: Optional[float] = None,
-    batch_window_s: float = 1.0,
+    mode: str = "full", crash_at: Optional[float] = None
 ) -> Dict[str, Dict]:
     """Run the conformance rig and return its canonical trace.
 
     The rig pins every timing-relevant knob so the two modes are
     event-for-event comparable: ``connect_window_s=0.0`` (the admission
     queue drains the whole population in one sorted batch, making
-    placement independent of arrival jitter), ``n_clients`` small
-    enough for one edge node (the GCS daemon set is then identical
-    across modes), and — in full mode — mux clients with a prebuffer
-    deep enough that flow control stays silent, so full-object
-    playheads advance at the fixed base rate exactly like the flyweight
+    placement independent of arrival jitter), 48 viewers, few enough
+    for one edge node (the GCS daemon set is then identical across
+    modes), and — in full mode — mux clients with a prebuffer deep
+    enough that flow control stays silent, so full-object playheads
+    advance at the fixed base rate exactly like the flyweight
     arithmetic.  Returns ``{"starts": .., "final": ..}`` where
     ``final`` maps each still-served viewer to its server-side playhead
-    at ``duration_s``."""
+    at 8 s (seed 77)."""
+    duration_s = 8.0
     plan = None
     if crash_at is not None:
         from repro.faulting.plan import FaultPlan
 
         plan = FaultPlan().crash_most_loaded(crash_at)
     sim, deployment, viewers, observer = _rig(
-        n_clients, mode,
-        ServerConfig(batch_window_s=batch_window_s, session_mux=True),
+        48, mode,
+        ServerConfig(batch_window_s=BATCH_WINDOW_S, session_mux=True),
         client_config=ClientConfig(session_mux=True, prebuffer_frames=330),
-        seed=seed, movie_duration_s=duration_s + 60.0, connect_window_s=0.0,
+        seed=77, movie_duration_s=duration_s + 60.0, connect_window_s=0.0,
         plan=plan,
     )
     trace = ConformanceTrace()
@@ -263,7 +255,6 @@ def build_scale_rig(
 
 def run_scale_point(
     n_clients: int,
-    batch_window_s: float,
     duration_s: float = 12.0,
     crash_at: Optional[float] = None,
     seed: int = 77,
@@ -272,7 +263,6 @@ def run_scale_point(
     flyweight: bool = False,
     wall_budget_s: Optional[float] = None,
     flight: bool = False,
-    flight_config=None,
 ) -> ScalePoint:
     """Run one population point and return its measurements.
 
@@ -295,7 +285,7 @@ def run_scale_point(
         crash_at = duration_s / 2.0
     sim, deployment, viewers, observer = _rig(
         n_clients, "flyweight" if flyweight else "full",
-        ServerConfig(batch_window_s=batch_window_s),
+        ServerConfig(batch_window_s=BATCH_WINDOW_S),
         n_initial_servers=n_servers, seed=seed,
         movie_duration_s=duration_s + 60.0,
     )
@@ -305,13 +295,12 @@ def run_scale_point(
         dict(
             experiment="scale",
             n_clients=n_clients,
-            batch_window_s=batch_window_s,
+            batch_window_s=BATCH_WINDOW_S,
             mode="flyweight" if flyweight else "full",
             seed=seed,
             duration_s=duration_s,
         ),
         flight=flight,
-        flight_config=flight_config,
     )
 
     # A plain event, not a FaultInjector action: an injected fault is a
@@ -345,7 +334,6 @@ def run_scale_point(
             frames = sum(client.stats.received for client in viewers)
         point = ScalePoint(
             n_clients=n_clients,
-            batch_window_s=batch_window_s,
             duration_s=duration_s,
             events=events,
             wall_s=wall,
@@ -404,10 +392,9 @@ def run(spec) -> "ExperimentResult":
     """Entry point for ``ExperimentSpec(name="scale")``.
 
     Params: ``sizes`` (populations to sweep), ``duration`` (simulated
-    seconds per point), ``window`` (batch window, seconds),
-    ``flyweight_sizes`` (populations to run in flyweight mode, one
-    process and one deployment each — this is where 20 000..1 000 000
-    live), ``wall_budget`` (optional wall-clock ceiling per flyweight
+    seconds per point), ``flyweight_sizes`` (populations to run in
+    flyweight mode, one process and one deployment each — this is where
+    20 000..1 000 000 live), ``wall_budget`` (optional wall-clock ceiling per flyweight
     point, seconds), ``telemetry_n`` (population of the
     telemetry-artifact run; ignored without ``spec.telemetry_path``),
     ``flight`` (attach a flight recorder to flyweight points; they then
@@ -419,7 +406,6 @@ def run(spec) -> "ExperimentResult":
     params = spec.params
     sizes = tuple(params.get("sizes", DEFAULT_SIZES))
     duration = float(params.get("duration", 12.0))
-    window = float(params.get("window", 1.0))
     flyweight_sizes = tuple(params.get("flyweight_sizes", ()))
     wall_budget = params.get("wall_budget")
     wall_budget = None if wall_budget is None else float(wall_budget)
@@ -427,13 +413,13 @@ def run(spec) -> "ExperimentResult":
     seed = spec.seed if spec.seed is not None else 77
 
     points = [
-        run_scale_point(n_clients, window, duration_s=duration, seed=seed)
+        run_scale_point(n_clients, duration_s=duration, seed=seed)
         for n_clients in sizes
     ]
     for n_clients in flyweight_sizes:
         points.append(
             run_scale_point(
-                n_clients, window, duration_s=duration, seed=seed,
+                n_clients, duration_s=duration, seed=seed,
                 flyweight=True, wall_budget_s=wall_budget, flight=flight,
             )
         )
@@ -448,7 +434,6 @@ def run(spec) -> "ExperimentResult":
             "experiment": "scale",
             "seed": seed,
             "duration_s": duration,
-            "window_s": window,
             "points": [_point_payload(row) for row in points],
         }
         with open(benchmark_json, "w", encoding="utf-8") as fh:
@@ -458,7 +443,7 @@ def run(spec) -> "ExperimentResult":
     if spec.telemetry_path is not None:
         telemetry_n = int(params.get("telemetry_n", min(sizes)))
         run_scale_point(
-            telemetry_n, window, duration_s=duration, seed=seed,
+            telemetry_n, duration_s=duration, seed=seed,
             telemetry_path=spec.telemetry_path,
         )
         artifacts["telemetry"] = spec.telemetry_path

@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faulting.injector import FaultInjector
     from repro.faulting.plan import FaultPlan
     from repro.server.admission import AdmissionSpec
-    from repro.telemetry.flight import FlightRecorderConfig, Incident
+    from repro.telemetry.flight import Incident
     from repro.telemetry.qoe import QoEScorecard
     from repro.workloads import ViewerProfile, WorkloadDriver
 
@@ -445,7 +445,6 @@ def prepare_scenario(
     telemetry_full: bool = False,
     observe: Optional[bool] = None,
     flight: bool = False,
-    flight_config: Optional["FlightRecorderConfig"] = None,
     telemetry_max_events: Optional[int] = None,
     telemetry_since: Optional[float] = None,
     telemetry_until: Optional[float] = None,
@@ -491,7 +490,6 @@ def prepare_scenario(
         observe=observe,
         slo_rules=slo_rules,
         flight=flight,
-        flight_config=flight_config,
         full=telemetry_full,
         max_events=telemetry_max_events,
         since=telemetry_since,
@@ -578,11 +576,7 @@ def _attach_viewers(
     first = len(deployment.topology.hosts) - n_hosts
     window = spec.connect_window_s
     if spec.flyweight:
-        from repro.client.flyweight import FlyweightConfig
-
-        pool = deployment.attach_flyweight(
-            "feature", config=FlyweightConfig(senders_max=min(4, n_hosts))
-        )
+        pool = deployment.attach_flyweight("feature")
         for index in range(spec.n_viewers):
             pool.add_viewer(first + index % n_hosts)
         pool.connect_all(window)

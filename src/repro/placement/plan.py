@@ -305,10 +305,10 @@ def build_zipf_catalog(
     n_titles: int,
     duration_s: float = 120.0,
     fps: int = 30,
-    name_format: str = "title{rank:04d}",
 ) -> "MovieCatalog":
     """A catalog of ``n_titles`` synthetic movies whose sorted title
-    order equals popularity rank order (zero-padded names), so
+    order equals popularity rank order (zero-padded names,
+    ``title0001`` first), so
     :class:`~repro.workloads.popularity.ZipfCatalogSampler` over
     ``catalog.titles()`` draws rank-1 most often."""
     from repro.media.catalog import MovieCatalog
@@ -317,8 +317,6 @@ def build_zipf_catalog(
     if n_titles < 1:
         raise ServiceError(f"need at least one title, got {n_titles}")
     return MovieCatalog(
-        Movie.synthetic(
-            name_format.format(rank=rank), duration_s=duration_s, fps=fps
-        )
+        Movie.synthetic(f"title{rank:04d}", duration_s=duration_s, fps=fps)
         for rank in range(1, n_titles + 1)
     )

@@ -145,15 +145,6 @@ class AdmissionPolicy:
         raise NotImplementedError
 
 
-class AdmitAll(AdmissionPolicy):
-    """The historical behaviour: every connect is admitted as-is."""
-
-    name = "open"
-
-    def decide(self, now: float, request) -> AdmissionDecision:
-        return AdmissionDecision(action="admit", tclass=classify_request(request))
-
-
 class _TokenBucketPolicy(AdmissionPolicy):
     """Shared machinery: one bucket per metered class, exempt classes
     pass straight through."""

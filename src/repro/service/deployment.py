@@ -32,6 +32,10 @@ class Deployment:
         Shared by every server; its ``use_qos`` also installs a
         :class:`~repro.net.qos.QosManager` on the network
         (``deployment.qos``) for the streams' reservations.
+    client_config:
+        The default for :meth:`attach_client`.  Its ``session_mux``, and
+        that of any config passed there, must equal ``server_config``'s
+        (:class:`ServiceError` otherwise).
     placement:
         A :class:`~repro.placement.PlacementPlan` consulted by
         :meth:`add_server` for each server's stored titles (full or
@@ -57,6 +61,7 @@ class Deployment:
         self.catalog = catalog
         self.server_config = server_config or ServerConfig()
         self.client_config = client_config or ClientConfig()
+        self._check_session_mux(self.client_config)
         self.replicate_all = replicate_all
         self.placement = placement
         # One pool-level admission policy shared by every server,
@@ -80,6 +85,16 @@ class Deployment:
         self.server_observers: List[Any] = []
         for host_index in server_nodes:
             self.add_server(host_index)
+
+    def _check_session_mux(self, client_config: ClientConfig) -> None:
+        # Either mismatch breaks the control path between the two (a mux
+        # server's client never learns who serves it), and a crash stalls it.
+        server_mux = self.server_config.session_mux
+        if client_config.session_mux != server_mux:
+            raise ServiceError(
+                f"ServerConfig.session_mux={server_mux} does not match "
+                f"ClientConfig.session_mux={client_config.session_mux}"
+            )
 
     # ------------------------------------------------------------------
     # Placement-first construction
@@ -202,6 +217,8 @@ class Deployment:
         self._client_counter += 1
         if name in self.clients:
             raise ServiceError(f"client name {name!r} already in use")
+        if config is not None:
+            self._check_session_mux(config)
         client = VoDClient(
             self.domain, self.topology.host(host_index), name,
             config or self.client_config,
@@ -216,7 +233,7 @@ class Deployment:
             raise ServiceError(f"no client named {name!r}")
         return client
 
-    def attach_flyweight(self, movie: str, config: Optional[Any] = None):
+    def attach_flyweight(self, movie: str):
         """Create a columnar viewer pool for ``movie``, attach it to
         every server — present and future — and return it.
 
@@ -228,7 +245,7 @@ class Deployment:
 
         if any(pool.movie_title == movie for pool in self.flyweight_pools):
             raise ServiceError(f"{movie!r} already has a flyweight pool")
-        pool = FlyweightPool(self, movie, config=config)
+        pool = FlyweightPool(self, movie)
         self.flyweight_pools.append(pool)
         for server in self.servers.values():
             server.attach_flyweight(pool)

@@ -224,24 +224,6 @@ class FramePacket:
 
 
 @dataclass(frozen=True)
-class FrameBurst:
-    """Several frames coalesced into one datagram (wire fallback).
-
-    The batched transmission mode normally replays frames as individual
-    :class:`FramePacket` datagrams with exact per-frame timing; on paths
-    where that replay is not possible the whole window can instead ride
-    one datagram.  Each packet keeps its own ``sent_at``, so the client
-    processes the members exactly as if they had arrived one by one —
-    flow-control watermark accounting is per frame either way.
-    """
-
-    packets: Tuple[FramePacket, ...]
-
-    def wire_bytes(self) -> int:
-        return 16 + sum(packet.wire_bytes() for packet in self.packets)
-
-
-@dataclass(frozen=True)
 class EndOfStream:
     """Server -> client: the movie finished."""
 

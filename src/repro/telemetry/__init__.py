@@ -66,7 +66,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "GaugeMetric",
         "HistogramMetric",
         "MetricRegistry",
-        "MetricsCollector",
     ),
     ".qoe": (
         "QoEAccumulator",

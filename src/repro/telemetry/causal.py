@@ -149,7 +149,7 @@ class FailoverBreakdown:
         ]
 
 
-def critical_path(chain: CausalChain, client: Optional[str] = None) -> List[Dict]:
+def critical_path(chain: CausalChain) -> List[Dict]:
     """The failover critical path within ``chain``, in time order.
 
     One representative event per stage: the initiating fault/crash, the
@@ -158,12 +158,6 @@ def critical_path(chain: CausalChain, client: Optional[str] = None) -> List[Dict
     ``rebalance``), the adopting ``server.session.start`` and the
     client's ``client.resume``.  Stages the export lacks are skipped.
     """
-
-    def matches_client(event: Dict) -> bool:
-        if client is None:
-            return True
-        value = event.get("key") or event.get("client") or ""
-        return str(value).startswith(client.split("@")[0]) or str(value) == client
 
     path: List[Dict] = []
     # The fault record is the chain's true origin even though the
@@ -187,12 +181,12 @@ def critical_path(chain: CausalChain, client: Optional[str] = None) -> List[Dict
     for event in chain.events:
         if event.get("kind") in ("span.end", "span.abandoned") and event.get(
             "span"
-        ) in ("takeover", "rebalance") and matches_client(event):
+        ) in ("takeover", "rebalance"):
             path.append(event)
             break
     for kind in ("server.session.start", "client.resume"):
         for event in chain.events:
-            if event.get("kind") == kind and matches_client(event):
+            if event.get("kind") == kind:
                 path.append(event)
                 break
     return path

@@ -41,7 +41,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.bus import Telemetry, TelemetryEvent
 from repro.telemetry.causal import TraceGraph, critical_path, failover_breakdowns
-from repro.telemetry.report import is_timeline_kind
+from repro.telemetry.report import is_timeline_kind, replay
 
 #: What the recorder subscribes to: every application-level kind (the
 #: exporter's default set) plus invariant violations.  The two firehose
@@ -624,10 +624,7 @@ def _qoe_impact(records: Sequence[Dict], end_t: float, top_k: int) -> Dict:
     }
 
 
-def incidents_from_records(
-    records: Sequence[Dict],
-    config: Optional[FlightRecorderConfig] = None,
-) -> List[Incident]:
+def incidents_from_records(records: Sequence[Dict]) -> List[Incident]:
     """Offline replay: rebuild incidents from an exported event stream.
 
     Feeds a fresh detached recorder the same ``(t, kind, fields)``
@@ -635,11 +632,6 @@ def incidents_from_records(
     full JSONL export match the live recorder's (modulo events the
     export itself filtered out).
     """
-    recorder = FlightRecorder(None, config)
-    for record in records:
-        kind = str(record.get("kind", ""))
-        if kind in ("meta", "summary") or not kind.startswith(FLIGHT_PREFIXES):
-            continue
-        fields = {k: v for k, v in record.items() if k not in ("t", "kind")}
-        recorder.feed(float(record.get("t", 0.0)), kind, fields)
+    recorder = FlightRecorder(None)
+    replay(records, recorder.feed, FLIGHT_PREFIXES)
     return recorder.finish()

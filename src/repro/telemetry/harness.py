@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.flight import FlightRecorderConfig, Incident
+    from repro.telemetry.flight import Incident
     from repro.telemetry.qoe import QoEScorecard
     from repro.telemetry.slo import SloRule
 
@@ -38,8 +38,8 @@ class RunObservers:
     ``until``) go to :class:`~repro.telemetry.export.JsonlExporter`.
     ``observe`` attaches the QoE collector and an SLO monitor judging
     ``slo_rules`` (``None``: the paper's three; an empty tuple attaches
-    no monitor).  ``flight`` attaches a flight recorder configured by
-    ``flight_config``.
+    no monitor).  ``flight`` attaches a flight recorder with the default
+    budgets.
 
     After :meth:`settle`, ``qoe`` / ``slo`` / ``failovers`` /
     ``incidents`` / ``flight`` hold what the observers measured.  Used
@@ -56,7 +56,6 @@ class RunObservers:
         observe: bool = False,
         slo_rules: Optional[Sequence["SloRule"]] = None,
         flight: bool = False,
-        flight_config: Optional["FlightRecorderConfig"] = None,
         **export_options: Any,
     ) -> None:
         telemetry = sim.telemetry
@@ -82,7 +81,7 @@ class RunObservers:
         if flight:
             from repro.telemetry.flight import FlightRecorder
 
-            self.recorder = FlightRecorder(telemetry, flight_config)
+            self.recorder = FlightRecorder(telemetry)
         self.qoe: Dict[str, "QoEScorecard"] = {}
         self.slo: Dict[str, Dict] = {}
         self.failovers: List[float] = []

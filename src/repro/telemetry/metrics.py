@@ -165,7 +165,3 @@ def _finite_or_none(value: float) -> Optional[float]:
 
 
 _INF = float("inf")
-
-
-#: Back-compat facade name: the registry *is* the metrics collector.
-MetricsCollector = MetricRegistry

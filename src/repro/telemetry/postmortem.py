@@ -16,31 +16,20 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.telemetry.causal import FailoverBreakdown, render_breakdowns
-from repro.telemetry.flight import (
-    FlightRecorderConfig, Incident, incidents_from_records,
-)
+from repro.telemetry.flight import Incident, incidents_from_records
+from repro.telemetry.report import timeline_table
 from repro.telemetry.text import Table
 
 
 def incidents_from_export(
     path: str,
-    config: Optional[FlightRecorderConfig] = None,
     since: Optional[float] = None,
     until: Optional[float] = None,
 ) -> List[Incident]:
     """Rebuild incidents from a telemetry JSONL (or .jsonl.gz) export."""
     from repro.telemetry.export import read_jsonl
 
-    return incidents_from_records(
-        read_jsonl(path, since=since, until=until), config
-    )
-
-
-def _describe(event: Dict) -> str:
-    skip = ("t", "kind")
-    return " ".join(
-        f"{key}={value}" for key, value in event.items() if key not in skip
-    )
+    return incidents_from_records(read_jsonl(path, since=since, until=until))
 
 
 def render_incident(incident: Incident, max_rows: int = 40) -> str:
@@ -126,18 +115,11 @@ def render_incident(incident: Incident, max_rows: int = 40) -> str:
         blocks.append(impact_table.render())
 
     if incident.excerpt:
-        excerpt_table = Table(
-            f"Timeline excerpt ({min(len(incident.excerpt), max_rows)} of "
-            f"{len(incident.excerpt)} notable events)",
-            ["t (s)", "kind", "detail"],
-        )
-        for event in incident.excerpt[:max_rows]:
-            excerpt_table.add_row(
-                f"{event.get('t', 0.0):9.3f}",
-                event.get("kind", "?"),
-                _describe(event),
-            )
-        blocks.append(excerpt_table.render())
+        shown = incident.excerpt[:max_rows]
+        blocks.append(timeline_table(
+            f"Timeline excerpt ({len(shown)} of {len(incident.excerpt)} "
+            "notable events)", shown,
+        ))
 
     return "\n\n".join(blocks)
 

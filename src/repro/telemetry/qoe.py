@@ -300,16 +300,10 @@ class QoECollector:
 
 def scorecards_from_timeline(timeline) -> Dict[str, QoEScorecard]:
     """Offline scorecards from a parsed export (``repro-vod report``)."""
+    from repro.telemetry.report import replay
+
     accumulator = QoEAccumulator()
-    last_t = 0.0
-    for event in timeline.events:
-        t = float(event.get("t", 0.0))
-        last_t = max(last_t, t)
-        fields = {
-            k: v for k, v in event.items() if k not in ("t", "kind")
-        }
-        accumulator.feed(t, str(event.get("kind", "")), fields)
-    return accumulator.finish(last_t)
+    return accumulator.finish(replay(timeline.events, accumulator.feed))
 
 
 def render_scorecards(cards: Dict[str, QoEScorecard]) -> str:

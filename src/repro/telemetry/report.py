@@ -10,7 +10,7 @@ evaluation section performs by hand.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.text import Table
 
@@ -39,6 +39,38 @@ TIMELINE_KINDS = (
 
 def is_timeline_kind(kind: str) -> bool:
     return kind.startswith(TIMELINE_KINDS)
+
+
+def replay(
+    records: Sequence[Dict],
+    feed: Callable[[float, str, Dict], None],
+    prefixes: Tuple[str, ...] = ("",),
+) -> float:
+    """Feed every exported record whose kind starts with one of
+    ``prefixes`` to ``feed(t, kind, fields)``, ``fields`` being the
+    record without ``t`` and ``kind`` — the triples a bus subscriber
+    heard live.  Returns the last ``t`` fed (0.0 for none)."""
+    last_t = 0.0
+    for record in records:
+        kind = str(record.get("kind", ""))
+        if not kind.startswith(prefixes):
+            continue
+        t = float(record.get("t", 0.0))
+        last_t = max(last_t, t)
+        feed(t, kind, {k: v for k, v in record.items() if k not in ("t", "kind")})
+    return last_t
+
+
+def timeline_table(title: str, events: Sequence[Dict]) -> str:
+    """``events`` as a rendered ``t (s) | kind | detail`` table, the
+    detail being the other fields as ``key=value`` pairs."""
+    table = Table(title, ["t (s)", "kind", "detail"])
+    for event in events:
+        detail = " ".join(
+            f"{key}={value}" for key, value in event.items() if key not in ("t", "kind")
+        )
+        table.add_row(f"{event.get('t', 0.0):9.3f}", event.get("kind", "?"), detail)
+    return table.render()
 
 
 class RunTimeline:
@@ -148,14 +180,6 @@ def load_timeline(
     return RunTimeline(read_jsonl(path, since=since, until=until))
 
 
-def _describe(event: Dict) -> str:
-    skip = ("t", "kind")
-    parts = [
-        f"{key}={value}" for key, value in event.items() if key not in skip
-    ]
-    return " ".join(parts)
-
-
 def render_report(timeline: RunTimeline, max_rows: int = 80) -> str:
     """The ``repro-vod report`` text: header, counts, timeline, spans,
     QoE scorecards, SLO verdicts, failover breakdowns, buffer levels,
@@ -186,16 +210,9 @@ def render_report(timeline: RunTimeline, max_rows: int = 80) -> str:
 
     rows = timeline.timeline_events()
     shown = rows[:max_rows]
-    timeline_table = Table(
-        f"Timeline ({len(shown)} of {len(rows)} notable events)",
-        ["t (s)", "kind", "detail"],
-    )
-    for event in shown:
-        timeline_table.add_row(
-            f"{event.get('t', 0.0):9.3f}", event.get("kind", "?"),
-            _describe(event),
-        )
-    blocks.append(timeline_table.render())
+    blocks.append(timeline_table(
+        f"Timeline ({len(shown)} of {len(rows)} notable events)", shown
+    ))
     if len(rows) > len(shown):
         blocks.append(f"... {len(rows) - len(shown)} more (raise --max-rows)")
 

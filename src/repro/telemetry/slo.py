@@ -178,6 +178,11 @@ def default_rules() -> Tuple[SloRule, ...]:
 #: monitor's own emissions can never feed back into it.
 SLO_PREFIXES = ("client.", "server.", "span.", "fault.")
 
+#: Tumbling window length (s), and the burn rate at which a window
+#: counts as burning the error budget.
+WINDOW_S = 10.0
+BURN_THRESHOLD = 1.0
+
 
 @dataclass
 class RuleState:
@@ -210,16 +215,10 @@ class SloMonitor:
     """Evaluates SLO rules over tumbling windows, live on the bus."""
 
     def __init__(
-        self,
-        telemetry,
-        rules: Optional[Tuple[SloRule, ...]] = None,
-        window_s: float = 10.0,
-        burn_threshold: float = 1.0,
+        self, telemetry, rules: Optional[Tuple[SloRule, ...]] = None
     ) -> None:
         self.telemetry = telemetry
         self.rules = tuple(rules) if rules is not None else default_rules()
-        self.window_s = float(window_s)
-        self.burn_threshold = float(burn_threshold)
         self.states: Dict[str, RuleState] = {
             rule.name: RuleState(rule=rule) for rule in self.rules
         }
@@ -246,8 +245,8 @@ class SloMonitor:
     # ------------------------------------------------------------------
     def _on_event(self, event) -> None:
         t = event.time
-        while t >= self._window_start + self.window_s:
-            self._close_window(self._window_start + self.window_s)
+        while t >= self._window_start + WINDOW_S:
+            self._close_window(self._window_start + WINDOW_S)
         kind = event.kind
         fields = event.fields
         if kind.startswith("client."):
@@ -332,7 +331,7 @@ class SloMonitor:
         state.worst = max(state.worst, abs(verdict.value))
         tel = self.telemetry
         if verdict.burn_rate is not None and (
-            verdict.burn_rate >= self.burn_threshold
+            verdict.burn_rate >= BURN_THRESHOLD
         ):
             state.burn_windows += 1
             if tel.active:
@@ -419,9 +418,7 @@ def render_slo(summary: Dict[str, Dict]) -> str:
     return table.render()
 
 
-def slo_from_timeline(
-    timeline, rules=None, window_s: float = 10.0
-) -> Dict[str, Dict]:
+def slo_from_timeline(timeline) -> Dict[str, Dict]:
     """Recompute the SLO verdicts offline from a parsed export.
 
     Replays the export through a fresh monitor on a throwaway bus; the
@@ -430,20 +427,14 @@ def slo_from_timeline(
     ``repro-vod report`` relies on.
     """
     from repro.telemetry.bus import Telemetry, TelemetryEvent
+    from repro.telemetry.report import replay
 
-    monitor = SloMonitor(Telemetry(), rules=rules, window_s=window_s)
-    last_t = 0.0
-    for record in timeline.events:
-        kind = str(record.get("kind", ""))
-        if not kind.startswith(SLO_PREFIXES):
-            continue
-        t = float(record.get("t", 0.0))
-        last_t = max(last_t, t)
-        fields = {
-            key: value for key, value in record.items()
-            if key not in ("t", "kind")
-        }
-        monitor._on_event(TelemetryEvent(t, kind, fields))
+    monitor = SloMonitor(Telemetry())
+    last_t = replay(
+        timeline.events,
+        lambda t, kind, fields: monitor._on_event(TelemetryEvent(t, kind, fields)),
+        SLO_PREFIXES,
+    )
     return monitor.finish(last_t)
 
 

@@ -81,8 +81,6 @@ def render_chart(
     title: str = "",
     width: int = 64,
     height: int = 12,
-    y_label: str = "",
-    x_label: str = "time (s)",
     markers: Optional[Iterable[Tuple[float, str]]] = None,
 ) -> str:
     """Render (t, value) points as an ASCII line chart.
@@ -154,9 +152,7 @@ def render_chart(
         + f"  {t_min:.0f}s"
         + f"{t_max:.0f}s".rjust(width - len(f"{t_min:.0f}s"))
     )
-    footer = ", ".join(filter(None, [y_label, x_label and f"x: {x_label}"]))
-    if footer:
-        lines.append(" " * label_width + "  " + footer)
+    lines.append(" " * label_width + "  x: time (s)")
     lines.extend(" " * label_width + "  " + note for note in marker_notes)
     return "\n".join(lines)
 
@@ -165,9 +161,6 @@ def render_timeseries(
     series: TimeSeries,
     title: str = "",
     markers: Optional[Iterable[Tuple[float, str]]] = None,
-    **kwargs,
 ) -> str:
     """Chart a :class:`TimeSeries` directly."""
-    return render_chart(
-        series.points(), title=title or series.name, markers=markers, **kwargs
-    )
+    return render_chart(series.points(), title=title or series.name, markers=markers)

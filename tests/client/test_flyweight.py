@@ -9,7 +9,7 @@ sharing an edge, and rows served alike whether or not the servers and
 clients run ``session_mux``.
 """
 
-from repro.client.flyweight import FlyweightConfig
+from repro.client.flyweight import SENDERS_MAX
 from repro.client.player import ClientConfig
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
@@ -176,15 +176,13 @@ def test_full_clients_and_rows_share_an_edge_through_a_crash():
 
 
 def test_rows_past_the_sender_cap_pick_the_same_daemons_as_before():
-    """Past ``senders_max`` a row round-robins over the sorted sender
+    """Past ``SENDERS_MAX`` a row round-robins over the sorted sender
     nodes, which are sorted once: the picks are the rule's, row by row."""
     sim = Simulator(seed=77)
     topology = build_edge_lan(sim, 1, 9)
     catalog = MovieCatalog([Movie.synthetic("feature", duration_s=30.0)])
     deployment = Deployment(topology, catalog, server_nodes=[0])
-    pool = deployment.attach_flyweight(
-        "feature", config=FlyweightConfig(senders_max=3)
-    )
+    pool = deployment.attach_flyweight("feature")
     # Edges in a scrambled order, so the sorted senders differ from the
     # order they were started in.
     hosts = [1 + (7 * index) % 9 for index in range(40)]
@@ -193,11 +191,11 @@ def test_rows_past_the_sender_cap_pick_the_same_daemons_as_before():
     senders, expected = set(), []
     for index, host in enumerate(hosts):
         node = topology.host(host)
-        if node in senders or len(senders) < 3:
+        if node in senders or len(senders) < SENDERS_MAX:
             senders.add(node)
             expected.append(node)
         else:
             nodes = sorted(senders)
             expected.append(nodes[index % len(nodes)])
     assert pool._senders == expected
-    assert len(set(expected)) == 3
+    assert len(set(expected)) == SENDERS_MAX

@@ -13,7 +13,7 @@ def test_registry_covers_every_cli_experiment():
     names = experiment_names()
     for expected in (
         "figure2", "figure4", "figure5", "capacity", "qos", "sync-overhead",
-        "emergency", "takeover", "overheads", "gcs", "faults", "chaos",
+        "emergency", "takeover", "gcs", "faults", "chaos",
         "ablations",
     ):
         assert expected in names

@@ -9,7 +9,8 @@ subcommand now takes only the flags its module reads, so those argv
 lines moved to ``REJECTED``, which pins argparse's usage error.  So did
 the rows of the six flags the retired shard path took (``scale
 --sharded-sizes / --shards / --workers / --shard-inline``, ``postmortem
---shards / --shard-inline``).
+--shards / --shard-inline``), and ``scale --window``: every scale run
+uses a one-second batch window.
 """
 
 import pytest
@@ -43,11 +44,11 @@ CLI_TABLE = [
     ("ablations", "ablations", None, {}, None),
     ("scale", "scale", None, {}, "artifacts/scale-telemetry.jsonl"),
     ("scale --sizes 100,200 --flyweight-sizes 20000 --wall-budget 5 "
-     "--duration 6 --window 0.5 --benchmark-json x.json",
+     "--duration 6 --benchmark-json x.json",
      "scale", None,
      {"benchmark_json": "x.json", "duration": 6.0,
       "flyweight_sizes": (20000,), "sizes": (100, 200),
-      "wall_budget": 5.0, "window": 0.5},
+      "wall_budget": 5.0},
      "artifacts/scale-telemetry.jsonl"),
     ("placement", "placement", None, {},
      "artifacts/placement-telemetry.jsonl"),
@@ -93,6 +94,8 @@ REJECTED = [
     "scale --shard-inline --no-telemetry",
     "postmortem --scale 2000 --shards 2",
     "postmortem --scale 2000 --shard-inline --no-telemetry",
+    # One batch window for every scale run.
+    "scale --window 0.5 --no-telemetry",
 ]
 
 #: Postmortem flags its chosen source never reads: argparse takes them
@@ -167,8 +170,7 @@ def test_subcommands_are_the_parents_22():
     subcommands = _subcommands()
     assert set(subcommands) == EXPERIMENT_SUBCOMMANDS | TOOLS
     assert len(subcommands) == 22
-    # The two aliases stay registry-only.
-    assert set(REGISTRY) - set(subcommands) == {"gcs_latency", "overheads"}
+    assert set(REGISTRY) <= set(subcommands)
     target = next(
         action for action in subcommands["profile"]._actions
         if action.dest == "target"

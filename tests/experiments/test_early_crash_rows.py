@@ -28,7 +28,7 @@ EARLY_CRASH = (
 
 def assert_every_row_listed_once(n_servers: int) -> None:
     point = run_scale_point(
-        20_000, 1.0, duration_s=20.0, crash_at=4.0, seed=77,
+        20_000, duration_s=20.0, crash_at=4.0, seed=77,
         n_servers=n_servers, flyweight=True,
     )
     assert (point.unlisted, point.listed_twice) == (0, 0)

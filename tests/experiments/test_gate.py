@@ -4,9 +4,10 @@ The real workloads run in CI; here each gate's table is exercised on a
 measurement synthesised from its committed baseline: (a) it passes,
 (b) every row fails alone when its value leaves the tolerance and holds
 inside it, (c) relations are strict, (d) missing values and unreadable
-files are ``FAIL`` lines rather than tracebacks, (e) ``main`` exits
-0/1/2.  The postmortem gate has no baseline, so its measurement is a
-small hand-built one plus a real run at test scale; the paper gate's
+measurements are ``FAIL`` lines rather than tracebacks, and a bad
+baseline is one ``error:`` line, (e) ``main`` exits 0/1/2.  The
+postmortem gate has no baseline, so its measurement is a small
+hand-built one plus a real run at test scale; the paper gate's
 baseline holds claims, not a measurement, so its measurement is a
 recorded ``artifacts/BENCH_paper.json`` plus one real run of the whole
 gate.
@@ -26,6 +27,7 @@ from repro.experiments.gate import (
     _select,
     check,
     judge,
+    load_baseline,
     main,
     measure_paper,
     measure_postmortem,
@@ -280,10 +282,36 @@ def test_an_unreadable_measurement_is_a_failure_line(tmp_path, capsys, content):
     path = tmp_path / "measured.json"
     if content is not None:
         path.write_text(content)
-    (line,) = check("scale", str(path), str(ROOT / GATES["scale"].baseline))
+    baseline = load_baseline("scale", str(ROOT / GATES["scale"].baseline))
+    (line,) = check("scale", str(path), baseline)
     assert line.startswith(f"FAIL scale unreadable: {path}")
     assert main(["scale", str(path)]) == 1
     assert f"FAIL scale unreadable: {path}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("baseline, problem", [
+    (None, "No such file"),
+    ('{"n_clients": 20', "Expecting"),
+    ("[1, 2]", "not a JSON object"),
+    ('{"schema": 99}', '"n_clients"'),
+])
+def test_a_bad_baseline_is_a_usage_error_naming_it(tmp_path, capsys, baseline, problem):
+    """A broken baseline is the caller's mistake, not a broken run: both
+    entry points print one ``error:`` line naming the file (and the key a
+    row's scope selects on), and exit 2 — never a ``FAIL`` blaming the
+    measurement."""
+    from repro.experiments.runner import main as repro_vod
+
+    measured = tmp_path / "measured.json"
+    measured.write_text(json.dumps(passing("scale")[0]))
+    path = tmp_path / "baseline.json"
+    if baseline is not None:
+        path.write_text(baseline)
+    for entry in (main, lambda argv: repro_vod(["gate", *argv])):
+        assert entry(["scale", str(measured), str(path)]) == 2
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        assert line.startswith(f"error: baseline {path}")
+        assert problem in line
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):

@@ -32,7 +32,7 @@ def _signature(point):
 
 #: The chaos point: the most-loaded server crashes mid-run.
 _N = 20_000 if os.environ.get("N20K") else 600
-_POINT = dict(batch_window_s=1.0, duration_s=4.0, crash_at=2.0, seed=77)
+_POINT = dict(duration_s=4.0, crash_at=2.0, seed=77)
 
 
 def test_recorder_on_off_equivalence_at_flyweight_chaos_point():
@@ -87,7 +87,7 @@ def test_postmortem_experiment_scale_source(tmp_path):
 def test_postmortem_experiment_export_replay(tmp_path):
     export = str(tmp_path / "run.jsonl.gz")
     run_scale_point(
-        200, 1.0, duration_s=4.0, crash_at=2.0, seed=77,
+        200, duration_s=4.0, crash_at=2.0, seed=77,
         telemetry_path=export,
     )
     result = run(ExperimentSpec(
@@ -122,7 +122,7 @@ def test_runner_postmortem_cli(tmp_path, capsys):
 
     export = str(tmp_path / "run.jsonl")
     run_scale_point(
-        200, 1.0, duration_s=4.0, crash_at=2.0, seed=77,
+        200, duration_s=4.0, crash_at=2.0, seed=77,
         telemetry_path=export,
     )
     assert main(["postmortem", "--from-export", export,
@@ -138,7 +138,7 @@ def test_runner_report_accepts_window_flags(tmp_path, capsys, flag):
 
     export = str(tmp_path / "run.jsonl")
     run_scale_point(
-        200, 1.0, duration_s=4.0, crash_at=2.0, seed=77,
+        200, duration_s=4.0, crash_at=2.0, seed=77,
         telemetry_path=export,
     )
     assert main(["report", export, flag, "2.0"]) == 0

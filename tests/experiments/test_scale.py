@@ -9,7 +9,7 @@ it must stay in the same band at 100 and 500 clients.
 
 import pytest
 
-from repro.experiments.scale import run_scale_point
+from repro.experiments.scale import build_scale_rig, run_scale_point
 
 #: Generous for CI machines; the run takes ~20-30 s on a laptop.  The
 #: pre-batching kernel needed minutes for the same population, so a blown
@@ -19,14 +19,12 @@ WALL_BUDGET_S = 180.0
 
 @pytest.fixture(scope="module")
 def point_100():
-    return run_scale_point(100, batch_window_s=1.0, duration_s=10.0,
-                           crash_at=6.0)
+    return run_scale_point(100, duration_s=10.0, crash_at=6.0)
 
 
 @pytest.fixture(scope="module")
 def point_500():
-    return run_scale_point(500, batch_window_s=1.0, duration_s=10.0,
-                           crash_at=6.0)
+    return run_scale_point(500, duration_s=10.0, crash_at=6.0)
 
 
 def test_500_clients_with_crash_inside_wall_budget(point_500):
@@ -54,12 +52,15 @@ def test_failover_latency_flat_in_population(point_100, point_500):
 
 
 def test_batched_beats_per_frame_event_count(point_100):
-    slow = run_scale_point(100, batch_window_s=0.0, duration_s=10.0,
-                           crash_at=6.0)
+    # The same rig and crash with no batch window: one timer event per frame.
+    sim, deployment, clients, _observer = build_scale_rig(100, 0.0)
+    sim.call_at(6.0, lambda: deployment.busiest_server().crash())
+    slow_events = sim.run_until(10.0)
+    slow_frames = sum(client.stats.received for client in clients)
     # The tentpole's whole premise: per-batch work replaces per-frame
     # work, collapsing the event volume for the same delivered stream.
-    assert point_100.events < 0.75 * slow.events
-    assert point_100.frames_delivered > 0.9 * slow.frames_delivered
+    assert point_100.events < 0.75 * slow_events
+    assert point_100.frames_delivered > 0.9 * slow_frames
 
 
 def test_an_injected_most_loaded_crash_fails_over_as_the_rig_did():
@@ -69,7 +70,6 @@ def test_an_injected_most_loaded_crash_fails_over_as_the_rig_did():
     134 latencies as when the rig crashed the server itself."""
     import hashlib
 
-    from repro.experiments.scale import build_scale_rig
     from repro.faulting import FaultInjector, FaultPlan
 
     sim, deployment, _clients, observer = build_scale_rig(

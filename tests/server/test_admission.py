@@ -16,7 +16,6 @@ from repro.server.admission import (
     RESUME,
     STANDARD,
     AdmissionSpec,
-    AdmitAll,
     DegradeOverload,
     RejectOverload,
     TokenBucket,
@@ -98,14 +97,6 @@ def test_classify_request_covers_the_three_classes():
 # ----------------------------------------------------------------------
 # Policies
 # ----------------------------------------------------------------------
-def test_admit_all_admits_everything():
-    policy = AdmitAll()
-    for req in (request(), request(quality_fps=12), request(resume_offset=9)):
-        decision = policy.decide(0.0, req)
-        assert decision.action == "admit"
-        assert decision.admitted
-
-
 def test_reject_policy_rejects_over_budget_then_recovers():
     policy = RejectOverload(rate_per_s=1.0, burst=2.0)
     assert policy.decide(0.0, request()).action == "admit"

@@ -60,6 +60,40 @@ class TestAttach:
             )
 
 
+@pytest.mark.parametrize("via", ["Deployment", "attach_client"])
+@pytest.mark.parametrize("server_mux, client_mux", [(True, False), (False, True)])
+def test_mismatched_session_mux_fails_loudly(via, server_mux, client_mux):
+    """Mismatched ``session_mux`` breaks the control path: with a mux
+    server and a session-group client the client never learns who
+    serves it.  Either way round, a crash of its server at 20 s stalls
+    it 0.53 s where matching configs stall it none (LAN, two servers,
+    seed 3).  So the mismatch is refused where the configs meet, naming
+    both values."""
+    from repro.client.player import ClientConfig
+    from repro.server.server import ServerConfig
+
+    sim = Simulator(seed=3)
+    topology = build_lan(sim, n_hosts=4)
+    catalog = MovieCatalog([Movie.synthetic("feature", duration_s=30.0)])
+    configs = dict(
+        server_config=ServerConfig(session_mux=server_mux),
+        client_config=ClientConfig(session_mux=client_mux),
+    )
+    with pytest.raises(ServiceError) as raised:
+        if via == "Deployment":
+            Deployment(topology, catalog, server_nodes=[0, 1], **configs)
+        else:
+            deployment = Deployment(
+                topology, catalog, server_nodes=[0, 1],
+                server_config=configs["server_config"],
+                client_config=ClientConfig(session_mux=server_mux),
+            )
+            deployment.attach_client(2, config=configs["client_config"])
+    message = str(raised.value)
+    assert f"ServerConfig.session_mux={server_mux}" in message
+    assert f"ClientConfig.session_mux={client_mux}" in message
+
+
 class TestFromPlacement:
     def test_replica_map_is_derived_from_the_plan(self):
         sim = Simulator(seed=11)

@@ -204,7 +204,7 @@ def _crash_chaos_trial(path):
 def _crash_scale_point(path):
     from repro.experiments.scale import run_scale_point
 
-    run_scale_point(20, 1.0, duration_s=8.0, telemetry_path=path)
+    run_scale_point(20, duration_s=8.0, telemetry_path=path)
 
 
 def _crash_strategy(path):

@@ -48,7 +48,7 @@ def _chaos_trial(path):
 def _scale_point(path):
     from repro.experiments.scale import run_scale_point
 
-    run_scale_point(20, 1.0, duration_s=8.0, telemetry_path=path, flight=True)
+    run_scale_point(20, duration_s=8.0, telemetry_path=path, flight=True)
 
 
 def _strategy(path):

@@ -101,7 +101,7 @@ class Clock:
 def test_lazy_windows_breach_and_recover():
     clock = Clock()
     tel = Telemetry(clock=clock)
-    monitor = SloMonitor(tel, rules=(GlitchFreeRule(),), window_s=10.0)
+    monitor = SloMonitor(tel, rules=(GlitchFreeRule(),))
     emitted = []
     tel.subscribe(lambda e: emitted.append(e), prefixes=("slo.",))
 
@@ -133,7 +133,7 @@ def test_lazy_windows_breach_and_recover():
 def test_stall_spanning_window_boundary_counts_in_both():
     clock = Clock()
     tel = Telemetry(clock=clock)
-    monitor = SloMonitor(tel, rules=(GlitchFreeRule(),), window_s=10.0)
+    monitor = SloMonitor(tel, rules=(GlitchFreeRule(),))
     clock.now = 8.0
     tel.emit("client.stall.begin", client="c0")
     clock.now = 12.0  # still stalled as window [0,10) closes
@@ -149,7 +149,7 @@ def test_stall_spanning_window_boundary_counts_in_both():
 def test_slow_takeover_breaches_failover_objective():
     clock = Clock()
     tel = Telemetry(clock=clock)
-    monitor = SloMonitor(tel, rules=(FailoverLatencyRule(),), window_s=10.0)
+    monitor = SloMonitor(tel, rules=(FailoverLatencyRule(),))
     clock.now = 5.0
     tel.emit("span.end", span="takeover", key="c0", duration_s=3.2)
     summary = monitor.finish(12.0)

@@ -19,7 +19,6 @@ def test_subsystem_error_taxonomy():
     assert issubclass(errors.SocketClosedError, errors.NetworkError)
     assert issubclass(errors.NotMemberError, errors.GroupError)
     assert issubclass(errors.UnknownMovieError, errors.MediaError)
-    assert issubclass(errors.NoServerAvailableError, errors.ServiceError)
     assert issubclass(errors.SessionError, errors.ServiceError)
 
 
