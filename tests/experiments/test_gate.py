@@ -32,6 +32,7 @@ from repro.experiments.gate import (
     measure_paper,
     measure_postmortem,
 )
+from repro.experiments.matrix import run_faceoff
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -395,3 +396,13 @@ def test_the_paper_gate_measures_then_passes():
     assert judge("paper", measured, baseline) == []
     recorded = json.loads((ROOT / "tests/data/BENCH_paper.json").read_text())
     assert _differing_paths(measured, recorded) == []
+
+
+def test_the_admission_faceoff_equals_its_matrix_baseline():
+    """The reject-vs-degrade faceoff, run on this tree, equals the
+    ``faceoff`` block of ``benchmarks/BENCH_matrix_baseline.json``
+    exactly, where the matrix gate only holds it within tolerances.  It
+    pins both admission actions and the storm rule's inputs."""
+    baseline = json.loads((ROOT / GATES["matrix"].baseline).read_text())
+    measured = json.loads(json.dumps(run_faceoff()))
+    assert _differing_paths(measured, baseline["faceoff"]) == []
