@@ -10,6 +10,6 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".buffers": ("InsertOutcome", "SoftwareBuffer"),
-    ".flow_control": ("FlowControlConfig", "FlowControlPolicy"),
+    ".flow_control": ("FlowControlPolicy",),
     ".player": ("ClientConfig", "ClientStats", "VoDClient"),
 })

@@ -24,44 +24,26 @@ below 15% occupancy the emergency is severe (base quantity 12), between
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ServiceError
 from repro.service.protocol import EmergencyLevel, FlowControlMsg, FlowKind
 
 
-@dataclass(frozen=True)
-class FlowControlConfig:
-    """Flow-control thresholds.
-
-    The water marks are fractions of the *combined* buffer capacity
-    (software + hardware): the paper derives the 1.7 s irregularity
-    coverage from 73% of the total 2.4 s of buffering.  The critical
-    thresholds are fractions of the *software* buffer: it is the shock
-    absorber in front of the decoder, and the paper's emergencies fire
-    exactly when it runs dry (crash: drops to 0 -> severe; load
-    balance: drops to ~1/4 -> mild).
-    """
-
-    low_water_frac: float = 0.73
-    high_water_frac: float = 0.88
-    critical_mild_frac: float = 0.30
-    critical_severe_frac: float = 0.15
-    normal_every_frames: int = 8
-    urgent_every_frames: int = 4
-
-    def validate(self) -> None:
-        if not 0 <= self.critical_severe_frac <= self.critical_mild_frac <= 1.0:
-            raise ServiceError(
-                "critical thresholds must satisfy 0 <= severe <= mild <= 1"
-            )
-        if not 0 < self.low_water_frac <= self.high_water_frac <= 1.0:
-            raise ServiceError(
-                "water marks must satisfy 0 < low <= high <= 1"
-            )
-        if self.normal_every_frames < 1 or self.urgent_every_frames < 1:
-            raise ServiceError("flow-control frequencies must be >= 1 frame")
+# The water marks are fractions of the *combined* buffer capacity
+# (software + hardware): the paper derives the 1.7 s irregularity
+# coverage from 73% of the total 2.4 s of buffering.  The critical
+# thresholds are fractions of the *software* buffer: it is the shock
+# absorber in front of the decoder, and the paper's emergencies fire
+# exactly when it runs dry (crash: drops to 0 -> severe; load balance:
+# drops to ~1/4 -> mild).
+LOW_WATER_FRAC = 0.73
+HIGH_WATER_FRAC = 0.88
+CRITICAL_MILD_FRAC = 0.30
+CRITICAL_SEVERE_FRAC = 0.15
+#: Received frames per message between the water marks, and outside them.
+NORMAL_EVERY_FRAMES = 8
+URGENT_EVERY_FRAMES = 4
 
 
 class FlowControlPolicy:
@@ -74,27 +56,22 @@ class FlowControlPolicy:
     """
 
     def __init__(
-        self,
-        config: FlowControlConfig,
-        capacity_frames: int,
-        sw_capacity_frames: Optional[int] = None,
+        self, capacity_frames: int, sw_capacity_frames: Optional[int] = None
     ) -> None:
-        config.validate()
         if capacity_frames < 4:
             raise ServiceError(
                 f"combined capacity too small: {capacity_frames!r} frames"
             )
         if sw_capacity_frames is None:
             sw_capacity_frames = capacity_frames
-        self.config = config
         self.capacity_frames = capacity_frames
         self.sw_capacity_frames = sw_capacity_frames
-        self.low_water = int(round(config.low_water_frac * capacity_frames))
-        self.high_water = int(round(config.high_water_frac * capacity_frames))
+        self.low_water = int(round(LOW_WATER_FRAC * capacity_frames))
+        self.high_water = int(round(HIGH_WATER_FRAC * capacity_frames))
         # "falls below 30% / 15%": strict float thresholds, so a buffer
         # sitting exactly at 16% of capacity is a *mild* emergency.
-        self.critical_mild = config.critical_mild_frac * sw_capacity_frames
-        self.critical_severe = config.critical_severe_frac * sw_capacity_frames
+        self.critical_mild = CRITICAL_MILD_FRAC * sw_capacity_frames
+        self.critical_severe = CRITICAL_SEVERE_FRAC * sw_capacity_frames
         # Occupancy when the previous request was sent (the "previous
         # occupancy" column of Figure 2).
         self.previous_occupancy: Optional[int] = None
@@ -168,10 +145,10 @@ class FlowControlPolicy:
         # report at the urgent cadence even while the combined occupancy
         # still sits between the water marks.
         if sw_occupancy < self.critical_mild:
-            return self.config.urgent_every_frames
+            return URGENT_EVERY_FRAMES
         if self.low_water <= occupancy < self.high_water:
-            return self.config.normal_every_frames
-        return self.config.urgent_every_frames
+            return NORMAL_EVERY_FRAMES
+        return URGENT_EVERY_FRAMES
 
     def in_normal_band(self, occupancy: int) -> bool:
         return self.low_water <= occupancy < self.high_water

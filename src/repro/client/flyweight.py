@@ -30,6 +30,7 @@ from __future__ import annotations
 from array import array
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.client.player import CONNECT_RETRY_S
 from repro.errors import ServiceError
 from repro.gcs.view import ProcessId
 from repro.net.address import Endpoint
@@ -52,14 +53,12 @@ SENDERS_MAX = 4
 
 class FlyweightPool:
     """Columnar registry of steady-state viewers for one movie.  Its
-    connect retry cadence is the full client's, from the deployment's
-    ``client_config``."""
+    connect retry cadence is the full client's."""
 
     def __init__(self, deployment: "Deployment", movie: str) -> None:
         self.deployment = deployment
         self.sim = deployment.sim
         self.movie_title = movie
-        self.connect_retry_s = deployment.client_config.connect_retry_s
         # Columnar row state.  Identity columns are immutable after
         # add_viewer; playheads live in the serving cohorts and only
         # land back here at finish time.
@@ -153,7 +152,7 @@ class FlyweightPool:
             self._connects.add(offset, index)
 
     def _send_connect(self, index: int) -> None:
-        """One connect attempt; self-rearms every ``connect_retry_s``
+        """One connect attempt; self-rearms every :data:`CONNECT_RETRY_S`
         until the row is served (the full client's retry loop)."""
         if self.started[index] or self.finished[index]:
             return
@@ -164,7 +163,7 @@ class FlyweightPool:
             sender_name=self.names[index],
         )
         self.connects_sent += 1
-        self._retries.add(self.sim.now + self.connect_retry_s, index)
+        self._retries.add(self.sim.now + CONNECT_RETRY_S, index)
 
     def connect_request(self, index: int) -> ConnectRequest:
         """Row ``index``'s connect, built from its columns: what it sends,

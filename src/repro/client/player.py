@@ -18,12 +18,13 @@ from repro.client.buffers import (
     InsertOutcome,
     SoftwareBuffer,
 )
-from repro.client.flow_control import FlowControlConfig, FlowControlPolicy
+from repro.client.flow_control import FlowControlPolicy
 from repro.errors import SessionError
 from repro.gcs.domain import GcsDomain
 from repro.gcs.endpoint import GcsEndpoint, GroupListener
 from repro.gcs.view import ProcessId, View
 from repro.media.decoder import DEFAULT_HW_CAPACITY_BYTES, HardwareDecoder
+from repro.media.movie import DEFAULT_FPS
 from repro.net.address import VIDEO_PORT
 from repro.net.packet import Datagram
 from repro.net.udp import UdpSocket
@@ -45,31 +46,35 @@ from repro.sim.process import Timer
 from repro.telemetry.series import Probe, TimeSeries
 
 
+#: Mean frame size of the paper's streams (1.4 Mbps / 30 fps).
+MEAN_FRAME_BYTES = 5833
+#: The application-level connect retry (flyweight rows use it too).
+CONNECT_RETRY_S = 1.0
+#: The least time between two emergency requests.
+EMERGENCY_REPEAT_S = 0.5
+#: After an emergency request the refill is expected to arrive over
+#: several seconds (the decaying quota); while the software buffer is
+#: visibly recovering the client does not re-request, bounding the
+#: refill overshoot (and hence overflow discards) per event.
+EMERGENCY_REFILL_WINDOW_S = 4.0
+#: How long the pump waits at a missing frame for a re-ordered late
+#: arrival before giving the frame up (network losses are never
+#: recovered — Section 2 — so waiting longer only drains the decoder).
+#: Sized to cover WAN route-flap detours (~120 ms).
+REORDER_PATIENCE_S = 0.25
+#: Silence threshold after which the client re-sends its connect
+#: request through the server group (last-resort self-repair).
+RECONNECT_AFTER_S = 6.0
+#: Buffer-occupancy sampling period of the client's probe.
+PROBE_PERIOD_S = 0.25
+
+
 @dataclass(frozen=True)
 class ClientConfig:
     """Client tunables, defaulted to the paper's prototype values."""
 
     sw_capacity_frames: int = DEFAULT_SW_CAPACITY_FRAMES
     hw_capacity_bytes: int = DEFAULT_HW_CAPACITY_BYTES
-    fps: int = 30
-    mean_frame_bytes: int = 5833  # 1.4 Mbps / 30 fps
-    flow: FlowControlConfig = field(default_factory=FlowControlConfig)
-    connect_retry_s: float = 1.0
-    emergency_repeat_s: float = 0.5
-    # After an emergency request the refill is expected to arrive over
-    # several seconds (the decaying quota); while the software buffer is
-    # visibly recovering the client does not re-request, bounding the
-    # refill overshoot (and hence overflow discards) per event.
-    emergency_refill_window_s: float = 4.0
-    # How long the pump waits at a missing frame for a re-ordered late
-    # arrival before giving the frame up (network losses are never
-    # recovered — Section 2 — so waiting longer only drains the
-    # decoder).  Sized to cover WAN route-flap detours (~120 ms).
-    reorder_patience_s: float = 0.25
-    # Silence threshold after which the client re-sends its connect
-    # request through the server group (last-resort self-repair).
-    reconnect_after_s: float = 6.0
-    probe_period_s: float = 0.25
 
     # Session-group multiplexing: when true the client joins no
     # per-client session group at all.  It learns (and tracks) its
@@ -94,7 +99,7 @@ class ClientConfig:
 
     def hw_capacity_frames(self) -> int:
         """Hardware capacity expressed in (mean-size) frames."""
-        return int(self.hw_capacity_bytes / self.mean_frame_bytes)
+        return int(self.hw_capacity_bytes / MEAN_FRAME_BYTES)
 
     def combined_capacity_frames(self) -> int:
         return self.sw_capacity_frames + self.hw_capacity_frames()
@@ -176,7 +181,6 @@ class VoDClient:
         self.software_buffer = SoftwareBuffer(self.config.sw_capacity_frames)
         self.decoder = HardwareDecoder(self.config.hw_capacity_bytes)
         self.flow = FlowControlPolicy(
-            self.config.flow,
             self.config.combined_capacity_frames(),
             sw_capacity_frames=self.config.sw_capacity_frames,
         )
@@ -216,7 +220,7 @@ class VoDClient:
         self._playhead_frac = 0.0
         self._resync_playhead = True
         self._decode_credit = 0.0
-        self._probe = Probe(self.sim, self.config.probe_period_s, owner=name)
+        self._probe = Probe(self.sim, PROBE_PERIOD_S, owner=name)
         self._init_series()
         # Telemetry edge-detection state (no effect on behaviour).
         self._session_span = None
@@ -261,7 +265,7 @@ class VoDClient:
             )
         self._send_connect()
         self._connect_timer = Timer(
-            self.sim, self.config.connect_retry_s, self._connect_retry
+            self.sim, CONNECT_RETRY_S, self._connect_retry
         )
 
     def list_movies(self, callback: Callable[[Tuple[str, ...]], None]) -> None:
@@ -296,7 +300,7 @@ class VoDClient:
         """Random access within the movie."""
         self._require_session()
         self.epoch += 1
-        target_index = max(1, int(position_s * self.config.fps) + 1)
+        target_index = max(1, int(position_s * DEFAULT_FPS) + 1)
         self.software_buffer.clear()
         self._discarded_indices.clear()
         self.decoder.flush()
@@ -536,9 +540,9 @@ class VoDClient:
         refill shows no progress (the server may be gone); while frames
         are visibly flowing back in, wait out the refill window."""
         elapsed = self.sim.now - self._last_emergency_at
-        if elapsed < self.config.emergency_repeat_s:
+        if elapsed < EMERGENCY_REPEAT_S:
             return False
-        if elapsed >= self.config.emergency_refill_window_s:
+        if elapsed >= EMERGENCY_REFILL_WINDOW_S:
             return True
         return self.software_buffer.occupancy <= self._occ_at_last_emergency
 
@@ -555,7 +559,7 @@ class VoDClient:
         if tel.active:
             tel.emit("client.playback.start", client=self.name)
         self._decoder_timer = Timer(
-            self.sim, 1.0 / self.config.fps, self._decoder_tick
+            self.sim, 1.0 / DEFAULT_FPS, self._decoder_tick
         )
 
     def _decoder_tick(self) -> None:
@@ -567,7 +571,7 @@ class VoDClient:
         if self.config.max_decode_fps is not None:
             self._decode_credit = min(
                 2.0,
-                self._decode_credit + self.config.max_decode_fps / self.config.fps,
+                self._decode_credit + self.config.max_decode_fps / DEFAULT_FPS,
             )
         head = self.decoder.peek_head_index()
         if head is None:
@@ -641,7 +645,7 @@ class VoDClient:
             return self.software_buffer.is_full
         if self.software_buffer.is_full:
             return True
-        return self.sim.now - self._gap_since >= self.config.reorder_patience_s
+        return self.sim.now - self._gap_since >= REORDER_PATIENCE_S
 
     def _decode_budget_available(self) -> bool:
         """Token bucket modelling a software decoder's CPU limit.
@@ -737,7 +741,7 @@ class VoDClient:
         if (
             not self.endpoint.closed
             and self.sim.now - self._last_frame_at
-            > self.config.reconnect_after_s
+            > RECONNECT_AFTER_S
         ):
             self._last_frame_at = self.sim.now  # pace re-announcements
             self.stats.reconnects += 1
@@ -745,7 +749,7 @@ class VoDClient:
         sw_occupancy = self.software_buffer.occupancy
         if sw_occupancy >= self.flow.critical_mild:
             return
-        if self.sim.now - self._last_emergency_at < self.config.emergency_repeat_s:
+        if self.sim.now - self._last_emergency_at < EMERGENCY_REPEAT_S:
             return
         message = self.flow.decide(self.combined_occupancy, sw_occupancy)
         if message is not None and message.kind == FlowKind.EMERGENCY:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.client.flow_control import FlowControlConfig, FlowControlPolicy
+from repro.client.flow_control import FlowControlPolicy
 from repro.service.protocol import FlowControlMsg, FlowKind
 from repro.telemetry.text import Table
 
@@ -31,11 +31,9 @@ def _describe(message: Optional[FlowControlMsg]) -> str:
     return message.kind.value
 
 
-def generate_policy_rows(
-    capacity_frames: int = 79, config: Optional[FlowControlConfig] = None
-) -> List[PolicyRow]:
+def generate_policy_rows(capacity_frames: int = 79) -> List[PolicyRow]:
     """Evaluate the policy across all Figure 2 bands."""
-    policy = FlowControlPolicy(config or FlowControlConfig(), capacity_frames)
+    policy = FlowControlPolicy(capacity_frames)
     lwm, hwm = policy.low_water, policy.high_water
     mild, severe = int(policy.critical_mild), int(policy.critical_severe)
     mid = (lwm + hwm) // 2

@@ -59,9 +59,7 @@ CLIENT_MIXES = ("hardware", "software", "small-buffers", "lossy-lastmile")
 
 #: What a population cell's admission policy looks like (degrade under
 #: overload; resumes stay exempt so fault tolerance is never throttled).
-POPULATION_ADMISSION = AdmissionSpec(
-    mode="degrade", rate_per_s=0.5, burst=3.0, degraded_fps=12
-)
+POPULATION_ADMISSION = AdmissionSpec(mode="degrade", rate_per_s=0.5, burst=3.0)
 
 
 @dataclass(frozen=True)
@@ -407,9 +405,7 @@ def run_faceoff(matrix_seed: int = 11) -> Dict:
             run_duration_s=60.0,
             seed=seed,
             workload=workload,
-            admission=AdmissionSpec(
-                mode=mode, rate_per_s=0.4, burst=2.0, degraded_fps=12
-            ),
+            admission=AdmissionSpec(mode=mode, rate_per_s=0.4, burst=2.0),
             n_client_hosts=workload.n_viewers + 1,
         )
         result = run_scenario(spec, observe=True)

@@ -37,7 +37,7 @@ it does not perturb the simulation it watches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.gcs.membership import (
@@ -46,6 +46,7 @@ from repro.gcs.membership import (
     FLUSH_TIMEOUT,
     MemberState,
 )
+from repro.media.movie import DEFAULT_FPS
 from repro.sim.process import Timer
 
 #: Rule 5: the longest a flush may last with no suspicion to explain it.
@@ -129,8 +130,9 @@ class InvariantChecker:
         # Frames a takeover offset may differ from the best shared
         # offset: the staleness bound at the emergency-inflated rate
         # (40% extra bandwidth) plus a little merge slack.
-        rate = deployment.server_config.default_rate_fps
-        self.offset_bound_frames = int(math.ceil(1.4 * rate * staleness_bound_s)) + 4
+        self.offset_bound_frames = (
+            int(math.ceil(1.4 * DEFAULT_FPS * staleness_bound_s)) + 4
+        )
 
         self.violations: List[Violation] = []
         self.takeovers: List[Tuple[float, str, str, int]] = []

@@ -123,22 +123,3 @@ class MovieCatalog:
         paper's fault-tolerance contract.
         """
         return len(self.full_replicas(title))
-
-    def place_round_robin(self, server_names: List[str], k: int) -> None:
-        """Spread every movie over ``k`` of the given servers.
-
-        Title ``i`` (in sorted order) goes to servers ``i..i+k-1``
-        (mod n), so storage is balanced and every movie tolerates k-1
-        failures — the paper's "each movie is replicated at a subset of
-        the servers" made concrete.
-        """
-        from repro.errors import MediaError
-
-        if not 1 <= k <= len(server_names):
-            raise MediaError(
-                f"need 1 <= k <= {len(server_names)} servers, got k={k}"
-            )
-        for position, title in enumerate(self.titles()):
-            for offset in range(k):
-                server = server_names[(position + offset) % len(server_names)]
-                self.place_replica(title, server)

@@ -40,7 +40,6 @@ class ServerProfile:
     ``domain`` names the correlated-failure domain (rack, site, power
     feed): a correlated crash takes down a whole domain at once, so
     availability-driven strategies spread replicas across domains.
-    ``capacity_s`` bounds stored video seconds (None = unbounded);
     ``edge`` marks prefix-cache candidates.
     """
 
@@ -48,7 +47,6 @@ class ServerProfile:
     domain: str = "default"
     fail_rate: float = 0.01
     repair_rate: float = 1.0
-    capacity_s: Optional[float] = None
     edge: bool = False
 
     @property

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
-from repro.placement.plan import PlacementPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.deployment import Deployment
@@ -192,42 +191,3 @@ class Rebalancer:
                         replicas=len(holders) + 1, target_k=k,
                     )
         return additions
-
-    # ------------------------------------------------------------------
-    # Plan application
-    # ------------------------------------------------------------------
-    def apply_plan(self, plan: PlacementPlan) -> Dict[str, int]:
-        """Drive the live replica map toward ``plan``.
-
-        Diffs the catalog's current placement against the plan's and,
-        per title, pairs one removal with one addition as a
-        :meth:`migrate`; leftover additions become :meth:`add_movie`
-        calls and leftover removals become delayed drops.  Only live
-        servers participate; dead holders are left for :meth:`heal`.
-        Returns counts of scheduled operations.
-        """
-        catalog = self.deployment.catalog
-        live = {
-            server.name for server in self.deployment.live_servers()
-        }
-        stats = {"migrations": 0, "additions": 0, "drops": 0}
-        for title in plan.titles():
-            if title not in catalog:
-                continue
-            desired = set(plan.replicas(title)) & live
-            current = catalog.full_replicas(title) & live
-            removals = sorted(current - desired)
-            additions = sorted(desired - current)
-            while removals and additions:
-                self.migrate(title, removals.pop(0), additions.pop(0))
-                stats["migrations"] += 1
-            for name in additions:
-                self.deployment.server(name).add_movie(title)
-                stats["additions"] += 1
-            for name in removals:
-                if len(current) - 1 < 1:
-                    continue  # never drop the last live replica
-                self.deployment.server(name).drop_movie(title)
-                current.discard(name)
-                stats["drops"] += 1
-        return stats

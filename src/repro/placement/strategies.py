@@ -7,8 +7,8 @@ The menu the experiments compare:
   strategy.  Ignores popularity and failure domains, which is exactly
   why it loses the correlated-crash comparison.
 * :class:`PopularityProportional` — replica counts scale with Zipf
-  share: the head of the catalog gets ``max_k`` copies, the tail the
-  ``k`` floor.  Counts are monotone non-increasing in rank (property
+  share: the head of the catalog gets a copy on every server, the tail
+  the ``k`` floor.  Counts are monotone non-increasing in rank (property
   tested).
 * :class:`MarkovAvailability` — per-server steady-state availability
   from the two-state Markov chain (PAPERS.md: "A Reliable Replication
@@ -21,9 +21,8 @@ The menu the experiments compare:
   VoD Services"); sessions hand off mid-stream (see
   ``repro.server.server``).
 
-All strategies are deterministic (sorted tie-breaking, no RNG), honour
-per-server ``capacity_s`` limits, and guarantee at least ``ctx.k`` full
-replicas per title whenever capacity allows.
+All strategies are deterministic (sorted tie-breaking, no RNG) and
+place at least ``ctx.k`` full replicas per title.
 """
 
 from __future__ import annotations
@@ -33,6 +32,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import ServiceError
 from repro.placement.plan import PlacementContext, PlacementPlan, ServerProfile
+
+#: The base availability a title must reach under
+#: :class:`MarkovAvailability`, before the boost for hot titles.
+AVAILABILITY_TARGET = 0.999
 
 
 class PlacementStrategy:
@@ -44,45 +47,20 @@ class PlacementStrategy:
         raise NotImplementedError
 
 
-class _CapacityLedger:
-    """Tracks remaining storage seconds per server during a build."""
-
-    def __init__(self, servers: Sequence[ServerProfile]) -> None:
-        self._remaining: Dict[str, Optional[float]] = {
-            profile.name: profile.capacity_s for profile in servers
-        }
-        self._used: Dict[str, float] = {profile.name: 0.0 for profile in servers}
-
-    def fits(self, server: str, seconds: float) -> bool:
-        remaining = self._remaining[server]
-        return remaining is None or remaining >= seconds
-
-    def charge(self, server: str, seconds: float) -> None:
-        self._used[server] += seconds
-        if self._remaining[server] is not None:
-            self._remaining[server] -= seconds
-
-    def used(self, server: str) -> float:
-        return self._used[server]
-
-
 def _pick_replicas(
-    ctx: PlacementContext,
-    ledger: _CapacityLedger,
+    used: Dict[str, float],
     candidates: Sequence[ServerProfile],
     duration: float,
     count: int,
 ) -> List[str]:
-    """``count`` least-loaded candidates with room, ties by name."""
-    chosen: List[str] = []
-    for profile in sorted(
-        candidates, key=lambda p: (ledger.used(p.name), p.name)
-    ):
-        if len(chosen) >= count:
-            break
-        if ledger.fits(profile.name, duration):
-            chosen.append(profile.name)
-            ledger.charge(profile.name, duration)
+    """The ``count`` candidates storing the fewest seconds (``used``),
+    ties by name; charges them ``duration``."""
+    chosen = [
+        profile.name
+        for profile in sorted(candidates, key=lambda p: (used[p.name], p.name))
+    ][:count]
+    for name in chosen:
+        used[name] += duration
     return chosen
 
 
@@ -140,25 +118,10 @@ class StaticKWay(PlacementStrategy):
             raise ServiceError(
                 f"need 1 <= k <= {len(servers)} servers, got k={k}"
             )
-        ledger = _CapacityLedger(servers)
         plan = PlacementPlan(strategy=self.name, k=k)
         for position, title in enumerate(ctx.titles):
-            duration = ctx.duration_of(title)
-            placed = 0
-            # Walk the ring from the title's home position, skipping
-            # full servers, until k replicas land (or capacity is out).
-            for offset in range(len(servers)):
-                if placed >= k:
-                    break
-                profile = servers[(position + offset) % len(servers)]
-                if ledger.fits(profile.name, duration):
-                    ledger.charge(profile.name, duration)
-                    plan.place(title, profile.name)
-                    placed += 1
-            if placed == 0:
-                raise ServiceError(
-                    f"no capacity anywhere for {title!r}"
-                )
+            for offset in range(k):
+                plan.place(title, servers[(position + offset) % len(servers)].name)
         return plan
 
 
@@ -166,22 +129,23 @@ class StaticKWay(PlacementStrategy):
 class PopularityProportional(PlacementStrategy):
     """Replica counts proportional to Zipf share.
 
-    Rank ``r`` gets ``k + round((max_k - k) * w_r / w_1)`` full
-    replicas, where ``w_r = r**-alpha`` — a monotone non-increasing
-    function of rank, so a hotter title never has fewer copies than a
-    colder one.  Replicas land on the least-loaded servers
-    (storage-wise) for balance.
+    Rank ``r`` gets ``k + round((n - k) * w_r / w_1)`` full replicas
+    over ``n`` servers, where ``w_r = r**-alpha`` — a monotone
+    non-increasing function of rank, so a hotter title never has fewer
+    copies than a colder one, and the head of the catalog is on every
+    server.  Replicas land on the least-loaded servers (storage-wise)
+    for balance.
     """
 
-    max_k: Optional[int] = None
     name: str = "popularity"
 
     def replica_counts(self, ctx: PlacementContext) -> Dict[str, int]:
         n_servers = len(ctx.servers)
-        max_k = n_servers if self.max_k is None else min(self.max_k, n_servers)
-        if max_k < ctx.k:
-            raise ServiceError(f"max_k={max_k} below the k={ctx.k} floor")
-        span = max_k - ctx.k
+        if n_servers < ctx.k:
+            raise ServiceError(
+                f"{n_servers} servers are below the k={ctx.k} floor"
+            )
+        span = n_servers - ctx.k
         counts: Dict[str, int] = {}
         for rank, title in enumerate(ctx.titles, start=1):
             weight = rank ** (-ctx.alpha)  # w_1 == 1.0
@@ -190,16 +154,12 @@ class PopularityProportional(PlacementStrategy):
 
     def build(self, ctx: PlacementContext) -> PlacementPlan:
         counts = self.replica_counts(ctx)
-        ledger = _CapacityLedger(ctx.servers)
+        used = {profile.name: 0.0 for profile in ctx.servers}
         plan = PlacementPlan(strategy=self.name, k=ctx.k)
         for title in ctx.titles:
-            duration = ctx.duration_of(title)
-            chosen = _pick_replicas(
-                ctx, ledger, ctx.servers, duration, counts[title]
-            )
-            if not chosen:
-                raise ServiceError(f"no capacity anywhere for {title!r}")
-            for server in chosen:
+            for server in _pick_replicas(
+                used, ctx.servers, ctx.duration_of(title), counts[title]
+            ):
                 plan.place(title, server)
         return plan
 
@@ -215,15 +175,14 @@ class MarkovAvailability(PlacementStrategy):
     load — until ``P(all replicas down) = prod(1 - a_s)`` drops below
     the title's unavailability budget and the ``k`` floor is met.
 
-    Hot titles get tighter budgets: the base ``target`` is scaled by
-    the title's Zipf share relative to the uniform share, so the head
-    of the catalog picks up extra replicas.  The domain-first ordering
-    is what beats :class:`StaticKWay` under a correlated (whole-rack)
-    crash: k-way happily lands both copies of some titles in one rack.
+    Hot titles get tighter budgets: the base :data:`AVAILABILITY_TARGET`
+    is scaled by the title's Zipf share relative to the uniform share,
+    so the head of the catalog picks up extra replicas.  The
+    domain-first ordering is what beats :class:`StaticKWay` under a
+    correlated (whole-rack) crash: k-way happily lands both copies of
+    some titles in one rack.
     """
 
-    target: float = 0.999
-    max_k: Optional[int] = None
     name: str = "markov"
 
     def required_unavailability(
@@ -232,44 +191,33 @@ class MarkovAvailability(PlacementStrategy):
         shares = ctx.shares()
         uniform = 1.0 / len(ctx.titles)
         boost = max(1.0, shares[title] / uniform)
-        return (1.0 - self.target) / boost
+        return (1.0 - AVAILABILITY_TARGET) / boost
 
     def build(self, ctx: PlacementContext) -> PlacementPlan:
-        ledger = _CapacityLedger(ctx.servers)
+        used = {profile.name: 0.0 for profile in ctx.servers}
         plan = PlacementPlan(strategy=self.name, k=ctx.k)
-        max_k = len(ctx.servers) if self.max_k is None else self.max_k
         for title in ctx.titles:
             duration = ctx.duration_of(title)
             budget = self.required_unavailability(ctx, title)
             chosen: List[str] = []
             used_domains: set = set()
             unavailable = 1.0
-            while len(chosen) < max_k:
-                candidates = [
-                    profile
-                    for profile in ctx.servers
-                    if profile.name not in chosen
-                    and ledger.fits(profile.name, duration)
-                ]
-                if not candidates:
-                    break
-                candidates.sort(
+            while len(chosen) < len(ctx.servers):
+                profile = min(
+                    (p for p in ctx.servers if p.name not in chosen),
                     key=lambda p: (
                         p.domain in used_domains,  # fresh domains first
                         -p.availability,
-                        ledger.used(p.name),
+                        used[p.name],
                         p.name,
-                    )
+                    ),
                 )
-                profile = candidates[0]
                 chosen.append(profile.name)
                 used_domains.add(profile.domain)
-                ledger.charge(profile.name, duration)
+                used[profile.name] += duration
                 unavailable *= 1.0 - profile.availability
                 if len(chosen) >= ctx.k and unavailable <= budget:
                     break
-            if not chosen:
-                raise ServiceError(f"no capacity anywhere for {title!r}")
             for server in chosen:
                 plan.place(title, server)
         return plan
@@ -280,16 +228,13 @@ class PrefixPlacement(PlacementStrategy):
     """Core k-way full copies plus prefix caches on edge servers.
 
     Servers whose profile has ``edge=True`` store only the first
-    ``prefix_s`` seconds of each title (all titles by default; the most
-    popular ``head_fraction`` of the catalog otherwise).  Full copies
-    go k-way round-robin over the non-edge core.  Edge admission and
-    the mid-stream handoff are the server's job — the plan only says
-    who stores what.
+    ``prefix_s`` seconds of every title.  Full copies go k-way
+    round-robin over the non-edge core.  Edge admission and the
+    mid-stream handoff are the server's job — the plan only says who
+    stores what.
     """
 
     prefix_s: float = 60.0
-    head_fraction: float = 1.0
-    core_k: Optional[int] = None
     name: str = "prefix"
 
     def build(self, ctx: PlacementContext) -> PlacementPlan:
@@ -297,7 +242,6 @@ class PrefixPlacement(PlacementStrategy):
         core = [profile for profile in ctx.servers if not profile.edge]
         if not core:
             raise ServiceError("prefix placement needs at least one core server")
-        core_k = self.core_k if self.core_k is not None else min(ctx.k, len(core))
         core_ctx = PlacementContext(
             catalog=ctx.catalog,
             servers=core,
@@ -305,17 +249,11 @@ class PrefixPlacement(PlacementStrategy):
             alpha=ctx.alpha,
             titles=ctx.titles,
         )
-        plan = StaticKWay(k=core_k).build(core_ctx)
+        plan = StaticKWay().build(core_ctx)
         plan.strategy = self.name
-        plan.k = core_ctx.k
-        ledger = _CapacityLedger(edges)
-        head = max(1, int(round(self.head_fraction * len(ctx.titles))))
-        for title in list(ctx.titles)[:head]:
-            stored = min(self.prefix_s, ctx.duration_of(title))
+        for title in ctx.titles:
             for profile in sorted(edges, key=lambda p: p.name):
-                if ledger.fits(profile.name, stored):
-                    ledger.charge(profile.name, stored)
-                    plan.place(title, profile.name, prefix_s=self.prefix_s)
+                plan.place(title, profile.name, prefix_s=self.prefix_s)
         return plan
 
 

@@ -13,7 +13,7 @@ Connect requests are classified into traffic classes
 (:func:`classify_request`): ``resume`` (a mid-stream reconnect after a
 crash — never throttled, or faults would orphan viewers), ``interactive``
 (the client itself asked for reduced quality, e.g. a software decoder)
-and ``standard`` (everyone else).  A policy holds one
+and ``standard`` (everyone else).  The policy holds one
 :class:`TokenBucket` per metered class — per-class buckets are the
 starvation-fairness mechanism: a flash crowd draining the ``standard``
 bucket cannot starve ``interactive`` viewers, and vice versa.
@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import merge
 from itertools import compress
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.errors import ServiceError
 
@@ -136,85 +136,37 @@ class AdmissionDecision:
         return self.action != "reject"
 
 
+#: The stream rate an over-budget connect is granted in ``degrade`` mode.
+DEGRADED_FPS = 12
+
+
 class AdmissionPolicy:
-    """Base policy: classify, then decide admit/degrade/reject."""
+    """Token-bucket admission under one overload action.
 
-    name = "admission"
+    The ``standard`` and ``interactive`` classes each draw from their
+    own bucket; ``resume`` traffic passes straight through.  Over budget,
+    ``reject`` mode turns the connect away (the client keeps retrying on
+    its 1 s connect cadence and gets in once the class bucket has
+    refilled — a deterministic busy-signal queue), and ``degrade`` mode
+    admits it at :data:`DEGRADED_FPS` instead of the full stream rate —
+    everyone gets a picture, the over-budget picture just costs less
+    bandwidth.
+    """
 
-    def decide(self, now: float, request) -> AdmissionDecision:
-        raise NotImplementedError
-
-
-class _TokenBucketPolicy(AdmissionPolicy):
-    """Shared machinery: one bucket per metered class, exempt classes
-    pass straight through."""
-
-    def __init__(
-        self,
-        rate_per_s: float,
-        burst: float,
-        classes: Tuple[str, ...] = (STANDARD, INTERACTIVE),
-        exempt: Tuple[str, ...] = (RESUME,),
-    ) -> None:
-        self.exempt = tuple(exempt)
+    def __init__(self, mode: str, rate_per_s: float, burst: float) -> None:
+        self.mode = mode
         self.buckets: Dict[str, TokenBucket] = {
-            tclass: TokenBucket(burst, rate_per_s) for tclass in classes
+            tclass: TokenBucket(burst, rate_per_s)
+            for tclass in (STANDARD, INTERACTIVE)
         }
 
-    def _has_token(self, now: float, tclass: str) -> bool:
-        if tclass in self.exempt:
-            return True
-        bucket = self.buckets.get(tclass)
-        if bucket is None:
-            # Unmetered class: treat like exempt (fail open, never
-            # strand a viewer because a class was not configured).
-            return True
-        return bucket.take(now)
-
-
-class RejectOverload(_TokenBucketPolicy):
-    """Token-bucket admission, rejecting everything over budget.
-
-    The rejected client keeps retrying on its 1 s connect cadence and
-    gets in once the class bucket has refilled — a deterministic
-    busy-signal queue."""
-
-    name = "reject"
-
     def decide(self, now: float, request) -> AdmissionDecision:
         tclass = classify_request(request)
-        if self._has_token(now, tclass):
+        if tclass == RESUME or self.buckets[tclass].take(now):
             return AdmissionDecision(action="admit", tclass=tclass)
-        return AdmissionDecision(action="reject", tclass=tclass)
-
-
-class DegradeOverload(_TokenBucketPolicy):
-    """Token-bucket admission, degrading overload to a lower quality.
-
-    Over-budget requests are admitted immediately but granted
-    ``degraded_fps`` instead of the full stream rate — everyone gets a
-    picture, the over-budget picture just costs less bandwidth."""
-
-    name = "degrade"
-
-    def __init__(
-        self,
-        rate_per_s: float,
-        burst: float,
-        degraded_fps: int = 12,
-        classes: Tuple[str, ...] = (STANDARD, INTERACTIVE),
-        exempt: Tuple[str, ...] = (RESUME,),
-    ) -> None:
-        super().__init__(rate_per_s, burst, classes=classes, exempt=exempt)
-        if degraded_fps < 1:
-            raise ServiceError(f"degraded_fps must be >= 1, got {degraded_fps!r}")
-        self.degraded_fps = int(degraded_fps)
-
-    def decide(self, now: float, request) -> AdmissionDecision:
-        tclass = classify_request(request)
-        if self._has_token(now, tclass):
-            return AdmissionDecision(action="admit", tclass=tclass)
-        quality = self.degraded_fps
+        if self.mode == "reject":
+            return AdmissionDecision(action="reject", tclass=tclass)
+        quality = DEGRADED_FPS
         if request.quality_fps is not None:
             quality = min(quality, int(request.quality_fps))
         return AdmissionDecision(
@@ -234,20 +186,15 @@ class AdmissionSpec:
     mode: str = "open"
     rate_per_s: float = 0.5
     burst: float = 3.0
-    degraded_fps: int = 12
 
     def build(self) -> Optional[AdmissionPolicy]:
         """The policy instance, or None for ``open`` (= no policy hook,
         byte-for-byte the historical admission path)."""
         if self.mode == "open":
             return None
-        if self.mode == "reject":
-            return RejectOverload(self.rate_per_s, self.burst)
-        if self.mode == "degrade":
-            return DegradeOverload(
-                self.rate_per_s, self.burst, degraded_fps=self.degraded_fps
-            )
-        raise ServiceError(f"unknown admission mode {self.mode!r}")
+        if self.mode not in ("reject", "degrade"):
+            raise ServiceError(f"unknown admission mode {self.mode!r}")
+        return AdmissionPolicy(self.mode, self.rate_per_s, self.burst)
 
 
 class AdmissionQueue:

@@ -23,21 +23,24 @@ from repro.errors import ServiceError
 from repro.service.protocol import EmergencyLevel, FlowControlMsg, FlowKind
 
 
+#: The factor each second's emergency quantity decays by (paper
+#: Section 4.1).
+DECAY = 0.8
+
+
 @dataclass(frozen=True)
 class EmergencyConfig:
-    """Emergency refill parameters (paper Section 4.1)."""
+    """Emergency refill quantities (paper Section 4.1); ablation A-2
+    sweeps them."""
 
     base_severe: int = 12  # occupancy below 15%
     base_mild: int = 6  # occupancy below 30%
-    decay: float = 0.8
 
     def validate(self) -> None:
         if self.base_mild < 0 or self.base_severe < self.base_mild:
             raise ServiceError(
                 f"need 0 <= mild <= severe, got {self.base_mild}/{self.base_severe}"
             )
-        if not 0.0 < self.decay < 1.0:
-            raise ServiceError(f"decay must be in (0,1), got {self.decay!r}")
 
     def base_for(self, level: EmergencyLevel) -> int:
         if level == EmergencyLevel.SEVERE:
@@ -50,7 +53,7 @@ class EmergencyConfig:
         quantity = self.base_for(level)
         while quantity > 0:
             quantities.append(quantity)
-            quantity = math.floor(quantity * self.decay)
+            quantity = math.floor(quantity * DECAY)
         return quantities
 
     def total_extra_frames(self, level: EmergencyLevel) -> int:
@@ -184,7 +187,7 @@ class RateController:
         """Called once per second: decay the emergency quantity."""
         if self.emergency_quantity > 0:
             self.emergency_quantity = math.floor(
-                self.emergency_quantity * self.emergency.decay
+                self.emergency_quantity * DECAY
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple
 
 from repro.gcs.endpoint import GroupListener
 from repro.gcs.view import ProcessId, View
+from repro.media.movie import DEFAULT_FPS
 from repro.server import prefix
 from repro.server.admission import AdmissionQueue
 from repro.server.state import MovieState, OwnerMap, choose_owner, rebalance
@@ -158,7 +159,7 @@ class MovieReplica:
             session=request.session,
             video_endpoint=request.video_endpoint,
             offset=offset,
-            rate_fps=server.config.default_rate_fps,
+            rate_fps=DEFAULT_FPS,
             quality_fps=quality_fps,
             paused=False,
             epoch=request.resume_epoch,
@@ -231,7 +232,7 @@ class MovieReplica:
             )
             if decision.quality_fps is not None:
                 fields["quality_fps"] = decision.quality_fps
-                fields["base_fps"] = server.config.default_rate_fps
+                fields["base_fps"] = DEFAULT_FPS
             tel.emit(f"server.admission.{decision.action}", **fields)
             tel.count(f"server.admission.{decision.action}")
         return decision

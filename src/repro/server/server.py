@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ServerConfig:
     """Server tunables, defaulted to the paper's prototype values."""
 
-    default_rate_fps: int = 30
     sync_interval_s: float = 0.5  # "servers synchronize every 1/2 second"
     emergency: EmergencyConfig = field(default_factory=EmergencyConfig)
     # When true and the network has a QoS manager installed, each

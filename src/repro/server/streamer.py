@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.gcs.view import ProcessId, View
-from repro.media.movie import Movie
+from repro.media.movie import DEFAULT_FPS, Movie
 from repro.net.address import Endpoint
 from repro.server.rate_controller import RateController
 from repro.server.state import RowLedger, rebalance
@@ -117,9 +117,9 @@ class ClientSession:
         # client is seen; gates the departed-client detection.
         self.saw_client_in_view = False
         self.rate = RateController(
-            base_rate=rate_fps if rate_fps is not None else server.config.default_rate_fps,
+            base_rate=rate_fps if rate_fps is not None else DEFAULT_FPS,
             emergency=server.config.emergency,
-            nominal_rate=server.config.default_rate_fps,
+            nominal_rate=DEFAULT_FPS,
         )
         self.frames_sent = 0
         self.bytes_sent = 0
@@ -550,7 +550,7 @@ class CohortSession:
         self.sim: Simulator = server.sim
         self.movie = movie
         self.pool = pool
-        self.rate_fps = server.config.default_rate_fps
+        self.rate_fps = DEFAULT_FPS
         self.delta = 1.0 / self.rate_fps
         # Row columns, indexed by pool row: base offset and anchor time.
         # The playhead of a row is derived, never stored:

@@ -52,10 +52,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".export": ("DEFAULT_PREFIXES", "SCHEMA_VERSION", "JsonlExporter", "read_jsonl"),
     ".harness": ("RunObservers",),
     ".flight": (
-        "ALWAYS_RETAIN_PREFIXES",
         "FLIGHT_PREFIXES",
         "FlightRecorder",
-        "FlightRecorderConfig",
         "Incident",
         "incidents_from_records",
         "is_trigger",
@@ -78,12 +76,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".report": ("RunTimeline", "load_timeline", "render_report"),
     ".series": ("Counter", "Probe", "TimeSeries", "probe"),
     ".slo": (
-        "EmergencyBandwidthRule",
-        "FailoverLatencyRule",
-        "GlitchFreeRule",
+        "RULE_SETS",
         "SloMonitor",
-        "SloRule",
-        "default_rules",
         "render_slo",
         "slo_from_timeline",
         "whole_run_slo",

@@ -7,13 +7,12 @@ seconds.  A :class:`FlightRecorder` subscribes to the
 :class:`~repro.telemetry.bus.Telemetry` bus like any other observer and
 keeps only what a postmortem needs:
 
-* **Ring buffers** — one bounded ``deque`` per event kind, with an
-  optional sim-time horizon, so steady-state history costs O(budget)
-  memory no matter how long the run is.
-* **Deterministic sampling** — high-volume kinds keep 1-in-N by a
+* **Ring buffers** — one bounded ``deque`` per event kind, so
+  steady-state history costs O(budget) memory no matter how long the
+  run is.
+* **Deterministic sampling** — ``metric.*`` kinds keep 1-in-N by a
   per-kind modular counter (no RNG; the retained subset is a pure
-  function of the event stream).  ``fault.*``, ``slo.*``, ``span.*``
-  and ``invariant.*`` events are never sampled out.
+  function of the event stream).  No other kind is sampled out.
 * **Trigger rules** — an ``slo.breach``, a fault injection, an
   invariant violation, a server crash or an abandoned takeover span
   freezes the pre-trigger window from the rings and opens a
@@ -51,73 +50,41 @@ FLIGHT_PREFIXES = (
     "slo.", "invariant.",
 )
 
-#: Kinds never sampled out (still ring-bounded: memory wins over
-#: completeness, but these kinds are low-volume by design).
-ALWAYS_RETAIN_PREFIXES = ("fault.", "slo.", "span.", "invariant.")
-
 #: Rough per-record memory estimate (dict + a handful of small values);
 #: used by the self-metering byte gauge, not for eviction decisions.
 _RECORD_OVERHEAD_BYTES = 96
 _FIELD_BYTES = 48
 
+# Retention budgets, sampling and trigger windows.  All deterministic:
+# budgets and sampling are pure functions of the event stream, and
+# windows are in *sim* time, so a fixed seed produces the same incidents
+# run after run.
 
-@dataclass(frozen=True)
-class FlightRecorderConfig:
-    """Retention budgets, sampling rates and trigger windows.
-
-    Everything here is deterministic: budgets and sampling are pure
-    functions of the event stream, and windows are in *sim* time, so a
-    fixed seed produces the same incidents run after run.
-    """
-
-    #: Ring capacity per event kind (events), unless overridden.
-    default_budget: int = 512
-    #: Per-kind-prefix budget overrides (longest matching prefix wins).
-    budgets: Dict[str, int] = field(default_factory=dict)
-    #: Optional sim-time horizon: ring entries older than ``now -
-    #: horizon_s`` are evicted lazily as new events of that kind arrive.
-    horizon_s: Optional[float] = None
-    #: Keep 1-in-N per kind prefix (longest match wins; 1 = keep all).
-    #: ``metric.sample`` is the classic firehose here — one record per
-    #: client per sampling tick.
-    sample_every: Dict[str, int] = field(
-        default_factory=lambda: {"metric.": 8}
-    )
-    #: Pre-trigger window frozen from the rings, in sim seconds.
-    pre_trigger_s: float = 5.0
-    #: Full-fidelity capture window after the last trigger, sim seconds.
-    post_trigger_s: float = 5.0
-    #: Hard cap on captured events per incident (excess is counted as
-    #: truncated, never silently dropped).
-    max_capture_events: int = 50_000
-    #: Hard cap on assembled incidents (further triggers are counted).
-    max_incidents: int = 16
-    #: Distinct triggers recorded per incident before folding.
-    max_triggers_per_incident: int = 64
-    #: Failover breakdowns stored per incident (total count kept).
-    max_breakdowns: int = 500
-    #: Causal chains summarized per incident.
-    max_chains: int = 8
-    #: Timeline-excerpt rows stored per incident.
-    excerpt_limit: int = 80
-    #: Clients listed in the QoE-impact attribution (worst first).
-    qoe_top_k: int = 10
-
-    def budget_for(self, kind: str) -> int:
-        best, best_len = self.default_budget, -1
-        for prefix, budget in self.budgets.items():
-            if kind.startswith(prefix) and len(prefix) > best_len:
-                best, best_len = budget, len(prefix)
-        return max(1, int(best))
-
-    def sample_rate_for(self, kind: str) -> int:
-        if kind.startswith(ALWAYS_RETAIN_PREFIXES):
-            return 1
-        best, best_len = 1, -1
-        for prefix, rate in self.sample_every.items():
-            if kind.startswith(prefix) and len(prefix) > best_len:
-                best, best_len = rate, len(prefix)
-        return max(1, int(best))
+#: Ring capacity per event kind (events).
+RING_BUDGET = 512
+#: ``metric.*`` kinds keep 1 event in this many; every other kind keeps
+#: all.  ``metric.sample`` is the firehose here — one record per client
+#: per sampling tick.
+METRIC_SAMPLE_EVERY = 8
+#: Pre-trigger window frozen from the rings, in sim seconds.
+PRE_TRIGGER_S = 5.0
+#: Full-fidelity capture window after the last trigger, sim seconds.
+POST_TRIGGER_S = 5.0
+#: Hard cap on captured events per incident (excess is counted as
+#: truncated, never silently dropped).
+MAX_CAPTURE_EVENTS = 50_000
+#: Hard cap on assembled incidents (further triggers are counted).
+MAX_INCIDENTS = 16
+#: Distinct triggers recorded per incident before folding.
+MAX_TRIGGERS_PER_INCIDENT = 64
+#: Failover breakdowns stored per incident (total count kept).
+MAX_BREAKDOWNS = 500
+#: Causal chains summarized per incident.
+MAX_CHAINS = 8
+#: Timeline-excerpt rows stored per incident.
+EXCERPT_LIMIT = 80
+#: Clients listed in the QoE-impact attribution (worst first).
+QOE_TOP_K = 10
 
 
 def is_trigger(kind: str, fields: Dict) -> bool:
@@ -227,13 +194,8 @@ class FlightRecorder:
     contract holds by construction.
     """
 
-    def __init__(
-        self,
-        telemetry: Optional[Telemetry],
-        config: Optional[FlightRecorderConfig] = None,
-    ) -> None:
+    def __init__(self, telemetry: Optional[Telemetry]) -> None:
         self.telemetry = telemetry
-        self.config = config or FlightRecorderConfig()
         self.incidents: List[Incident] = []
         # Self-metering (per kind).
         self.seen: Dict[str, int] = {}
@@ -265,7 +227,6 @@ class FlightRecorder:
 
     def feed(self, t: float, kind: str, fields: Dict) -> None:
         """Process one event (the subscriber path and offline replay)."""
-        config = self.config
         self.seen[kind] = self.seen.get(kind, 0) + 1
         self._last_t = t if t > self._last_t else self._last_t
 
@@ -281,25 +242,25 @@ class FlightRecorder:
             detail = _trigger_detail(kind, fields)
             if capture is not None:
                 capture.deadline = max(
-                    capture.deadline, t + config.post_trigger_s
+                    capture.deadline, t + POST_TRIGGER_S
                 )
                 capture.n_triggers += 1
-                if len(capture.triggers) < config.max_triggers_per_incident:
+                if len(capture.triggers) < MAX_TRIGGERS_PER_INCIDENT:
                     capture.triggers.append(
                         {"t": t, "kind": kind, "detail": detail}
                     )
-            elif len(self.incidents) >= config.max_incidents:
+            elif len(self.incidents) >= MAX_INCIDENTS:
                 self.triggers_dropped += 1
             else:
                 capture = self._capture = _Capture(
-                    kind, t, detail, t + config.post_trigger_s,
-                    self._snapshot_window(t - config.pre_trigger_s),
+                    kind, t, detail, t + POST_TRIGGER_S,
+                    self._snapshot_window(t - PRE_TRIGGER_S),
                 )
 
         record = None
         if capture is not None:
             record = self._record(t, kind, fields)
-            if len(capture.records) < config.max_capture_events:
+            if len(capture.records) < MAX_CAPTURE_EVENTS:
                 capture.records.append((self._seq, record))
                 self.captured_total += 1
             else:
@@ -311,24 +272,21 @@ class FlightRecorder:
         ring = self._rings.get(kind)
         if ring is None:
             # A kind's first event is never sampled out, so its ring and
-            # rate (the config is frozen) are resolved here, once.
-            ring = self._rings[kind] = deque(maxlen=config.budget_for(kind))
-            self._rates[kind] = config.sample_rate_for(kind)
+            # rate are resolved here, once.
+            ring = self._rings[kind] = deque(maxlen=RING_BUDGET)
+            self._rates[kind] = (
+                METRIC_SAMPLE_EVERY if kind.startswith("metric.") else 1
+            )
         rate = self._rates[kind]
         if rate > 1 and (self.seen[kind] - 1) % rate:
             self.sampled_out[kind] = self.sampled_out.get(kind, 0) + 1
             return
-        if ring.maxlen is not None and len(ring) == ring.maxlen:
+        if len(ring) == ring.maxlen:
             self.evicted[kind] = self.evicted.get(kind, 0) + 1
         if record is None:
             record = self._record(t, kind, fields)
         ring.append((self._seq, record))
         self.retained[kind] = self.retained.get(kind, 0) + 1
-        if config.horizon_s is not None:
-            floor = t - config.horizon_s
-            while ring and ring[0][1]["t"] < floor:
-                ring.popleft()
-                self.evicted[kind] = self.evicted.get(kind, 0) + 1
 
     def _record(self, t: float, kind: str, fields: Dict) -> Dict:
         self._seq += 1
@@ -354,13 +312,12 @@ class FlightRecorder:
         capture, self._capture = self._capture, None
         if capture is None:
             return
-        config = self.config
         records = [rec for _, rec in capture.pre] + [
             rec for _, rec in capture.records
         ]
         window_start = (
             records[0]["t"] if records
-            else capture.trigger_t - config.pre_trigger_s
+            else capture.trigger_t - PRE_TRIGGER_S
         )
 
         graph = TraceGraph(records)
@@ -369,7 +326,7 @@ class FlightRecorder:
         chain_summaries = []
         for chain in sorted(
             chains, key=lambda c: (-len(c.events), c.start, c.cause)
-        )[:config.max_chains]:
+        )[:MAX_CHAINS]:
             chain_summaries.append({
                 "cause": chain.cause,
                 "events": len(chain.events),
@@ -394,12 +351,12 @@ class FlightRecorder:
             pre_records=len(capture.pre),
             captured_records=len(capture.records),
             truncated_records=capture.truncated,
-            breakdowns=[asdict(b) for b in breakdowns[:config.max_breakdowns]],
+            breakdowns=[asdict(b) for b in breakdowns[:MAX_BREAKDOWNS]],
             n_breakdowns=len(breakdowns),
             chains=chain_summaries,
             n_chains=len(chains),
-            qoe=_qoe_impact(records, end_t, config.qoe_top_k),
-            excerpt=_excerpt(records, config.excerpt_limit),
+            qoe=_qoe_impact(records, end_t),
+            excerpt=_excerpt(records),
         ))
 
     # ------------------------------------------------------------------
@@ -485,25 +442,16 @@ class FlightRecorder:
         return total
 
     def ring_budget(self) -> int:
-        """Total configured ring capacity (events) across kinds seen.
+        """Total ring capacity (events) across kinds seen.
 
         The budget gate's counterpart to :meth:`occupancy`: occupancy
         can never exceed this, by ``deque(maxlen)`` construction — the
         gate asserts it anyway as an end-to-end check."""
-        config = self.config
-        return sum(
-            ring.maxlen or config.budget_for(kind)
-            for kind, ring in self._rings.items()
-        )
+        return RING_BUDGET * len(self._rings)
 
     def max_ring_bytes(self) -> int:
-        """The configured worst-case ring footprint (budget × kinds seen)."""
-        config = self.config
-        total = 0
-        for kind, ring in self._rings.items():
-            budget = ring.maxlen or config.budget_for(kind)
-            total += budget * (_RECORD_OVERHEAD_BYTES + _FIELD_BYTES * 8)
-        return total
+        """The worst-case ring footprint (budget × kinds seen)."""
+        return self.ring_budget() * (_RECORD_OVERHEAD_BYTES + _FIELD_BYTES * 8)
 
     def metering(self) -> Dict:
         """Self-metering snapshot (plain data; crosses process bounds)."""
@@ -549,17 +497,17 @@ def _brief(event: Dict) -> str:
     return " ".join(parts)
 
 
-def _excerpt(records: Sequence[Dict], limit: int) -> List[Dict]:
+def _excerpt(records: Sequence[Dict]) -> List[Dict]:
     """The notable-timeline slice of the window, head+tail bounded."""
     notable = [r for r in records if is_timeline_kind(str(r.get("kind", "")))]
-    if len(notable) <= limit:
+    if len(notable) <= EXCERPT_LIMIT:
         return list(notable)
-    head = limit // 2
-    tail = limit - head
+    head = EXCERPT_LIMIT // 2
+    tail = EXCERPT_LIMIT - head
     return list(notable[:head]) + list(notable[-tail:])
 
 
-def _qoe_impact(records: Sequence[Dict], end_t: float, top_k: int) -> Dict:
+def _qoe_impact(records: Sequence[Dict], end_t: float) -> Dict:
     """Which clients' scorecards the window hit, and by how much.
 
     A window-scoped fold over the captured client events, penalized
@@ -620,7 +568,7 @@ def _qoe_impact(records: Sequence[Dict], end_t: float, top_k: int) -> Dict:
             "resumes": sum(i["resumes"] for i in impact.values()),
             "rejects": sum(i["rejects"] for i in impact.values()),
         },
-        "top": ranked[:top_k],
+        "top": ranked[:QOE_TOP_K],
     }
 
 

@@ -22,12 +22,11 @@ unobserved build loads none of them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.flight import Incident
     from repro.telemetry.qoe import QoEScorecard
-    from repro.telemetry.slo import SloRule
 
 
 class RunObservers:
@@ -37,9 +36,9 @@ class RunObservers:
     fields; ``export_options`` (``full``, ``max_events``, ``since``,
     ``until``) go to :class:`~repro.telemetry.export.JsonlExporter`.
     ``observe`` attaches the QoE collector and an SLO monitor judging
-    ``slo_rules`` (``None``: the paper's three; an empty tuple attaches
-    no monitor).  ``flight`` attaches a flight recorder with the default
-    budgets.
+    the ``slo`` rule set (a :data:`~repro.telemetry.slo.RULE_SETS` name;
+    ``None`` attaches no monitor).  ``flight`` attaches a flight
+    recorder.
 
     After :meth:`settle`, ``qoe`` / ``slo`` / ``failovers`` /
     ``incidents`` / ``flight`` hold what the observers measured.  Used
@@ -54,7 +53,7 @@ class RunObservers:
         meta: Optional[Dict[str, Any]] = None,
         *,
         observe: bool = False,
-        slo_rules: Optional[Sequence["SloRule"]] = None,
+        slo: Optional[str] = "paper",
         flight: bool = False,
         **export_options: Any,
     ) -> None:
@@ -74,10 +73,10 @@ class RunObservers:
             from repro.telemetry.qoe import QoECollector
 
             self.qoe_collector = QoECollector(telemetry)
-            if slo_rules is None or slo_rules:
+            if slo is not None:
                 from repro.telemetry.slo import SloMonitor
 
-                self.slo_monitor = SloMonitor(telemetry, rules=slo_rules)
+                self.slo_monitor = SloMonitor(telemetry, slo)
         if flight:
             from repro.telemetry.flight import FlightRecorder
 

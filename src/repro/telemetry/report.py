@@ -290,7 +290,7 @@ def _append_summary(timeline: RunTimeline, blocks: List[str]) -> None:
     if dropped:
         blocks.append(
             f"WARNING: kernel tracer dropped {dropped} records "
-            "(trace truncated at max_records)"
+            "(trace truncated at MAX_RECORDS)"
         )
     if timeline.truncated is not None:
         dropped = timeline.summary.get("events_dropped", "?")

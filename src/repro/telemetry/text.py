@@ -57,25 +57,6 @@ def _format_cell(cell: object) -> str:
     return str(cell)
 
 
-def format_series_summary(
-    series: TimeSeries,
-    sample_every: float = 20.0,
-    end: Optional[float] = None,
-) -> str:
-    """Render a time series as sparse ``t=... v=...`` sample lines."""
-    if len(series) == 0:
-        return f"{series.name}: (empty)"
-    last_time = series.times[-1] if end is None else end
-    lines = [f"{series.name}:"]
-    t = 0.0
-    while t <= last_time + 1e-9:
-        value = series.value_at(t)
-        if value is not None:
-            lines.append(f"  t={t:7.1f}s  {value:10.1f}")
-        t += sample_every
-    return "\n".join(lines)
-
-
 def render_chart(
     series: Sequence[Point],
     title: str = "",

@@ -4,7 +4,7 @@ Tracing is off by default (it costs memory); tests and debugging
 sessions enable it (``Simulator(trace=True)``) to inspect exact event
 interleavings.  Unlike bus events — which are sampled views of protocol
 activity — the tracer is exhaustive, so it caps itself at
-``max_records`` and counts what it had to drop (``dropped``) so a
+:data:`MAX_RECORDS` and counts what it had to drop (``dropped``) so a
 truncated trace is detectable instead of silently incomplete.
 
 Must not import the rest of :mod:`repro` (the sim kernel imports it).
@@ -14,6 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Tuple
+
+
+#: Records a tracer keeps before it starts counting drops.
+MAX_RECORDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,6 @@ class Tracer:
 
     enabled: bool = False
     records: List[TraceRecord] = field(default_factory=list)
-    max_records: int = 1_000_000
     dropped: int = 0
 
     def record(
@@ -44,7 +47,7 @@ class Tracer:
     ) -> None:
         if not self.enabled:
             return
-        if len(self.records) >= self.max_records:
+        if len(self.records) >= MAX_RECORDS:
             self.dropped += 1
             return
         self.records.append(TraceRecord(time, _callback_name(callback), args))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.client.flow_control import FlowControlConfig, FlowControlPolicy
+from repro.client.flow_control import FlowControlPolicy
 from repro.errors import ServiceError
 from repro.service.protocol import EmergencyLevel, FlowKind
 
@@ -14,9 +14,7 @@ SW_CAPACITY = 37
 
 @pytest.fixture
 def policy():
-    return FlowControlPolicy(
-        FlowControlConfig(), CAPACITY, sw_capacity_frames=SW_CAPACITY
-    )
+    return FlowControlPolicy(CAPACITY, sw_capacity_frames=SW_CAPACITY)
 
 
 class TestThresholds:
@@ -130,9 +128,7 @@ class TestCadence:
         assert sent.count(True) == 2
         assert sent[3] and sent[7]
         # And those messages are the emergencies the cadence exists for.
-        policy2 = FlowControlPolicy(
-            FlowControlConfig(), CAPACITY, sw_capacity_frames=SW_CAPACITY
-        )
+        policy2 = FlowControlPolicy(CAPACITY, sw_capacity_frames=SW_CAPACITY)
         for _ in range(3):
             assert policy2.on_frame_received(mid, 0) is None
         message = policy2.on_frame_received(mid, 0)
@@ -148,25 +144,9 @@ class TestCadence:
 
 
 class TestValidation:
-    def test_threshold_ordering_enforced(self):
-        with pytest.raises(ServiceError):
-            FlowControlConfig(
-                critical_severe_frac=0.5, critical_mild_frac=0.3
-            ).validate()
-
-    def test_water_mark_ordering_enforced(self):
-        with pytest.raises(ServiceError):
-            FlowControlConfig(
-                low_water_frac=0.9, high_water_frac=0.8
-            ).validate()
-
-    def test_frequencies_positive(self):
-        with pytest.raises(ServiceError):
-            FlowControlConfig(normal_every_frames=0).validate()
-
     def test_capacity_minimum(self):
         with pytest.raises(ServiceError):
-            FlowControlPolicy(FlowControlConfig(), 2)
+            FlowControlPolicy(2)
 
 
 class TestProperties:
@@ -179,9 +159,7 @@ class TestProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_decide_is_total_and_deterministic(self, occupancy, sw, previous):
-        policy = FlowControlPolicy(
-            FlowControlConfig(), CAPACITY, sw_capacity_frames=SW_CAPACITY
-        )
+        policy = FlowControlPolicy(CAPACITY, sw_capacity_frames=SW_CAPACITY)
         policy.previous_occupancy = previous
         first = policy.decide(occupancy, sw)
         second = policy.decide(occupancy, sw)
@@ -194,9 +172,7 @@ class TestProperties:
     @given(sw=st.integers(min_value=0, max_value=SW_CAPACITY))
     @settings(max_examples=100, deadline=None)
     def test_emergency_iff_below_mild_critical(self, sw):
-        policy = FlowControlPolicy(
-            FlowControlConfig(), CAPACITY, sw_capacity_frames=SW_CAPACITY
-        )
+        policy = FlowControlPolicy(CAPACITY, sw_capacity_frames=SW_CAPACITY)
         message = policy.decide(40, sw)
         if sw < policy.critical_mild:
             assert message.kind == FlowKind.EMERGENCY

@@ -10,7 +10,7 @@ clients run ``session_mux``.
 """
 
 from repro.client.flyweight import SENDERS_MAX
-from repro.client.player import ClientConfig
+from repro.client.player import CONNECT_RETRY_S, ClientConfig
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
 from repro.net.topologies import build_edge_lan
@@ -59,21 +59,19 @@ def test_pool_serves_rows_without_session_mux():
 
 
 def test_rows_retry_at_the_deployments_connect_cadence():
-    """A row's connect retry is the full client's, read from the
-    deployment's client config whatever its ``session_mux``."""
+    """A row's connect retry is the full client's, whatever the
+    deployment's ``session_mux``."""
     sim = Simulator(seed=77)
     topology = build_edge_lan(sim, 1, 1)
     catalog = MovieCatalog([Movie.synthetic("feature", duration_s=30.0)])
-    deployment = Deployment(
-        topology, catalog, server_nodes=[],
-        client_config=ClientConfig(connect_retry_s=0.25),
-    )
+    deployment = Deployment(topology, catalog, server_nodes=[])
     pool = deployment.attach_flyweight("feature")
     for _ in range(4):
         pool.add_viewer(1)
     pool.connect_all(0.0)
-    sim.run_until(1.9)  # no server: attempts at 0, 0.25, ..., 1.75
-    assert pool.connects_sent == 4 * 8
+    sim.run_until(3.5)  # no server: attempts at 0, 1, 2 and 3 s
+    assert CONNECT_RETRY_S == 1.0
+    assert pool.connects_sent == 4 * 4
     assert not any(pool.started)
 
 

@@ -15,11 +15,7 @@ from repro.telemetry.bus import Telemetry
 def _checker():
     sim = SimpleNamespace(now=7.5)
     sim.telemetry = Telemetry(clock=lambda: sim.now)
-    deployment = SimpleNamespace(
-        sim=sim,
-        network=None,
-        server_config=SimpleNamespace(default_rate_fps=30.0),
-    )
+    deployment = SimpleNamespace(sim=sim, network=None)
     return InvariantChecker(deployment)
 
 

@@ -21,7 +21,7 @@ from repro.faulting.plan import FaultPlan
 from repro.gcs.endpoint import GroupListener
 from repro.gcs.membership import MemberState
 from repro.media.catalog import MovieCatalog
-from repro.media.movie import Movie
+from repro.media.movie import DEFAULT_FPS, Movie
 from repro.net.topologies import build_lan
 from repro.service.deployment import Deployment
 from repro.sim.core import Simulator
@@ -60,9 +60,8 @@ def test_crash_takeover_is_clean_and_recorded():
 
 
 def test_offset_bound_uses_emergency_inflated_rate():
-    _sim, deployment, _client, checker = make_checked_service()
-    rate = deployment.server_config.default_rate_fps
-    assert checker.offset_bound_frames >= 1.4 * rate * 0.5
+    _sim, _deployment, _client, checker = make_checked_service()
+    assert checker.offset_bound_frames >= 1.4 * DEFAULT_FPS * 0.5
 
 
 def test_takeover_offset_regression_detected():

@@ -74,40 +74,6 @@ def test_replicas_returns_copy(catalog):
     assert catalog.replicas("a") == {"s1"}
 
 
-class TestRoundRobinPlacement:
-    def make_catalog(self, n_movies=6):
-        return MovieCatalog(
-            [Movie.synthetic(f"m{i}", duration_s=1.0) for i in range(n_movies)]
-        )
-
-    def test_every_movie_gets_k_replicas(self):
-        catalog = self.make_catalog()
-        catalog.place_round_robin(["s0", "s1", "s2"], k=2)
-        for title in catalog.titles():
-            assert catalog.replication_degree(title) == 2
-
-    def test_storage_balanced(self):
-        catalog = self.make_catalog(n_movies=6)
-        catalog.place_round_robin(["s0", "s1", "s2"], k=2)
-        loads = [len(catalog.movies_of(s)) for s in ("s0", "s1", "s2")]
-        assert max(loads) - min(loads) <= 1
-
-    def test_k_equals_n_is_full_replication(self):
-        catalog = self.make_catalog(n_movies=3)
-        catalog.place_round_robin(["s0", "s1"], k=2)
-        for title in catalog.titles():
-            assert catalog.replicas(title) == {"s0", "s1"}
-
-    def test_validation(self):
-        from repro.errors import MediaError
-
-        catalog = self.make_catalog()
-        with pytest.raises(MediaError):
-            catalog.place_round_robin(["s0"], k=2)
-        with pytest.raises(MediaError):
-            catalog.place_round_robin(["s0"], k=0)
-
-
 def test_partial_replication_end_to_end():
     """k=2-of-3 placement: a movie's clients survive one failure of its
     replica set, and other movies are untouched."""
@@ -120,7 +86,9 @@ def test_partial_replication_end_to_end():
     catalog = MovieCatalog(
         [Movie.synthetic(f"m{i}", duration_s=60.0) for i in range(3)]
     )
-    catalog.place_round_robin(["s0", "s1", "s2"], k=2)
+    for title, servers in (("m0", "s0 s1"), ("m1", "s1 s2"), ("m2", "s2 s0")):
+        for server in servers.split():
+            catalog.place_replica(title, server)
     deployment = Deployment(topology, catalog, replicate_all=False)
     for index, name in enumerate(("s0", "s1", "s2")):
         deployment.add_server(index, name)

@@ -120,21 +120,3 @@ class TestHeal:
         sim.run_until(5.0)
         rebalancer = Rebalancer(deployment)
         assert rebalancer.heal(k=2) == []
-
-
-class TestApplyPlan:
-    def test_apply_plan_converges_the_replica_map(self):
-        from repro.placement import PlacementPlan
-
-        sim, deployment, _ = make_world()
-        sim.run_until(3.0)
-        desired = PlacementPlan(k=2)
-        desired.place("feature", "server1")
-        desired.place("feature", "server2")
-        rebalancer = Rebalancer(deployment)
-        stats = rebalancer.apply_plan(desired)
-        sim.run_until(12.0)
-        assert stats["migrations"] == 1
-        assert deployment.catalog.full_replicas("feature") == {
-            "server1", "server2",
-        }

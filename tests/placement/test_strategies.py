@@ -38,6 +38,9 @@ class TestStaticKWay:
         ctx = make_ctx()
         plan = StaticKWay().build(ctx)
         assert all(plan.replication_degree(t) == 2 for t in plan.titles())
+        # The ring spreads storage evenly: 12 titles x 2 over 6 servers.
+        loads = [len(plan.movies_for(p.name)) for p in ctx.servers]
+        assert loads == [4] * 6
 
     def test_k_equals_n_is_full_replication(self):
         ctx = make_ctx(n_servers=3, k=3)
@@ -53,6 +56,8 @@ class TestStaticKWay:
         ctx = make_ctx(n_servers=2)
         with pytest.raises(ServiceError):
             StaticKWay(k=3).build(ctx)
+        with pytest.raises(ServiceError):
+            StaticKWay(k=0).build(ctx)
 
 
 class TestStaticPlacement:
@@ -89,9 +94,11 @@ class TestPopularityProportional:
             assert plan.replication_degree(title) == counts[title]
 
     def test_max_k_below_floor_rejected(self):
-        ctx = make_ctx(k=3)
+        # The head of the catalog gets a copy on every server: fewer
+        # servers than the k floor cannot hold it.
+        ctx = make_ctx(n_servers=2, k=3)
         with pytest.raises(ServiceError):
-            make_strategy("popularity", max_k=2).build(ctx)
+            make_strategy("popularity").build(ctx)
 
 
 class TestMarkovAvailability:
@@ -114,7 +121,7 @@ class TestMarkovAvailability:
 
     def test_hot_titles_meet_tighter_budgets(self):
         ctx = make_ctx()
-        strategy = MarkovAvailability(target=0.999)
+        strategy = MarkovAvailability()
         hot = strategy.required_unavailability(ctx, ctx.titles[0])
         cold = strategy.required_unavailability(ctx, ctx.titles[-1])
         assert hot < cold

@@ -12,12 +12,12 @@ from repro.errors import ServiceError
 from repro.gcs.view import ProcessId
 from repro.net.address import Endpoint
 from repro.server.admission import (
+    DEGRADED_FPS,
     INTERACTIVE,
     RESUME,
     STANDARD,
+    AdmissionPolicy,
     AdmissionSpec,
-    DegradeOverload,
-    RejectOverload,
     TokenBucket,
     classify_request,
 )
@@ -98,7 +98,7 @@ def test_classify_request_covers_the_three_classes():
 # Policies
 # ----------------------------------------------------------------------
 def test_reject_policy_rejects_over_budget_then_recovers():
-    policy = RejectOverload(rate_per_s=1.0, burst=2.0)
+    policy = AdmissionPolicy("reject", rate_per_s=1.0, burst=2.0)
     assert policy.decide(0.0, request()).action == "admit"
     assert policy.decide(0.0, request()).action == "admit"
     rejected = policy.decide(0.0, request())
@@ -109,7 +109,7 @@ def test_reject_policy_rejects_over_budget_then_recovers():
 
 
 def test_resume_traffic_is_never_throttled():
-    policy = RejectOverload(rate_per_s=0.0, burst=1.0)
+    policy = AdmissionPolicy("reject", rate_per_s=0.0, burst=1.0)
     policy.decide(0.0, request())  # drain the standard bucket
     for _ in range(10):
         decision = policy.decide(0.0, request(resume_offset=300))
@@ -120,7 +120,7 @@ def test_resume_traffic_is_never_throttled():
 def test_per_class_buckets_prevent_starvation():
     # A standard-class flash crowd must not consume the interactive
     # class's budget (and vice versa): separate buckets per class.
-    policy = RejectOverload(rate_per_s=0.0, burst=1.0)
+    policy = AdmissionPolicy("reject", rate_per_s=0.0, burst=1.0)
     assert policy.decide(0.0, request()).action == "admit"
     assert policy.decide(0.0, request()).action == "reject"
     assert policy.decide(0.0, request(quality_fps=12)).action == "admit"
@@ -130,27 +130,22 @@ def test_per_class_buckets_prevent_starvation():
 
 
 def test_degrade_policy_grants_reduced_quality_over_budget():
-    policy = DegradeOverload(rate_per_s=0.0, burst=1.0, degraded_fps=12)
+    policy = AdmissionPolicy("degrade", rate_per_s=0.0, burst=1.0)
     assert policy.decide(0.0, request()).action == "admit"
     decision = policy.decide(0.0, request())
     assert decision.action == "degrade"
     assert decision.admitted  # degraded viewers still get a picture
-    assert decision.quality_fps == 12
+    assert decision.quality_fps == DEGRADED_FPS == 12
 
 
 def test_degrade_policy_never_raises_a_clients_own_request():
     # A software decoder already asking for 8 fps must not be "degraded"
     # *up* to 12: the grant is min(degraded, requested).
-    policy = DegradeOverload(rate_per_s=0.0, burst=1.0, degraded_fps=12)
+    policy = AdmissionPolicy("degrade", rate_per_s=0.0, burst=1.0)
     policy.decide(0.0, request(quality_fps=8))  # drain interactive
     decision = policy.decide(0.0, request(quality_fps=8))
     assert decision.action == "degrade"
     assert decision.quality_fps == 8
-
-
-def test_degrade_policy_rejects_bad_fps():
-    with pytest.raises(ServiceError):
-        DegradeOverload(rate_per_s=1.0, burst=1.0, degraded_fps=0)
 
 
 # ----------------------------------------------------------------------
@@ -162,13 +157,13 @@ def test_spec_open_builds_no_policy():
 
 def test_spec_builds_the_named_policies():
     reject = AdmissionSpec(mode="reject", rate_per_s=2.0, burst=4.0).build()
-    assert isinstance(reject, RejectOverload)
+    assert reject.mode == "reject"
     assert reject.buckets[STANDARD].capacity == pytest.approx(4.0)
     assert reject.buckets[STANDARD].rate_per_s == pytest.approx(2.0)
 
-    degrade = AdmissionSpec(mode="degrade", degraded_fps=15).build()
-    assert isinstance(degrade, DegradeOverload)
-    assert degrade.degraded_fps == 15
+    degrade = AdmissionSpec(mode="degrade").build()
+    assert degrade.mode == "degrade"
+    assert degrade.buckets[INTERACTIVE].capacity == pytest.approx(3.0)
 
 
 def test_spec_rejects_unknown_mode():

@@ -34,10 +34,6 @@ class TestEmergencyConfig:
     def test_validation(self):
         with pytest.raises(ServiceError):
             EmergencyConfig(base_severe=3, base_mild=6).validate()
-        with pytest.raises(ServiceError):
-            EmergencyConfig(decay=1.0).validate()
-        with pytest.raises(ServiceError):
-            EmergencyConfig(decay=0.0).validate()
 
 
 class TestRateAdjustment:

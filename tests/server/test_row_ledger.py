@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gcs.view import ProcessId
-from repro.media.movie import Movie
+from repro.media.movie import DEFAULT_FPS, Movie
 from repro.server.server import ServerConfig
 from repro.server.state import least_loaded
 from repro.server.streamer import CohortSession
@@ -22,7 +22,7 @@ from repro.sim.core import Simulator
 
 MOVIE = Movie.synthetic("feature", duration_s=4.0)
 LIMIT = len(MOVIE) + 1
-DELTA = 1.0 / ServerConfig().default_rate_fps
+DELTA = 1.0 / DEFAULT_FPS
 CLIENTS = [ProcessId(40 - i % 7, f"client{i}") for i in range(24)]
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry import FIREHOSE_PREFIXES, Span, Telemetry, Tracer
+from repro.telemetry import FIREHOSE_PREFIXES, Span, Telemetry, Tracer, trace
 from repro.telemetry.bus import TelemetryEvent
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
@@ -269,8 +269,9 @@ def test_abandon_open_spans_sweeps_the_registry():
     assert tel.abandon_open_spans() == []  # second sweep finds nothing
 
 
-def test_tracer_counts_dropped_records():
-    tracer = Tracer(enabled=True, max_records=2)
+def test_tracer_counts_dropped_records(monkeypatch):
+    monkeypatch.setattr(trace, "MAX_RECORDS", 2)
+    tracer = Tracer(enabled=True)
 
     def tick():
         pass
@@ -289,7 +290,7 @@ def test_tracer_counts_dropped_records():
 
 
 def test_disabled_tracer_records_nothing():
-    tracer = Tracer(enabled=False, max_records=1)
+    tracer = Tracer(enabled=False)
     tracer.record(0.0, print, ())
     tracer.record(1.0, print, ())
     assert tracer.records == []

@@ -1,22 +1,27 @@
 """The flight recorder's retention, trigger and assembly contracts.
 
 The ring/sampling properties are Hypothesis-driven over synthetic event
-streams: whatever the stream, occupancy never exceeds the configured
-budget and always-retained kinds are never sampled out.  The trigger
+streams: whatever the stream, occupancy never exceeds the ring budget
+and only ``metric.*`` kinds are ever sampled out.  The trigger
 and incident tests use hand-built failover stories with known exact
 timings.
 """
 
 import math
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.telemetry import flight
 from repro.telemetry.bus import Telemetry
 from repro.telemetry.flight import (
-    ALWAYS_RETAIN_PREFIXES,
+    MAX_INCIDENTS,
+    METRIC_SAMPLE_EVERY,
+    POST_TRIGGER_S,
+    PRE_TRIGGER_S,
+    RING_BUDGET,
     FlightRecorder,
-    FlightRecorderConfig,
     Incident,
     incidents_from_records,
     is_trigger,
@@ -55,17 +60,16 @@ def event_streams(draw):
        rate=st.integers(min_value=1, max_value=7))
 @settings(max_examples=60)
 def test_ring_occupancy_never_exceeds_budget(stream, budget, rate):
-    config = FlightRecorderConfig(
-        default_budget=budget, sample_every={"metric.": rate}
-    )
-    recorder = FlightRecorder(None, config)
-    for t, kind in stream:
-        recorder.feed(t, kind, {"value": 1})
-        assert recorder.occupancy() <= recorder.ring_budget()
-        for kind_seen, ring in recorder._rings.items():
-            assert len(ring) <= config.budget_for(kind_seen)
-    metering = recorder.metering()
-    assert metering["occupancy"] <= metering["ring_budget"]
+    recorder = FlightRecorder(None)
+    with mock.patch.object(flight, "RING_BUDGET", budget), \
+            mock.patch.object(flight, "METRIC_SAMPLE_EVERY", rate):
+        for t, kind in stream:
+            recorder.feed(t, kind, {"value": 1})
+            assert recorder.occupancy() <= recorder.ring_budget()
+            for ring in recorder._rings.values():
+                assert len(ring) <= budget
+        metering = recorder.metering()
+        assert metering["occupancy"] <= metering["ring_budget"]
     # Conservation per kind: what a ring holds is exactly what was
     # appended minus what was evicted.
     for kind in recorder.seen:
@@ -75,19 +79,12 @@ def test_ring_occupancy_never_exceeds_budget(stream, budget, rate):
         )
 
 
-@given(stream=event_streams(), rate=st.integers(min_value=2, max_value=9))
+@given(stream=event_streams())
 @settings(max_examples=60)
-def test_always_retained_kinds_are_never_sampled_out(stream, rate):
-    # Aggressive sampling on every prefix, including the protected ones:
-    # the config layer must refuse to sample fault./slo./span./invariant.
-    config = FlightRecorderConfig(
-        sample_every={
-            "": rate, "fault.": rate, "slo.": rate, "span.": rate,
-            "invariant.": rate, "metric.": rate,
-        },
-        max_incidents=0,  # keep capture windows out of the accounting
-    )
-    recorder = FlightRecorder(None, config)
+def test_always_retained_kinds_are_never_sampled_out(stream):
+    # fault./slo./span./invariant. stories must survive whole, however
+    # loud the metric firehose around them.
+    recorder = FlightRecorder(None)
     protected = [
         (t, kind.replace("client.", "fault.").replace("server.", "slo."))
         for t, kind in stream
@@ -95,17 +92,17 @@ def test_always_retained_kinds_are_never_sampled_out(stream, rate):
     for t, kind in stream + protected:
         recorder.feed(t, kind, {})
     for kind, count in recorder.sampled_out.items():
-        assert not kind.startswith(ALWAYS_RETAIN_PREFIXES), (
+        assert kind.startswith("metric."), (
             f"{kind} was sampled out {count} times"
         )
-    for kind in recorder.seen:
-        if kind.startswith(ALWAYS_RETAIN_PREFIXES):
-            assert recorder.sampled_out.get(kind, 0) == 0
+    metric = recorder.seen.get("metric.sample", 0)
+    assert recorder.retained.get("metric.sample", 0) == (
+        (metric + METRIC_SAMPLE_EVERY - 1) // METRIC_SAMPLE_EVERY
+    )
 
 
 def test_sampling_is_deterministic_in_the_stream():
-    config = FlightRecorderConfig(sample_every={"metric.": 3})
-    a, b = FlightRecorder(None, config), FlightRecorder(None, config)
+    a, b = FlightRecorder(None), FlightRecorder(None)
     for i in range(50):
         a.feed(float(i), "metric.sample", {"i": i})
         b.feed(float(i), "metric.sample", {"i": i})
@@ -113,16 +110,6 @@ def test_sampling_is_deterministic_in_the_stream():
         r for _, r in b._rings["metric.sample"]
     ]
     assert a.sampled_out == b.sampled_out
-
-
-def test_horizon_evicts_old_ring_entries():
-    config = FlightRecorderConfig(default_budget=100, horizon_s=5.0)
-    recorder = FlightRecorder(None, config)
-    for i in range(20):
-        recorder.feed(float(i), "client.flow", {"i": i})
-    ring = recorder._rings["client.flow"]
-    assert all(record["t"] >= 19.0 - 5.0 for _, record in ring)
-    assert recorder.evicted["client.flow"] > 0
 
 
 def test_trigger_rules():
@@ -155,9 +142,7 @@ def _failover_story(recorder, crash_t=10.0, client="c0"):
 
 
 def test_trigger_opens_window_and_assembles_incident():
-    recorder = FlightRecorder(None, FlightRecorderConfig(
-        pre_trigger_s=2.0, post_trigger_s=3.0,
-    ))
+    recorder = FlightRecorder(None)
     for i in range(30):
         recorder.feed(i * 0.3, "client.watermark", {"client": "c0"})
     _failover_story(recorder, crash_t=10.0)
@@ -169,8 +154,8 @@ def test_trigger_opens_window_and_assembles_incident():
     assert incident.trigger_kind == "server.crash"
     assert incident.trigger_t == 10.0
     assert incident.pre_records > 0
-    assert incident.window_start >= 8.0 - 1e-9
-    assert incident.window_end == 10.0 + 3.0
+    assert incident.window_start >= 10.0 - PRE_TRIGGER_S - 1e-9
+    assert incident.window_end == 10.0 + POST_TRIGGER_S
     assert incident.n_breakdowns == 1
     b = incident.breakdowns[0]
     assert math.isclose(
@@ -183,41 +168,39 @@ def test_trigger_opens_window_and_assembles_incident():
 
 
 def test_overlapping_triggers_extend_one_incident():
-    recorder = FlightRecorder(None, FlightRecorderConfig(post_trigger_s=5.0))
+    recorder = FlightRecorder(None)
     recorder.feed(10.0, "server.crash", {"server": "s0"})
     recorder.feed(12.0, "fault.fired", {"action": "Partition"})
     recorder.feed(30.0, "client.flow", {})  # closes at 12+5
     incidents = recorder.finish()
     assert len(incidents) == 1
     assert incidents[0].n_triggers == 2
-    assert incidents[0].window_end == 17.0
+    assert incidents[0].window_end == 12.0 + POST_TRIGGER_S
 
 
 def test_post_deadline_trigger_opens_a_second_incident():
-    recorder = FlightRecorder(None, FlightRecorderConfig(post_trigger_s=2.0))
+    recorder = FlightRecorder(None)
     recorder.feed(10.0, "server.crash", {"server": "s0"})
     # Beyond the deadline AND itself a trigger: the old capture closes
     # first, then this opens a new one.
     recorder.feed(20.0, "server.crash", {"server": "s1"})
     incidents = recorder.finish()
     assert [i.trigger_t for i in incidents] == [10.0, 20.0]
-    assert incidents[0].window_end == 12.0
+    assert incidents[0].window_end == 10.0 + POST_TRIGGER_S
 
 
 def test_max_incidents_counts_dropped_triggers():
-    recorder = FlightRecorder(None, FlightRecorderConfig(
-        post_trigger_s=1.0, max_incidents=2,
-    ))
-    for i in range(5):
+    recorder = FlightRecorder(None)
+    for i in range(MAX_INCIDENTS + 3):
         recorder.feed(10.0 * (i + 1), "server.crash", {"server": f"s{i}"})
     incidents = recorder.finish()
-    assert len(incidents) == 2
-    assert recorder.triggers_seen == 5
+    assert len(incidents) == MAX_INCIDENTS
+    assert recorder.triggers_seen == MAX_INCIDENTS + 3
     assert recorder.triggers_dropped == 3
 
 
 def test_finish_closes_open_capture_and_is_idempotent():
-    recorder = FlightRecorder(None, FlightRecorderConfig(post_trigger_s=9.0))
+    recorder = FlightRecorder(None)
     recorder.feed(10.0, "server.crash", {"server": "s0"})
     assert recorder.open_trigger is not None
     first = recorder.finish(end_t=12.0)
@@ -228,7 +211,7 @@ def test_finish_closes_open_capture_and_is_idempotent():
 
 
 def test_abandoned_takeover_span_is_a_trigger():
-    recorder = FlightRecorder(None, FlightRecorderConfig())
+    recorder = FlightRecorder(None)
     recorder.feed(10.0, "span.abandoned",
                   {"span": "takeover", "key": "c1", "start": 8.0,
                    "cause": "fault.X#1"})
@@ -287,11 +270,11 @@ def test_recorder_subscribes_and_publishes_metrics():
 
 def test_metering_reports_budgets_and_bytes():
     recorder = FlightRecorder(None)
-    for i in range(100):
+    for i in range(RING_BUDGET + 100):
         recorder.feed(float(i), "client.flow", {"client": "c0", "level": i})
     metering = recorder.metering()
-    assert metering["seen"]["client.flow"] == 100
-    assert metering["occupancy"] == 100
-    assert metering["ring_budget"] == 512
+    assert metering["seen"]["client.flow"] == RING_BUDGET + 100
+    assert metering["occupancy"] == RING_BUDGET == metering["ring_budget"]
+    assert metering["evicted"] == {"client.flow": 100}
     assert metering["estimated_bytes"] > 0
     assert metering["incidents"] == 0

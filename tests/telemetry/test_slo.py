@@ -12,8 +12,7 @@ import pytest
 
 from repro.experiments.scenarios import LAN_SCENARIO, run_scenario
 from repro.telemetry import (
-    FailoverLatencyRule,
-    GlitchFreeRule,
+    RULE_SETS,
     SloMonitor,
     Telemetry,
     load_timeline,
@@ -22,7 +21,9 @@ from repro.telemetry import (
     slo_from_timeline,
     whole_run_slo,
 )
-from repro.telemetry.slo import EmergencyBandwidthRule, WindowSnapshot
+from repro.telemetry.slo import PAPER_RULES, STORM_RULE, WindowSnapshot
+
+GLITCH_FREE, FAILOVER, EMERGENCY = PAPER_RULES
 
 NOMINAL_SPEC = dataclasses.replace(
     LAN_SCENARIO,
@@ -58,7 +59,8 @@ def window(**overrides) -> WindowSnapshot:
 # Rule semantics
 # ----------------------------------------------------------------------
 def test_glitch_free_rule_values_and_burn():
-    rule = GlitchFreeRule(target=0.99)
+    rule = GLITCH_FREE
+    assert rule.target == 0.99
     assert rule.evaluate(window(clients=0)).ok  # vacuous window
     good = rule.evaluate(window(clients=100, stalled=0))
     assert good.ok and good.value == pytest.approx(1.0)
@@ -70,7 +72,8 @@ def test_glitch_free_rule_values_and_burn():
 
 
 def test_failover_rule_judges_p99_of_all_handoffs():
-    rule = FailoverLatencyRule(quantile=0.99, limit_s=2.0)
+    rule = FAILOVER
+    assert rule.target == 2.0
     assert rule.evaluate(window()).ok  # no handoffs yet
     fast = rule.evaluate(window(failover_durations=[0.3, 0.5, 0.4]))
     assert fast.ok and fast.value == pytest.approx(0.5)
@@ -79,12 +82,28 @@ def test_failover_rule_judges_p99_of_all_handoffs():
 
 
 def test_emergency_rule_is_a_per_window_share():
-    rule = EmergencyBandwidthRule(limit=0.40)
+    rule = EMERGENCY
+    assert rule.target == 0.40
     assert rule.evaluate(window()).ok  # no traffic
     ok = rule.evaluate(window(extra_frames=30.0, base_frames=300.0))
     assert ok.ok and ok.value == pytest.approx(0.1)
     over = rule.evaluate(window(extra_frames=150.0, base_frames=300.0))
     assert not over.ok and over.value == pytest.approx(0.5)
+
+
+def test_storm_rule_counts_rejects_per_window():
+    assert STORM_RULE.evaluate(window(rejects=50)).ok
+    storm = STORM_RULE.evaluate(window(rejects=51))
+    assert not storm.ok and storm.value == 51.0
+
+
+def test_rule_sets_keep_names_and_order():
+    """``bench/`` and the exports read the summaries by these names."""
+    assert [rule.name for rule in RULE_SETS["paper"]] == [
+        "glitch_free_fraction", "failover_p99_s", "emergency_bandwidth_share",
+    ]
+    assert RULE_SETS["admission"] == RULE_SETS["paper"] + (STORM_RULE,)
+    assert STORM_RULE.name == "admission_rejects_per_window"
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +120,7 @@ class Clock:
 def test_lazy_windows_breach_and_recover():
     clock = Clock()
     tel = Telemetry(clock=clock)
-    monitor = SloMonitor(tel, rules=(GlitchFreeRule(),))
+    monitor = SloMonitor(tel)
     emitted = []
     tel.subscribe(lambda e: emitted.append(e), prefixes=("slo.",))
 
@@ -133,7 +152,7 @@ def test_lazy_windows_breach_and_recover():
 def test_stall_spanning_window_boundary_counts_in_both():
     clock = Clock()
     tel = Telemetry(clock=clock)
-    monitor = SloMonitor(tel, rules=(GlitchFreeRule(),))
+    monitor = SloMonitor(tel)
     clock.now = 8.0
     tel.emit("client.stall.begin", client="c0")
     clock.now = 12.0  # still stalled as window [0,10) closes
@@ -149,7 +168,7 @@ def test_stall_spanning_window_boundary_counts_in_both():
 def test_slow_takeover_breaches_failover_objective():
     clock = Clock()
     tel = Telemetry(clock=clock)
-    monitor = SloMonitor(tel, rules=(FailoverLatencyRule(),))
+    monitor = SloMonitor(tel)
     clock.now = 5.0
     tel.emit("span.end", span="takeover", key="c0", duration_s=3.2)
     summary = monitor.finish(12.0)

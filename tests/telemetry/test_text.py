@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.telemetry.series import TimeSeries
-from repro.telemetry.text import Table, format_series_summary
+from repro.telemetry.text import Table
 
 
 def test_table_renders_header_and_rows():
@@ -29,16 +28,3 @@ def test_table_float_formatting_trims_zeros():
     lines = [line.strip() for line in table.render().splitlines()]
     assert "1.5" in lines
     assert "2" in lines  # 2.0 rendered without a trailing ".0"
-
-
-def test_series_summary_samples():
-    series = TimeSeries("s")
-    for t in range(0, 101, 10):
-        series.record(float(t), float(t * 2))
-    text = format_series_summary(series, sample_every=50.0)
-    assert "t=    0.0s" in text
-    assert "200.0" in text
-
-
-def test_series_summary_empty():
-    assert "(empty)" in format_series_summary(TimeSeries("s"))

@@ -1,7 +1,7 @@
 """The watch dashboard's incident strip."""
 
 from repro.telemetry.bus import Telemetry
-from repro.telemetry.flight import FlightRecorder, FlightRecorderConfig
+from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.watch import WatchState, render_watch
 
 
@@ -38,14 +38,12 @@ def test_fold_only_strip_counts_triggers():
 
 def test_recorder_strip_shows_open_window_and_closed_count():
     sim = FakeSim()
-    recorder = FlightRecorder(
-        sim.telemetry, FlightRecorderConfig(post_trigger_s=4.0)
-    )
+    recorder = FlightRecorder(sim.telemetry)
     state = WatchState(sim.telemetry, flight_recorder=recorder)
     sim.emit_at(5.0, "server.crash", server="s0")
     strip = state.incident_strip()
     assert "OPEN server.crash@5.00s" in strip
-    assert "capture to 9.00s" in strip
+    assert "capture to 10.00s" in strip
     # The window closes; a later trigger opens a second incident.
     sim.emit_at(20.0, "server.crash", server="s1")
     strip = state.incident_strip()
