@@ -162,6 +162,31 @@ def test_a_flag_its_source_ignores_is_rejected(
     assert out == "" and line.startswith("repro-vod: error: ") and flag in line
 
 
+#: A population or duration no run can have, and what its error names.
+BAD_PARAMETERS = [
+    ("scale --sizes 0", "n_viewers=0"),
+    ("scale --sizes -3", "n_viewers=-3"),
+    ("scale --sizes 2 --flyweight-sizes 0 --duration 4", "n_viewers=0"),
+    ("placement --titles 0", "titles=0"),
+    ("placement --clients 0", "clients=0"),
+    ("placement --clients -1", "clients=-1"),
+    ("placement --flash -1", "flash=-1"),
+    ("placement --duration 0", "duration=0"),
+]
+
+
+@pytest.mark.parametrize("argv,named", BAD_PARAMETERS)
+def test_a_bad_population_or_duration_is_one_error_line(
+    argv, named, tmp_path, monkeypatch, capsys
+):
+    """Not a traceback, not a silent default, not an empty run."""
+    monkeypatch.chdir(tmp_path)  # the default artifact directory is made
+    assert runner.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert line.startswith("repro-vod: error: ") and named in line
+
+
 def test_table_covers_every_experiment_subcommand():
     assert {row[1] for row in CLI_TABLE} == EXPERIMENT_SUBCOMMANDS
 

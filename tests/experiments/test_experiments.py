@@ -17,6 +17,7 @@ from repro.experiments.scenarios import (
     WAN_SCENARIO,
     build_topology,
     plan_for_spec,
+    prepare_scenario,
     run_scenario,
 )
 from repro.sim.core import Simulator
@@ -106,8 +107,11 @@ class TestScenarioHarness:
             ), "unknown scenario action 'explode'"),
             (lambda: build_scale_rig(4, 1.0, mode="hologram"),
              "unknown scale-rig mode 'hologram'"),
+            (lambda: prepare_scenario(
+                dataclasses.replace(LAN_SCENARIO, n_viewers=0)
+            ), "at least one viewer, got n_viewers=0"),
         ],
-        ids=["network", "schedule-action", "rig-mode"],
+        ids=["network", "schedule-action", "rig-mode", "no-viewers"],
     )
     def test_bad_spec_fails_with_a_typed_error(self, build, match):
         """A bad spec is a :class:`ServiceError` (a ``ReproError``), not
