@@ -12,6 +12,10 @@ sorted admission batch (window 0), a daemon set small enough to be
 identical across modes, and flow control silenced by a deep prebuffer.
 The traces are compared both mode-against-mode (equivalence today) and
 against a committed golden (no silent drift of *both* modes at once).
+
+The rig runs S = 3 servers only, so the crash case proves served-once
+at S = 3 and nowhere else: at S >= 4 one early crash loses rows
+(``tests/experiments/test_early_crash_rows.py``).
 """
 
 import json
