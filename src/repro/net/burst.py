@@ -9,12 +9,23 @@ replays the outcome with a **single recycled event handle** stepping
 through the precomputed timeline — one cheap event per frame instead of
 a tick plus one transmit/deliver pair per hop.
 
+The timeline is a handful of flat columns in delivery order, not an
+object per frame: delivery (or drop) times and send times as
+``array("d")``, the transmitter-free time after each (frame, hop) as
+one more ``array("d")`` of ``frames * hops`` floats, each frame's kind
+(delivered, or tail-dropped at hop *k*) as a ``bytearray``, and its
+payload size and index in the window as ``array("i")``.  Payloads are
+not held at all: the owner's ``build_payload(index)`` makes each one
+when its frame is delivered.
+
 Eligibility is strict: every hop must be *clean* (zero loss, jitter and
 reorder probability, no injected fault), every transit node alive, and
 the destination free of scheduling noise.  Under those conditions the
 precomputed delivery times are bit-identical to what per-frame sends
 would produce — same floating-point operations in the same order — so
-the fast and slow paths are interchangeable on loss-free topologies.
+the fast and slow paths are interchangeable on loss-free topologies
+whose hops carry no other traffic while the window is in flight (a
+burst precomputes against each transmitter's state when it starts).
 
 Two deliberate relaxations, both invisible to protocols:
 
@@ -35,34 +46,17 @@ notified so it can fall back to per-frame transmission.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from array import array
+from typing import Any, Callable, Optional, Sequence
 
 from repro.net.packet import HEADER_BYTES, Datagram
 
-#: Timeline record kinds.
+#: ``_kind`` of a delivered frame; a frame tail-dropped at hop k has
+#: kind k + 1.
 _DELIVER = 0
-_DROP = 1
 
-
-class _Record:
-    """One precomputed timeline step (a delivery or a tail drop)."""
-
-    __slots__ = (
-        "time", "send_time", "entry_idx", "kind", "payload", "size_bytes",
-        "crossed", "drop_direction",
-    )
-
-    def __init__(self, time, send_time, entry_idx, kind, payload, size_bytes,
-                 crossed, drop_direction):
-        self.time = time
-        self.send_time = send_time
-        self.entry_idx = entry_idx
-        self.kind = kind
-        self.payload = payload
-        self.size_bytes = size_bytes
-        # Directions fully crossed, as (direction, tx_free_after) pairs.
-        self.crossed = crossed
-        self.drop_direction = drop_direction
+#: What a finished transfer's columns point at.
+_EMPTY = array("d")
 
 
 class BurstTransfer:
@@ -78,8 +72,9 @@ class BurstTransfer:
         socket,
         dst,
         hops,
-        entries: Sequence[Tuple[float, Any, int]],
-        on_deliver: Optional[Callable[[Any, int], None]],
+        send_times: Sequence[float],
+        sizes: Sequence[int],
+        build_payload: Callable[[int], Any],
         on_abort: Optional[Callable[[], None]],
         carry_tx_free=None,
     ) -> None:
@@ -88,9 +83,10 @@ class BurstTransfer:
         self.socket = socket
         self.dst = dst
         self._hops = hops
+        self._directions = [direction for direction, _to_node in hops]
         self._dst_node = network.nodes[dst.node]
         self._version = network.state_version
-        self._on_deliver = on_deliver
+        self._build_payload = build_payload
         self._on_abort = on_abort
         self.aborted = False
         self.finished = False
@@ -100,10 +96,10 @@ class BurstTransfer:
         #: Each hop's transmitter-free time after the whole window, for
         #: seeding a back-to-back follow-up transfer (see carry_tx_free).
         self.projected_tx_free = {}
-        self._records: List[_Record] = self._precompute(entries, carry_tx_free)
+        self._precompute(send_times, sizes, carry_tx_free)
         self._cursor = 0
-        if self._records:
-            self._handle = self.sim.call_at(self._records[0].time, self._step)
+        if self._time:
+            self._handle = self.sim.call_at(self._time[0], self._step)
         else:
             self._handle = None
             self.finished = True
@@ -111,27 +107,29 @@ class BurstTransfer:
     # ------------------------------------------------------------------
     # Precomputation
     # ------------------------------------------------------------------
-    def _precompute(self, entries, carry_tx_free) -> List[_Record]:
+    def _precompute(self, send_times, sizes, carry_tx_free) -> None:
         # Snapshot each hop's transmitter state; the walk below advances
         # the snapshots exactly as per-frame transmits would have.  A
         # carry from the previous window overrides the (delivery-lagged)
         # live value, so boundary-spanning queues stay exact.
+        hops = self._hops
+        n_hops = len(hops)
         tx_free = []
-        for direction, _ in self._hops:
+        for direction, _ in hops:
             free = direction._tx_free_at
             if carry_tx_free is not None:
                 carried = carry_tx_free.get(direction)
                 if carried is not None and carried > free:
                     free = carried
             tx_free.append(free)
-        records = []
-        for entry_idx, (send_time, payload, size_bytes) in enumerate(entries):
+        times = []
+        kinds = bytearray()
+        tx = array("d")
+        for send_time, size_bytes in zip(send_times, sizes):
             wire = size_bytes + HEADER_BYTES
             at = send_time
-            crossed = []
-            drop_direction = None
-            drop_time = 0.0
-            for hop_idx, (direction, _to_node) in enumerate(self._hops):
+            kind = _DELIVER
+            for hop_idx, (direction, _to_node) in enumerate(hops):
                 params = direction.params
                 serialization = wire * 8.0 / params.bandwidth_bps
                 free = tx_free[hop_idx]
@@ -140,48 +138,63 @@ class BurstTransfer:
                     serialization > 0
                     and queue_ahead_s > params.queue_packets * serialization
                 ):
-                    drop_direction = direction
-                    drop_time = at
+                    # Dropped on arrival at this hop, at ``at``; the
+                    # hops it never reached keep a zero, never read.
+                    kind = hop_idx + 1
+                    tx.extend([0.0] * (n_hops - hop_idx))
                     break
                 start_tx = at if at > free else free
                 free = start_tx + serialization
                 tx_free[hop_idx] = free
-                crossed.append((direction, free))
+                tx.append(free)
                 at = free + params.delay_s
-            if drop_direction is not None:
-                records.append(_Record(
-                    drop_time, send_time, entry_idx, _DROP, payload,
-                    size_bytes, crossed, drop_direction,
-                ))
-            else:
-                records.append(_Record(
-                    at, send_time, entry_idx, _DELIVER, payload,
-                    size_bytes, crossed, None,
-                ))
-        records.sort(key=lambda record: record.time)
+            times.append(at)
+            kinds.append(kind)
+        # Delivery order: a stable sort by time, so tied frames keep
+        # their window order.  Deliveries leave a FIFO chain in window
+        # order; only a tail drop (timed at its hop) can land earlier.
+        order = range(len(times))
+        if any(kinds):
+            order = sorted(order, key=times.__getitem__)
+        self._take(
+            order, times, send_times, sizes, kinds, range(len(times)), tx
+        )
         self.projected_tx_free = {
             direction: tx_free[hop_idx]
-            for hop_idx, (direction, _to_node) in enumerate(self._hops)
+            for hop_idx, (direction, _to_node) in enumerate(hops)
         }
-        return records
+
+    def _take(self, rows, time, send, size, kind, entry, tx) -> None:
+        """Make the columns ``rows`` of the given ones, in that order."""
+        n_hops = len(self._hops)
+        self._time = array("d", [time[row] for row in rows])
+        self._send = array("d", [send[row] for row in rows])
+        self._size = array("i", [size[row] for row in rows])
+        self._kind = bytearray([kind[row] for row in rows])
+        self._entry = array("i", [entry[row] for row in rows])
+        self._tx = array("d", [
+            tx[row * n_hops + hop] for row in rows for hop in range(n_hops)
+        ])
 
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
     def _release(self) -> None:
         # Break the burst <-> handle <-> bound-method reference cycle
-        # and drop the window's records the moment the transfer ends.
+        # and drop the window's columns the moment the transfer ends.
         # Ten thousand bursts per simulated minute otherwise pile up a
-        # million-object cyclic graph for the garbage collector to trace
-        # (full collections dominated thousand-client wall time).
-        self._records = []
+        # cyclic graph for the garbage collector to trace (full
+        # collections dominated thousand-client wall time).
+        self._time = self._send = self._tx = self._size = self._entry = _EMPTY
+        self._kind = b""
         self._handle = None
-        self._on_deliver = None
+        self._build_payload = None
         self._on_abort = None
 
     def _step(self) -> None:
-        records = self._records
-        if self._cursor >= len(records):
+        times = self._time
+        cursor = self._cursor
+        if cursor >= len(times):
             self.finished = True
             self._release()
             return
@@ -189,59 +202,65 @@ class BurstTransfer:
         if network.state_version != self._version and not self._revalidate():
             self._abort()
             return
-        record = records[self._cursor]
-        now = self.sim.now
-        if record.time > now:
+        time = times[cursor]
+        if time > self.sim.now:
             # A revocation removed the step this firing targeted; just
             # retarget the recycled handle at the next survivor.
-            self._handle = self.sim.reschedule(self._handle, record.time)
+            self._handle = self.sim.reschedule(self._handle, time)
             return
-        self._cursor += 1
-        self._settle(record)
-        if record.kind == _DELIVER:
+        self._cursor = cursor + 1
+        kind = self._kind[cursor]
+        size_bytes = self._size[cursor]
+        self._settle(cursor, kind, size_bytes)
+        if kind == _DELIVER:
             self.delivered += 1
-            if self._on_deliver is not None:
-                self._on_deliver(record.payload, record.size_bytes)
             datagram = Datagram(
                 src=self.socket.endpoint,
                 dst=self.dst,
-                payload=record.payload,
-                size_bytes=record.size_bytes,
+                payload=self._build_payload(self._entry[cursor]),
+                size_bytes=size_bytes,
             )
             self._dst_node.deliver(datagram)
         else:
             self.dropped += 1
-            record.drop_direction.stats.dropped_queue += 1
-            record.drop_direction._note_drop("queue")
-        if self._cursor < len(records):
+            direction = self._directions[kind - 1]
+            direction.stats.dropped_queue += 1
+            direction._note_drop("queue")
+        if self._cursor < len(self._time):
             self._handle = self.sim.reschedule(
-                self._handle, records[self._cursor].time
+                self._handle, self._time[self._cursor]
             )
         else:
             self.finished = True
             self._release()
 
-    def _settle(self, record: _Record) -> None:
+    def _settle(self, row: int, kind: int, size_bytes: int) -> None:
         """Apply the counters a per-frame send would have accumulated."""
-        wire = record.size_bytes + HEADER_BYTES
+        wire = size_bytes + HEADER_BYTES
         socket = self.socket
         socket.sent_packets += 1
-        socket.sent_bytes += record.size_bytes
+        socket.sent_bytes += size_bytes
         tel = self.sim.telemetry
         tel_firehose = tel.active and tel.firehose
-        for direction, tx_free_after in record.crossed:
+        directions = self._directions
+        crossed = len(directions) if kind == _DELIVER else kind - 1
+        base = row * len(directions)
+        tx = self._tx
+        for hop in range(crossed):
+            direction = directions[hop]
             stats = direction.stats
             stats.sent_packets += 1
             stats.sent_bytes += wire
             stats.delivered_packets += 1
+            tx_free_after = tx[base + hop]
             if direction._tx_free_at < tx_free_after:
                 direction._tx_free_at = tx_free_after
             if tel_firehose:
                 tel.emit("net.deliver", link=direction.rng_name, bytes=wire)
-        if record.kind == _DROP:
+        if kind != _DELIVER:
             # The dropping hop counts the packet as sent, not delivered,
             # and its transmitter never accepted it.
-            stats = record.drop_direction.stats
+            stats = directions[crossed].stats
             stats.sent_packets += 1
             stats.sent_bytes += wire
 
@@ -280,39 +299,43 @@ class BurstTransfer:
         ``time``) still deliver.  Returns how many frames were revoked."""
         if self.finished:
             return 0
-        entries_cut = [
-            record for record in self._records[self._cursor:]
-            if record.send_time > time
+        cursor = self._cursor
+        send = self._send
+        keep = [
+            row for row in range(len(send))
+            if row < cursor or send[row] <= time
         ]
-        if entries_cut:
-            cut_ids = {id(record) for record in entries_cut}
-            self._records = (
-                self._records[: self._cursor]
-                + [
-                    record
-                    for record in self._records[self._cursor:]
-                    if id(record) not in cut_ids
-                ]
+        cut = len(send) - len(keep)
+        if cut:
+            self._take(
+                keep, self._time, send, self._size, self._kind, self._entry,
+                self._tx,
             )
-            self.revoked += len(entries_cut)
+            self.revoked += cut
         # Every surviving frame was sent at or before ``time``, so its
         # transmitter occupancy is committed even though the lazy
         # delivery-time settlement has not caught up.  Settle it now:
         # the owner's very next send (per-frame or a fresh burst) must
         # queue behind these frames exactly as the slow path would, not
         # jump ahead of them through the stale live value.
-        for record in self._records:
-            for direction, tx_free_after in record.crossed:
+        directions = self._directions
+        n_hops = len(directions)
+        tx = self._tx
+        for row, kind in enumerate(self._kind):
+            crossed = n_hops if kind == _DELIVER else kind - 1
+            for hop in range(crossed):
+                direction = directions[hop]
+                tx_free_after = tx[row * n_hops + hop]
                 if direction._tx_free_at < tx_free_after:
                     direction._tx_free_at = tx_free_after
-        if not entries_cut:
+        if not cut:
             return 0
-        if self._cursor >= len(self._records):
+        if self._cursor >= len(self._time):
             self.finished = True
             if self._handle is not None:
                 self._handle.cancel()
             self._release()
-        return len(entries_cut)
+        return cut
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "aborted" if self.aborted else (
@@ -320,7 +343,7 @@ class BurstTransfer:
         )
         return (
             f"<BurstTransfer {self.socket.endpoint}->{self.dst} "
-            f"{len(self._records) - self._cursor} pending {state}>"
+            f"{len(self._time) - self._cursor} pending {state}>"
         )
 
 
@@ -328,19 +351,22 @@ def start_burst(
     network,
     socket,
     dst,
-    entries: Sequence[Tuple[float, Any, int]],
-    on_deliver: Optional[Callable[[Any, int], None]] = None,
+    send_times: Sequence[float],
+    sizes: Sequence[int],
+    build_payload: Callable[[int], Any],
     on_abort: Optional[Callable[[], None]] = None,
     carry_tx_free=None,
 ) -> Optional[BurstTransfer]:
     """Begin a batched transfer, or return None if ineligible.
 
-    ``entries`` is a sequence of ``(send_time, payload, size_bytes)``
-    with nondecreasing send times, the first at the current instant.
+    ``send_times`` (nondecreasing, the first at the current instant) and
+    ``sizes`` give each frame of the window its send time and payload
+    size; ``build_payload(i)`` makes the i-th frame's payload when that
+    frame is delivered (never for a dropped or revoked frame).
     Eligibility: the socket's node is alive, a route to ``dst`` exists,
     and every hop passes :meth:`Network.path_clear`.
     """
-    if not entries or socket.closed:
+    if not send_times or socket.closed:
         return None
     src = socket.endpoint.node
     if not network.nodes[src].alive:
@@ -351,6 +377,6 @@ def start_burst(
     if not network.path_clear(hops, dst.node):
         return None
     return BurstTransfer(
-        network, socket, dst, hops, entries, on_deliver, on_abort,
-        carry_tx_free=carry_tx_free,
+        network, socket, dst, hops, send_times, sizes, build_payload,
+        on_abort, carry_tx_free=carry_tx_free,
     )

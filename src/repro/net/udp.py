@@ -66,15 +66,17 @@ class UdpSocket:
     def sendto_burst(
         self,
         dst: Endpoint,
-        entries,
-        on_deliver=None,
+        send_times,
+        sizes,
+        build_payload,
         on_abort=None,
         carry_tx_free=None,
     ):
         """Start a precomputed batched transfer toward ``dst``.
 
-        ``entries`` is a sequence of ``(send_time, payload, size_bytes)``
-        with nondecreasing send times.  Returns a
+        ``send_times`` (nondecreasing) and ``sizes`` give each frame of
+        the window its send time and payload size; ``build_payload(i)``
+        makes the i-th frame's payload at its delivery.  Returns a
         :class:`repro.net.burst.BurstTransfer`, or ``None`` when the
         current path is not eligible for the fast path (the caller must
         then fall back to per-frame :meth:`sendto`).  Socket counters are
@@ -85,9 +87,8 @@ class UdpSocket:
         from repro.net.burst import start_burst
 
         return start_burst(
-            self.node.network, self, dst, entries,
-            on_deliver=on_deliver, on_abort=on_abort,
-            carry_tx_free=carry_tx_free,
+            self.node.network, self, dst, send_times, sizes, build_payload,
+            on_abort=on_abort, carry_tx_free=carry_tx_free,
         )
 
     def handle_datagram(self, datagram: Datagram) -> None:

@@ -322,19 +322,19 @@ class VoDServer:
         self.video_socket.sendto(endpoint, payload, size, flow_id=flow_id)
 
     def send_video_burst(
-        self, endpoint: Endpoint, entries, on_deliver=None, on_abort=None,
-        carry_tx_free=None,
+        self, endpoint: Endpoint, send_times, sizes, build_payload,
+        on_abort=None, carry_tx_free=None,
     ):
         """Start a precomputed batched video transfer toward a client.
 
         Returns a :class:`repro.net.burst.BurstTransfer` or None when
         the path is ineligible (the session then streams per-frame).
         ``video_frames_sent``/``video_bytes_sent`` are settled by the
-        caller's ``on_deliver`` as each frame lands."""
+        caller's ``build_payload`` as each frame lands."""
         if not self.running or self.video_socket.closed:
             return None
         return self.video_socket.sendto_burst(
-            endpoint, entries, on_deliver=on_deliver, on_abort=on_abort,
+            endpoint, send_times, sizes, build_payload, on_abort=on_abort,
             carry_tx_free=carry_tx_free,
         )
 

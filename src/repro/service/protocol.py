@@ -210,6 +210,10 @@ class CohortSync:
 # ----------------------------------------------------------------------
 # Video plane (server -> client, raw UDP)
 # ----------------------------------------------------------------------
+#: What a :class:`FramePacket` adds to its frame's bytes on the wire.
+FRAME_HEADER_BYTES = 16
+
+
 @dataclass(frozen=True, **DATACLASS_SLOTS)
 class FramePacket:
     """One video frame in flight (a single frame per message)."""
@@ -220,7 +224,7 @@ class FramePacket:
     sent_at: float
 
     def wire_bytes(self) -> int:
-        return self.frame.size_bytes + 16
+        return self.frame.size_bytes + FRAME_HEADER_BYTES
 
 
 @dataclass(frozen=True)

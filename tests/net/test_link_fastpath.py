@@ -90,14 +90,12 @@ def run_burst(n_nodes, send_times, link=SLOW_LINK, payload_bytes=None):
     net = build_chain(sim, n_nodes, link=link)
     sock, got = open_pair(net, 0, n_nodes - 1)
     dst = Endpoint(n_nodes - 1, 7000)
-    entries = [
-        (t, i, payload_bytes[i] if payload_bytes else PAYLOAD_BYTES)
-        for i, t in enumerate(send_times)
-    ]
+    sizes = payload_bytes or [PAYLOAD_BYTES] * len(send_times)
     holder = {}
 
     def start():
-        holder["burst"] = sock.sendto_burst(dst, entries)
+        # The i-th frame's payload is i.
+        holder["burst"] = sock.sendto_burst(dst, send_times, sizes, int)
 
     sim.call_at(send_times[0], start)
     sim.run()
@@ -145,8 +143,9 @@ class TestBurstConformance:
         sim = Simulator(seed=3)
         net = build_chain(sim, 2)
         sock, _ = open_pair(net, 0, 1)
-        entries = [(t, i, PAYLOAD_BYTES) for i, t in enumerate(times)]
-        sock.sendto_burst(Endpoint(1, 7000), entries)
+        sock.sendto_burst(
+            Endpoint(1, 7000), times, [PAYLOAD_BYTES] * len(times), int
+        )
         sim.run()
         assert sock.sent_packets == len(times)
         assert sock.sent_bytes == len(times) * PAYLOAD_BYTES
@@ -156,9 +155,10 @@ class TestRevocation:
     def test_revoke_cuts_only_unsent_frames(self, sim):
         net = build_chain(sim, 2)
         sock, got = open_pair(net, 0, 1)
-        entries = [(0.0, "a", PAYLOAD_BYTES), (0.010, "b", PAYLOAD_BYTES),
-                   (0.020, "c", PAYLOAD_BYTES)]
-        burst = sock.sendto_burst(Endpoint(1, 7000), entries)
+        burst = sock.sendto_burst(
+            Endpoint(1, 7000), [0.0, 0.010, 0.020], [PAYLOAD_BYTES] * 3,
+            "abc".__getitem__,
+        )
         sim.call_at(0.012, burst.revoke_after, 0.012)
         sim.run()
         assert burst.revoked == 1
@@ -172,9 +172,11 @@ class TestRevocation:
         net = build_chain(sim, 2)
         big = 10000 - HEADER_BYTES   # 80 ms serialization
         small = PAYLOAD_BYTES        # 8 ms, queued until t=0.080
-        entries = [(0.0, "big", big), (0.001, "small", small)]
         sock, got = open_pair(net, 0, 1)
-        burst = sock.sendto_burst(Endpoint(1, 7000), entries)
+        burst = sock.sendto_burst(
+            Endpoint(1, 7000), [0.0, 0.001], [big, small],
+            ["big", "small"].__getitem__,
+        )
         sim.call_at(0.002, burst.revoke_after, 0.002)
         sim.run()
         assert burst.revoked == 0
@@ -183,8 +185,10 @@ class TestRevocation:
     def test_revoking_everything_finishes_the_burst(self, sim):
         net = build_chain(sim, 2)
         sock, got = open_pair(net, 0, 1)
-        entries = [(0.010, "a", PAYLOAD_BYTES), (0.020, "b", PAYLOAD_BYTES)]
-        burst = sock.sendto_burst(Endpoint(1, 7000), entries)
+        burst = sock.sendto_burst(
+            Endpoint(1, 7000), [0.010, 0.020], [PAYLOAD_BYTES] * 2,
+            "ab".__getitem__,
+        )
         assert burst.revoke_after(0.0) == 2
         assert burst.finished
         sim.run()
@@ -210,8 +214,9 @@ class TestRevocation:
             sock, got = open_pair(net, 0, 1)
             dst = Endpoint(1, 7000)
             if batched:
-                entries = [(t, i, PAYLOAD_BYTES) for i, t in enumerate(times)]
-                burst = sock.sendto_burst(dst, entries)
+                burst = sock.sendto_burst(
+                    dst, times, [PAYLOAD_BYTES] * len(times), int
+                )
             else:
                 burst = None
                 for i, t in enumerate(times):
@@ -228,10 +233,10 @@ class TestAbort:
         net = build_chain(sim, 3)
         sock, got = open_pair(net, 0, 2)
         times = [i * 0.010 for i in range(6)]
-        entries = [(t, i, PAYLOAD_BYTES) for i, t in enumerate(times)]
         aborted = []
         burst = sock.sendto_burst(
-            Endpoint(2, 7000), entries, on_abort=lambda: aborted.append(1)
+            Endpoint(2, 7000), times, [PAYLOAD_BYTES] * len(times), int,
+            on_abort=lambda: aborted.append(1),
         )
         sim.call_at(0.025, net.node(1).crash)
         sim.run()
@@ -248,7 +253,7 @@ class TestEligibility:
         )
         sock, _ = open_pair(net, 0, 1)
         assert sock.sendto_burst(
-            Endpoint(1, 7000), [(0.0, "x", PAYLOAD_BYTES)]
+            Endpoint(1, 7000), [0.0], [PAYLOAD_BYTES], "x".__getitem__
         ) is None
 
     def test_faulted_link_declines(self, sim):
@@ -256,7 +261,7 @@ class TestEligibility:
         net.set_link_fault(0, 1, LinkFault(drop_prob=0.1))
         sock, _ = open_pair(net, 0, 1)
         assert sock.sendto_burst(
-            Endpoint(1, 7000), [(0.0, "x", PAYLOAD_BYTES)]
+            Endpoint(1, 7000), [0.0], [PAYLOAD_BYTES], "x".__getitem__
         ) is None
 
     def test_scheduling_noise_at_destination_declines(self, sim):
@@ -264,7 +269,7 @@ class TestEligibility:
         net.node(1).scheduling_noise_s = 0.001
         sock, _ = open_pair(net, 0, 1)
         assert sock.sendto_burst(
-            Endpoint(1, 7000), [(0.0, "x", PAYLOAD_BYTES)]
+            Endpoint(1, 7000), [0.0], [PAYLOAD_BYTES], "x".__getitem__
         ) is None
 
     def test_closed_socket_raises(self, sim):
@@ -272,7 +277,9 @@ class TestEligibility:
         sock, _ = open_pair(net, 0, 1)
         sock.close()
         with pytest.raises(SocketClosedError):
-            sock.sendto_burst(Endpoint(1, 7000), [(0.0, "x", PAYLOAD_BYTES)])
+            sock.sendto_burst(
+                Endpoint(1, 7000), [0.0], [PAYLOAD_BYTES], "x".__getitem__
+            )
 
 
 class TestCarry:
@@ -290,13 +297,12 @@ class TestCarry:
             net = build_chain(sim, 2, link=link)
             sock, got = open_pair(net, 0, 1)
             dst = Endpoint(1, 7000)
-            first = [(t, i, size) for i, t in enumerate(ticks[:2])]
-            burst1 = sock.sendto_burst(dst, first)
+            burst1 = sock.sendto_burst(dst, ticks[:2], [size] * 2, int)
 
             def second_window():
-                second = [(t, i + 2, size) for i, t in enumerate(ticks[2:])]
                 sock.sendto_burst(
-                    dst, second, carry_tx_free=burst1.projected_tx_free
+                    dst, ticks[2:], [size] * 2, lambda i: i + 2,
+                    carry_tx_free=burst1.projected_tx_free,
                 )
 
             sim.call_at(ticks[2], second_window)
