@@ -24,6 +24,11 @@ session sends later cannot queue it, so the first frame a second viewer
 receives already arrives earlier than per-frame sends deliver it (one
 viewer alone matches bit for bit).  The strict xfails below pin that
 first difference.
+
+After the partition heals, every viewer must keep receiving: none may go
+more than 2 s without a delivery from the heal to the end of the run.
+At S = 3 the isolated server's viewers do not (a strict xfail below);
+at S = 4 they do.
 """
 
 from functools import lru_cache
@@ -50,6 +55,9 @@ SHARED_HOP = (
     "when its window opens, so frames other sessions send later do not "
     "queue it: {viewer} frame 1 arrives before its per-frame twin"
 )
+#: The longest a viewer may go without a delivery after the heal.
+MAX_GAP_AFTER_HEAL_S = 2.0
+
 #: The first differing delivery of each rig, per server count.
 FIRST_DIFFERENCE = {3: "client3", 4: "client4"}
 
@@ -125,3 +133,35 @@ def test_lossy_last_mile_runs_identical(n_servers):
     slow = deliveries(n_servers, 0.0, "lossy")
     assert fast, "nothing was delivered"
     assert fast == slow, first_difference(fast, slow)
+
+
+def gaps_after_the_heal(n_servers):
+    """Each viewer's longest stretch without a delivery between the heal
+    and the end of the run, per-frame."""
+    received = {f"client{i}": [HEAL_AT] for i in range(N_VIEWERS)}
+    for t, viewer, _index, _sent_at, _epoch in deliveries(
+        n_servers, 0.0, "partition"
+    ):
+        if t > HEAL_AT:
+            received[viewer].append(t)
+    return {
+        viewer: max(b - a for a, b in zip(times, times[1:] + [RUN_TO]))
+        for viewer, times in received.items()
+    }
+
+
+@pytest.mark.parametrize("n_servers", [
+    pytest.param(3, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the healed partition stalls the isolated server's viewers "
+        "client3, client6 and client9: nothing arrives from 6.93 s to 13.03 s",
+    )),
+    4,
+])
+def test_no_viewer_stalls_after_the_heal(n_servers):
+    stalled = {
+        viewer: round(gap, 3)
+        for viewer, gap in gaps_after_the_heal(n_servers).items()
+        if gap > MAX_GAP_AFTER_HEAL_S
+    }
+    assert not stalled, stalled
