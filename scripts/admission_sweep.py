@@ -90,7 +90,7 @@ def run_fly_rig(
     """(rows listed, rows listed twice) at ``check_s``, the busiest of
     ``n_servers`` crashed at ``crash_at`` (None: no crash)."""
     sim, deployment, pool, _ = build_scale_rig(
-        n_clients, 1.0, n_servers=n_servers, mode="flyweight", seed=seed,
+        n_clients, n_servers=n_servers, mode="flyweight", seed=seed,
         connect_window_s=window_s,
     )
     if crash_at is not None:
@@ -105,7 +105,7 @@ def run_rig(
 ) -> Tuple[int, int]:
     """(viewers served, viewers served twice) at the cell's checks."""
     sim, deployment, _, _ = build_scale_rig(
-        n_clients, 1.0, n_servers=N_SERVERS, mode="full", seed=seed,
+        n_clients, n_servers=N_SERVERS, mode="full", seed=seed,
         connect_window_s=window_s,
     )
     if loss:

@@ -1,4 +1,4 @@
-"""Scale experiment: the data-plane fast path under thousands of viewers.
+"""Scale experiment: one service under thousands of viewers.
 
 The paper's introduction motivates the design with metropolitan-scale
 deployments: "in such an environment, scalability and fault tolerance
@@ -7,8 +7,8 @@ concurrent viewers (N = 100 / 1 000 / 5 000), crashes the most-loaded
 server mid-run, and measures
 
 * simulator throughput — events and delivered frames per wall-clock
-  second — on the batched fast path (its speed against the per-frame
-  path is ``bench/``'s to measure, not this experiment's), and
+  second (its speed is ``bench/``'s to measure, not this
+  experiment's), and
 * failover latency (crash to takeover session start), which must stay
   flat in N: the takeover path is per-client state lookup, not a scan.
 
@@ -18,13 +18,13 @@ concentrates up to ``CLIENTS_PER_EDGE`` viewers behind one GCS daemon
 and one fat edge link, so the control plane scales with the number of
 edges rather than the number of viewers — how a real metropolitan
 head-end would be provisioned — while the video plane still crosses two
-switched hops per frame.  All links are loss-free, so batched sessions
-stay on the fast path for the entire run.
+switched hops per frame.  All links are loss-free.
 
-Two population modes, both on one-second batch windows
-(:data:`BATCH_WINDOW_S`):
+Two population modes:
 
-* ``batched`` — full client objects on the batched fast path;
+* ``full`` — full client objects, each served by a per-frame
+  :class:`~repro.server.streamer.ClientSession` (one frame per tick,
+  the paper's model);
 * ``flyweight`` — viewers as columnar rows in a
   :class:`repro.client.flyweight.FlyweightPool`, served by cohort
   sessions whose playheads are closed-form arithmetic.  This is the
@@ -64,10 +64,6 @@ SCALE_SPEC = ScenarioSpec(
 #: Default population sweep (the paper's "scalability" claim at depth).
 DEFAULT_SIZES = (100, 1000, 5000)
 
-#: Every scale run's ``ServerConfig.batch_window_s``: one second of
-#: frames per precomputed burst.
-BATCH_WINDOW_S = 1.0
-
 
 @dataclass
 class ScalePoint:
@@ -96,7 +92,7 @@ class ScalePoint:
 
     @property
     def mode(self) -> str:
-        return "flyweight" if self.flyweight else "batched"
+        return "flyweight" if self.flyweight else "full"
 
     @property
     def events_per_s(self) -> float:
@@ -142,14 +138,14 @@ def make_crash_most_loaded(deployment: "Deployment", observer=None):
     return lambda: deployment.busiest_server().crash()
 
 
-def _rig(n_clients: int, mode: str, server_config: ServerConfig, **fields):
+def _rig(n_clients: int, mode: str, **fields):
     """:data:`SCALE_SPEC`'s world with ``n_clients`` viewers and a
     failover observer: ``(sim, deployment, viewers, observer)``."""
     if mode not in ("full", "flyweight"):
         raise ServiceError(f"unknown scale-rig mode {mode!r}")
     live = prepare_scenario(replace(
         SCALE_SPEC, n_viewers=n_clients, flyweight=mode == "flyweight",
-        server_config=server_config, **fields,
+        **fields,
     ))
     deployment = live.result.deployment
     observer = _FailoverObserver(live.sim)
@@ -200,8 +196,7 @@ def conformance_trace(
 
         plan = FaultPlan().crash_most_loaded(crash_at)
     sim, deployment, viewers, observer = _rig(
-        48, mode,
-        ServerConfig(batch_window_s=BATCH_WINDOW_S, session_mux=True),
+        48, mode, server_config=ServerConfig(session_mux=True),
         client_config=ClientConfig(session_mux=True, prebuffer_frames=330),
         seed=77, movie_duration_s=duration_s + 60.0, connect_window_s=0.0,
         plan=plan,
@@ -227,7 +222,7 @@ def conformance_trace(
 
 def build_scale_rig(
     n_clients: int,
-    batch_window_s: float,
+    _unused: float = 1.0,
     n_servers: int = 3,
     seed: int = 77,
     connect_window_s: float = 2.0,
@@ -245,10 +240,10 @@ def build_scale_rig(
     list of :class:`VoDClient` (``mode="full"``) or the
     :class:`~repro.client.flyweight.FlyweightPool` holding them as rows
     (``mode="flyweight"``), and ``observer`` measures failover latency
-    from any server crash."""
+    from any server crash.  The second positional parameter is read by
+    nothing: ``bench/workloads.py`` still passes it."""
     return _rig(
-        n_clients, mode, ServerConfig(batch_window_s=batch_window_s),
-        n_initial_servers=n_servers, seed=seed,
+        n_clients, mode, n_initial_servers=n_servers, seed=seed,
         connect_window_s=connect_window_s,
     )
 
@@ -285,7 +280,6 @@ def run_scale_point(
         crash_at = duration_s / 2.0
     sim, deployment, viewers, observer = _rig(
         n_clients, "flyweight" if flyweight else "full",
-        ServerConfig(batch_window_s=BATCH_WINDOW_S),
         n_initial_servers=n_servers, seed=seed,
         movie_duration_s=duration_s + 60.0,
     )
@@ -295,7 +289,6 @@ def run_scale_point(
         dict(
             experiment="scale",
             n_clients=n_clients,
-            batch_window_s=BATCH_WINDOW_S,
             mode="flyweight" if flyweight else "full",
             seed=seed,
             duration_s=duration_s,
@@ -449,7 +442,7 @@ def run(spec) -> "ExperimentResult":
         artifacts["telemetry"] = spec.telemetry_path
 
     table = Table(
-        f"Scale — batched fast path, {duration:.0f}s, crash mid-run",
+        f"Scale — {duration:.0f}s, crash mid-run",
         [
             "clients", "mode", "events", "wall (s)", "events/s",
             "frames/wall-s", "takeovers", "max failover (s)",

@@ -168,13 +168,6 @@ class _Direction:
                 fault = None
         self.fault = fault
 
-    @property
-    def clean(self) -> bool:
-        """True when a transmission right now is deterministic: no loss,
-        jitter or reorder draws and no injected fault.  (Tail drops can
-        still happen — they are arithmetic, not stochastic.)"""
-        return self._params_clean and self.fault is None
-
     def transmit(
         self, datagram: Datagram, deliver: DeliverFn, guaranteed: bool = False
     ) -> None:

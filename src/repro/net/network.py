@@ -36,18 +36,12 @@ class Network:
         # source -> destination -> Hop, compiled from a BFS the first time
         # a node forwards after a change; unreachable pairs are absent.
         self._tables: Dict[int, Dict[int, Hop]] = {}
-        # Bumped on every change that can affect in-flight traffic:
-        # topology, link up/down, injected faults, node crash/restart.
-        # Precomputed burst transfers (net/burst.py) revalidate their
-        # path whenever this moves.
-        self.state_version = 0
         # Optional QoS manager (repro.net.qos.QosManager.install).
         self.qos = None
 
     def note_change(self) -> None:
-        """Invalidate forwarding tables and precomputed fast-path state."""
+        """Invalidate the forwarding tables."""
         self._tables = {}
-        self.state_version += 1
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -205,14 +199,14 @@ class Network:
             )
 
     # ------------------------------------------------------------------
-    # Fast-path support (see repro.net.burst)
+    # Path lookup (see repro.net.qos)
     # ------------------------------------------------------------------
     def resolve_path(self, src: int, dst: int):
         """The hop sequence a datagram would take right now, or None.
 
         Returns a list of ``(direction, to_node_id)`` pairs following the
-        same BFS next-hop tables :meth:`send` uses, so a precomputed
-        burst crosses exactly the links a per-frame send would.
+        same BFS next-hop tables :meth:`send` uses, so a reservation
+        covers exactly the links a send crosses.
         """
         if src == dst:
             return []
@@ -225,22 +219,6 @@ class Network:
             hops.append(hop[:2])
             at = hop[1]
         return hops
-
-    def path_clear(self, hops, dst: int) -> bool:
-        """True when every hop of ``hops`` is deterministic end to end:
-        links up and clean (no loss/jitter/reorder/fault draws), transit
-        nodes alive, and the destination both alive and free of
-        process-scheduling noise.  Under these conditions a batched
-        transfer is bit-identical to per-frame sends."""
-        for direction, to_node in hops:
-            if not direction.up or not direction.clean:
-                return False
-            node = self.nodes[to_node]
-            if not node.alive:
-                return False
-            if to_node == dst and node.scheduling_noise_s > 0:
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # Routing (BFS shortest path over live links)

@@ -63,34 +63,6 @@ class UdpSocket:
         self.node.network.send(datagram)
         return datagram
 
-    def sendto_burst(
-        self,
-        dst: Endpoint,
-        send_times,
-        sizes,
-        build_payload,
-        on_abort=None,
-        carry_tx_free=None,
-    ):
-        """Start a precomputed batched transfer toward ``dst``.
-
-        ``send_times`` (nondecreasing) and ``sizes`` give each frame of
-        the window its send time and payload size; ``build_payload(i)``
-        makes the i-th frame's payload at its delivery.  Returns a
-        :class:`repro.net.burst.BurstTransfer`, or ``None`` when the
-        current path is not eligible for the fast path (the caller must
-        then fall back to per-frame :meth:`sendto`).  Socket counters are
-        settled as each frame delivers, so end-of-run totals match the
-        per-frame path exactly."""
-        if self.closed:
-            raise SocketClosedError(f"socket {self.endpoint} is closed")
-        from repro.net.burst import start_burst
-
-        return start_burst(
-            self.node.network, self, dst, send_times, sizes, build_payload,
-            on_abort=on_abort, carry_tx_free=carry_tx_free,
-        )
-
     def handle_datagram(self, datagram: Datagram) -> None:
         """Called by the node when a datagram reaches this socket."""
         if self.closed:

@@ -60,12 +60,6 @@ class ServerConfig:
     # of 40% for emergency periods (the paper's Section 4.1 sizing and
     # its Section 8 ATM plan).
     use_qos: bool = False
-    # Batched transmission: when positive, each streaming session
-    # collapses up to this many seconds of per-frame timer ticks into a
-    # single precomputed burst whenever the path to the client is
-    # loss-free and deterministic (see repro.net.burst).  Zero keeps the
-    # classic one-event-per-frame transmission loop.
-    batch_window_s: float = 0.0
     # Session-group multiplexing: when true the server joins no
     # per-client session group.  Flow control and VCR commands arrive
     # point-to-point (routed by sender), migrations are announced by
@@ -320,23 +314,6 @@ class VoDServer:
         self.video_bytes_sent += size
         self.video_frames_sent += 1
         self.video_socket.sendto(endpoint, payload, size, flow_id=flow_id)
-
-    def send_video_burst(
-        self, endpoint: Endpoint, send_times, sizes, build_payload,
-        on_abort=None, carry_tx_free=None,
-    ):
-        """Start a precomputed batched video transfer toward a client.
-
-        Returns a :class:`repro.net.burst.BurstTransfer` or None when
-        the path is ineligible (the session then streams per-frame).
-        ``video_frames_sent``/``video_bytes_sent`` are settled by the
-        caller's ``build_payload`` as each frame lands."""
-        if not self.running or self.video_socket.closed:
-            return None
-        return self.video_socket.sendto_burst(
-            endpoint, send_times, sizes, build_payload, on_abort=on_abort,
-            carry_tx_free=carry_tx_free,
-        )
 
     # ==================================================================
     # Open-group requests to the server group, dispatched by title

@@ -5,28 +5,10 @@ A session owns the transmission timer for one client: one frame per
 :class:`~repro.server.rate_controller.RateController` and therefore
 includes the decaying emergency quota.  Quality adaptation transmits all
 I frames and a deterministic subset of the incremental frames.
-
-Batched transmission
---------------------
-
-With ``ServerConfig.batch_window_s > 0`` a session collapses one window
-of per-frame timer ticks into a single precomputed burst
-(:mod:`repro.net.burst`) whenever the path to the client is loss-free
-and deterministic.  Tick times are computed by the same cumulative
-``t + 1/rate`` chain the per-frame timer would walk, so frame send and
-delivery times are bit-identical to per-frame mode.  Any control input
-that would have changed the slow path's behaviour mid-window — a rate
-change, an emergency, seek, pause, speed or quality change — revokes
-the unsent tail of the window and falls back to per-frame ticking at
-exactly the instant the slow path's pending timer would have fired.
-``position`` stays exact throughout: during a window it is derived from
-the precomputed tick times, so state-sync snapshots see the same offset
-a per-frame run would publish.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -36,7 +18,6 @@ from repro.net.address import Endpoint
 from repro.server.rate_controller import RateController
 from repro.server.state import RowLedger, rebalance
 from repro.service.protocol import (
-    FRAME_HEADER_BYTES,
     ClientRecord,
     CohortSync,
     EndOfStream,
@@ -57,21 +38,9 @@ EOS_SPACING_S = 0.1
 #: "varying to at most 40% of the constant bit rate" (paper Section 4.1).
 QOS_VBR_FRACTION = 0.4
 
-
-def batch_ticks(start: float, rate: float, count: int) -> array:
-    """The times a per-frame timer would fire at, starting at ``start``.
-
-    Computed by the cumulative ``t = t + 1/rate`` chain — never
-    ``start + i / rate`` — so every tick is bit-identical to the float
-    the slow path's back-to-back ``call_after(1/rate)`` chain produces.
-    """
-    delta = 1.0 / rate
-    ticks = array("d")
-    t = start
-    for _ in range(count):
-        ticks.append(t)
-        t = t + delta
-    return ticks
+#: How often a cohort advances: finish detection and the watermark of
+#: its closed-form playheads, once per simulated second.
+COHORT_WINDOW_S = 1.0
 
 
 class ClientSession:
@@ -96,16 +65,8 @@ class ClientSession:
         self.client = client
         self.session_name = session_name
         self.video_endpoint = video_endpoint
-        self._position = max(1, start_offset)
-        # Batched-transmission state: the in-flight burst, the tick
-        # times it replaces, the first covered position, the tick
-        # interval, and the projected per-hop transmitter state carried
-        # into a back-to-back follow-up window.
-        self._batch = None
-        self._batch_ticks: Optional[array] = None
-        self._batch_start = 0
-        self._batch_delta = 0.0
-        self._batch_carry = None
+        # Next frame index to transmit.
+        self.position = max(1, start_offset)
         self.quality_fps = quality_fps
         # VCR speed: the playhead covers positions at speed * rate; at
         # speeds above 1 only a thinned subset of frames (always
@@ -147,26 +108,6 @@ class ClientSession:
         )
 
     # ------------------------------------------------------------------
-    # Position (exact even mid-window)
-    # ------------------------------------------------------------------
-    @property
-    def position(self) -> int:
-        """Next frame index to transmit.
-
-        During a batched window the per-frame timer does not run, so the
-        value is derived from the precomputed tick times: the ticks at
-        or before *now* have logically fired."""
-        if self._batch_ticks is not None:
-            return self._batch_start + bisect_right(self._batch_ticks, self.sim.now)
-        return self._position
-
-    @position.setter
-    def position(self, value: int) -> None:
-        if self._batch_ticks is not None:
-            self._collapse_batch()
-        self._position = value
-
-    # ------------------------------------------------------------------
     # Transmission loop
     # ------------------------------------------------------------------
     def _schedule_next(self) -> None:
@@ -178,26 +119,10 @@ class ClientSession:
     def _transmit_tick(self) -> None:
         if self.stopped or self.finished or self.paused:
             return
-        if self._position > len(self.movie):
+        if self.position > len(self.movie):
             self._finish()
             return
-        if (
-            self.server.config.batch_window_s > 0.0
-            and self.reservation is None
-            and self._try_batch()
-        ):
-            return
-        carry = self._batch_carry
-        if carry is not None:
-            # Falling back to per-frame right after a window whose tail
-            # may still be in flight: fold the window's projected
-            # transmitter occupancy into the live link state so this
-            # send queues behind it exactly as the slow path would.
-            self._batch_carry = None
-            for direction, tx_free_after in carry.items():
-                if direction._tx_free_at < tx_free_after:
-                    direction._tx_free_at = tx_free_after
-        frame = self.movie.frame(self._position)
+        frame = self.movie.frame(self.position)
         if self._position_accepts(frame.index, frame.is_intra):
             packet = FramePacket(
                 frame=frame,
@@ -209,148 +134,8 @@ class ClientSession:
             self.server.send_video(self.video_endpoint, packet, flow_id=flow)
             self.frames_sent += 1
             self.bytes_sent += frame.size_bytes
-        self._position += 1
+        self.position += 1
         self._schedule_next()
-
-    # ------------------------------------------------------------------
-    # Batched transmission
-    # ------------------------------------------------------------------
-    def _try_batch(self) -> bool:
-        """Replace one window of timer ticks with a precomputed burst.
-
-        Returns False — leaving the caller to take the per-frame path —
-        when the window is too short or the route is not eligible for
-        the fast path."""
-        rate = self.rate.current_rate() * self.speed
-        delta = 1.0 / rate
-        count = min(
-            int(self.server.config.batch_window_s * rate),
-            len(self.movie) - self._position + 1,
-        )
-        if count < 2:
-            return False
-        ticks = batch_ticks(self.sim.now, rate, count)
-        start = self._position
-        movie = self.movie
-        accepted = array("i")
-        send_times = []
-        sizes = []
-        for offset, t in enumerate(ticks):
-            frame = movie.frame(start + offset)
-            if self._position_accepts(frame.index, frame.is_intra):
-                accepted.append(frame.index)
-                send_times.append(t)
-                sizes.append(frame.size_bytes + FRAME_HEADER_BYTES)
-        if not accepted:
-            return False  # thinning rejected the whole window
-        # The window's packets are built as they land, from what holds
-        # when it opens: a later seek or takeover changes neither.
-        epoch = self.epoch
-        process = self.server.process
-
-        def deliver_frame(entry: int) -> FramePacket:
-            position = accepted[entry]
-            packet = FramePacket(
-                frame=movie.frame(position),
-                epoch=epoch,
-                server=process,
-                sent_at=ticks[position - start],
-            )
-            self._on_burst_deliver(packet, packet.wire_bytes())
-            return packet
-
-        burst = self.server.send_video_burst(
-            self.video_endpoint,
-            send_times,
-            sizes,
-            deliver_frame,
-            on_abort=self._on_burst_abort,
-            carry_tx_free=self._batch_carry,
-        )
-        if burst is None:
-            return False
-        self._batch = burst
-        self._batch_ticks = ticks
-        self._batch_start = start
-        self._batch_delta = delta
-        self._batch_carry = None
-        # The tick after the window: one float add past the last tick,
-        # exactly where the slow path's timer chain would land.
-        self._send_handle = self.sim.call_at(
-            ticks[-1] + delta, self._boundary_tick
-        )
-        return True
-
-    def _boundary_tick(self) -> None:
-        """First tick after a batched window: fold the window (all its
-        ticks are now in the past) and resume normal ticking, which may
-        immediately open the next window."""
-        self._send_handle = None
-        if self._batch_ticks is not None:
-            self._position = self._batch_start + len(self._batch_ticks)
-            burst = self._batch
-            self._batch = None
-            self._batch_ticks = None
-            if burst is not None and not burst.aborted and burst.revoked == 0:
-                # Back-to-back windows: seed the next precompute with
-                # this window's projected transmitter state so queueing
-                # arithmetic stays exact across the boundary even when
-                # the tail of the window is still in flight.
-                self._batch_carry = burst.projected_tx_free
-        self._transmit_tick()
-
-    def _collapse_batch(self) -> float:
-        """Fold the active window back into per-frame state.
-
-        Frames whose send time has not arrived are revoked; ``position``
-        becomes a plain integer again.  Returns the simulation time the
-        next tick would have fired at under the window's schedule."""
-        ticks = self._batch_ticks
-        burst = self._batch
-        fired = bisect_right(ticks, self.sim.now)
-        if fired < len(ticks):
-            next_due = ticks[fired]
-        else:
-            next_due = ticks[-1] + self._batch_delta
-        self._position = self._batch_start + fired
-        self._batch = None
-        self._batch_ticks = None
-        self._batch_carry = None
-        if burst is not None and not burst.finished:
-            burst.revoke_after(self.sim.now)
-        return next_due
-
-    def _resync_batch(self) -> None:
-        """A control input changed behaviour mid-window: revoke the
-        unsent tail and tick per-frame from the next due time — the
-        exact instant the slow path's pending timer would have fired."""
-        if self._batch_ticks is None:
-            return
-        next_due = self._collapse_batch()
-        if self._send_handle is not None:
-            self._send_handle.cancel()
-        self._send_handle = self.sim.call_at(next_due, self._transmit_tick)
-
-    def _on_burst_deliver(self, packet, size_bytes: int) -> None:
-        """Per-frame accounting, settled at delivery time (end-of-run
-        totals match the per-frame path exactly)."""
-        self.server.video_bytes_sent += size_bytes
-        self.server.video_frames_sent += 1
-        self.frames_sent += 1
-        self.bytes_sent += packet.frame.size_bytes
-
-    def _on_burst_abort(self) -> None:
-        """The network changed under the window and the path no longer
-        qualifies; resume per-frame ticking (sends may then blackhole or
-        queue, exactly as slow-path sends would on the new topology)."""
-        if self._batch_ticks is None:
-            return
-        next_due = self._collapse_batch()
-        if self.stopped or self.paused or self.finished:
-            return
-        if self._send_handle is not None:
-            self._send_handle.cancel()
-        self._send_handle = self.sim.call_at(next_due, self._transmit_tick)
 
     def _position_accepts(self, index: int, is_intra: bool) -> bool:
         """Decide whether the frame at a covered position is sent.
@@ -406,20 +191,12 @@ class ClientSession:
         # after the old interval.
         if self.rate.emergency_quantity > quantity_before:
             self._rearm_now()
-        elif self.rate.current_rate() != rate_before:
-            # A plain rate change keeps the pending tick; a batched
-            # window must shed its now-mistimed tail.
-            self._resync_batch()
 
     def _decay_tick(self) -> None:
         quantity_before = self.rate.emergency_quantity
         self.rate.decay_tick()
         if quantity_before <= 0:
             return
-        if self.rate.emergency_quantity != quantity_before:
-            # The emergency quota stepped down, changing the rate; like
-            # a plain rate change, the slow path keeps its pending tick.
-            self._resync_batch()
         tel = self.sim.telemetry
         if tel.active:
             tel.emit(
@@ -434,8 +211,6 @@ class ClientSession:
         if self.paused:
             return
         self.paused = True
-        if self._batch_ticks is not None:
-            self._collapse_batch()
         if self._send_handle is not None:
             self._send_handle.cancel()
             self._send_handle = None
@@ -455,10 +230,7 @@ class ClientSession:
         self._rearm_now()
 
     def set_quality(self, quality_fps: Optional[int]) -> None:
-        changed = quality_fps != self.quality_fps
         self.quality_fps = quality_fps
-        if changed:
-            self._resync_batch()
 
     def set_speed(self, speed: float) -> None:
         """VCR speed control (1.0 = normal, 2.0 = double-speed cue,
@@ -469,8 +241,6 @@ class ClientSession:
     def stop(self) -> None:
         """Stop transmitting (hand-off or client departure)."""
         self.stopped = True
-        if self._batch_ticks is not None:
-            self._collapse_batch()
         if self._send_handle is not None:
             self._send_handle.cancel()
             self._send_handle = None
@@ -482,8 +252,6 @@ class ClientSession:
             self.reservation = None
 
     def _rearm_now(self) -> None:
-        if self._batch_ticks is not None:
-            self._collapse_batch()
         if self._send_handle is not None:
             self._send_handle.cancel()
         self._send_handle = None
@@ -529,7 +297,7 @@ class CohortSession:
     period after admission), so its published offset at any time ``T``
     is ``base + floor((T - t0) * rate)``.  The cohort stores exactly
     that — ``(base, anchor)`` per row — and evaluates it on
-    demand: at every batch window boundary (finish detection, the
+    demand: at every window boundary (finish detection, the
     advancing watermark) and at every state-sync tick (the offsets that
     ride the movie group's single :class:`CohortSync` record).
 
@@ -596,8 +364,7 @@ class CohortSession:
         # then row, so a row's entry is found by bisection.
         self._finish_at = array("d")
         self._finish_row = array("i")
-        window = server.config.batch_window_s or server.config.sync_interval_s
-        self._window_timer = Timer(self.sim, window, self._window_tick)
+        self._window_timer = Timer(self.sim, COHORT_WINDOW_S, self._window_tick)
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -620,7 +387,7 @@ class CohortSession:
         return position if position < limit else limit
 
     def _window_tick(self) -> None:
-        """Advance the cohort by one batch window.
+        """Advance the cohort by one window.
 
         The columnar playheads are closed-form, so 'advancing' costs
         O(1) plus the rows that finished inside the window — never a

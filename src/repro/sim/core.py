@@ -170,7 +170,7 @@ class Simulator:
         """Re-queue an already-fired handle for ``time`` and return it.
 
         This recycles the :class:`EventHandle` allocation for hot
-        periodic callers (timers, burst replay).  The handle must not be
+        periodic callers (timers, kernel lanes).  The handle must not be
         live in the queue: only pass a handle whose event has already
         fired (it is popped before its callback runs) or that was
         cancelled *and then* popped.  The callback and args are kept;

@@ -26,9 +26,7 @@ def build_rig(n_viewers=8, movie_s=30.0, seed=77, n_servers=2,
     catalog = MovieCatalog([Movie.synthetic("feature", duration_s=movie_s)])
     deployment = Deployment(
         topology, catalog, server_nodes=list(range(n_servers)),
-        server_config=ServerConfig(
-            session_mux=session_mux, batch_window_s=1.0
-        ),
+        server_config=ServerConfig(session_mux=session_mux),
         client_config=ClientConfig(
             session_mux=session_mux, prebuffer_frames=330
         ),
@@ -142,7 +140,7 @@ def test_full_clients_and_rows_share_an_edge_through_a_crash():
     catalog = MovieCatalog([Movie.synthetic("feature", duration_s=60.0)])
     deployment = Deployment(
         topology, catalog, server_nodes=[0, 1, 2],
-        server_config=ServerConfig(session_mux=True, batch_window_s=1.0),
+        server_config=ServerConfig(session_mux=True),
         client_config=ClientConfig(session_mux=True, prebuffer_frames=330),
     )
     edge = deployment.domain.ensure_endpoint(topology.host(3))

@@ -157,3 +157,33 @@ def test_received_bytes_tracked(rig):
     send(2, size=3000)
     sim.run_until(0.01)
     assert client.stats.received_bytes == 10_000
+
+
+def test_a_per_frame_stream_on_a_clean_lan_arrives_whole_and_in_order():
+    """One server streams a short movie to one client frame by frame:
+    every frame the server counts as sent arrives once, in send order,
+    and the client plays the movie to its end."""
+    from repro.media.catalog import MovieCatalog
+    from repro.media.movie import Movie
+    from repro.server.streamer import EOS_REPEATS
+    from repro.service.deployment import Deployment
+
+    sim = Simulator(seed=23)
+    catalog = MovieCatalog([Movie.synthetic("feature", duration_s=8.0)])
+    deployment = Deployment(build_lan(sim, n_hosts=3), catalog, server_nodes=[0])
+    (server,) = deployment.servers.values()
+    client = deployment.attach_client(1)
+    got = []
+
+    def spy(packet, deliver=client._on_frame):
+        got.append((packet.sent_at, packet.frame.index))
+        deliver(packet)
+
+    client._on_frame = spy
+    client.request_movie("feature")
+    sim.run_until(16.0)
+    assert client.finished
+    assert [index for _sent_at, index in got] == list(range(1, 241))
+    assert all(a < b for (a, _), (b, _) in zip(got, got[1:]))
+    assert server.video_frames_sent == len(got) + EOS_REPEATS
+    assert client.displayed_total == len(got)

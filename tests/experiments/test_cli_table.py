@@ -9,8 +9,8 @@ subcommand now takes only the flags its module reads, so those argv
 lines moved to ``REJECTED``, which pins argparse's usage error.  So did
 the rows of the six flags the retired shard path took (``scale
 --sharded-sizes / --shards / --workers / --shard-inline``, ``postmortem
---shards / --shard-inline``), and ``scale --window``: every scale run
-uses a one-second batch window.
+--shards / --shard-inline``), and ``scale --window``: no scale run
+has a batch window (every full viewer streams frame by frame).
 """
 
 import pytest
@@ -94,7 +94,7 @@ REJECTED = [
     "scale --shard-inline --no-telemetry",
     "postmortem --scale 2000 --shards 2",
     "postmortem --scale 2000 --shard-inline --no-telemetry",
-    # One batch window for every scale run.
+    # No batch window: a full viewer streams frame by frame.
     "scale --window 0.5 --no-telemetry",
 ]
 

@@ -105,7 +105,7 @@ class TestScenarioHarness:
             (lambda: plan_for_spec(
                 dataclasses.replace(LAN_SCENARIO, schedule=((1.0, "explode"),))
             ), "unknown scenario action 'explode'"),
-            (lambda: build_scale_rig(4, 1.0, mode="hologram"),
+            (lambda: build_scale_rig(4, mode="hologram"),
              "unknown scale-rig mode 'hologram'"),
             (lambda: prepare_scenario(
                 dataclasses.replace(LAN_SCENARIO, n_viewers=0)

@@ -3,7 +3,7 @@
 The scale rig's per-viewer bookkeeping — the GCS daemons' open-send
 duplicate ledgers, the cohorts' row columns and row ledgers, the
 admission queues' held rows and the pool's scheduled connects — is flat
-data.  This runs ``build_scale_rig(N, 1.0,
+data.  This runs ``build_scale_rig(N,
 mode="flyweight", seed=77)`` with the most-loaded server crashed at 4 s
 to 8 s (in 0.1 s slices), at N = 1 000 and N = 2 000 (and 4 000 for
 the heap), and bounds what the larger run retains and what it peaks at
@@ -52,7 +52,7 @@ class Run:
         try:
             before = tracemalloc.get_traced_memory()[0]
             sim, self.deployment, _pool, observer = build_scale_rig(
-                n_viewers, 1.0, mode="flyweight", seed=77
+                n_viewers, mode="flyweight", seed=77
             )
             #: Live events right after the build: every row's connect.
             self.pending_after_build = sim.pending_count()

@@ -1,26 +1,24 @@
 """A full viewer's stream in flight costs bytes, not objects: a memory guard.
 
-A full-object viewer on the batched path holds one precomputed window
-of its stream at a time (a ``BurstTransfer``: delivery and send times,
-transmitter-free times per hop, kinds and sizes as flat columns, each
-``FramePacket`` built only when its frame is delivered) and its
-client's 4 Hz probe keeps eight ``TimeSeries`` as float columns.  This
-runs ``build_scale_rig(N, 1.0, mode="full", seed=77)`` with the busiest
-server crashed at 3 s through a ``FaultInjector``, to 6 s in 0.25 s
-slices with the cyclic GC paused, at N = 100 and N = 200.  It bounds
-what the larger run retains and what it peaks at per extra viewer
-(tracemalloc, after the run and at its high-water mark, against before
-the build).  A small run first loads every module a run imports, so no
-measured run pays for an import.
+A full-object viewer is served frame by frame: its session holds one
+pending timer event and builds each ``FramePacket`` when its tick fires,
+and its client's 4 Hz probe keeps eight ``TimeSeries`` as float
+columns.  This runs ``build_scale_rig(N, mode="full", seed=77)`` with
+the busiest server crashed at 3 s through a ``FaultInjector``, to 6 s
+in 0.25 s slices with the cyclic GC paused, at N = 100 and N = 200.  It
+bounds what the larger run retains and what it peaks at per extra
+viewer (tracemalloc, after the run and at its high-water mark, against
+before the build).  A small run first loads every module a run imports,
+so no measured run pays for an import.
 
-Measured on CPython 3.11.7.  With a ``_Record`` object per frame, a
-list of ``(direction, tx_free)`` tuples per record, every window's
-``FramePacket``s built when it was precomputed and the series as lists
-of boxed floats: 50 588.3 bytes retained and 51 062.6 at the peak per
-viewer.  With the columns: 30 255.6 and 31 709.9 (31 881.9 and
-33 499.3 on 3.9.18, 29 930.8 and 31 389.3 on 3.12.1, 30 509.3 and
-31 963.7 on 3.13.0).  The bounds allow the 3.11.7 figures plus 25 %;
-re-measure on another interpreter before reading a failure as a leak.
+Measured on CPython 3.11.7: 25 949.8 bytes retained and 27 218.1 at the
+peak per viewer (27 213.2 and 28 602.5 on 3.9.18, 25 685.5 and 26 960.1
+on 3.12.1, 26 256.2 and 27 524.4 on 3.13.0).  While a batched path held
+one precomputed window of each stream in flight, the figures were
+30 255.6 and 31 709.9 with that window as flat columns, and 50 588.3
+and 51 062.6 with a ``_Record`` object per frame before that.  The
+bounds allow the 3.11.7 figures plus 25 %; re-measure on another
+interpreter before reading a failure as a leak.
 """
 
 import gc
@@ -31,8 +29,8 @@ from repro.faulting.injector import FaultInjector
 from repro.faulting.plan import FaultPlan
 from repro.sim.gcgate import paused_gc
 
-MEASURED_BYTES_PER_VIEWER = 30255.6
-MEASURED_PEAK_BYTES_PER_VIEWER = 31709.9
+MEASURED_BYTES_PER_VIEWER = 25949.8
+MEASURED_PEAK_BYTES_PER_VIEWER = 27218.1
 
 
 def run(n_viewers):
@@ -42,7 +40,7 @@ def run(n_viewers):
     try:
         before = tracemalloc.get_traced_memory()[0]
         sim, deployment, _viewers, _observer = build_scale_rig(
-            n_viewers, 1.0, mode="full", seed=77
+            n_viewers, mode="full", seed=77
         )
         FaultInjector(deployment, FaultPlan().crash_most_loaded(3.0)).start()
         with paused_gc():

@@ -222,7 +222,7 @@ def test_a_missing_metric_is_reported_once_however_many_rows_judge_it():
 
 
 @pytest.mark.parametrize("name, drop", [
-    ("scale", lambda m: m["points"][0].update(mode="batched")),
+    ("scale", lambda m: m["points"][0].update(mode="full")),
     ("matrix", lambda m: m["cells"].pop(next(iter(m["cells"])))),
     ("placement", lambda m: m["strategies"].pop("markov")),
 ])

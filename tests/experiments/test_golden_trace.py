@@ -21,13 +21,11 @@ behaviour):
     "
 """
 
-import dataclasses
 import gzip
 import pathlib
 
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.scenarios import LAN_SCENARIO, run_scenario
-from repro.server.server import ServerConfig
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -51,19 +49,11 @@ def test_figure4_export_matches_golden(tmp_path):
     assert path.read_bytes() == golden_bytes("figure4_seed11_export.json.gz")
 
 
-def test_batched_run_reproduces_golden_event_stream(tmp_path):
-    """The fast path replays the golden (per-frame) run byte for byte.
-
-    That includes the closing summary line: ``events_emitted`` counts
-    the events delivered to a subscriber, not the firehose events
-    (``sim.fire``, ``net.deliver``) nobody is attached for — and fewer
-    of those is all that batching changes.
-    """
+def test_lan_scenario_run_reproduces_golden_event_stream(tmp_path):
+    """The LAN scenario run through the one world builder replays the
+    figure 4 golden byte for byte, closing summary line included."""
     path = tmp_path / "telemetry.jsonl"
-    spec = dataclasses.replace(
-        LAN_SCENARIO, server_config=ServerConfig(batch_window_s=0.5)
-    )
-    run_scenario(spec, telemetry_path=str(path))
+    run_scenario(LAN_SCENARIO, telemetry_path=str(path))
     assert path.read_bytes() == golden_bytes(
         "figure4_seed11_telemetry.jsonl.gz"
     )

@@ -41,7 +41,7 @@ LIVELOCK = (
 
 def lossy_rig(n_viewers: int, mode: str, seed: int):
     sim, deployment, _viewers, _observer = build_scale_rig(
-        n_viewers, 1.0, n_servers=N_SERVERS, mode=mode, seed=seed
+        n_viewers, n_servers=N_SERVERS, mode=mode, seed=seed
     )
     plan = FaultPlan()
     for host in range(N_SERVERS, len(deployment.topology.hosts)):

@@ -1,8 +1,7 @@
 """Smoke test for the population-scale experiment.
 
 A 500-client run with a mid-run server crash must finish inside a
-generous wall budget (the per-frame kernel could not), deliver a large
-frame volume, and fail every victim over to a survivor.  Failover
+generous wall budget, deliver a large frame volume, and fail every victim over to a survivor.  Failover
 latency is governed by failure-detection rounds, not population size, so
 it must stay in the same band at 100 and 500 clients.
 """
@@ -11,9 +10,8 @@ import pytest
 
 from repro.experiments.scale import build_scale_rig, run_scale_point
 
-#: Generous for CI machines; the run takes ~20-30 s on a laptop.  The
-#: pre-batching kernel needed minutes for the same population, so a blown
-#: budget means the fast path has regressed badly.
+#: Generous for CI machines; the run takes ~20-30 s on a laptop, so a
+#: blown budget means the kernel has regressed badly.
 WALL_BUDGET_S = 180.0
 
 
@@ -51,18 +49,6 @@ def test_failover_latency_flat_in_population(point_100, point_500):
     assert point_500.max_failover_s <= 2.5 * point_100.max_failover_s
 
 
-def test_batched_beats_per_frame_event_count(point_100):
-    # The same rig and crash with no batch window: one timer event per frame.
-    sim, deployment, clients, _observer = build_scale_rig(100, 0.0)
-    sim.call_at(6.0, lambda: deployment.busiest_server().crash())
-    slow_events = sim.run_until(10.0)
-    slow_frames = sum(client.stats.received for client in clients)
-    # The tentpole's whole premise: per-batch work replaces per-frame
-    # work, collapsing the event volume for the same delivered stream.
-    assert point_100.events < 0.75 * slow_events
-    assert point_100.frames_delivered > 0.9 * slow_frames
-
-
 def test_an_injected_most_loaded_crash_fails_over_as_the_rig_did():
     """The N = 400 full rig (the benchmark's ``full400_crash``), its
     busiest server crashed through ``FaultPlan.crash_most_loaded``: the
@@ -73,7 +59,7 @@ def test_an_injected_most_loaded_crash_fails_over_as_the_rig_did():
     from repro.faulting import FaultInjector, FaultPlan
 
     sim, deployment, _clients, observer = build_scale_rig(
-        400, 1.0, seed=77, mode="full", connect_window_s=0.0
+        400, seed=77, mode="full", connect_window_s=0.0
     )
     FaultInjector(deployment, FaultPlan().crash_most_loaded(3.0)).start()
     sim.run_until(6.0)

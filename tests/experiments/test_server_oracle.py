@@ -37,6 +37,17 @@ tail drops, 256 viewers admitted one retry later in a second batch), and
 x 3 copies fit, so all 600 are admitted in one sorted batch.  ``served``
 and ``failover`` are unchanged in all 43 rows.
 
+Re-recorded again when the batched transmission path was deleted and
+every full viewer came to stream frame by frame (the reference model; a
+burst precomputed against the shared core -> edge transmitter let a
+second stream's frames arrive microseconds early).  The 20 ``full-n60``
+rows moved in ``events`` (about 44 000 -> 76 000: one timer event per
+frame again); ``full-n60-w2.0-s2`` also in ``behaviour`` (``client51``'s
+takeover offset 39 -> 38 and its final playhead 243 -> 242) and
+``full-n60-w2.0-s1`` also in ``bus`` (seven ``server.rate`` events
+shifted by at most 92 µs).  ``served`` and ``failover`` held in every
+row, and no flyweight row moved.
+
 Regenerating (only after deliberately changing placement behaviour):
 
     PYTHONPATH=src python tests/experiments/test_server_oracle.py
@@ -96,7 +107,7 @@ def _sha(document) -> str:
 def run_row(row) -> dict:
     mode, n, window, seed, pin_bus = row
     sim, deployment, viewers, observer = build_scale_rig(
-        n, 1.0, n_servers=3, seed=seed, mode=mode, connect_window_s=window,
+        n, n_servers=3, seed=seed, mode=mode, connect_window_s=window,
     )
     trace = ConformanceTrace()
     ends = _EndLog()

@@ -330,7 +330,7 @@ def test_a_served_clients_daemon_is_heard_through_heartbeats_alone():
 
 def test_one_control_packet_per_connect_attempt_per_live_server_daemon():
     sim, deployment, pool, _observer = build_scale_rig(
-        600, 1.0, n_servers=3, seed=1, mode="flyweight"
+        600, n_servers=3, seed=1, mode="flyweight"
     )
     assert isinstance(pool, FlyweightPool)
     domain = deployment.domain

@@ -148,7 +148,7 @@ def test_cached_targets_on_a_scale_rig_through_a_crash():
     case the cache is for (one rebuild, then ticks reuse it)."""
     with checked() as counts:
         sim, deployment, _viewers, observer = build_scale_rig(
-            60, 1.0, n_servers=3, seed=3, mode="full"
+            60, n_servers=3, seed=3, mode="full"
         )
         FaultInjector(deployment, FaultPlan().crash_most_loaded(3.0)).start()
         sim.run_until(6.0)

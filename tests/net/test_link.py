@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.address import Endpoint
-from repro.net.link import Link, LinkParams
+from repro.net.link import Link, LinkFault, LinkParams
 from repro.net.packet import HEADER_BYTES, Datagram
 from repro.sim.core import Simulator
 
@@ -76,6 +76,34 @@ class TestLoss:
             return len(arrivals)
 
         assert run(5) == run(5)
+
+
+class TestZeroOverheadLink:
+    """A clean direction (no loss, jitter or reorder) takes the branch
+    with no RNG lookup: its named stream is never even created."""
+
+    def test_clean_link_never_creates_its_rng_stream(self):
+        sim = Simulator(seed=3)
+        _link, arrivals = collect_link(sim, LinkParams(), n=5, spacing=0.01)
+        assert len(arrivals) == 5
+        assert "link.0->1" not in sim.rngs.names()
+
+    def test_lossy_link_uses_its_rng_stream(self):
+        sim = Simulator(seed=3)
+        collect_link(sim, LinkParams(loss_prob=0.5), n=5, spacing=0.01)
+        assert "link.0->1" in sim.rngs.names()
+
+    def test_a_fault_draws_from_its_own_stream_only(self):
+        sim = Simulator(seed=3)
+        link = Link(sim, 0, 1, LinkParams())
+        link.forward.set_fault(LinkFault(drop_prob=0.5))
+        for i in range(5):
+            sim.call_at(
+                i * 0.01, link.forward.transmit, make_datagram(), lambda d: None
+            )
+        sim.run()
+        assert "fault.link.0->1" in sim.rngs.names()
+        assert "link.0->1" not in sim.rngs.names()
 
 
 class TestQueueDrop:

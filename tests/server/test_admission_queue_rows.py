@@ -129,7 +129,7 @@ def test_a_deferred_row_keeps_no_reference_to_its_request():
     from repro.experiments.scale import build_scale_rig
 
     sim, deployment, pool, _ = build_scale_rig(
-        30, 1.0, mode="flyweight", connect_window_s=0.0
+        30, mode="flyweight", connect_window_s=0.0
     )
     sim.run_until(1.2)
     replica = deployment.server("server0").movies["feature"]

@@ -112,7 +112,7 @@ def flyweight_rig():
     from repro.experiments.scale import build_scale_rig
 
     sim, deployment, pool, _ = build_scale_rig(
-        30, 1.0, mode="flyweight", connect_window_s=0.0
+        30, mode="flyweight", connect_window_s=0.0
     )
     return sim, deployment, pool
 

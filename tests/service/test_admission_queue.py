@@ -24,7 +24,7 @@ from repro.faulting import FaultInjector, FaultPlan, InvariantChecker
 def run_flood(n_clients=64, duration_s=8.0, seed=77):
     """A t=0 connect flood (no spread window, no artificial delay)."""
     sim, deployment, clients, _ = build_scale_rig(
-        n_clients, 0.5, connect_window_s=0.0, seed=seed
+        n_clients, connect_window_s=0.0, seed=seed
     )
     starts = {}
 
@@ -55,10 +55,10 @@ def ledgers(deployment):
 
 @pytest.fixture(scope="module")
 def seed27():
-    """``build_scale_rig(400, 1.0, mode="full", seed=27)`` with its
+    """``build_scale_rig(400, mode="full", seed=27)`` with its
     default 2 s connect window and no fault, sampled at 3, 9.5 and
     12 s."""
-    sim, deployment, _, _ = build_scale_rig(400, 1.0, mode="full", seed=27)
+    sim, deployment, _, _ = build_scale_rig(400, mode="full", seed=27)
     checker = InvariantChecker(deployment).install()
     sim.run_until(3.0)
     served_at_3 = served_counts(deployment)
@@ -121,7 +121,7 @@ def test_every_viewer_is_served_once_with_the_default_window(seed27):
 
 def test_every_victim_is_taken_over_with_the_default_window():
     sim, deployment, _, observer = build_scale_rig(
-        400, 1.0, mode="full", seed=27
+        400, mode="full", seed=27
     )
     FaultInjector(deployment, FaultPlan().crash_most_loaded(6.0)).start()
     sim.run_until(7.0)
@@ -141,7 +141,7 @@ def test_every_victim_is_taken_over_with_the_default_window():
     "beacon burst is unverified",
 )
 def test_every_viewer_is_served_once_at_n1000():
-    sim, deployment, _, _ = build_scale_rig(1000, 1.0, mode="full", seed=3)
+    sim, deployment, _, _ = build_scale_rig(1000, mode="full", seed=3)
     sim.run_until(6.0)
     counts = served_counts(deployment)
     assert len(counts) == 1000

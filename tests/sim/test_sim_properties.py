@@ -98,71 +98,6 @@ def test_named_streams_disjoint_from_each_other(seed):
 
 
 # ----------------------------------------------------------------------
-# Batch-window tick arithmetic (the data-plane fast path)
-# ----------------------------------------------------------------------
-
-@given(
-    start=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-    rate=st.floats(min_value=0.1, max_value=240.0, allow_nan=False),
-    count=st.integers(min_value=1, max_value=200),
-)
-@settings(max_examples=200, deadline=None)
-def test_batch_ticks_match_timer_chain_bit_for_bit(start, rate, count):
-    """Every precomputed tick equals the float the slow path's
-    back-to-back ``call_after(1/rate)`` chain produces — the conformance
-    guarantee rests on this."""
-    from repro.server.streamer import batch_ticks
-
-    ticks = batch_ticks(start, rate, count)
-    assert len(ticks) == count
-    assert ticks[0] == start
-    delta = 1.0 / rate
-    t = start
-    for tick in ticks:
-        assert tick == t  # bit-identical, not approximately equal
-        t = t + delta
-
-
-@given(
-    start=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-    rate=st.floats(min_value=0.1, max_value=240.0, allow_nan=False),
-    count=st.integers(min_value=2, max_value=200),
-)
-@settings(max_examples=200, deadline=None)
-def test_batch_ticks_strictly_increasing_and_in_window(start, rate, count):
-    """Ticks never run backwards (frames stay in order) and never land
-    before the window opened (no past-due sends)."""
-    from repro.server.streamer import batch_ticks
-
-    ticks = batch_ticks(start, rate, count)
-    assert all(b > a for a, b in zip(ticks, ticks[1:]))
-    assert all(t >= start for t in ticks)
-
-
-@given(
-    start=st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
-    rate_a=st.floats(min_value=1.0, max_value=120.0, allow_nan=False),
-    rate_b=st.floats(min_value=1.0, max_value=120.0, allow_nan=False),
-    count_a=st.integers(min_value=1, max_value=50),
-    count_b=st.integers(min_value=1, max_value=50),
-)
-@settings(max_examples=100, deadline=None)
-def test_batch_ticks_never_cross_a_rate_change(
-    start, rate_a, rate_b, count_a, count_b
-):
-    """A window recomputed at a rate change continues the old chain
-    exactly: the first tick of the new window is one old-rate delta past
-    the last old tick, and no new tick lands inside the old window."""
-    from repro.server.streamer import batch_ticks
-
-    first = batch_ticks(start, rate_a, count_a)
-    boundary = first[-1] + 1.0 / rate_a
-    second = batch_ticks(boundary, rate_b, count_b)
-    assert second[0] == boundary
-    assert all(t > first[-1] for t in second)
-
-
-# ----------------------------------------------------------------------
 # pending_count: O(1) incremental counter vs O(n) reference scan
 # ----------------------------------------------------------------------
 

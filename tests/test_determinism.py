@@ -62,7 +62,7 @@ outcomes = {"hash": hash("repro")}
 lan = dataclasses.replace(LAN_SCENARIO, movie_duration_s=70.0, run_duration_s=70.0)
 outcomes["per-frame"] = digest(run_scenario(lan).export_dict())
 for mode, n in (("full", 60), ("flyweight", 2000)):
-    sim, deployment, viewers, observer = build_scale_rig(n, 1.0, mode=mode, seed=3)
+    sim, deployment, viewers, observer = build_scale_rig(n, mode=mode, seed=3)
     FaultInjector(deployment, FaultPlan().crash_most_loaded(3.0)).start()
     events = sim.run_until(6.0)
     if mode == "full":

@@ -92,7 +92,7 @@ print(json.dumps({
 """
 
 
-#: What ``build_scale_rig(200, 1.0, mode="full")`` loaded before the
+#: What ``build_scale_rig(200, mode="full")`` loaded before the
 #: rig was built from a ``ScenarioSpec`` (56 modules), plus the builder
 #: itself; a flyweight rig adds ``repro.client.flyweight``.
 SCALE_BUILD_MODULES = frozenset("""
@@ -121,7 +121,7 @@ SCALE_CHILD = r"""
 import json, sys
 from repro.experiments.scale import build_scale_rig
 
-build_scale_rig(200, 1.0, mode=sys.argv[1], seed=1)
+build_scale_rig(200, mode=sys.argv[1], seed=1)
 print(json.dumps(sorted(
     name for name in sys.modules if name.split(".")[0] == "repro"
 )))
