@@ -13,12 +13,9 @@ so no measured run pays for an import.
 
 Measured on CPython 3.11.7: 25 949.8 bytes retained and 27 218.1 at the
 peak per viewer (27 213.2 and 28 602.5 on 3.9.18, 25 685.5 and 26 960.1
-on 3.12.1, 26 256.2 and 27 524.4 on 3.13.0).  While a batched path held
-one precomputed window of each stream in flight, the figures were
-30 255.6 and 31 709.9 with that window as flat columns, and 50 588.3
-and 51 062.6 with a ``_Record`` object per frame before that.  The
-bounds allow the 3.11.7 figures plus 25 %; re-measure on another
-interpreter before reading a failure as a leak.
+on 3.12.1, 26 256.2 and 27 524.4 on 3.13.0).  The bounds allow the
+3.11.7 figures plus 25 %; re-measure on another interpreter before
+reading a failure as a leak.
 """
 
 import gc

@@ -9,12 +9,6 @@ to how runs are observed or settled (subscription order, the trailer's
 fields, when open spans are abandoned) is a refactor exactly when this
 file passes unedited.
 
-``run_scale_point``'s pin was re-recorded when the batched transmission
-path was deleted: its header lost ``batch_window_s``, and 49 of its
-6 098 events moved by at most 147 µs (16 ``client.playback.start`` /
-``client.watermark`` records swap order); the event counts per kind and
-the summary trailer are unchanged.
-
 Regenerating (only after deliberately changing what an export holds):
 
     PYTHONPATH=src python tests/telemetry/test_producer_pins.py
