@@ -2,7 +2,8 @@
 
 A deployment provides the plumbing, but these tests craft frame packets
 directly at the UDP layer to pin down late/duplicate/overflow/epoch
-accounting without depending on server behaviour.
+accounting without depending on server behaviour.  The last test runs
+one real per-frame server session end to end.
 """
 
 import pytest
@@ -10,10 +11,14 @@ import pytest
 from repro.client.player import ClientConfig, VoDClient
 from repro.gcs.domain import GcsDomain
 from repro.gcs.view import ProcessId
+from repro.media.catalog import MovieCatalog
 from repro.media.frames import Frame, FrameType
+from repro.media.movie import Movie
 from repro.net.address import VIDEO_PORT, Endpoint
 from repro.net.topologies import build_lan
 from repro.net.udp import UdpSocket
+from repro.server.streamer import EOS_REPEATS
+from repro.service.deployment import Deployment
 from repro.service.protocol import EndOfStream, FramePacket
 from repro.sim.core import Simulator
 
@@ -163,11 +168,6 @@ def test_a_per_frame_stream_on_a_clean_lan_arrives_whole_and_in_order():
     """One server streams a short movie to one client frame by frame:
     every frame the server counts as sent arrives once, in send order,
     and the client plays the movie to its end."""
-    from repro.media.catalog import MovieCatalog
-    from repro.media.movie import Movie
-    from repro.server.streamer import EOS_REPEATS
-    from repro.service.deployment import Deployment
-
     sim = Simulator(seed=23)
     catalog = MovieCatalog([Movie.synthetic("feature", duration_s=8.0)])
     deployment = Deployment(build_lan(sim, n_hosts=3), catalog, server_nodes=[0])
