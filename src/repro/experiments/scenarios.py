@@ -420,7 +420,6 @@ class LiveScenario:
             faults_fired=len(injector.fired) if injector is not None else 0,
             displayed=result.client.displayed_total,
             skipped=result.client.skipped_total,
-            tracer_dropped=self.sim.tracer.dropped,
         )
         result.qoe = observers.qoe
         result.slo = observers.slo

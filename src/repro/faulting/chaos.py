@@ -98,7 +98,6 @@ def run_chaos_trial(
         observers.settle(
             violations=len(checker.violations),
             faults_fired=len(injector.fired),
-            tracer_dropped=sim.tracer.dropped,
         )
 
     return ChaosResult(

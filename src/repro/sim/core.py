@@ -17,7 +17,14 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.sim.rng import RngRegistry
 from repro.telemetry.bus import Telemetry
-from repro.telemetry.trace import Tracer, _callback_name
+
+
+def _callback_name(callback: Callable[..., Any]) -> str:
+    """What ``sim.fire`` / ``sim.cancel`` report a callback as."""
+    qualname = getattr(callback, "__qualname__", None)
+    if qualname is not None:
+        return qualname
+    return repr(callback)
 
 
 class EventHandle:
@@ -91,13 +98,13 @@ class Simulator:
     seed:
         Master seed for all named random streams (see
         :class:`repro.sim.rng.RngRegistry`).
-    trace:
-        When true, a :class:`repro.telemetry.trace.Tracer` records every
-        fired event; useful in tests and when debugging protocol
-        interleavings.
+
+    Every fired event is emitted as ``sim.fire`` on :attr:`telemetry`
+    while someone subscribes to it; a fired-event log is
+    ``sim.telemetry.collect(("sim.fire",))``.
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         # Read through ``now`` everywhere but the per-hop link transit
         # (net/link.py), where the property's frame is paid per packet.
         self._now = 0.0
@@ -105,7 +112,6 @@ class Simulator:
         # Heap of (time, seq, handle): heapq orders the tuples in C, and
         # the unique seq means the handle itself is never compared.
         self._queue: List[Tuple[float, int, EventHandle]] = []
-        self._running = False
         self._stopped = False
         # Count of live (non-cancelled, not-yet-fired) queued events,
         # maintained incrementally so pending_count() is O(1).
@@ -114,7 +120,6 @@ class Simulator:
         # kept for the reference scan only.
         self._lanes: List["Lane"] = []
         self.rngs = RngRegistry(seed)
-        self.tracer = Tracer(enabled=trace)
         self.telemetry = Telemetry(clock=lambda: self._now)
         self.seed = seed
 
@@ -195,42 +200,26 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Fire the single next event.  Returns False if the queue is empty."""
-        handle = self._pop_next()
-        if handle is None:
-            return False
-        self._now = handle.time
-        if self.tracer.enabled:
-            self.tracer.record(self._now, handle.callback, handle.args)
-        tel = self.telemetry
-        if tel.active and tel.firehose:
-            tel.emit("sim.fire", name=_callback_name(handle.callback))
-        handle.callback(*handle.args)
-        return True
+        return self.run_until(math.inf, 1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains.  Returns the event count."""
-        count = 0
-        self._stopped = False
-        while not self._stopped:
-            if max_events is not None and count >= max_events:
-                break
-            if not self.step():
-                break
-            count += 1
-        return count
+        return self.run_until(math.inf, max_events)
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> int:
         """Run events with timestamps ``<= time``; return how many ran.
 
-        On a *complete* slice — the queue drained or only holds events
-        past ``time`` — the clock advances to exactly ``time``, so
+        This is the kernel's one dispatch loop (:meth:`run` and
+        :meth:`step` are calls into it with ``time`` infinite).  On a
+        *complete* slice — the queue drained or only holds events past
+        a finite ``time`` — the clock advances to exactly ``time``, so
         back-to-back ``run_until`` calls behave like a real clock that
-        keeps ticking.  On an *early* exit (the ``max_events`` budget ran
-        out, or ``stop()`` fired) the clock stays at the last dispatched
-        event: events ``<= time`` are still pending, and pretending the
-        interval elapsed would let the caller schedule into their past.
-        Chunked drivers therefore loop ``while sim.now < time`` and need
-        no compensation.
+        keeps ticking.  With ``time`` infinite, and on an *early* exit
+        (the ``max_events`` budget ran out, or ``stop()`` fired), the
+        clock stays at the last dispatched event: events ``<= time`` are
+        still pending, and pretending the interval elapsed would let the
+        caller schedule into their past.  Chunked drivers therefore loop
+        ``while sim.now < time`` and need no compensation.
         """
         if math.isnan(time):
             raise SimulationError("cannot run until time NaN")
@@ -238,22 +227,13 @@ class Simulator:
             raise SimulationError(
                 f"cannot run backwards to t={time:.6f} from t={self._now:.6f}"
             )
-        # One fused peek -> pop -> dispatch loop (what step() does via
-        # _pop_next, without three method calls per event).
         queue = self._queue
         heappop = heapq.heappop
-        tracer = self.tracer
         tel = self.telemetry
         limit = math.inf if max_events is None else max_events
         count = 0
-        exhausted = False
         self._stopped = False
-        while not self._stopped:
-            if count >= limit:
-                exhausted = True
-                break
-            if not queue:
-                break
+        while not self._stopped and count < limit and queue:
             when, _, handle = queue[0]
             if handle.cancelled:
                 heappop(queue)
@@ -266,13 +246,11 @@ class Simulator:
             # the live counter a second time.
             handle._sim = None
             self._now = when
-            if tracer.enabled:
-                tracer.record(when, handle.callback, handle.args)
             if tel.active and tel.firehose:
                 tel.emit("sim.fire", name=_callback_name(handle.callback))
             handle.callback(*handle.args)
             count += 1
-        if not self._stopped and not exhausted:
+        if not self._stopped and count < limit and time < math.inf:
             self._now = max(self._now, time)
         return count
 
@@ -324,17 +302,6 @@ class Simulator:
         finally:
             self._seq = drawn
 
-    def _pop_next(self) -> Optional[EventHandle]:
-        while self._queue:
-            handle = heapq.heappop(self._queue)[2]
-            if not handle.cancelled:
-                self._live -= 1
-                # The handle is out of the queue now; a late cancel()
-                # must not decrement the live counter a second time.
-                handle._sim = None
-                return handle
-        return None
-
     def _peek_next(self) -> Optional[EventHandle]:
         while self._queue:
             handle = self._queue[0][2]
@@ -363,9 +330,8 @@ class Lane:
     add that would break it raises :class:`SimulationError`.
 
     Every lane event fires through the lane's :meth:`_fire`, which queues
-    the next head and then calls ``callback(arg)``; that is the name the
-    kernel's tracer and ``sim.fire`` report.  Lane events cannot be
-    cancelled.
+    the next head and then calls ``callback(arg)``; that is the name
+    ``sim.fire`` reports.  Lane events cannot be cancelled.
     """
 
     __slots__ = (

@@ -1,16 +1,4 @@
-"""Generator-based processes and periodic timers.
-
-Most protocol code in :mod:`repro` is written as plain callbacks, but
-sequential logic (scenario scripts, drivers in tests) reads better as a
-generator that yields the number of seconds to sleep::
-
-    def script(sim):
-        yield 38.0
-        server.crash()
-        yield 24.0
-        deployment.start_server(node)
-
-    Process(sim, script(sim))
+"""Periodic timers.
 
 A :class:`Timer` is a cancellable periodic callback — the building block
 for heartbeats, state-sync ticks and frame pacing.
@@ -18,62 +6,10 @@ for heartbeats, state-sync ticks and frame pacing.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.core import EventHandle, Simulator
-
-SleepGenerator = Generator[float, None, None]
-
-
-class sleep(float):
-    """Marker type for yielded delays; plain floats work identically."""
-
-    __slots__ = ()
-
-
-class Process:
-    """Drives a generator that yields sleep durations (seconds).
-
-    The process starts immediately (its first segment runs at the current
-    instant).  It finishes when the generator returns, or when
-    :meth:`cancel` is called.
-    """
-
-    def __init__(self, sim: Simulator, generator: SleepGenerator) -> None:
-        self.sim = sim
-        self._generator = generator
-        self._handle: Optional[EventHandle] = None
-        self.finished = False
-        self.cancelled = False
-        self._handle = sim.call_soon(self._advance)
-
-    def cancel(self) -> None:
-        """Stop the process before its next segment runs."""
-        if self.finished:
-            return
-        self.cancelled = True
-        self.finished = True
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-        self._generator.close()
-
-    def _advance(self) -> None:
-        if self.finished:
-            return
-        try:
-            delay = next(self._generator)
-        except StopIteration:
-            self.finished = True
-            self._handle = None
-            return
-        if not isinstance(delay, (int, float)):
-            self.cancel()
-            raise SimulationError(
-                f"process yielded {delay!r}; expected a delay in seconds"
-            )
-        self._handle = self.sim.call_after(float(delay), self._advance)
 
 
 class Timer:

@@ -11,7 +11,6 @@ Everything observable about a run flows through this package:
   rebalances) with cross-component open/end via ``(kind, key)``;
 * :class:`Probe` / :class:`TimeSeries` — periodic state sampling
   (buffer levels), bridged onto the bus as ``metric.sample`` events;
-* :class:`Tracer` — the exhaustive kernel event trace;
 * :class:`JsonlExporter` / :func:`render_report` — JSONL artifacts and
   the ``repro-vod trace`` / ``repro-vod report`` CLI behind them;
 * :class:`TraceGraph` / :func:`failover_breakdowns` — causal chains
@@ -74,7 +73,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".postmortem": ("incidents_from_export", "render_incident", "render_incidents"),
     ".report": ("RunTimeline", "load_timeline", "render_report"),
-    ".series": ("Counter", "Probe", "TimeSeries", "probe"),
+    ".series": ("Probe", "TimeSeries", "probe"),
     ".slo": (
         "RULE_SETS",
         "SloMonitor",
@@ -83,7 +82,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "whole_run_slo",
     ),
     ".spans": ("Span",),
-    ".trace": ("TraceRecord", "Tracer"),
     ".watch": ("WatchState", "render_watch"),
     # ClientStats lives with the player (it is filled by client logic)
     # but is part of the observability API.

@@ -268,7 +268,7 @@ class Telemetry:
     def span(self, kind: str, key: str = "", **attrs) -> Span:
         """Open a span; emits ``span.begin`` and registers it by
         ``(kind, key)`` so another component can close it later via
-        :meth:`open_span` / :meth:`end_span`."""
+        :meth:`open_span` and ``.end()``."""
         span = Span(self, kind, key, self.clock(), attrs)
         self._open_spans[(kind, key)] = span
         if self.active:
@@ -278,18 +278,6 @@ class Telemetry:
     def open_span(self, kind: str, key: str = "") -> Optional[Span]:
         """The currently open span registered under ``(kind, key)``."""
         return self._open_spans.get((kind, key))
-
-    def end_span(self, kind: str, key: str = "", **attrs) -> Optional[float]:
-        """Close the registered ``(kind, key)`` span, if any.
-
-        Returns the duration, or ``None`` when no such span is open —
-        the closing component often cannot know whether the opener ran
-        (e.g. a takeover adopt when telemetry was enabled mid-run).
-        """
-        span = self._open_spans.get((kind, key))
-        if span is None:
-            return None
-        return span.end(**attrs)
 
     def open_spans(self) -> List[Span]:
         return list(self._open_spans.values())

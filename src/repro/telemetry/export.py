@@ -61,7 +61,7 @@ class JsonlExporter:
         exporter = JsonlExporter(sim.telemetry, "run.jsonl")
         exporter.meta(scenario="lan", seed=11)
         ...  # run the simulation
-        exporter.close(tracer_dropped=sim.tracer.dropped)
+        exporter.close()
 
     Or as a context manager, which guarantees the summary trailer is
     written even when the run raises mid-simulation — a crashed

@@ -286,12 +286,6 @@ def _append_summary(timeline: RunTimeline, blocks: List[str]) -> None:
             if not isinstance(v, (dict, list))
         )
     )
-    dropped = timeline.summary.get("tracer_dropped")
-    if dropped:
-        blocks.append(
-            f"WARNING: kernel tracer dropped {dropped} records "
-            "(trace truncated at MAX_RECORDS)"
-        )
     if timeline.truncated is not None:
         dropped = timeline.summary.get("events_dropped", "?")
         blocks.append(

@@ -1,4 +1,4 @@
-"""Counters, time series and sampling probes.
+"""Time series and sampling probes.
 
 The probe is the telemetry subsystem's bridge between continuous state
 (buffer occupancy, cumulative counters) and the event bus — every
@@ -16,19 +16,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.sim.process import Timer
-
-
-@dataclass
-class Counter:
-    """A monotonically increasing event counter."""
-
-    name: str
-    value: int = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
 
 
 class TimeSeries:

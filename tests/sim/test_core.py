@@ -277,16 +277,28 @@ def test_callback_args_passed_through():
     assert seen == [(1, "two")]
 
 
-def test_tracer_records_when_enabled():
-    sim = Simulator(trace=True)
-    sim.call_after(1.0, lambda: None)
-    sim.run()
-    assert len(sim.tracer.records) == 1
-    assert sim.tracer.records[0].time == 1.0
-
-
-def test_tracer_disabled_by_default():
+def test_sim_fire_logs_every_fired_event_in_order():
     sim = Simulator()
-    sim.call_after(1.0, lambda: None)
-    sim.run()
-    assert sim.tracer.records == []
+    events, subscription = sim.telemetry.collect(("sim.fire",))
+
+    def first():
+        pass
+
+    def second():
+        pass
+
+    def third():
+        pass
+
+    sim.call_after(2.0, third)
+    sim.call_after(1.0, second)
+    sim.call_soon(first)
+    sim.call_after(1.5, lambda: None).cancel()
+    assert sim.step() is True
+    assert sim.run() == 2
+    subscription.close()
+    assert [(event.time, event.kind, event.fields["name"]) for event in events] == [
+        (0.0, "sim.fire", first.__qualname__),
+        (1.0, "sim.fire", second.__qualname__),
+        (2.0, "sim.fire", third.__qualname__),
+    ]

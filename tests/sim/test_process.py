@@ -1,78 +1,10 @@
-"""Unit tests for generator processes and periodic timers."""
+"""Unit tests for periodic timers."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.core import Simulator
-from repro.sim.process import Process, Timer
-
-
-class TestProcess:
-    def test_runs_segments_at_yielded_delays(self):
-        sim = Simulator()
-        seen = []
-
-        def script():
-            seen.append(("start", sim.now))
-            yield 2.0
-            seen.append(("mid", sim.now))
-            yield 3.0
-            seen.append(("end", sim.now))
-
-        process = Process(sim, script())
-        sim.run()
-        assert seen == [("start", 0.0), ("mid", 2.0), ("end", 5.0)]
-        assert process.finished
-
-    def test_zero_delay_allowed(self):
-        sim = Simulator()
-        seen = []
-
-        def script():
-            yield 0.0
-            seen.append(sim.now)
-
-        Process(sim, script())
-        sim.run()
-        assert seen == [0.0]
-
-    def test_cancel_stops_future_segments(self):
-        sim = Simulator()
-        seen = []
-
-        def script():
-            seen.append("a")
-            yield 1.0
-            seen.append("b")
-
-        process = Process(sim, script())
-        sim.run_until(0.5)
-        process.cancel()
-        sim.run()
-        assert seen == ["a"]
-        assert process.cancelled
-
-    def test_cancel_after_finish_is_noop(self):
-        sim = Simulator()
-
-        def script():
-            yield 0.5
-
-        process = Process(sim, script())
-        sim.run()
-        process.cancel()
-        assert process.finished
-        assert not process.cancelled
-
-    def test_non_numeric_yield_raises(self):
-        sim = Simulator()
-
-        def script():
-            yield "nonsense"
-
-        Process(sim, script())
-        with pytest.raises(SimulationError):
-            sim.run()
+from repro.sim.process import Timer
 
 
 class TestTimer:

@@ -1,10 +1,10 @@
-"""Unit tests for the telemetry bus, metric registry, spans and tracer."""
+"""Unit tests for the telemetry bus, metric registry and spans."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry import FIREHOSE_PREFIXES, Span, Telemetry, Tracer, trace
+from repro.telemetry import FIREHOSE_PREFIXES, Span, Telemetry
 from repro.telemetry.bus import TelemetryEvent
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
@@ -176,7 +176,7 @@ def test_span_lifecycle_and_registry():
     assert not span.ended
 
     now[0] = 12.5
-    duration = tel.end_span("takeover", "client0", to_server="s1")
+    duration = tel.open_span("takeover", "client0").end(to_server="s1")
     assert duration == pytest.approx(2.5)
     assert span.ended
     assert tel.open_span("takeover", "client0") is None
@@ -195,8 +195,8 @@ def test_span_end_is_idempotent_and_unknown_end_is_none():
     span = tel.span("client.session", key="c0")
     assert span.end() == pytest.approx(0.0)
     assert span.end() == pytest.approx(0.0)  # second end keeps duration
-    assert tel.end_span("client.session", "c0") is None
-    assert tel.end_span("takeover", "never-opened") is None
+    assert tel.open_span("client.session", "c0") is None
+    assert tel.open_span("takeover", "never-opened") is None
 
 
 def test_snapshot_round_trips_through_json():
@@ -267,34 +267,6 @@ def test_abandon_open_spans_sweeps_the_registry():
     kinds = [e.kind for e in events]
     assert kinds.count("span.abandoned") == 2
     assert tel.abandon_open_spans() == []  # second sweep finds nothing
-
-
-def test_tracer_counts_dropped_records(monkeypatch):
-    monkeypatch.setattr(trace, "MAX_RECORDS", 2)
-    tracer = Tracer(enabled=True)
-
-    def tick():
-        pass
-
-    for time in (0.0, 1.0, 2.0, 3.0):
-        tracer.record(time, tick, ())
-    assert len(tracer.records) == 2
-    assert tracer.dropped == 2
-    assert tracer.truncated
-    assert tracer.names() == ["test_tracer_counts_dropped_records.<locals>.tick"] * 2
-
-    tracer.clear()
-    assert tracer.records == []
-    assert tracer.dropped == 0
-    assert not tracer.truncated
-
-
-def test_disabled_tracer_records_nothing():
-    tracer = Tracer(enabled=False)
-    tracer.record(0.0, print, ())
-    tracer.record(1.0, print, ())
-    assert tracer.records == []
-    assert tracer.dropped == 0
 
 
 # ----------------------------------------------------------------------

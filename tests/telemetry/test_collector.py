@@ -1,21 +1,9 @@
-"""Unit tests for counters, time series and probes."""
+"""Unit tests for time series and probes."""
 
 import pytest
 
 from repro.sim.core import Simulator
-from repro.telemetry.series import Counter, Probe, TimeSeries
-
-
-class TestCounter:
-    def test_add(self):
-        counter = Counter("c")
-        counter.add()
-        counter.add(4)
-        assert counter.value == 5
-
-    def test_cannot_decrease(self):
-        with pytest.raises(ValueError):
-            Counter("c").add(-1)
+from repro.telemetry.series import Probe, TimeSeries
 
 
 class TestTimeSeries:
@@ -91,9 +79,12 @@ class TestProbe:
 
 
 def test_removed_shim_paths_stay_removed():
-    """The PR-2 deprecation shims are gone; the canonical homes are
-    repro.telemetry.series and repro.telemetry.trace."""
+    """The old deprecation shims and the kernel tracer are gone; series
+    live in repro.telemetry.series, and a fired-event log is a
+    ``sim.fire`` subscription on the bus."""
     with pytest.raises(ImportError):
         import repro.metrics.collector  # noqa: F401
     with pytest.raises(ImportError):
         import repro.sim.trace  # noqa: F401
+    with pytest.raises(ImportError):
+        import repro.telemetry.trace  # noqa: F401

@@ -92,9 +92,8 @@ print(json.dumps({
 """
 
 
-#: What ``build_scale_rig(200, mode="full")`` loaded before the
-#: rig was built from a ``ScenarioSpec`` (56 modules), plus the builder
-#: itself; a flyweight rig adds ``repro.client.flyweight``.
+#: What ``build_scale_rig(200, mode="full")`` loads (55 modules), plus
+#: the builder itself; a flyweight rig adds ``repro.client.flyweight``.
 SCALE_BUILD_MODULES = frozenset("""
     repro repro._lazy repro.errors repro.experiments repro.experiments.scale
     repro.experiments.scenarios
@@ -114,7 +113,6 @@ SCALE_BUILD_MODULES = frozenset("""
     repro.sim repro.sim.core repro.sim.gcgate repro.sim.process repro.sim.rng
     repro.telemetry repro.telemetry.bus repro.telemetry.harness
     repro.telemetry.metrics repro.telemetry.series repro.telemetry.spans
-    repro.telemetry.trace
 """.split())
 
 SCALE_CHILD = r"""
