@@ -81,10 +81,15 @@ class TestProbe:
 def test_removed_shim_paths_stay_removed():
     """The old deprecation shims and the kernel tracer are gone; series
     live in repro.telemetry.series, and a fired-event log is a
-    ``sim.fire`` subscription on the bus."""
+    ``sim.fire`` subscription on the bus.  ``repro.telemetry.trace``
+    keeps only the old import path of ``_callback_name``."""
     with pytest.raises(ImportError):
         import repro.metrics.collector  # noqa: F401
     with pytest.raises(ImportError):
         import repro.sim.trace  # noqa: F401
-    with pytest.raises(ImportError):
-        import repro.telemetry.trace  # noqa: F401
+    import repro.sim.core as core
+    import repro.telemetry.trace as trace
+
+    assert trace.__all__ == ["_callback_name"]
+    assert trace._callback_name is core._callback_name
+    assert [name for name in vars(trace) if not name.startswith("_")] == []
