@@ -112,22 +112,13 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         incidents = [Incident.from_dict(i) for i in point.incidents]
         metering = point.flight
     else:
-        from repro.experiments.scenarios import (
-            LAN_SCENARIO, WAN_SCENARIO, run_scenario,
+        from repro.experiments.scenarios import reference_scenario, run_scenario
+
+        duration = params.get("duration")
+        scenario = reference_scenario(
+            params.get("scenario", "lan"),
+            None if duration is None else float(duration),
         )
-
-        scenario = {"lan": LAN_SCENARIO, "wan": WAN_SCENARIO}[
-            params.get("scenario", "lan")
-        ]
-        if params.get("duration") is not None:
-            import dataclasses
-
-            duration = float(params["duration"])
-            scenario = dataclasses.replace(
-                scenario,
-                movie_duration_s=max(scenario.movie_duration_s, duration),
-                run_duration_s=duration,
-            )
         result = run_scenario(
             scenario, seed=spec.seed,
             telemetry_path=spec.telemetry_path,

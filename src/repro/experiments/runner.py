@@ -118,9 +118,9 @@ def _run_all(args: argparse.Namespace) -> None:
 
 
 def _run_trace(args: argparse.Namespace) -> None:
-    from repro.experiments.scenarios import run_scenario
+    from repro.experiments.scenarios import reference_scenario, run_scenario
 
-    spec = _scenario_spec(args)
+    spec = reference_scenario(args.scenario, args.duration)
     directory = os.path.dirname(args.out)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -148,28 +148,13 @@ def _run_report(args: argparse.Namespace) -> None:
     print(render_report(timeline, max_rows=args.max_rows))
 
 
-def _scenario_spec(args: argparse.Namespace):
-    import dataclasses
-
-    from repro.experiments.scenarios import LAN_SCENARIO, WAN_SCENARIO
-
-    spec = {"lan": LAN_SCENARIO, "wan": WAN_SCENARIO}[args.scenario]
-    if args.duration is not None:
-        spec = dataclasses.replace(
-            spec,
-            movie_duration_s=max(spec.movie_duration_s, args.duration),
-            run_duration_s=args.duration,
-        )
-    return spec
-
-
 def _run_watch(args: argparse.Namespace) -> None:
-    from repro.experiments.scenarios import prepare_scenario
+    from repro.experiments.scenarios import prepare_scenario, reference_scenario
     from repro.telemetry.qoe import render_scorecards
     from repro.telemetry.slo import render_slo
     from repro.telemetry.watch import WatchState, render_watch
 
-    spec = _scenario_spec(args)
+    spec = reference_scenario(args.scenario, args.duration)
     telemetry_path = None if args.no_telemetry else args.telemetry
     if telemetry_path:
         directory = os.path.dirname(telemetry_path)
@@ -179,10 +164,7 @@ def _run_watch(args: argparse.Namespace) -> None:
         spec, seed=args.seed, telemetry_path=telemetry_path, observe=True,
         flight=True,
     )
-    state = WatchState(
-        live.sim.telemetry, slo_monitor=live.observers.slo_monitor,
-        flight_recorder=live.observers.recorder,
-    )
+    state = WatchState(live.observers)
     interval = max(0.1, args.interval)
     # Event budget per drawn frame: a slice that turns out to be heavy
     # (a crash storm, a flood of connects) renders a mid-slice frame

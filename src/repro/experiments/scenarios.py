@@ -18,6 +18,7 @@ specs with a knob turned, and :func:`prepare_scenario` builds them all.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
@@ -202,6 +203,18 @@ WAN_SCENARIO = ScenarioSpec(
     schedule=((25.0, "server-up"), (47.0, "crash-serving")),
     seed=5,
 )
+
+
+def reference_scenario(name: str, duration: Optional[float] = None) -> ScenarioSpec:
+    """The ``lan`` or ``wan`` scenario, run for ``duration`` simulated
+    seconds when given (the movie lengthened to last that long)."""
+    spec = {"lan": LAN_SCENARIO, "wan": WAN_SCENARIO}[name]
+    if duration is None:
+        return spec
+    return dataclasses.replace(
+        spec, movie_duration_s=max(spec.movie_duration_s, duration),
+        run_duration_s=duration,
+    )
 
 
 @dataclass

@@ -45,7 +45,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "TraceGraph",
         "critical_path",
         "failover_breakdowns",
-        "load_trace_graph",
         "render_breakdowns",
     ),
     ".export": ("DEFAULT_PREFIXES", "SCHEMA_VERSION", "JsonlExporter", "read_jsonl"),

@@ -15,15 +15,16 @@ propagation mechanisms, both costing nothing while telemetry is off:
   delayed consequence fires (missed heartbeats, a frame arriving at the
   client from its new server).
 
-This module is the offline half: :func:`load_trace_graph` rebuilds the
-cause chains from a JSONL export, and :func:`failover_breakdowns`
-extracts the paper's take-over story as a critical path — how much of
-each failover went to *detection* (crash → suspicion), *agreement*
-(suspicion → view install) and *redistribution* (view install → the
-adopting server's resume), with the client-visible *resume* tail
-(take-over → first frame from the new server) reported alongside.  The
-three in-span segments sum to the take-over span duration by
-construction, which the tests pin down.
+This module is the offline half: a :class:`TraceGraph` groups event
+records (an export's ``load_timeline(path).events``, or a flight
+recorder's capture window) into cause chains, and
+:func:`failover_breakdowns` extracts the paper's take-over story as a
+critical path — how much of each failover went to *detection* (crash →
+suspicion), *agreement* (suspicion → view install) and *redistribution*
+(view install → the adopting server's resume), with the client-visible
+*resume* tail (take-over → first frame from the new server) reported
+alongside.  The three in-span segments sum to the take-over span
+duration by construction, which the tests pin down.
 
 Pure stdlib + :mod:`repro.telemetry` internals; safe to import from
 anywhere.
@@ -79,20 +80,9 @@ class TraceGraph:
     order).
     """
 
-    def __init__(self, records: Sequence[Dict]) -> None:
-        self.meta: Dict = {}
-        self.summary: Dict = {}
-        self.events: List[Dict] = []
+    def __init__(self, events: Sequence[Dict]) -> None:
         self._chains: Dict[str, CausalChain] = {}
-        for record in records:
-            kind = record.get("kind")
-            if kind == "meta":
-                self.meta = record
-                continue
-            if kind == "summary":
-                self.summary = record
-                continue
-            self.events.append(record)
+        for record in events:
             cause = record.get("cause")
             if cause:
                 chain = self._chains.get(cause)
@@ -109,13 +99,6 @@ class TraceGraph:
 
     def causes(self) -> List[str]:
         return [chain.cause for chain in self.chains()]
-
-
-def load_trace_graph(path: str) -> TraceGraph:
-    """Build the :class:`TraceGraph` of a telemetry JSONL export."""
-    from repro.telemetry.export import read_jsonl
-
-    return TraceGraph(read_jsonl(path))
 
 
 @dataclass

@@ -5,8 +5,8 @@ One JSON object per line:
 * a ``{"kind": "meta", ...}`` header (schema version, scenario, seed);
 * one ``{"t": ..., "kind": ..., <fields>}`` record per bus event;
 * a ``{"kind": "summary", ...}`` trailer (event counts, the metric
-  registry snapshot, the kernel tracer's ``dropped`` count, and
-  whatever run-level counters the caller adds).
+  registry snapshot, the spans still open at close, and whatever
+  run-level counters the caller adds).
 
 The default subscription excludes the two firehose kinds — kernel
 ``sim.*`` events and per-packet ``net.deliver`` — so a 240-second

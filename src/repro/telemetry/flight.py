@@ -40,6 +40,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.bus import Telemetry, TelemetryEvent
 from repro.telemetry.causal import TraceGraph, critical_path, failover_breakdowns
+from repro.telemetry.qoe import QoEAccumulator, _client_name, is_handoff
 from repro.telemetry.report import is_timeline_kind, replay
 
 #: What the recorder subscribes to: every application-level kind (the
@@ -507,66 +508,48 @@ def _excerpt(records: Sequence[Dict]) -> List[Dict]:
     return list(notable[:head]) + list(notable[-tail:])
 
 
+#: The kinds that bear on a client's window QoE.  Each hits its client,
+#: a ``client.migrate`` only when it is a handoff.
+_WINDOW_KINDS = (
+    "client.stall.begin", "client.stall.end", "client.migrate",
+    "client.resume", "server.admission.reject",
+)
+
+
 def _qoe_impact(records: Sequence[Dict], end_t: float) -> Dict:
     """Which clients' scorecards the window hit, and by how much.
 
-    A window-scoped fold over the captured client events, penalized
-    with the scorecard's window-computable components (2/stall cap 20,
-    1/migration cap 5, 3/reject cap 35).  The rebuffer-ratio component
-    needs whole-session watch time, so the raw ``stall_s`` is reported
-    instead of folded into the penalty.
+    The window's :data:`_WINDOW_KINDS` records are scored by a fresh
+    :class:`~repro.telemetry.qoe.QoEAccumulator` and charged its
+    window penalties; the rebuffer-ratio component needs whole-session
+    watch time, so the raw ``stall_s`` is reported instead.  Hit
+    clients keep first-hit order.
     """
-    impact: Dict[str, Dict] = {}
-    stall_since: Dict[str, float] = {}
+    accumulator = QoEAccumulator()
+    hit: Dict[str, None] = {}
 
-    def entry(client: object) -> Dict:
-        name = str(client).split("@", 1)[0]
-        item = impact.get(name)
-        if item is None:
-            item = impact[name] = {
-                "client": name, "stalls": 0, "stall_s": 0.0,
-                "migrations": 0, "resumes": 0, "rejects": 0,
-            }
-        return item
+    def feed(t: float, kind: str, fields: Dict) -> None:
+        if kind != "client.migrate" or is_handoff(fields):
+            hit.setdefault(_client_name(fields.get("client", "?")), None)
+        accumulator.feed(t, kind, fields)
 
-    for record in records:
-        kind = record.get("kind", "")
-        if kind == "client.stall.begin":
-            item = entry(record.get("client", "?"))
-            item["stalls"] += 1
-            stall_since[item["client"]] = float(record.get("t", end_t))
-        elif kind == "client.stall.end":
-            item = entry(record.get("client", "?"))
-            since = stall_since.pop(item["client"], None)
-            if since is not None:
-                item["stall_s"] += float(record.get("t", end_t)) - since
-        elif kind == "client.migrate":
-            if str(record.get("from_server")) not in ("None", ""):
-                entry(record.get("client", "?"))["migrations"] += 1
-        elif kind == "client.resume":
-            entry(record.get("client", "?"))["resumes"] += 1
-        elif kind == "server.admission.reject":
-            entry(record.get("client", "?"))["rejects"] += 1
-    for name, since in stall_since.items():
-        impact[name]["stall_s"] += max(0.0, end_t - since)
-
-    for item in impact.values():
-        item["penalty"] = (
-            min(20.0, 2.0 * item["stalls"])
-            + min(5.0, float(item["migrations"]))
-            + min(35.0, 3.0 * item["rejects"])
-        )
-    ranked = sorted(
-        impact.values(), key=lambda i: (-i["penalty"], i["client"])
-    )
+    replay(records, feed, _WINDOW_KINDS)
+    cards = accumulator.finish(end_t)
+    impact = []
+    for name in hit:
+        card = cards[name]
+        impact.append({
+            "client": name, "stalls": card.stall_count,
+            "stall_s": card.stall_s, "migrations": card.migrations,
+            "resumes": card.resumes, "rejects": card.admission_rejects,
+            "penalty": sum(card.window_penalties()),
+        })
+    ranked = sorted(impact, key=lambda i: (-i["penalty"], i["client"]))
     return {
         "clients_hit": len(impact),
         "totals": {
-            "stalls": sum(i["stalls"] for i in impact.values()),
-            "stall_s": sum(i["stall_s"] for i in impact.values()),
-            "migrations": sum(i["migrations"] for i in impact.values()),
-            "resumes": sum(i["resumes"] for i in impact.values()),
-            "rejects": sum(i["rejects"] for i in impact.values()),
+            key: sum(i[key] for i in impact)
+            for key in ("stalls", "stall_s", "migrations", "resumes", "rejects")
         },
         "top": ranked[:QOE_TOP_K],
     }

@@ -15,8 +15,8 @@ one recomputed from the artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, KeysView, List, Optional, Tuple
 
 from repro.telemetry.text import Table
 
@@ -28,6 +28,11 @@ def _client_name(value: object) -> str:
     process id string ``client0@5``.  The short name keys everything.
     """
     return str(value).split("@", 1)[0]
+
+
+def is_handoff(fields: Dict) -> bool:
+    """A ``client.migrate`` past the first adoption (from ``"None"``)."""
+    return str(fields.get("from_server")) not in ("None", "")
 
 
 @dataclass
@@ -85,19 +90,30 @@ class QoEScorecard:
             return 0.0
         return (self.emergency_extra_frames / self.watch_s) / base_rate
 
+    def window_penalties(self) -> Tuple[float, float, float]:
+        """The stall, migration and reject penalties: the terms that
+        need no whole-session watch time, all an incident window can
+        charge."""
+        return (
+            min(20.0, 2.0 * self.stall_count),
+            min(5.0, float(self.migrations)),
+            min(35.0, 3.0 * self.admission_rejects),
+        )
+
     def score(self) -> float:
+        stalls, migrations, rejects = self.window_penalties()
         penalty = 50.0 * min(1.0, self.rebuffer_ratio)
-        penalty += min(20.0, 2.0 * self.stall_count)
+        penalty += stalls
         shown = max(1, self.displayed_frames + self.skipped_frames)
         penalty += 15.0 * min(1.0, self.skipped_frames / shown)
-        penalty += min(5.0, float(self.migrations))
+        penalty += migrations
         # Admission outcomes: each busy-signal reject delays the viewer
         # a retry round — being denied service repeatedly outweighs
         # watching a degraded stream, though rebuffering still dominates
         # — and a degraded grant costs by how much quality was shaved.
         # Without these a never-admitted client would score a perfect
         # 100.
-        penalty += min(35.0, 3.0 * self.admission_rejects)
+        penalty += rejects
         penalty += min(10.0, 10.0 * max(0.0, self.degrade_fraction))
         return max(0.0, 100.0 - penalty)
 
@@ -184,9 +200,7 @@ class QoEAccumulator:
         elif kind == "client.skip":
             card.skipped_frames = int(fields.get("total", card.skipped_frames))
         elif kind == "client.migrate":
-            # The first server adoption at startup also emits migrate
-            # (from "None"); only mid-stream handoffs count against QoE.
-            if str(fields.get("from_server")) not in ("None", ""):
+            if is_handoff(fields):
                 card.migrations += 1
         elif kind == "client.resume":
             card.resumes += 1
@@ -271,6 +285,10 @@ class QoEAccumulator:
 
     def scorecards(self) -> Dict[str, QoEScorecard]:
         return dict(self._cards)
+
+    def stalled(self) -> KeysView[str]:
+        """The clients inside a stall episode now."""
+        return self._stall_since.keys()
 
 
 #: Bus prefixes a QoE observer needs (everything else is noise to it).

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro.telemetry.qoe import _client_name
 from repro.telemetry.text import Table
 
 
@@ -204,7 +205,7 @@ class SloMonitor:
         kind = event.kind
         fields = event.fields
         if kind.startswith("client."):
-            client = str(fields.get("client", "?")).split("@", 1)[0]
+            client = _client_name(fields.get("client", "?"))
             self._clients.add(client)
             if kind == "client.stall.begin":
                 self._stalled_now.add(client)
@@ -223,7 +224,7 @@ class SloMonitor:
             self._feed_rate(t, kind, fields)
 
     def _feed_rate(self, t: float, kind: str, fields: Dict) -> None:
-        client = str(fields.get("client", "?")).split("@", 1)[0]
+        client = _client_name(fields.get("client", "?"))
         self._integrate(client, t)
         rate = float(fields.get("rate_fps", 0.0))
         state = self._rate_state.get(client)

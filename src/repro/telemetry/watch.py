@@ -1,27 +1,30 @@
 """Live terminal dashboard state for ``repro-vod watch``.
 
-A :class:`WatchState` is a bus subscriber that folds the event stream
-into the small amount of state a terminal dashboard needs — per-client
-status and buffer level, the buffer-occupancy distribution, spans still
-in flight, SLO rule state and the last few notable events — and
-:func:`render_watch` draws one frame of it as plain text.
+A :class:`WatchState` reads one frame of a run's state from the run's
+own observers — each client's QoE from the QoE collector's scorecards,
+rule state from the SLO monitor, spans in flight from the bus's
+open-span registry, trigger and incident counts from the flight
+recorder — and folds only what no observer keeps: buffer levels,
+serving servers, fault and view counters, the last trigger and the last
+few notable events.  :func:`render_watch` draws the frame as plain
+text.
 
 The watcher follows the same contract as every other observer: it never
 schedules simulation events and never draws randomness, so watching a
 run cannot change it.  ``repro-vod watch`` drives the simulator in
-short ``run_until`` slices and redraws between slices; the state here
-is just a fold over events, so it works equally against a live bus or
-a replayed export.
+short ``run_until`` slices and redraws between slices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry.flight import is_trigger
+from repro.telemetry.qoe import QoEScorecard, _client_name
 
-#: Everything the dashboard listens to.
+#: Everything the dashboard listens to (``span.`` and ``slo.`` only for
+#: the trigger and the recent-events tail).
 WATCH_PREFIXES = (
     "client.", "server.", "gcs.view", "fault.", "span.", "metric.sample",
     "slo.", "invariant.",
@@ -39,53 +42,46 @@ _NOTABLE = (
 
 @dataclass
 class ClientView:
-    """One row of the dashboard's client table."""
+    """One row of the dashboard's client table: the client's scorecard
+    so far, whether it is stalled now, and the fold's buffer level and
+    serving server."""
 
     name: str
-    buffer: Optional[float] = None
-    stalled: bool = False
-    stalls: int = 0
-    migrations: int = 0
-    skipped: int = 0
-    server: str = ""
-    playing: bool = False
-    done: bool = False
+    card: QoEScorecard
+    stalled: bool
+    buffer: Optional[float]
+    server: str
 
     @property
     def status(self) -> str:
-        if self.done:
+        if self.card.finished:
             return "done"
         if self.stalled:
             return "STALL"
-        if self.playing:
+        if self.card.startup_s is not None:
             return "play"
         return "start"
 
 
 class WatchState:
-    """Folds bus events into one dashboard frame's worth of state."""
+    """One dashboard frame's worth of state, read from a run's
+    :class:`~repro.telemetry.harness.RunObservers` (attached with
+    ``observe=True, flight=True``)."""
 
-    def __init__(self, telemetry, slo_monitor=None,
-                 flight_recorder=None) -> None:
-        self.telemetry = telemetry
-        self.slo_monitor = slo_monitor
-        #: Optional live :class:`~repro.telemetry.flight.FlightRecorder`
-        #: — the incident strip reads its closed-incident count and open
-        #: capture window; without one the strip falls back to the
-        #: fold's own trigger counters.
-        self.flight_recorder = flight_recorder
+    def __init__(self, observers) -> None:
+        self.telemetry = observers.sim.telemetry
+        self.qoe = observers.qoe_collector.accumulator
+        self.slo_monitor = observers.slo_monitor
+        self.recorder = observers.recorder
         self.now = 0.0
         self.events_seen = 0
-        self.clients: Dict[str, ClientView] = {}
-        self.open_spans: Dict[Tuple[str, str], float] = {}
-        self.slo: Dict[str, Dict] = {}
+        self.buffers: Dict[str, float] = {}
+        self.servers: Dict[str, str] = {}
         self.recent: List[str] = []
         self.faults = 0
         self.views_installed = 0
-        self.triggers_seen = 0
         self.last_trigger: Optional[str] = None
-        self.last_breach_rule: Optional[str] = None
-        self._subscription = telemetry.subscribe(
+        self._subscription = self.telemetry.subscribe(
             self._on_event, prefixes=WATCH_PREFIXES
         )
 
@@ -95,13 +91,6 @@ class WatchState:
     # ------------------------------------------------------------------
     # Fold
     # ------------------------------------------------------------------
-    def client(self, name: object) -> ClientView:
-        short = str(name).split("@", 1)[0]
-        view = self.clients.get(short)
-        if view is None:
-            view = self.clients[short] = ClientView(name=short)
-        return view
-
     def _on_event(self, event) -> None:
         self.events_seen += 1
         self.now = max(self.now, event.time)
@@ -112,61 +101,20 @@ class WatchState:
             # denominated hardware series would drown it out.
             series = str(fields.get("series", ""))
             if series in ("combined_frames", "software_buffer_frames"):
-                view = self.client(fields.get("owner", "?"))
-                if series == "combined_frames" or view.buffer is None:
-                    view.buffer = float(fields.get("value", 0.0))
+                name = _client_name(fields.get("owner", "?"))
+                if series == "combined_frames" or name not in self.buffers:
+                    self.buffers[name] = float(fields.get("value", 0.0))
             return
-        if kind.startswith("client."):
-            view = self.client(fields.get("client", "?"))
-            if kind == "client.stall.begin":
-                view.stalled = True
-                view.stalls += 1
-            elif kind == "client.stall.end":
-                view.stalled = False
-            elif kind == "client.migrate":
-                if str(fields.get("from_server")) not in ("None", ""):
-                    view.migrations += 1
-                view.server = str(fields.get("to_server", view.server))
-            elif kind == "client.skip":
-                view.skipped = int(fields.get("total", view.skipped))
-            elif kind == "client.playback.start":
-                view.playing = True
-        elif kind == "span.begin":
-            self.open_spans[
-                (str(fields.get("span")), str(fields.get("key")))
-            ] = event.time
-        elif kind in ("span.end", "span.abandoned"):
-            ident = (str(fields.get("span")), str(fields.get("key")))
-            self.open_spans.pop(ident, None)
-            if fields.get("span") == "client.session":
-                self.client(fields.get("key", "?")).done = (
-                    kind == "span.end"
-                )
-        elif kind == "server.session.start":
-            view = self.client(fields.get("client", "?"))
-            view.server = str(fields.get("server", view.server))
+        if kind in ("client.migrate", "server.session.start"):
+            name = _client_name(fields.get("client", "?"))
+            key = "to_server" if kind == "client.migrate" else "server"
+            self.servers[name] = str(fields.get(key, self.servers.get(name, "")))
         elif kind == "fault.fired":
             self.faults += 1
         elif kind == "gcs.view.install":
             self.views_installed += 1
-        elif kind.startswith("slo."):
-            rule = str(fields.get("rule", "?"))
-            item = self.slo.setdefault(
-                rule, {"ok": True, "breaches": 0, "burns": 0, "value": 0.0}
-            )
-            item["value"] = float(fields.get("value", 0.0))
-            if kind == "slo.breach":
-                item["ok"] = False
-                item["breaches"] += 1
-            elif kind == "slo.recover":
-                item["ok"] = True
-            elif kind == "slo.burn":
-                item["burns"] += 1
         if is_trigger(kind, fields):
-            self.triggers_seen += 1
             self.last_trigger = f"{kind}@{event.time:.2f}s"
-            if kind == "slo.breach":
-                self.last_breach_rule = str(fields.get("rule", "?"))
         if kind.startswith(_NOTABLE):
             detail = " ".join(
                 f"{k}={v}" for k, v in fields.items()
@@ -178,12 +126,21 @@ class WatchState:
     # ------------------------------------------------------------------
     # Derived
     # ------------------------------------------------------------------
+    def clients(self) -> Dict[str, ClientView]:
+        """One :class:`ClientView` per client, by short name."""
+        cards = self.qoe.scorecards()
+        stalled = self.qoe.stalled()
+        return {
+            name: ClientView(
+                name, cards.get(name) or QoEScorecard(name), name in stalled,
+                self.buffers.get(name), self.servers.get(name, ""),
+            )
+            for name in {**cards, **self.buffers, **self.servers}
+        }
+
     def buffer_distribution(self, bins: int = 8) -> List[Tuple[str, int]]:
         """Histogram of current client buffer levels (frames)."""
-        levels = [
-            view.buffer for view in self.clients.values()
-            if view.buffer is not None
-        ]
+        levels = list(self.buffers.values())
         if not levels:
             return []
         top = max(max(levels), 1.0)
@@ -198,56 +155,45 @@ class WatchState:
         ]
 
     def incident_strip(self) -> Optional[str]:
-        """One status line for the incident strip (None when quiet).
-
-        With a live recorder attached: closed-incident count plus the
-        open capture window (trigger, folded trigger count, capture
-        deadline).  Always: the fold's trigger counter, the last
-        trigger and the last breached SLO rule.
-        """
-        recorder = self.flight_recorder
-        closed = len(recorder.incidents) if recorder is not None else None
-        open_trigger = (
-            recorder.open_trigger if recorder is not None else None
-        )
-        if not self.triggers_seen and not closed:
+        """One status line for the incident strip (None when quiet):
+        the recorder's closed-incident count, open capture window and
+        trigger count, the last trigger and the last breached rule."""
+        recorder = self.recorder
+        closed = len(recorder.incidents)
+        if not recorder.triggers_seen and not closed:
             return None
-        parts: List[str] = []
-        if closed is not None:
-            parts.append(f"closed={closed}")
+        parts = [f"closed={closed}"]
+        open_trigger = recorder.open_trigger
         if open_trigger is not None:
             parts.append(
                 f"OPEN {open_trigger['kind']}@{open_trigger['t']:.2f}s "
                 f"({open_trigger['triggers']} trigger(s), capture to "
                 f"{open_trigger['deadline']:.2f}s)"
             )
-        parts.append(f"triggers={self.triggers_seen}")
+        parts.append(f"triggers={recorder.triggers_seen}")
         if self.last_trigger:
             parts.append(f"last={self.last_trigger}")
-        if self.last_breach_rule:
-            parts.append(f"last breach rule={self.last_breach_rule}")
+        breaches = self.slo_monitor.breach_events
+        if breaches:
+            parts.append(f"last breach rule={breaches[-1]['rule']}")
         return "incidents: " + "  ".join(parts)
 
     def slo_rows(self) -> List[Tuple[str, str, str]]:
-        """(rule, state, value) rows — live monitor first, else events."""
-        if self.slo_monitor is not None:
-            return [
-                (name, "OK" if st.ok else "BREACH", f"{st.value:.3f}")
-                for name, st in sorted(self.slo_monitor.states.items())
-            ]
+        """(rule, state, value) rows from the live monitor."""
         return [
-            (rule, "OK" if item["ok"] else "BREACH", f"{item['value']:.3f}")
-            for rule, item in sorted(self.slo.items())
+            (name, "OK" if st.ok else "BREACH", f"{st.value:.3f}")
+            for name, st in sorted(self.slo_monitor.states.items())
         ]
 
 
 def render_watch(state: WatchState, max_clients: int = 12) -> str:
     """One text frame of the live dashboard."""
     lines: List[str] = []
-    stalled = sum(1 for v in state.clients.values() if v.stalled)
-    done = sum(1 for v in state.clients.values() if v.done)
+    clients = state.clients()
+    stalled = sum(1 for v in clients.values() if v.stalled)
+    done = sum(1 for v in clients.values() if v.card.finished)
     lines.append(
-        f"t={state.now:8.2f}s  clients={len(state.clients)} "
+        f"t={state.now:8.2f}s  clients={len(clients)} "
         f"(stalled={stalled} done={done})  faults={state.faults} "
         f"views={state.views_installed}  events={state.events_seen}"
     )
@@ -275,18 +221,21 @@ def render_watch(state: WatchState, max_clients: int = 12) -> str:
             bar = "#" * int(round(24 * count / peak)) if count else ""
             lines.append(f"  {label} | {bar} {count or ''}")
 
-    if state.open_spans:
+    spans = state.telemetry.open_spans()
+    if spans:
         lines.append("")
         lines.append("active spans:")
-        ordered = sorted(state.open_spans.items(), key=lambda kv: kv[1])
-        for (span, key), start in ordered[:10]:
+        for span in sorted(spans, key=lambda s: s.start)[:10]:
             lines.append(
-                f"  {span:<16} {key:<16} open {state.now - start:7.2f}s"
+                f"  {span.kind:<16} {span.key:<16} open "
+                f"{state.now - span.start:7.2f}s"
             )
 
     worst = sorted(
-        state.clients.values(),
-        key=lambda v: (not v.stalled, -(v.stalls + v.migrations), v.name),
+        clients.values(),
+        key=lambda v: (
+            not v.stalled, -(v.card.stall_count + v.card.migrations), v.name
+        ),
     )
     if worst:
         lines.append("")
@@ -298,10 +247,11 @@ def render_watch(state: WatchState, max_clients: int = 12) -> str:
         )
         for view in worst[:max_clients]:
             buffer = "-" if view.buffer is None else f"{view.buffer:6.0f}"
+            card = view.card
             lines.append(
                 f"  {view.name:<10}  {view.status:<6} {buffer:>7} "
-                f"{view.stalls:>7} {view.migrations:>5} {view.skipped:>5}  "
-                f"{view.server}"
+                f"{card.stall_count:>7} {card.migrations:>5} "
+                f"{card.skipped_frames:>5}  {view.server}"
             )
 
     if state.recent:

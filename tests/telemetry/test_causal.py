@@ -14,9 +14,9 @@ import pytest
 from repro.experiments.scenarios import LAN_SCENARIO, run_scenario
 from repro.telemetry import (
     Telemetry,
+    TraceGraph,
     critical_path,
     failover_breakdowns,
-    load_trace_graph,
     load_timeline,
     render_breakdowns,
 )
@@ -31,6 +31,10 @@ CRASH_SPEC = dataclasses.replace(
 )
 
 
+def trace_graph(path):
+    return TraceGraph(load_timeline(path).events)
+
+
 @pytest.fixture(scope="module")
 def export_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("causal") / "crash.jsonl"
@@ -40,7 +44,7 @@ def export_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def graph(export_path):
-    return load_trace_graph(export_path)
+    return trace_graph(export_path)
 
 
 def test_crash_mints_one_cause_chain(graph):
@@ -111,8 +115,8 @@ def test_render_breakdowns_mentions_cause_and_segments(graph):
 def test_cause_ids_are_deterministic(tmp_path, export_path):
     path = tmp_path / "again.jsonl"
     run_scenario(CRASH_SPEC, telemetry_path=str(path))
-    again = load_trace_graph(str(path))
-    first = load_trace_graph(export_path)
+    again = trace_graph(str(path))
+    first = trace_graph(export_path)
     assert again.causes() == first.causes()
     assert [
         (e["t"], e["kind"]) for e in again.chain("fault.CrashServing#1").events

@@ -167,6 +167,36 @@ def test_trigger_opens_window_and_assembles_incident():
     assert incident.chains
 
 
+def test_window_stall_end_without_its_begin_hits_with_no_stall_time():
+    recorder = FlightRecorder(None)
+    # Begins before the pre-trigger window, so the window holds only
+    # the end: c1 is hit, but the window charges it no stall.
+    recorder.feed(1.0, "client.stall.begin", {"client": "c1"})
+    recorder.feed(10.0, "server.crash", {"server": "s0"})
+    recorder.feed(11.0, "client.stall.end", {"client": "c1@4"})
+    qoe = recorder.finish(end_t=12.0)[0].qoe
+    assert qoe["clients_hit"] == 1
+    assert qoe["top"] == [{
+        "client": "c1", "stalls": 0, "stall_s": 0.0, "migrations": 0,
+        "resumes": 0, "rejects": 0, "penalty": 0.0,
+    }]
+
+
+def test_window_first_adoption_migrate_is_not_a_hit():
+    recorder = FlightRecorder(None)
+    recorder.feed(10.0, "server.crash", {"server": "s0"})
+    recorder.feed(10.5, "client.migrate",
+                  {"client": "c2", "from_server": "None", "to_server": "s1"})
+    recorder.feed(11.0, "client.migrate",
+                  {"client": "c3", "from_server": "s0", "to_server": "s1"})
+    recorder.feed(11.5, "client.stall.begin", {"client": "c3"})
+    qoe = recorder.finish(end_t=12.0)[0].qoe
+    assert qoe["clients_hit"] == 1
+    assert [item["client"] for item in qoe["top"]] == ["c3"]
+    assert qoe["top"][0]["penalty"] == 3.0  # one stall, one handoff
+    assert qoe["totals"]["stall_s"] == 0.5  # open until the window end
+
+
 def test_overlapping_triggers_extend_one_incident():
     recorder = FlightRecorder(None)
     recorder.feed(10.0, "server.crash", {"server": "s0"})
