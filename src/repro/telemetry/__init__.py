@@ -16,10 +16,11 @@ Everything observable about a run flows through this package:
 * :class:`TraceGraph` / :func:`failover_breakdowns` — causal chains
   (the ``cause`` id threaded fault → view change → take-over → resume)
   and the failover critical-path decomposition built from them;
-* :class:`QoECollector` / :class:`QoEScorecard` — per-client
+* :class:`QoEAccumulator` / :class:`QoEScorecard` — per-client
   quality-of-experience scoring, online or from an export;
-* :class:`SloMonitor` — live windowed service-level objectives
-  (``slo.breach`` / ``slo.burn`` / ``slo.recover`` events);
+* :class:`SloMonitor` — live windowed service-level objectives judged
+  over the run's QoE accumulator (``slo.breach`` / ``slo.burn`` /
+  ``slo.recover`` events);
 * :class:`WatchState` / :func:`render_watch` — the ``repro-vod watch``
   terminal dashboard fold;
 * :class:`FlightRecorder` / :class:`Incident` — bounded always-on
@@ -65,7 +66,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".qoe": (
         "QoEAccumulator",
-        "QoECollector",
         "QoEScorecard",
         "render_scorecards",
         "scorecards_from_timeline",
