@@ -2,7 +2,11 @@
 CLI smoke."""
 
 from repro.experiments.runner import main
-from repro.experiments.scenarios import LAN_SCENARIO, prepare_scenario
+from repro.experiments.scenarios import (
+    LAN_SCENARIO,
+    prepare_scenario,
+    reference_scenario,
+)
 from repro.telemetry import RunObservers, Telemetry, WatchState, render_watch
 
 
@@ -131,6 +135,25 @@ def test_watch_lists_the_session_span_opened_before_it():
         state.close()
     assert "active spans:" in frame
     assert "client.session   client0          open    3.00s" in frame
+
+
+def test_rules_read_a_dash_until_their_first_window_closes():
+    """At the first frame of a WAN watch (t = 10 s) no window has closed:
+    no rule may read ``OK`` beside a 0.000 it never measured."""
+    live = prepare_scenario(
+        reference_scenario("wan", 100.0), observe=True, flight=True
+    )
+    with live:
+        state = WatchState(live.observers)
+        live.step(10.0)
+        frame = render_watch(state)
+        state.close()
+    rows = frame.split("SLO:\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert [row.split() for row in rows] == [
+        ["emergency_bandwidth_share", "-", "-"],
+        ["failover_p99_s", "-", "-"],
+        ["glitch_free_fraction", "-", "-"],
+    ]
 
 
 # ----------------------------------------------------------------------
