@@ -4,11 +4,12 @@ This package turns the ad-hoc fault scripting of the experiments into a
 first-class subsystem:
 
 * :mod:`repro.faulting.plan` — the :class:`FaultPlan` DSL: immutable,
-  seeded, replayable schedules of crashes, restarts, partitions, link
-  impairments and false suspicions.
-* :mod:`repro.faulting.injector` — :class:`FaultInjector` applies a
-  plan to a running deployment, resolving symbolic targets at fire
-  time.
+  seeded, replayable schedules of crashes, restarts, partitions, host
+  impairments and false suspicions.  Each action is one class that also
+  fires itself.
+* :mod:`repro.faulting.injector` — :class:`FaultInjector` schedules a
+  plan on a running deployment, checks its host indices, resolves
+  symbolic targets at fire time and logs what fired.
 * :mod:`repro.faulting.invariants` — :class:`InvariantChecker` asserts
   the paper's fault-tolerance contract at runtime (exactly-one
   adoption, offset continuity within the 0.5 s staleness bound, no
@@ -29,7 +30,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".injector": ("FaultInjector",),
     ".invariants": ("InvariantChecker", "Violation"),
     ".plan": (
-        "ClearImpairments",
         "CrashMostLoaded",
         "CrashServer",
         "CrashServing",
@@ -39,7 +39,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "HealAll",
         "HealHost",
         "ImpairHost",
-        "ImpairLink",
         "IsolateHost",
         "Partition",
         "RestartServer",

@@ -51,6 +51,21 @@ from repro.sim.process import Timer
 
 #: Rule 5: the longest a flush may last with no suspicion to explain it.
 FLUSH_BOUND_S = FLUSH_STALL_ADOPT + COMMIT_TIMEOUT + FLUSH_TIMEOUT
+#: Rule 2: the paper's multicast-state staleness.  Servers synchronize
+#: every half second, so a takeover offset may legitimately differ from
+#: the best-known offset by up to this much transmission time.
+STALENESS_BOUND_S = 0.5
+#: Rule 1: how long a client may go unserved (while a replica is
+#: reachable) before it is orphaned.  Covers failure detection, view
+#: agreement, the 3-sync-period orphan repair and the session handshake.
+ORPHAN_GRACE_S = 8.0
+#: Rule 1: how long two replicas may transiently serve the same client.
+#: Two servers that admitted one client resolve it when they meet in the
+#: client's session-group view (the smallest server keeps it); while
+#: those views stay split nothing resolves it (DESIGN §8.5).
+DOUBLE_SERVE_GRACE_S = 6.0
+#: The sampling cadence (s).
+SAMPLE_PERIOD_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -91,49 +106,19 @@ class _ClientTrack:
 class InvariantChecker:
     """Watches a deployment and records :class:`Violation` objects.
 
-    Parameters
-    ----------
-    deployment:
-        The deployment under test.  Call :meth:`install` once it (and
-        ideally before any client) is built.
-    staleness_bound_s:
-        The paper's multicast-state staleness: servers synchronize every
-        half second, so a takeover offset may legitimately differ from
-        the best-known offset by up to this much transmission time.
-    orphan_grace_s:
-        How long a client may go unserved (while a replica is reachable)
-        before rule 1 fires.  Covers failure detection, view agreement,
-        the 3-sync-period orphan repair and the session handshake.
-    double_serve_grace_s:
-        How long two replicas may transiently serve the same client
-        before rule 1 fires.  Two servers that admitted one client
-        resolve it when they meet in the client's session-group view
-        (the smallest server keeps it); while those views stay split
-        nothing resolves it (DESIGN §8.5).
+    ``deployment`` is the deployment under test.  Call :meth:`install`
+    once it (and ideally before any client) is built.
     """
 
-    def __init__(
-        self,
-        deployment: Any,
-        staleness_bound_s: float = 0.5,
-        orphan_grace_s: float = 8.0,
-        double_serve_grace_s: float = 6.0,
-        sample_period_s: float = 0.25,
-    ) -> None:
+    #: Frames a takeover offset may differ from the best shared offset:
+    #: the staleness bound at the emergency-inflated rate (40% extra
+    #: bandwidth) plus a little merge slack.
+    offset_bound_frames = int(math.ceil(1.4 * DEFAULT_FPS * STALENESS_BOUND_S)) + 4
+
+    def __init__(self, deployment: Any) -> None:
         self.deployment = deployment
         self.sim = deployment.sim
         self.network = deployment.network
-        self.staleness_bound_s = staleness_bound_s
-        self.orphan_grace_s = orphan_grace_s
-        self.double_serve_grace_s = double_serve_grace_s
-        self.sample_period_s = sample_period_s
-        # Frames a takeover offset may differ from the best shared
-        # offset: the staleness bound at the emergency-inflated rate
-        # (40% extra bandwidth) plus a little merge slack.
-        self.offset_bound_frames = (
-            int(math.ceil(1.4 * DEFAULT_FPS * staleness_bound_s)) + 4
-        )
-
         self.violations: List[Violation] = []
         self.takeovers: List[Tuple[float, str, str, int]] = []
         self.samples = 0
@@ -156,9 +141,9 @@ class InvariantChecker:
         self.deployment.domain.add_view_observer(self._on_view_installed)
         self._timer = Timer(
             self.sim,
-            self.sample_period_s,
+            SAMPLE_PERIOD_S,
             self._sample,
-            start_delay=self.sample_period_s,
+            start_delay=SAMPLE_PERIOD_S,
         )
         return self
 
@@ -363,7 +348,7 @@ class InvariantChecker:
                 track.zero_serving_since = now
             elif (
                 not track.zero_reported
-                and now - track.zero_serving_since > self.orphan_grace_s
+                and now - track.zero_serving_since > ORPHAN_GRACE_S
             ):
                 track.zero_reported = True
                 self._violation(
@@ -381,7 +366,7 @@ class InvariantChecker:
                 track.double_serving_since = now
             elif (
                 not track.double_reported
-                and now - track.double_serving_since > self.double_serve_grace_s
+                and now - track.double_serving_since > DOUBLE_SERVE_GRACE_S
             ):
                 track.double_reported = True
                 names = sorted(server.name for server in serving)

@@ -1,12 +1,12 @@
 """The fault-plan DSL: declarative, deterministic fault schedules.
 
 A :class:`FaultPlan` is an immutable description of *what goes wrong and
-when*: server crashes and restarts, network partitions and merges, link
+when*: server crashes and restarts, network partitions and merges, host
 impairments (drop / delay / duplication via
 :class:`~repro.net.link.LinkFault`) and false failure-detector
-suspicions.  Plans are pure data — they never touch a simulator — so the
-same plan can be printed, compared, replayed against different
-deployments, or regenerated bit-for-bit from a seed.
+suspicions.  Building a plan touches no simulator, so the same plan can
+be printed, compared, replayed against different deployments, or
+regenerated bit-for-bit from a seed.
 
 Two ways to build a plan:
 
@@ -21,21 +21,36 @@ Two ways to build a plan:
   server, every partition heals, the plan ends with a settle window), so
   the service-level invariants are expected to hold for *every* seed.
 
-All node-valued fields hold **host indices** into
-``Topology.hosts`` — not raw node ids — so plans stay meaningful across
-topologies of the same shape.  The
-:class:`~repro.faulting.injector.FaultInjector` resolves them at fire
-time.
+Each action is one frozen class: its fields, ``validate``, ``describe``
+and ``fire(injector)``, which applies it at its virtual time and returns
+the fire-log note (a no-op note when there is nothing to act on).
+Adding an action is one class here and one builder method on
+:class:`FaultPlan`.
+
+All node-valued fields hold **host indices** into ``Topology.hosts`` —
+not raw node ids — so plans stay meaningful across topologies of the
+same shape.  A negative index is refused when the plan is built, one
+past the topology when the injector is built; targets named otherwise
+(a server, "the server serving client0") resolve at fire time.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultError
 from repro.net.link import LinkFault
+from repro.testing import serving_server
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faulting.injector import FaultInjector
+
+#: :meth:`FaultPlan.random`: no disturbance before this time (s) ...
+START_S = 20.0
+#: ... and the last recovery at least this long before the run ends.
+SETTLE_S = 20.0
 
 
 # ======================================================================
@@ -50,9 +65,46 @@ class FaultAction:
     def validate(self) -> None:
         if not isinstance(self.at, (int, float)) or not self.at >= 0.0:
             raise FaultError(f"action time must be >= 0, got {self.at!r}")
+        for host in self.hosts():
+            if host < 0:
+                raise FaultError(
+                    f"{type(self).__name__} needs host indices >= 0, "
+                    f"got {host!r}"
+                )
+
+    def hosts(self) -> Tuple[int, ...]:
+        """The host indices this action names."""
+        return ()
 
     def describe(self) -> str:
         return f"{type(self).__name__}"
+
+    def fire(self, injector: "FaultInjector") -> str:
+        """Apply the action now (deterministically, drawing no random
+        number); returns the fire-log note."""
+        raise FaultError(f"{type(self).__name__} cannot fire")
+
+
+@dataclass(frozen=True)
+class _ServerAction(FaultAction):
+    """An action on one named server."""
+
+    server: str = ""
+
+    def validate(self) -> None:
+        super().validate()
+        if not self.server:
+            raise FaultError(f"{type(self).__name__} needs a server name")
+
+
+@dataclass(frozen=True)
+class _HostAction(FaultAction):
+    """An action on one host index."""
+
+    host: int = 0
+
+    def hosts(self) -> Tuple[int, ...]:
+        return (self.host,)
 
 
 @dataclass(frozen=True)
@@ -68,6 +120,14 @@ class CrashServing(FaultAction):
         target = self.client or "<default client>"
         return f"crash server serving {target}"
 
+    def fire(self, injector: "FaultInjector") -> str:
+        client = injector._client(self.client)
+        server = serving_server(injector.deployment, client)
+        if server is None:
+            return f"no server serving {client.name}; nothing crashed"
+        injector.crash(server)
+        return f"crashed {server.name} (serving {client.name})"
+
 
 @dataclass(frozen=True)
 class CrashMostLoaded(FaultAction):
@@ -78,35 +138,44 @@ class CrashMostLoaded(FaultAction):
     def describe(self) -> str:
         return "crash the most-loaded server"
 
+    def fire(self, injector: "FaultInjector") -> str:
+        server = injector.deployment.busiest_server()
+        if server is None:
+            return "no live server; nothing crashed"
+        load = server.n_clients
+        injector.crash(server)
+        return f"crashed {server.name} (most loaded, {load} clients)"
+
 
 @dataclass(frozen=True)
-class CrashServer(FaultAction):
+class CrashServer(_ServerAction):
     """Fail-stop a named server together with its host node."""
-
-    server: str = ""
-
-    def validate(self) -> None:
-        super().validate()
-        if not self.server:
-            raise FaultError("CrashServer needs a server name")
 
     def describe(self) -> str:
         return f"crash {self.server}"
 
+    def fire(self, injector: "FaultInjector") -> str:
+        server = injector.deployment.server(self.server)
+        if not server.running:
+            return f"{server.name} already down"
+        injector.crash(server)
+        return f"crashed {server.name}"
+
 
 @dataclass(frozen=True)
-class StopServer(FaultAction):
+class StopServer(_ServerAction):
     """Gracefully shut a named server down (it leaves its groups)."""
-
-    server: str = ""
-
-    def validate(self) -> None:
-        super().validate()
-        if not self.server:
-            raise FaultError("StopServer needs a server name")
 
     def describe(self) -> str:
         return f"shutdown {self.server}"
+
+    def fire(self, injector: "FaultInjector") -> str:
+        server = injector.deployment.server(self.server)
+        if not server.running:
+            return f"{server.name} already down"
+        injector._note_down(server)
+        server.shutdown()
+        return f"stopped {server.name}"
 
 
 @dataclass(frozen=True)
@@ -119,24 +188,30 @@ class ServerUp(FaultAction):
 
     host: Optional[int] = None
 
+    def hosts(self) -> Tuple[int, ...]:
+        return () if self.host is None else (self.host,)
+
     def describe(self) -> str:
         where = "auto host" if self.host is None else f"host {self.host}"
         return f"server up on {where}"
 
+    def fire(self, injector: "FaultInjector") -> str:
+        host = injector._next_host_slot() if self.host is None else self.host
+        return injector.start_server(host)
+
 
 @dataclass(frozen=True)
-class RestartServer(FaultAction):
+class RestartServer(_ServerAction):
     """Bring a server back up on the host where ``server`` ran."""
-
-    server: str = ""
-
-    def validate(self) -> None:
-        super().validate()
-        if not self.server:
-            raise FaultError("RestartServer needs a server name")
 
     def describe(self) -> str:
         return f"restart host of {self.server}"
+
+    def fire(self, injector: "FaultInjector") -> str:
+        old = injector.deployment.server(self.server)
+        return injector.start_server(
+            injector._host_of_server(old), f" (was {old.name})"
+        )
 
 
 @dataclass(frozen=True)
@@ -153,28 +228,43 @@ class Partition(FaultAction):
         if set(self.side_a) & set(self.side_b):
             raise FaultError("Partition sides overlap")
 
+    def hosts(self) -> Tuple[int, ...]:
+        return self.side_a + self.side_b
+
     def describe(self) -> str:
         return f"partition {list(self.side_a)} | {list(self.side_b)}"
 
+    def fire(self, injector: "FaultInjector") -> str:
+        node = injector.topology.host
+        injector.network.partition(
+            [node(index) for index in self.side_a],
+            [node(index) for index in self.side_b],
+        )
+        return self.describe()
+
 
 @dataclass(frozen=True)
-class IsolateHost(FaultAction):
+class IsolateHost(_HostAction):
     """Take down every link terminating at one host (NIC dies)."""
-
-    host: int = 0
 
     def describe(self) -> str:
         return f"isolate host {self.host}"
 
+    def fire(self, injector: "FaultInjector") -> str:
+        injector.network.partition_node(injector.topology.host(self.host))
+        return self.describe()
+
 
 @dataclass(frozen=True)
-class HealHost(FaultAction):
+class HealHost(_HostAction):
     """Undo :class:`IsolateHost`: restore the host's links."""
-
-    host: int = 0
 
     def describe(self) -> str:
         return f"heal host {self.host}"
+
+    def fire(self, injector: "FaultInjector") -> str:
+        injector.network.heal_node(injector.topology.host(self.host))
+        return self.describe()
 
 
 @dataclass(frozen=True)
@@ -184,32 +274,16 @@ class HealAll(FaultAction):
     def describe(self) -> str:
         return "heal all partitions"
 
-
-@dataclass(frozen=True)
-class ImpairLink(FaultAction):
-    """Install a :class:`LinkFault` on the direct link between two
-    hosts (None clears it)."""
-
-    host_a: int = 0
-    host_b: int = 0
-    fault: Optional[LinkFault] = None
-
-    def validate(self) -> None:
-        super().validate()
-        if self.fault is not None:
-            self.fault.validate()
-
-    def describe(self) -> str:
-        what = "clear" if self.fault is None else repr(self.fault)
-        return f"impair link {self.host_a}-{self.host_b}: {what}"
+    def fire(self, injector: "FaultInjector") -> str:
+        injector.network.heal()
+        return self.describe()
 
 
 @dataclass(frozen=True)
-class ImpairHost(FaultAction):
+class ImpairHost(_HostAction):
     """Install a :class:`LinkFault` on every link of one host — a flaky
     NIC or a congested access link (None clears them)."""
 
-    host: int = 0
     fault: Optional[LinkFault] = None
 
     def validate(self) -> None:
@@ -221,22 +295,19 @@ class ImpairHost(FaultAction):
         what = "clear" if self.fault is None else repr(self.fault)
         return f"impair host {self.host}: {what}"
 
-
-@dataclass(frozen=True)
-class ClearImpairments(FaultAction):
-    """Remove every installed link fault."""
-
-    def describe(self) -> str:
-        return "clear impairments"
+    def fire(self, injector: "FaultInjector") -> str:
+        injector.network.set_node_fault(
+            injector.topology.host(self.host), self.fault
+        )
+        return self.describe()
 
 
 @dataclass(frozen=True)
-class FalseSuspicion(FaultAction):
+class FalseSuspicion(_HostAction):
     """Make every other daemon wrongly suspect the daemon on ``host``
     (and ignore its heartbeats for ``mute_for_s``), exercising the
     remove-then-rejoin path without any real failure."""
 
-    host: int = 0
     mute_for_s: float = 0.5
 
     def validate(self) -> None:
@@ -246,6 +317,41 @@ class FalseSuspicion(FaultAction):
 
     def describe(self) -> str:
         return f"falsely suspect host {self.host} (mute {self.mute_for_s}s)"
+
+    def fire(self, injector: "FaultInjector") -> str:
+        victim = injector.topology.host(self.host)
+        domain = injector.deployment.domain
+        accusers = 0
+        for node_id in domain.daemon_nodes():
+            if node_id == victim:
+                continue
+            endpoint = domain.endpoint(node_id)
+            if endpoint.closed:
+                continue
+            if endpoint.fd.force_suspect(victim, mute_for_s=self.mute_for_s):
+                accusers += 1
+        return (
+            f"falsely suspected daemon {victim} at {accusers} peers "
+            f"(muted {self.mute_for_s:.2f}s)"
+        )
+
+
+@dataclass(frozen=True)
+class _CrashHost(_HostAction):
+    """Crash whichever live server runs on host index ``host`` (no-op if
+    the host has no live server).  Used by random plans, which know
+    hosts but not server names."""
+
+    def describe(self) -> str:
+        return f"crash server on host {self.host}"
+
+    def fire(self, injector: "FaultInjector") -> str:
+        node_id = injector.topology.host(self.host)
+        for server in injector.deployment.live_servers():
+            if server.node_id == node_id:
+                injector.crash(server)
+                return f"crashed {server.name} on host {self.host}"
+        return f"no live server on host {self.host}"
 
 
 # ======================================================================
@@ -300,18 +406,10 @@ class FaultPlan:
     def heal_all(self, at: float) -> "FaultPlan":
         return self._with(HealAll(at))
 
-    def impair_link(
-        self, at: float, host_a: int, host_b: int, fault: Optional[LinkFault]
-    ) -> "FaultPlan":
-        return self._with(ImpairLink(at, host_a=host_a, host_b=host_b, fault=fault))
-
     def impair_host(
         self, at: float, host: int, fault: Optional[LinkFault]
     ) -> "FaultPlan":
         return self._with(ImpairHost(at, host=host, fault=fault))
-
-    def clear_impairments(self, at: float) -> "FaultPlan":
-        return self._with(ClearImpairments(at))
 
     def false_suspicion(
         self, at: float, host: int, mute_for_s: float = 0.5
@@ -353,10 +451,6 @@ class FaultPlan:
         duration_s: float,
         server_hosts: Sequence[int],
         client_host: int,
-        name: Optional[str] = None,
-        start_s: float = 20.0,
-        settle_s: float = 20.0,
-        intensity: float = 1.0,
     ) -> "FaultPlan":
         """A seeded random chaos plan that the service should survive.
 
@@ -364,21 +458,21 @@ class FaultPlan:
         timeline (so at most one is in flight), every crash is paired
         with a replacement ``server_up`` a few seconds later, every
         isolation heals within seconds, and the last recovery lands at
-        least ``settle_s`` before ``duration_s`` — giving takeover and
+        least :data:`SETTLE_S` before ``duration_s`` — giving takeover and
         rebalancing time to converge.  Identical arguments always yield
         an identical plan.
         """
-        if duration_s <= start_s + settle_s:
+        if duration_s <= START_S + SETTLE_S:
             raise FaultError(
                 f"duration {duration_s}s leaves no room between start "
-                f"{start_s}s and settle window {settle_s}s"
+                f"{START_S}s and settle window {SETTLE_S}s"
             )
         if not server_hosts:
             raise FaultError("need at least one server host")
         rng = random.Random(seed)
-        plan = cls(name=name or f"chaos-{seed}", seed=seed)
-        deadline = duration_s - settle_s
-        t = start_s
+        plan = cls(name=f"chaos-{seed}", seed=seed)
+        deadline = duration_s - SETTLE_S
+        t = START_S
 
         kinds = [
             "crash-serving",
@@ -390,7 +484,7 @@ class FaultPlan:
             "false-suspicion",
         ]
         while True:
-            t += rng.uniform(4.0, 10.0) / max(intensity, 0.1)
+            t += rng.uniform(4.0, 10.0)
             kind = rng.choice(kinds)
             if kind == "crash-serving":
                 # Crash the serving server, then bring a replacement up
@@ -449,14 +543,3 @@ class FaultPlan:
                 )
         return plan
 
-
-@dataclass(frozen=True)
-class _CrashHost(FaultAction):
-    """Crash whichever live server runs on host index ``host`` (no-op if
-    the host has no live server).  Used by random plans, which know
-    hosts but not server names."""
-
-    host: int = 0
-
-    def describe(self) -> str:
-        return f"crash server on host {self.host}"

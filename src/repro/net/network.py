@@ -143,11 +143,6 @@ class Network:
                 link.set_fault(fault)
         self.note_change()
 
-    def clear_link_faults(self) -> None:
-        for link in self._links.values():
-            link.set_fault(None)
-        self.note_change()
-
     def reachable(self, src: int, dst: int) -> bool:
         return self._hop(src, dst) is not None or src == dst
 

@@ -74,9 +74,17 @@ def timeline_table(title: str, events: Sequence[Dict]) -> str:
 
 
 class RunTimeline:
-    """Parsed view of one exported run."""
+    """Parsed view of one exported run; ``since`` / ``until`` are the
+    sim-time filter it was read with (None: unbounded)."""
 
-    def __init__(self, records: List[Dict]) -> None:
+    def __init__(
+        self,
+        records: List[Dict],
+        since: Optional[float] = None,
+        until: Optional[float] = None,
+    ) -> None:
+        self.since = since
+        self.until = until
         self.meta: Dict = {}
         self.summary: Dict = {}
         self.truncated: Optional[Dict] = None
@@ -177,14 +185,17 @@ def load_timeline(
     """
     from repro.telemetry.export import read_jsonl
 
-    return RunTimeline(read_jsonl(path, since=since, until=until))
+    return RunTimeline(
+        read_jsonl(path, since=since, until=until), since=since, until=until
+    )
 
 
 def render_report(timeline: RunTimeline, max_rows: int = 80) -> str:
     """The ``repro-vod report`` text: header, counts, timeline, spans,
     QoE scorecards, SLO verdicts, failover breakdowns, buffer levels,
     summary.  Degrades gracefully: an empty or meta-only export renders
-    a one-line note instead of empty tables."""
+    a one-line note instead of empty tables, and a time-filtered read
+    one line instead of SLO verdicts it cannot judge."""
     blocks: List[str] = []
 
     meta = dict(timeline.meta)
@@ -248,9 +259,17 @@ def render_report(timeline: RunTimeline, max_rows: int = 80) -> str:
     if cards:
         blocks.append(render_scorecards(cards))
 
-    slo_summary = slo_from_timeline(timeline)
-    if any(item.get("windows") for item in slo_summary.values()):
-        blocks.append(render_slo(slo_summary))
+    if timeline.since is not None or timeline.until is not None:
+        # The windows are the whole run's: a replay of part of it knows
+        # neither the rates nor the stalls from before the cut, nor
+        # anything after it.
+        blocks.append(
+            "slo: rules not judged on a time-filtered read (--since/--until)"
+        )
+    else:
+        slo_summary = slo_from_timeline(timeline)
+        if any(item.get("windows") for item in slo_summary.values()):
+            blocks.append(render_slo(slo_summary))
 
     breakdowns = failover_breakdowns(TraceGraph(timeline.events))
     if breakdowns:

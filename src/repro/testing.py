@@ -97,19 +97,25 @@ def flap_link(
         )
 
 
+def serving_server(deployment: Any, client: Any) -> Optional[Any]:
+    """The live server currently serving ``client``, or None."""
+    serving = client.serving_server
+    for server in deployment.live_servers():
+        if serving is not None and server.process == serving:
+            return server
+    for server in deployment.live_servers():
+        if client.process in server.sessions:
+            return server
+    return None
+
+
 def crash_serving_server(deployment: Any, client: Any) -> Optional[Any]:
     """Crash whichever live server currently serves ``client``.
 
     Returns the crashed server (or None if nobody serves the client) —
     the move every failover test needs.
     """
-    serving = client.serving_server
-    for server in deployment.live_servers():
-        if serving is not None and server.process == serving:
-            server.crash()
-            return server
-    for server in deployment.live_servers():
-        if client.process in server.sessions:
-            server.crash()
-            return server
-    return None
+    server = serving_server(deployment, client)
+    if server is not None:
+        server.crash()
+    return server

@@ -3,8 +3,9 @@ at fire time, host-slot bookkeeping follows the vacancy-refill policy."""
 
 import pytest
 
+from repro.errors import FaultError
 from repro.faulting.injector import FaultInjector
-from repro.faulting.plan import FaultPlan
+from repro.faulting.plan import FaultPlan, IsolateHost
 from repro.media.catalog import MovieCatalog
 from repro.media.movie import Movie
 from repro.net.topologies import build_lan
@@ -181,3 +182,39 @@ def test_crash_most_loaded_breaks_ties_in_server_order():
         "crashed server0 (most loaded, 0 clients)",
         "crashed server1 (most loaded, 0 clients)",
     ]
+
+
+def test_a_host_index_past_the_topology_is_refused_before_the_run():
+    sim, deployment, client = make_service()  # four hosts
+    plan = FaultPlan().crash_serving(5.0).isolate(10.0, 99)
+    with pytest.raises(FaultError, match=r"IsolateHost at t=10.0 .* host 99"):
+        FaultInjector(deployment, plan, client=client)
+    assert sim.now == 0.0
+    with pytest.raises(FaultError, match="ServerUp"):
+        FaultInjector(deployment, FaultPlan().server_up(5.0, host=4))
+    with pytest.raises(FaultError, match="host indices >= 0"):
+        FaultInjector(
+            deployment, FaultPlan(actions=(IsolateHost(1.0, host=-1),))
+        )
+
+
+@pytest.mark.parametrize("plan, note", [
+    # A restart of a server that is still up.
+    (FaultPlan().restart(10.0, "server0"),
+     "host 0 already runs server0; nothing started"),
+    # The auto server-up refilled host 0 before the restart came.
+    (FaultPlan().crash(10.0, "server0").server_up(12.0).restart(14.0, "server0"),
+     "host 0 already runs server2; nothing started"),
+    # An explicit server-up onto a live server, and onto the client.
+    (FaultPlan().server_up(10.0, host=1),
+     "host 1 already runs server1; nothing started"),
+    (FaultPlan().server_up(10.0, host=2),
+     "host 2 already runs client0; nothing started"),
+])
+def test_a_server_up_onto_an_occupied_host_is_a_noop(plan, note):
+    sim, deployment, client = make_service()
+    injector = FaultInjector(deployment, plan, client=client).start()
+    servers = len(deployment.live_servers())
+    sim.run_until(20.0)
+    assert injector.fired[-1] == (plan.horizon, note)
+    assert len(deployment.live_servers()) == servers

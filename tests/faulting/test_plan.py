@@ -51,13 +51,11 @@ class TestBuilder:
             .isolate(5.0, 2)
             .heal_host(6.0, 2)
             .heal_all(7.0)
-            .impair_link(8.0, 0, 1, fault)
             .impair_host(9.0, 0, fault)
-            .clear_impairments(10.0)
             .false_suspicion(11.0, 1, mute_for_s=0.4)
         )
         plan.validate()
-        assert len(plan) == 11
+        assert len(plan) == 9
         assert plan.horizon == 11.0
 
 
@@ -85,6 +83,20 @@ class TestValidation:
     def test_bad_link_fault_rejected(self):
         with pytest.raises(Exception):
             FaultPlan().impair_host(5.0, 0, LinkFault(drop_prob=1.5))
+
+    @pytest.mark.parametrize("build", [
+        lambda plan: plan.isolate(5.0, -1),
+        lambda plan: plan.heal_host(5.0, -1),
+        lambda plan: plan.impair_host(5.0, -1, None),
+        lambda plan: plan.false_suspicion(5.0, -1),
+        lambda plan: plan.server_up(5.0, host=-1),
+        lambda plan: plan.partition(5.0, [0], [-1]),
+    ])
+    def test_negative_host_index_rejected(self, build):
+        # ``hosts[-1]`` is the last host: in every scenario, the
+        # measured client's.
+        with pytest.raises(FaultError, match="host indices >= 0"):
+            build(FaultPlan())
 
 
 class TestFromSchedule:
@@ -123,7 +135,7 @@ class TestRandomPlans:
 
     def test_respects_settle_window(self):
         for seed in range(5):
-            plan = FaultPlan.random(seed=seed, settle_s=20.0, **self.ARGS)
+            plan = FaultPlan.random(seed=seed, **self.ARGS)
             assert plan.horizon <= 120.0 - 20.0
             assert all(action.at >= 20.0 for action in plan.actions)
 

@@ -102,6 +102,17 @@ def test_render_report_sections(export_path):
     assert "events_written=" in text
 
 
+@pytest.mark.parametrize("window", [{"until": 30.0}, {"since": 30.0}])
+def test_a_time_filtered_read_judges_no_slo_rule(export_path, window):
+    # The rules' windows span the whole run: a cut read cannot judge
+    # them, so the report says so instead of printing a table.
+    assert "SLO rules" in render_report(load_timeline(export_path))
+    text = render_report(load_timeline(export_path, **window))
+    assert "SLO rules" not in text
+    assert "slo: rules not judged on a time-filtered read" in text
+    assert "Timeline" in text  # the rest of the report is unchanged
+
+
 def test_report_truncation_note(export_path):
     text = render_report(load_timeline(str(export_path)), max_rows=5)
     assert "more (raise --max-rows)" in text
